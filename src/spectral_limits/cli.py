@@ -9,8 +9,7 @@ probes, unsupported inputs).
 Complex probes are written like ``i``, ``2i``, ``1+i``, ``-0.5-2i`` on the
 command line and as {re, im} objects in JSON.  CSV floats carry 17
 significant digits; JSON reports are deterministic for a fixed config and
-version.  The probe grid may be evaluated concurrently by setting
-SPECTRAL_LIMITS_THREADS; results are merged in index order either way.
+version.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -87,25 +85,6 @@ def _fmt(x) -> str:
     if x is None:
         return ""
     return f"{float(x):.17g}"
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("SPECTRAL_LIMITS_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    workers = _thread_count()
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _load_system_arg(args) -> InductiveSystem:
@@ -188,6 +167,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_st1(args) -> int:
+    if args.window < 2:
+        raise ValidationError(f"--window must be at least 2, got {args.window}")
     system = _load_system_arg(args)
     r = realize(system)
     levels = parse_levels(args.levels, r.level) if args.levels else list(range(r.level + 1))
@@ -214,8 +195,8 @@ def cmd_st1(args) -> int:
         }
         return series, cross
 
-    resolvent_results = _parallel_map(one_lambda, lambdas)
-    function_results = _parallel_map(lambda name: gap_series(r, f_name=name, j_range=levels), functions)
+    resolvent_results = [one_lambda(lam) for lam in lambdas]
+    function_results = [gap_series(r, f_name=name, j_range=levels) for name in functions]
 
     lines = [GAP_CSV_HEADER]
     for series, cross in resolvent_results:
@@ -355,6 +336,20 @@ def cmd_distance(args) -> int:
     return EXIT_OK
 
 
+def _report_levels(levels, top: int) -> list[int]:
+    """Level range of a report config: absent for all levels, else [a, b]."""
+    if levels is None:
+        return list(range(top + 1))
+    if (
+        not isinstance(levels, list)
+        or len(levels) != 2
+        or not all(isinstance(v, int) and not isinstance(v, bool) for v in levels)
+        or not 0 <= levels[0] <= levels[1] <= top
+    ):
+        raise ValidationError(f"report 'levels' must be [a, b] with 0 <= a <= b <= {top}, got {levels!r}")
+    return list(range(levels[0], levels[1] + 1))
+
+
 def cmd_report(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
@@ -370,9 +365,8 @@ def cmd_report(args) -> int:
         if lam.imag == 0.0:
             raise ValidationError(f"resolvent probe {lam:g} is real; probes must be non-real")
     functions = cfg.get("functions", [])
+    j_range = _report_levels(cfg.get("levels"), system.top_level)
     r = realize(system)
-    levels = cfg.get("levels")
-    j_range = list(range(levels[0], levels[1] + 1)) if levels else list(range(r.level + 1))
 
     validation = system_validate(system)
     gap_docs = []
@@ -454,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", action="append", help=f"named probe function (repeatable); known: {sorted(FUNCTION_PROBES)}")
     p.add_argument("--levels", help="level range a..b")
     p.add_argument("--out", help="output prefix (.csv and .json are appended)")
-    p.add_argument("--format", choices=["csv"], default="csv")
     p.add_argument("--tol-group", dest="tol_group", type=float, default=1e-8)
     p.add_argument("--tol-contain", dest="tol_contain", type=float, default=1e-8)
     p.add_argument("--threshold", type=float, default=1e-3)
@@ -468,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", help="base-level range a..b for the default probe")
     p.add_argument("--bound", type=float, default=None)
     p.add_argument("--out", help="output prefix (.csv and .json are appended)")
-    p.add_argument("--format", choices=["csv"], default="csv")
     p.set_defaults(func=cmd_st2)
 
     p = sub.add_parser("distance", help="spectral distance between two points of a level")

@@ -1,6 +1,6 @@
 """Dense complex-matrix kernel.
 
-Hermitian eigendecomposition (LAPACK or cyclic Jacobi), operator norms,
+Hermitian eigendecomposition (LAPACK), operator norms,
 resolvents, functional calculus and commutators.  Operators are plain
 ``numpy.ndarray`` values; every function validates its inputs and never
 mutates them.  All operations are pure, so callers may evaluate independent
@@ -20,10 +20,6 @@ from .errors import NumericError, SingularityError, ValidationError
 HERMITIAN_TOL = 1e-10
 # Relative eigenvalue-clustering tolerance (against max(1, max |eigenvalue|)).
 GROUP_TOL = 1e-8
-# Jacobi sweep: off-diagonal convergence threshold, relative to ||H||_F.
-JACOBI_OFF_TOL = 1e-12
-# Jacobi sweep: hard cap before declaring non-convergence.
-JACOBI_MAX_SWEEPS = 60
 # Minimal allowed distance from a real resolvent point to the spectrum.
 REAL_RESOLVENT_MARGIN = 1e-8
 
@@ -118,76 +114,17 @@ def _group_indices(eigenvalues: np.ndarray, group_tol: float) -> tuple[tuple[int
     return tuple(groups)
 
 
-def _jacobi_eigh(h: np.ndarray, off_tol: float, max_sweeps: int):
-    """Cyclic Jacobi rotations for a complex Hermitian matrix.
-
-    Sweeps the strict upper triangle, zeroing each entry with a unitary
-    2x2 rotation, until the off-diagonal Frobenius mass drops below
-    ``off_tol * ||H||_F``.
-    """
-    n = h.shape[0]
-    a = h.astype(complex).copy()
-    v = np.eye(n, dtype=complex)
-    scale = frobenius(h)
-    if scale == 0.0 or n == 1:
-        return np.real(np.diag(a)).copy(), v
-    target = off_tol * scale
-    skip = target / (4.0 * n)
-
-    for sweep in range(1, max_sweeps + 1):
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = a[p, q]
-                babs = abs(b)
-                if babs <= skip:
-                    continue
-                phase = b / babs
-                theta = 0.5 * np.arctan2(2.0 * babs, (a[p, p] - a[q, q]).real)
-                c = np.cos(theta)
-                s = np.sin(theta)
-                # U = [[c, -s*phase], [s*conj(phase), c]]; apply A <- U+ A U.
-                row_p = c * a[p, :] + s * phase * a[q, :]
-                row_q = -s * np.conj(phase) * a[p, :] + c * a[q, :]
-                a[p, :] = row_p
-                a[q, :] = row_q
-                col_p = c * a[:, p] + s * np.conj(phase) * a[:, q]
-                col_q = -s * phase * a[:, p] + c * a[:, q]
-                a[:, p] = col_p
-                a[:, q] = col_q
-                vcol_p = c * v[:, p] + s * np.conj(phase) * v[:, q]
-                vcol_q = -s * phase * v[:, p] + c * v[:, q]
-                v[:, p] = vcol_p
-                v[:, q] = vcol_q
-        a = 0.5 * (a + dagger(a))
-        off = float(np.linalg.norm(a[~np.eye(n, dtype=bool)]))
-        if off <= target:
-            vals = np.real(np.diag(a)).copy()
-            order = np.argsort(vals, kind="stable")
-            return vals[order], v[:, order]
-    raise NumericError(f"Jacobi eigensolver did not converge after {max_sweeps} sweeps")
-
-
 def eigh(
     h,
     *,
     hermitian_tol: float = HERMITIAN_TOL,
     group_tol: float = GROUP_TOL,
-    backend: str = "lapack",
 ) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian operator with eigenvalue clustering.
-
-    ``backend`` selects the solver: ``"lapack"`` (default) or ``"jacobi"``
-    (cyclic rotations, adequate for small dimensions).
-    """
+    """Eigendecomposition (LAPACK) of a Hermitian operator with eigenvalue clustering."""
     a = check_hermitian(h, tol=hermitian_tol)
-    if backend == "lapack":
-        vals, vecs = np.linalg.eigh(a)
-        vals = np.asarray(vals, dtype=float)
-        vecs = np.asarray(vecs, dtype=complex)
-    elif backend == "jacobi":
-        vals, vecs = _jacobi_eigh(a, JACOBI_OFF_TOL, JACOBI_MAX_SWEEPS)
-    else:
-        raise ValidationError(f"unknown eigh backend {backend!r}")
+    vals, vecs = np.linalg.eigh(a)
+    vals = np.asarray(vals, dtype=float)
+    vecs = np.asarray(vecs, dtype=complex)
     return SpectralDecomposition(vals, vecs, _group_indices(vals, group_tol))
 
 

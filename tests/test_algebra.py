@@ -14,7 +14,25 @@ from spectral_limits import (
     operator_norm,
     subspace_projection,
 )
+from spectral_limits.algebra import map_residuals
 from spectral_limits.linalg import dagger
+
+
+def pairwise_oracle(source, target, images):
+    """map_residuals by brute force: element arithmetic on every basis pair."""
+
+    def apply(a):
+        return target.from_coordinates(a.coordinates @ images)
+
+    def norm(x):
+        return max(operator_norm(b) for b in x.blocks)
+
+    basis = list(source.basis())
+    return {
+        "unitality": norm(apply(source.unit()) - target.unit()),
+        "multiplicativity": max(norm(apply(a * c) - apply(a) * apply(c)) for a in basis for c in basis),
+        "star_preservation": max(norm(apply(a.star()) - apply(a).star()) for a in basis),
+    }
 
 
 class TestAlgebraAndElements:
@@ -43,6 +61,31 @@ class TestAlgebraAndElements:
         y = a.element([np.array([[0, 0], [1, 0]])])
         assert np.allclose((x * y).blocks[0], np.array([[1, 0], [0, 0]]))
         assert np.allclose(x.star().blocks[0], np.array([[0, 0], [1, 0]]))
+
+    def test_flat_coordinates_and_block_views(self):
+        a = FiniteCStarAlgebra((2, 1, 3))
+        rng = np.random.default_rng(5)
+        coords = [rng.normal(size=14) + 1j * rng.normal(size=14) for _ in range(2)]
+        x, y = (a.from_coordinates(c) for c in coords)
+        assert [b.shape for b in x.blocks] == [(2, 2), (1, 1), (3, 3)]
+        assert np.array_equal(np.concatenate([b.ravel() for b in x.blocks]), x.coordinates)
+        for got, bx, by in zip((x * y).blocks, x.blocks, y.blocks):
+            assert np.allclose(got, bx @ by)
+        for got, bx in zip(x.star().blocks, x.blocks):
+            assert np.array_equal(got, dagger(bx))
+        assert x.norm() == pytest.approx(max(operator_norm(b) for b in x.blocks), rel=1e-12)
+        assert np.array_equal(a.element(x.blocks).coordinates, x.coordinates)
+        assert np.array_equal(a.unit().coordinates, np.concatenate([np.eye(n).ravel() for n in (2, 1, 3)]))
+        with pytest.raises(ValidationError):
+            a.from_coordinates(np.full(14, np.nan))
+
+    def test_product_table_matches_element_products(self):
+        a = FiniteCStarAlgebra((2, 1, 2))
+        table = a.product_table()
+        for i, ei in enumerate(a.basis()):
+            for j, ej in enumerate(a.basis()):
+                expected = a.zero() if table[i, j] < 0 else a.basis_element(table[i, j])
+                assert np.array_equal((ei * ej).coordinates, expected.coordinates)
 
     def test_point_values(self):
         a = FiniteCStarAlgebra((1, 1, 1))
@@ -104,6 +147,45 @@ class TestHomomorphisms:
         assert report.passed
         img = phi.apply(c1.unit())
         assert np.allclose(img.blocks[0], np.eye(2))
+
+    def test_transpose_is_not_multiplicative(self):
+        # a -> a^T on M_2 is unital and *-preserving but reverses products:
+        # (e_12 e_21)^T = e_11 while e_12^T e_21^T = e_22.
+        m2 = FiniteCStarAlgebra((2,))
+        phi = StarHomomorphism(m2, m2, matrix=np.eye(4)[[0, 2, 1, 3]])
+        report = hom_validate(phi)
+        assert report.entries["unitality"] == 0.0
+        assert report.entries["star_preservation"] == 0.0
+        assert report.entries["multiplicativity"] == pytest.approx(1.0, abs=1e-14)
+        assert report.failures == ("multiplicativity",)
+
+    @pytest.mark.parametrize(
+        "source_dims, target_dims",
+        [((1, 1, 1), (1, 1, 1, 1)), ((1, 1), (2, 1)), ((2, 1), (1, 1, 1)), ((2, 1), (2, 2, 1))],
+    )
+    def test_residuals_match_pairwise_oracle(self, source_dims, target_dims):
+        # Exact whole-array residuals equal the brute-force maximum over all
+        # basis pairs, for arbitrary (non-homomorphic) linear maps.
+        source, target = FiniteCStarAlgebra(source_dims), FiniteCStarAlgebra(target_dims)
+        rng = np.random.default_rng(sum(source_dims) * 10 + sum(target_dims))
+        for _ in range(3):
+            shape = (source.element_dim, target.element_dim)
+            images = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            images[rng.random(shape) < 0.5] = 0.0
+            got = map_residuals(source, target, images)
+            want = pairwise_oracle(source, target, images)
+            for key, value in want.items():
+                assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-12), key
+
+    def test_pullback_indicator_residuals_exact(self):
+        # A coordinate matrix whose rows are not indicators: e_0 and e_1 both
+        # map to 1 at the first point, so e_0 e_1 = 0 maps to 0 but the
+        # product of the images is 1 there.
+        src, tgt = FiniteCStarAlgebra((1, 1)), FiniteCStarAlgebra((1, 1))
+        phi = StarHomomorphism(src, tgt, matrix=np.array([[1, 1], [0, 0]], dtype=complex))
+        report = hom_validate(phi)
+        assert report.entries["multiplicativity"] == 1.0
+        assert report.entries["star_preservation"] == 0.0
 
     def test_compose_spectrum_maps(self):
         a0 = FiniteCStarAlgebra((1,))

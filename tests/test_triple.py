@@ -5,6 +5,10 @@ import pytest
 
 from spectral_limits import (
     AfChain,
+    DenseRepresentation,
+    TripleMorphism,
+    binary_branching,
+    commutative_af_chain,
     DiagonalRepresentation,
     FiniteCStarAlgebra,
     FiniteSpectralTriple,
@@ -28,6 +32,20 @@ from spectral_limits import (
 
 SEQ = middle_thirds(6)
 CANTOR = cantor_system(SEQ, 4)
+
+
+def intertwining_oracle(m):
+    """max over the source basis of ||I pi1(e) - pi2(phi(e)) I||, one element at a time."""
+    return max(
+        operator_norm(m.iso @ m.source.represent(e) - m.target.represent(m.phi.apply(e)) @ m.iso)
+        for e in m.source.algebra.basis()
+    )
+
+
+def m2_system():
+    c1, m2 = FiniteCStarAlgebra((1,)), FiniteCStarAlgebra((2,))
+    inc = StarHomomorphism(c1, m2, matrix=np.array([[1], [0], [0], [1]], dtype=complex))
+    return ci_system(AfChain((c1, m2), (inc,), State(m2, (np.eye(2, dtype=complex) / 2,)), (5.0,)), 1)
 
 
 class TestValidateTriple:
@@ -64,6 +82,26 @@ class TestValidateTriple:
         report = validate_triple(t)
         assert not report.passed
         assert "faithfulness_defect" in report.failures
+
+    def test_dense_rep_residuals_exact(self):
+        # Corrupting one basis matrix of the M_2 representation breaks
+        # multiplicativity; the residual equals the brute-force maximum over
+        # all basis pairs.
+        t = m2_system().triples[1]
+        tensor = t.rep.tensor.copy()
+        tensor[1, 0, 3] += 0.25
+        bad = FiniteSpectralTriple(t.algebra, DenseRepresentation(tensor), t.dirac)
+        report = validate_triple(bad)
+        basis = list(t.algebra.basis())
+        oracle = max(
+            operator_norm(bad.represent(a * c) - bad.represent(a) @ bad.represent(c))
+            for a in basis
+            for c in basis
+        )
+        assert oracle > 0.1
+        assert report.entries["multiplicativity"] == pytest.approx(oracle, rel=1e-12)
+        assert "multiplicativity" in report.failures
+        assert validate_triple(t).worst <= 1e-12
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValidationError):
@@ -103,6 +141,42 @@ class TestValidateMorphism:
         report = validate_morphism(system.links[0])
         assert report.passed
         assert report.worst <= 1e-12
+
+    def test_moved_spectrum_point_caught(self):
+        # Binary CI system, J=8, alpha_j = j.  Link 7 sends target point 2
+        # to source point 1; moving it over source point 2 leaves phi a
+        # valid surjective pullback, so only the intertwining identity
+        # catches it, with exact residual |I[2, 1]| = 1/sqrt(2) at points 1
+        # and 2.  A sampled check over the 128 source points can miss both.
+        alphas = [float(j) for j in range(1, 9)]
+        system = ci_system(commutative_af_chain(binary_branching(8), np.full(256, 1 / 256), alphas), 8)
+        link = system.links[7]
+        assert link.phi.spectrum_map[2] == 1
+        moved = link.phi.spectrum_map.copy()
+        moved[2] = 2
+        phi = StarHomomorphism(link.phi.source, link.phi.target, spectrum_map=moved)
+        report = validate_morphism(TripleMorphism(link.source, link.target, phi, link.iso))
+        assert not report.passed
+        assert report.failures == ("algebra_intertwining",)
+        assert report.entries["algebra_intertwining"] >= 0.7071 - 1e-12
+        assert report.entries["algebra_intertwining"] == pytest.approx(np.sqrt(0.5), abs=1e-12)
+        assert validate_morphism(link).passed
+
+    @pytest.mark.parametrize("corrupt", ["diagonal", "dense"])
+    def test_intertwining_matches_oracle(self, corrupt):
+        rng = np.random.default_rng(17)
+        if corrupt == "diagonal":
+            link = random_commutative_system(np.random.default_rng(3), max_dim=16).links[-1]
+        else:
+            link = m2_system().links[0]
+        assert intertwining_oracle(link) <= 1e-12
+        for _ in range(5):
+            iso = link.iso.copy()
+            r, c = rng.integers(0, iso.shape[0]), rng.integers(0, iso.shape[1])
+            iso[r, c] += 0.3 + 0.1j
+            bad = TripleMorphism(link.source, link.target, link.phi, iso)
+            got = validate_morphism(bad).entries["algebra_intertwining"]
+            assert got == pytest.approx(intertwining_oracle(bad), rel=1e-12, abs=1e-12)
 
     def test_corrupted_isometry_fails(self):
         link = CANTOR.links[1]
@@ -232,6 +306,15 @@ class TestCheckEven:
         report = check_even(t)
         assert report.entries["grading_dirac_anticommutator"] <= 1e-14
         assert report.entries["grading_dirac_commutator"] == pytest.approx(6.0, abs=1e-12)
+
+    @pytest.mark.parametrize("level", [1, 3])
+    def test_algebra_commutant_exact(self, level):
+        t = cantor_system(SEQ, level).triples[level]
+        oracle = max(
+            operator_norm(t.grading @ t.represent(e) - t.represent(e) @ t.grading) for e in t.algebra.basis()
+        )
+        assert oracle > 0.1
+        assert check_even(t).entries["grading_algebra_commutant"] == pytest.approx(oracle, rel=1e-12)
 
     def test_missing_grading(self):
         t = cantor_system(SEQ, 1, with_grading=False).triples[1]
