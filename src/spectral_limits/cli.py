@@ -45,6 +45,7 @@ from .errors import (
 )
 from .inductive import InductiveSystem, realize, system_validate
 from .serialization import (
+    check_generator_config,
     dumps,
     element_from_json,
     load_system,
@@ -63,9 +64,30 @@ def parse_complex(text: str) -> complex:
     t = t.replace("i", "j")
     t = re.sub(r"(?<![\d.])j", "1j", t)
     try:
-        return complex(t)
+        z = complex(t)
     except ValueError as exc:
         raise ValidationError(f"cannot parse complex number {text!r}") from exc
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValidationError(f"complex number {text!r} has a non-finite part")
+    return z
+
+
+def parse_lambdas(texts) -> list[complex]:
+    """Parse a list of non-real resolvent probes written as in ``parse_complex``."""
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise ValidationError(f"resolvent probes must be a list of strings, got {texts!r}")
+    lambdas = [parse_complex(t) for t in texts]
+    for lam in lambdas:
+        if lam.imag == 0.0:
+            raise ValidationError(f"resolvent probe {lam:g} is real; probes must be non-real")
+    return lambdas
+
+
+def _check_positive(name: str, value: float, allow_zero: bool = False) -> None:
+    """Reject a non-finite or negative number, and zero unless ``allow_zero``."""
+    if not math.isfinite(value) or value < 0.0 or (value == 0.0 and not allow_zero):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise ValidationError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 def parse_levels(text: str, top: int) -> list[int]:
@@ -145,9 +167,7 @@ def cmd_build(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if not isinstance(cfg, dict) or "type" not in cfg or "levels" not in cfg:
-        print("error: config must be an object with 'type' and 'levels'", file=sys.stderr)
-        return EXIT_INPUT
+    check_generator_config(cfg)
     try:
         system = system_from_generator_config(cfg)
     except SpectralLimitsError as exc:
@@ -169,13 +189,13 @@ def cmd_validate(args) -> int:
 def cmd_st1(args) -> int:
     if args.window < 2:
         raise ValidationError(f"--window must be at least 2, got {args.window}")
+    _check_positive("--threshold", args.threshold)
+    _check_positive("--tol-group", args.tol_group)
+    _check_positive("--tol-contain", args.tol_contain)
+    lambdas = parse_lambdas(args.lam) if args.lam else list(DEFAULT_LAMBDAS)
     system = _load_system_arg(args)
     r = realize(system)
     levels = parse_levels(args.levels, r.level) if args.levels else list(range(r.level + 1))
-    lambdas = [parse_complex(s) for s in (args.lam or [])] or list(DEFAULT_LAMBDAS)
-    for lam in lambdas:
-        if lam.imag == 0.0:
-            raise ValidationError(f"resolvent probe {lam:g} is real; probes must be non-real")
     functions = args.function or []
     for name in functions:
         if name not in FUNCTION_PROBES:
@@ -272,6 +292,8 @@ def _st2_series(args, system: InductiveSystem) -> list[tuple[str, CommutatorSeri
 
 
 def cmd_st2(args) -> int:
+    if args.bound is not None:
+        _check_positive("--bound", args.bound, allow_zero=True)
     system = _load_system_arg(args)
     named = _st2_series(args, system)
     lines = [ST2_CSV_HEADER]
@@ -355,15 +377,12 @@ def cmd_report(args) -> int:
         cfg = json.load(fh)
     if not isinstance(cfg, dict) or "system" not in cfg:
         raise ValidationError("report config must contain a 'system' entry")
+    lambdas = parse_lambdas(cfg.get("lambdas", ["i", "2i", "1+i"]))
     sys_cfg = cfg["system"]
     if isinstance(sys_cfg, dict) and "path" in sys_cfg:
         system = load_system(sys_cfg["path"])
     else:
         system = system_from_generator_config(sys_cfg)
-    lambdas = [parse_complex(s) for s in cfg.get("lambdas", ["i", "2i", "1+i"])]
-    for lam in lambdas:
-        if lam.imag == 0.0:
-            raise ValidationError(f"resolvent probe {lam:g} is real; probes must be non-real")
     functions = cfg.get("functions", [])
     j_range = _report_levels(cfg.get("levels"), system.top_level)
     r = realize(system)

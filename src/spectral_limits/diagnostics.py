@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ from .errors import ValidationError
 from .inductive import InductiveSystem, Realization
 from .linalg import (
     GROUP_TOL,
+    _group_indices,
     dagger,
     function_from_decomposition,
     operator_norm,
@@ -73,14 +75,17 @@ def _check_nonreal(lam: complex) -> complex:
     return lam
 
 
+def _embedded_gap(r: Realization, j: int, g: Callable, outer: np.ndarray) -> float:
+    """||I_{j,J} g(D_j) I_{j,J}* - outer||, with g mapping a decomposition to g(D)."""
+    iso = r.embedding(j)
+    return operator_norm(iso @ g(r.level_decomposition(j)) @ dagger(iso) - outer)
+
+
 def resolvent_gap(r: Realization, j: int, lam: complex) -> float:
     """Direct norm of I_{j,J} R_lam(D_j) I_{j,J}* - R_lam(D_J)."""
     j = _check_level(r, j)
-    lam = _check_nonreal(lam)
-    iso = r.embedding(j)
-    inner = resolvent_from_decomposition(r.level_decomposition(j), lam)
-    outer = resolvent_from_decomposition(r.ambient_decomposition(), lam)
-    return operator_norm(iso @ inner @ dagger(iso) - outer)
+    g = partial(resolvent_from_decomposition, lam=_check_nonreal(lam))
+    return _embedded_gap(r, j, g, g(r.ambient_decomposition()))
 
 
 def resolvent_gap_eigen(
@@ -92,32 +97,24 @@ def resolvent_gap_eigen(
 ) -> float:
     """Eigenprojection route: sup over non-contained clusters of 1/|lam_n - lam|.
 
-    Ambient eigenvalues are clustered at ``group_tol``; a cluster with
-    eigenprojection Q counts unless ||Q - P_j Q|| <= contain_tol.
+    The cached ambient eigenvalues are clustered at ``group_tol``; a cluster
+    with eigenprojection Q counts unless ||Q - P_j Q|| <= contain_tol.
     """
     j = _check_level(r, j)
     lam = _check_nonreal(lam)
-    dec = r.ambient_decomposition(group_tol)
-    iso = r.embedding(j)
+    values = r.ambient_decomposition().eigenvalues
     worst = 0.0
-    for g in range(len(dec.groups)):
-        vecs = dec.group_vectors(g)
-        # ||Q - P_j Q|| = ||(1 - P_j) U_g||, formed explicitly: the Gram
-        # shortcut I - (I_j* U_g)*(I_j* U_g) cancels to half precision.
-        residual = vecs - iso @ (dagger(iso) @ vecs)
-        defect = operator_norm(residual)
-        if defect > contain_tol:
-            worst = max(worst, 1.0 / abs(dec.group_value(g) - lam))
+    for cluster in _group_indices(values, group_tol):
+        if r.containment_defect(j, cluster) > contain_tol:
+            worst = max(worst, 1.0 / abs(float(np.mean(values[list(cluster)])) - lam))
     return worst
 
 
 def function_gap(r: Realization, j: int, f: Callable[[float], float]) -> float:
     """Norm of I_{j,J} f(D_j) I_{j,J}* - f(D_J) for a vanishing-at-infinity f."""
     j = _check_level(r, j)
-    iso = r.embedding(j)
-    inner = function_from_decomposition(r.level_decomposition(j), f)
-    outer = function_from_decomposition(r.ambient_decomposition(), f)
-    return operator_norm(iso @ inner @ dagger(iso) - outer)
+    g = partial(function_from_decomposition, f=f)
+    return _embedded_gap(r, j, g, g(r.ambient_decomposition()))
 
 
 @dataclass(frozen=True)
@@ -187,18 +184,21 @@ def gap_series(
         _check_level(r, j)
     if lam is not None:
         lam = _check_nonreal(lam)
-        entries = tuple((j, resolvent_gap(r, j, lam)) for j in levels)
-        bounds = tuple(
-            analytic_gap_bound(r.system, j, lam) if j < r.level else 0.0 for j in levels
-        )
-        return GapSeries("resolvent", r.level, entries, lam=lam, analytic_bounds=bounds)
-    if f_name not in FUNCTION_PROBES:
+        g = partial(resolvent_from_decomposition, lam=lam)
+    elif f_name in FUNCTION_PROBES:
+        g = partial(function_from_decomposition, f=FUNCTION_PROBES[f_name])
+    else:
         raise ValidationError(
             f"unknown probe function {f_name!r}; known: {sorted(FUNCTION_PROBES)}"
         )
-    f = FUNCTION_PROBES[f_name]
-    entries = tuple((j, function_gap(r, j, f)) for j in levels)
-    return GapSeries("function", r.level, entries, f_name=f_name)
+    outer = g(r.ambient_decomposition())
+    entries = tuple((j, _embedded_gap(r, j, g, outer)) for j in levels)
+    if lam is None:
+        return GapSeries("function", r.level, entries, f_name=f_name)
+    bounds = tuple(
+        analytic_gap_bound(r.system, j, lam) if j < r.level else 0.0 for j in levels
+    )
+    return GapSeries("resolvent", r.level, entries, lam=lam, analytic_bounds=bounds)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,14 @@ ORACLE_MAX_TREES = 200_000
 # Cutting-plane loop control.
 KELLEY_MAX_ITER = 200
 KELLEY_TOL = 1e-9
+# Largest dense simplex tableau the cutting plane may build, in bytes.  The
+# simplex holds several arrays of about this size at once (the slack
+# identity, the stacked constraint matrix, its float copies and the basis
+# matrix of each pivot's solves), so 128 MiB keeps one distance near 1 GB at
+# worst.  Instances that converge in practice (under 10 points, a few hundred
+# constraints) need under 1 MiB; fully coupled instances reach the limit
+# near 60 points.
+KELLEY_MAX_TABLEAU_BYTES = 2**27
 
 
 def _diagonal_form(t: FiniteSpectralTriple) -> tuple[np.ndarray, np.ndarray]:
@@ -48,7 +56,7 @@ def _diagonal_form(t: FiniteSpectralTriple) -> tuple[np.ndarray, np.ndarray]:
         return t.rep.coord_points, t.dirac
     m = t.algebra.n_points
     probe = t.rep.apply_coordinates(np.arange(1, m + 1, dtype=complex))
-    dec = eigh(probe, group_tol=1e-6)
+    dec = eigh(probe)
     labels = np.rint(dec.eigenvalues).astype(int) - 1
     if np.any(np.abs(dec.eigenvalues - (labels + 1)) > 1e-6) or labels.min() < 0 or labels.max() >= m:
         raise ValidationError("representation is not a commuting family of point projections")
@@ -309,6 +317,17 @@ def _kelley_distance(coord_points, dirac, edges, comp, x: int, y: int) -> float:
         if p != y:
             var_of[p] = len(var_of)
     nvar = len(var_of)
+    # Constraints: two per edge, two box rows per variable and one cut per
+    # iteration; the tableau adds a slack column per constraint.
+    n_edges = sum(1 for u, _ in edges if comp[u] == comp[x])
+    ncon = 2 * n_edges + 2 * nvar + KELLEY_MAX_ITER
+    tableau_bytes = 8 * ncon * (2 * nvar + ncon)
+    if tableau_bytes > KELLEY_MAX_TABLEAU_BYTES:
+        raise ValidationError(
+            f"cutting-plane instance too large: {m} points and up to {ncon} constraints "
+            f"need a {tableau_bytes / 2**20:.0f} MiB tableau (limit "
+            f"{KELLEY_MAX_TABLEAU_BYTES // 2**20} MiB)"
+        )
 
     def row_for_difference(u, v):
         row = np.zeros(nvar)

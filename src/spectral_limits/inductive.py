@@ -4,8 +4,8 @@ Only adjacent links are stored; every composed morphism is derived by
 chaining, which makes the cocycle identities structural instead of
 something to verify.  The infinite inductive limit is represented solely by
 its level-J truncations: the ambient triple of a realization is the top
-triple of the chain, carrying the composed embeddings I_{j,J} and the
-orthogonal projections P_j = I_{j,J} I_{j,J}*.
+triple of the chain, carrying the composed embeddings I_{j,J}; the
+orthogonal projections P_j = I_{j,J} I_{j,J}* are formed on demand.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 from .algebra import ResidualReport
 from .errors import ValidationError
 from .linalg import (
-    GROUP_TOL,
     SpectralDecomposition,
     commutator,
     dagger,
@@ -128,9 +127,9 @@ class SystemReport:
 class Realization:
     """Level-J truncation of the inductive limit.
 
-    Carries the ambient triple T_J, the embeddings I_{j,J} and projections
-    P_j for j <= J, and caches spectral decompositions of the Dirac
-    operators for the convergence diagnostics.
+    Carries the ambient triple T_J and the embeddings I_{j,J} for j <= J.
+    Diagnostics read one cached eigendecomposition per level and one
+    containment defect per (level, ambient cluster) for every probe.
     """
 
     def __init__(self, system: InductiveSystem, level: int):
@@ -144,23 +143,33 @@ class Realization:
         for j in range(level - 1, -1, -1):
             embeddings[j] = embeddings[j + 1] @ system.links[j].iso
         self.embeddings = tuple(embeddings)
-        self.projections = tuple(i @ dagger(i) for i in self.embeddings)
-        self._level_eig: dict[tuple[int, float], SpectralDecomposition] = {}
+        self._decompositions: dict[int, SpectralDecomposition] = {}
+        self._defects: dict[tuple[int, tuple[int, ...]], float] = {}
 
     def embedding(self, j: int) -> np.ndarray:
         return self.embeddings[j]
 
     def projection(self, j: int) -> np.ndarray:
-        return self.projections[j]
+        """P_j = I_{j,J} I_{j,J}*, formed on each call."""
+        return self.embeddings[j] @ dagger(self.embeddings[j])
 
-    def level_decomposition(self, j: int, group_tol: float = GROUP_TOL) -> SpectralDecomposition:
-        key = (j, group_tol)
-        if key not in self._level_eig:
-            self._level_eig[key] = eigh(self.system.triples[j].dirac, group_tol=group_tol)
-        return self._level_eig[key]
+    def level_decomposition(self, j: int) -> SpectralDecomposition:
+        if j not in self._decompositions:
+            self._decompositions[j] = eigh(self.system.triples[j].dirac)
+        return self._decompositions[j]
 
-    def ambient_decomposition(self, group_tol: float = GROUP_TOL) -> SpectralDecomposition:
-        return self.level_decomposition(self.level, group_tol)
+    def ambient_decomposition(self) -> SpectralDecomposition:
+        return self.level_decomposition(self.level)
+
+    def containment_defect(self, j: int, cluster: tuple[int, ...]) -> float:
+        """||Q - P_j Q|| = ||(1 - P_j) U|| for the ambient eigenvectors U indexed by ``cluster``."""
+        key = (j, cluster)
+        if key not in self._defects:
+            vecs = self.ambient_decomposition().vectors[:, list(cluster)]
+            iso = self.embeddings[j]
+            # Formed explicitly: the Gram shortcut I - (I_j* U)*(I_j* U) cancels to half precision.
+            self._defects[key] = operator_norm(vecs - iso @ (dagger(iso) @ vecs))
+        return self._defects[key]
 
 
 def realize(system: InductiveSystem, level: int | None = None) -> Realization:
@@ -181,15 +190,15 @@ def realization_residuals(r: Realization, tol: float = VALIDATION_TOL) -> Residu
     commute = 0.0
     intertwine = 0.0
     d_top = r.ambient.dirac
-    for j in range(r.level + 1):
-        p_j = r.projection(j)
+    projections = [r.projection(j) for j in range(r.level + 1)]
+    for j, p_j in enumerate(projections):
         commute = max(commute, operator_norm(commutator(p_j, d_top)))
         intertwine = max(
             intertwine,
             operator_norm(r.embedding(j) @ r.system.triples[j].dirac - d_top @ r.embedding(j)),
         )
-        for k in range(j, r.level + 1):
-            monotone = max(monotone, operator_norm(p_j @ r.projection(k) - p_j))
+        for p_k in projections[j:]:
+            monotone = max(monotone, operator_norm(p_j @ p_k - p_j))
     entries = {
         "projection_monotonicity": monotone,
         "projection_dirac_commutation": commute,

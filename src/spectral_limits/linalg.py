@@ -88,17 +88,6 @@ class SpectralDecomposition:
     def reconstruct(self) -> np.ndarray:
         return (self.vectors * self.eigenvalues) @ dagger(self.vectors)
 
-    def group_value(self, g: int) -> float:
-        idx = list(self.groups[g])
-        return float(np.mean(self.eigenvalues[idx]))
-
-    def eigenprojection(self, g: int) -> np.ndarray:
-        cols = self.vectors[:, list(self.groups[g])]
-        return cols @ dagger(cols)
-
-    def group_vectors(self, g: int) -> np.ndarray:
-        return self.vectors[:, list(self.groups[g])]
-
 
 def _group_indices(eigenvalues: np.ndarray, group_tol: float) -> tuple[tuple[int, ...], ...]:
     scale = max(1.0, float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 1.0)
@@ -114,14 +103,9 @@ def _group_indices(eigenvalues: np.ndarray, group_tol: float) -> tuple[tuple[int
     return tuple(groups)
 
 
-def eigh(
-    h,
-    *,
-    hermitian_tol: float = HERMITIAN_TOL,
-    group_tol: float = GROUP_TOL,
-) -> SpectralDecomposition:
+def eigh(h, *, group_tol: float = GROUP_TOL) -> SpectralDecomposition:
     """Eigendecomposition (LAPACK) of a Hermitian operator with eigenvalue clustering."""
-    a = check_hermitian(h, tol=hermitian_tol)
+    a = check_hermitian(h)
     vals, vecs = np.linalg.eigh(a)
     vals = np.asarray(vals, dtype=float)
     vecs = np.asarray(vecs, dtype=complex)
@@ -152,14 +136,14 @@ def resolvent_from_decomposition(dec: SpectralDecomposition, lam: complex) -> np
     return (dec.vectors / denom) @ dagger(dec.vectors)
 
 
-def resolvent(h, lam: complex, **eigh_kwargs) -> np.ndarray:
+def resolvent(h, lam: complex) -> np.ndarray:
     """Resolvent (H - lam)^(-1), computed by eigendecomposition.
 
     ``lam`` must be non-real, or real with distance to the spectrum larger
     than the rejection margin (near-spectrum real points raise
     ``SingularityError`` rather than being regularized).
     """
-    return resolvent_from_decomposition(eigh(h, **eigh_kwargs), lam)
+    return resolvent_from_decomposition(eigh(h), lam)
 
 
 def function_from_decomposition(
@@ -181,13 +165,13 @@ def function_from_decomposition(
     return 0.5 * (out + dagger(out))
 
 
-def apply_function(h, f: Callable[[float], float], **eigh_kwargs) -> np.ndarray:
+def apply_function(h, f: Callable[[float], float]) -> np.ndarray:
     """Functional calculus f(H) for a real-valued f on the spectrum of H.
 
     Complex-valued functions are rejected; resolvent-type functions
     x -> 1/(x - lam) with non-real lam belong to ``resolvent`` instead.
     """
-    return function_from_decomposition(eigh(h, **eigh_kwargs), f)
+    return function_from_decomposition(eigh(h), f)
 
 
 def commutator(a, b) -> np.ndarray:

@@ -194,6 +194,16 @@ def load_system(path: str) -> InductiveSystem:
     return system_from_json(obj)
 
 
+def check_generator_config(cfg) -> int:
+    """Check the fields every generator config needs; returns its ``levels``."""
+    if not isinstance(cfg, dict) or "type" not in cfg:
+        raise ValidationError("generator config must be an object with a 'type' field")
+    levels = cfg.get("levels")
+    if not isinstance(levels, int) or isinstance(levels, bool) or levels < 0:
+        raise ValidationError(f"generator config 'levels' must be an integer >= 0, got {levels!r}")
+    return levels
+
+
 def system_from_generator_config(cfg: dict) -> InductiveSystem:
     """Build a system from a generator config.
 
@@ -206,11 +216,9 @@ def system_from_generator_config(cfg: dict) -> InductiveSystem:
     {"branching": [[...], ...]}, "weights": "uniform" | [w...],
     "alphas": [a...], "levels": J}.
     """
-    if not isinstance(cfg, dict) or "type" not in cfg:
-        raise ValidationError("generator config must be an object with a 'type' field")
+    levels = check_generator_config(cfg)
     kind = cfg["type"]
     if kind == "cantor":
-        levels = int(cfg["levels"])
         gaps = cfg.get("gaps", "middle-thirds")
         if gaps == "middle-thirds":
             seq = middle_thirds(levels)
@@ -225,7 +233,6 @@ def system_from_generator_config(cfg: dict) -> InductiveSystem:
             )
         return cantor_system(seq, levels, with_grading=bool(cfg.get("grading", True)))
     if kind == "christensen-ivan":
-        levels = int(cfg["levels"])
         chain_cfg = cfg.get("chain", "binary")
         if chain_cfg == "binary":
             branching = binary_branching(levels)

@@ -276,8 +276,13 @@ def validate_morphism(m: TripleMorphism, tol: float = VALIDATION_TOL) -> Residua
 
 
 def commutator_norm(t: FiniteSpectralTriple, a: AlgebraElement) -> float:
-    """Operator norm of [D, pi(a)]."""
-    return operator_norm(commutator(t.dirac, t.represent(a)))
+    """Operator norm of [D, pi(a)]; a diagonal pi(a) = diag(f) is never formed."""
+    if a.algebra.block_dims != t.algebra.block_dims:
+        raise ValidationError("element does not belong to the triple's algebra")
+    if isinstance(t.rep, DiagonalRepresentation):
+        f = np.asarray(a.coordinates, dtype=complex)[t.rep.coord_points]
+        return operator_norm(t.dirac * f[None, :] - f[:, None] * t.dirac)
+    return operator_norm(commutator(t.dirac, t.rep.apply_coordinates(a.coordinates)))
 
 
 def check_even(t: FiniteSpectralTriple, tol: float = VALIDATION_TOL) -> ResidualReport:

@@ -35,6 +35,11 @@ class TestParsers:
         with pytest.raises(ValidationError):
             parse_complex("one")
 
+    @pytest.mark.parametrize("text", ["nan+1i", "nan", "1e999i", "-1e999+2i"])
+    def test_complex_non_finite_rejected(self, text):
+        with pytest.raises(ValidationError, match="non-finite"):
+            parse_complex(text)
+
     def test_levels(self):
         assert parse_levels("0..3", 6) == [0, 1, 2, 3]
         assert parse_levels("4", 6) == [4]
@@ -42,6 +47,42 @@ class TestParsers:
             parse_levels("5..2", 6)
         with pytest.raises(ValidationError):
             parse_levels("0..9", 6)
+
+
+BAD_LEVELS = ["abc", 2.5, True, -1, None, [3]]
+
+
+class TestGeneratorLevels:
+    @pytest.mark.parametrize("levels", BAD_LEVELS)
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["build", "--out", "x.json"],
+            ["validate"],
+            ["st1"],
+            ["st2"],
+            ["distance", "--level", "0", "--x", "0", "--y", "0"],
+            ["report"],
+        ],
+        ids=lambda c: c[0],
+    )
+    def test_bad_levels_exit2(self, tmp_path, capsys, command, levels):
+        system = {"type": "cantor", "gaps": "middle-thirds", "levels": levels}
+        if command[0] == "report":
+            cfg = write_json(tmp_path / "run.json", {"system": system, "lambdas": ["i"]})
+        else:
+            cfg = write_json(tmp_path / "cfg.json", system)
+        args = [command[0], "--config", cfg] + [str(tmp_path / a) if a.endswith(".json") else a for a in command[1:]]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "levels" in err and "Traceback" not in err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_levels_zero_builds(self, tmp_path):
+        cfg = write_json(tmp_path / "c0.json", {"type": "cantor", "gaps": "middle-thirds", "levels": 0})
+        out = tmp_path / "c0sys.json"
+        assert main(["build", "--config", cfg, "--out", str(out)]) == 0
+        assert load_system(str(out)).top_level == 0
 
 
 class TestBuild:
@@ -164,6 +205,34 @@ class TestSt1:
         rc = main(["st1", "--system", cantor_file, "--lambda", "2", "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--lambda", "nan+1i"],
+            ["--lambda", "1e999i"],
+            ["--lambda", "i", "--lambda", "2"],
+            ["--threshold", "0"],
+            ["--threshold", "-1"],
+            ["--threshold", "nan"],
+            ["--threshold", "inf"],
+            ["--tol-group", "nan"],
+            ["--tol-group", "0"],
+            ["--tol-group=-1e-8"],
+            ["--tol-group", "inf"],
+            ["--tol-contain", "-1"],
+            ["--tol-contain", "nan"],
+            ["--tol-contain", "0"],
+        ],
+        ids=lambda e: " ".join(e),
+    )
+    def test_bad_numbers_exit2_before_output(self, cantor_file, tmp_path, capsys, extra):
+        rc = main(["st1", "--system", cantor_file, "--out", str(tmp_path / "n")] + extra)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err and "Warning" not in captured.err
+        assert not (tmp_path / "n.csv").exists()
+
     @pytest.mark.parametrize("window", ["0", "1", "-2"])
     def test_window_below_two_exit2(self, cantor_file, tmp_path, capsys, window):
         rc = main(["st1", "--system", cantor_file, "--window", window, "--out", str(tmp_path / "w")])
@@ -228,6 +297,17 @@ class TestSt2:
         assert rc == 0
         rows = open(str(tmp_path / "e") + ".csv").read().strip().splitlines()[1:]
         assert all(abs(float(r.split(",")[4]) - 3.0) <= 1e-9 for r in rows)
+
+    @pytest.mark.parametrize("bound", ["-1", "-1e-300", "nan", "inf", "-inf"])
+    def test_bad_bound_exit2(self, cantor_file, tmp_path, capsys, bound):
+        rc = main(["st2", "--system", cantor_file, f"--bound={bound}", "--out", str(tmp_path / "b")])
+        assert rc == 2
+        assert "--bound" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_zero_bound_accepted(self, cantor_file, tmp_path):
+        rc = main(["st2", "--system", cantor_file, "--levels", "0..1", "--bound", "0", "--out", str(tmp_path / "z")])
+        assert rc == 0
 
     def test_element_level_mismatch_exit2(self, cantor_file, tmp_path):
         rc = main(
@@ -298,6 +378,27 @@ class TestDistance:
         assert rc == 2
 
 
+class TestDistanceSizeLimit:
+    def test_large_coupled_instance_exit2(self, tmp_path, capsys):
+        # Binary CI at J=8 with alternating alphas couples all 256 top-level
+        # points; the cutting-plane tableau would need about 33 GB.
+        cfg = write_json(
+            tmp_path / "ci8.json",
+            {
+                "type": "christensen-ivan",
+                "chain": "binary",
+                "weights": "uniform",
+                "alphas": [(-1.0) ** j for j in range(1, 9)],
+                "levels": 8,
+            },
+        )
+        rc = main(["distance", "--config", cfg, "--level", "8", "--x", "0", "--y", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too large" in captured.err and "Traceback" not in captured.err
+
+
 class TestReport:
     def test_deterministic_bytes(self, tmp_path):
         cfg = write_json(
@@ -327,6 +428,16 @@ class TestReport:
             },
         )
         assert main(["report", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+
+    @pytest.mark.parametrize("lambdas", [["nan+1i"], ["i", "1e999i"], "i", [1], [{"re": 0, "im": 1}]])
+    def test_malformed_probes_exit2(self, tmp_path, capsys, lambdas):
+        cfg = write_json(
+            tmp_path / "bad_probes.json",
+            {"system": {"type": "cantor", "gaps": "middle-thirds", "levels": 3}, "lambdas": lambdas},
+        )
+        assert main(["report", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_system_by_path(self, tmp_path, cantor_file):
         cfg = write_json(

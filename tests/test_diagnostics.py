@@ -124,6 +124,36 @@ class TestEigenOracle:
                 eigen = resolvent_gap_eigen(r, j, lam)
                 assert abs(direct - eigen) <= 1e-9, (j, lam, direct, eigen)
 
+    def test_one_decomposition_per_level_and_one_defect_per_cluster(self, monkeypatch):
+        # A non-default group_tol reclusters the cached ambient eigenvalues
+        # instead of decomposing D_J again, and each containment defect is
+        # taken once per (level, cluster) whatever the number of probes.
+        from spectral_limits import diagnostics, inductive
+        from spectral_limits.linalg import _group_indices
+
+        counts = {"eigh": 0, "norm": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(inductive, "eigh", counting("eigh", inductive.eigh))
+        r = realize(CANTOR6)
+        lambdas = (1j, 2j, 1 + 1j)
+        for lam in lambdas:
+            gap_series(r, lam=lam)
+        for module in (inductive, diagnostics):
+            monkeypatch.setattr(module, "operator_norm", counting("norm", module.operator_norm))
+        for lam in lambdas:
+            for j in range(r.level + 1):
+                resolvent_gap_eigen(r, j, lam, group_tol=1e-7)
+        clusters = _group_indices(r.ambient_decomposition().eigenvalues, 1e-7)
+        assert counts["eigh"] == r.level + 1 == 7
+        assert counts["norm"] == (r.level + 1) * len(clusters) == 56
+
 
 class TestFunctionGap:
     def test_zero_function(self):

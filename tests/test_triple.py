@@ -248,6 +248,27 @@ class TestCommutatorNorm:
         assert oracle == pytest.approx(3.0)
         assert commutator_norm(t, f) == pytest.approx(oracle, abs=1e-12)
 
+    def test_diagonal_matches_dense_copy_without_materializing(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        cases = []
+        for _ in range(8):
+            for t in random_commutative_system(rng, max_dim=32).triples:
+                assert isinstance(t.rep, DiagonalRepresentation)
+                basis = np.eye(t.algebra.element_dim)
+                dense = FiniteSpectralTriple(
+                    t.algebra, DenseRepresentation(t.rep.apply_coordinates(basis)), t.dirac
+                )
+                n = t.algebra.n_points
+                a = t.algebra.from_point_values(rng.normal(size=n) + 1j * rng.normal(size=n))
+                cases.append((t, dense, a, commutator_norm(dense, a)))
+
+        def materialized(self, coords):
+            raise AssertionError("commutator_norm materialized a diagonal pi(a)")
+
+        monkeypatch.setattr(DiagonalRepresentation, "apply_coordinates", materialized)
+        for t, dense, a, want in cases:
+            assert abs(commutator_norm(t, a) - want) <= 1e-12 * max(1.0, want)
+
     def test_ci_commutator_stable_across_levels(self):
         from spectral_limits import binary_branching, commutative_af_chain
 
