@@ -45,10 +45,11 @@ from .errors import (
 )
 from .inductive import InductiveSystem, realize, system_validate
 from .serialization import (
-    check_generator_config,
+    complex_to_json,
     dumps,
     element_from_json,
     load_system,
+    parse_generator_config,
     save_system,
     system_from_generator_config,
 )
@@ -167,9 +168,9 @@ def cmd_build(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    check_generator_config(cfg)
+    generate = parse_generator_config(cfg)
     try:
-        system = system_from_generator_config(cfg)
+        system = generate()
     except SpectralLimitsError as exc:
         print(f"error: generator failed: {exc}", file=sys.stderr)
         return EXIT_MATH
@@ -234,7 +235,7 @@ def cmd_st1(args) -> int:
         worst_cross = max(worst_cross, max(cross.values(), default=0.0))
         probes.append(
             {
-                "lambda": {"re": lam.real, "im": lam.imag},
+                "lambda": complex_to_json(lam),
                 "classification": verdict.classification,
                 "evidence": verdict.evidence,
                 "caveat": verdict.caveat,
@@ -394,7 +395,7 @@ def cmd_report(args) -> int:
         verdict = st1_verdict(series)
         gap_docs.append(
             {
-                "lambda": {"re": lam.real, "im": lam.imag},
+                "lambda": complex_to_json(lam),
                 "entries": [{"j": j, "gap": v} for j, v in series.entries],
                 "analytic_bounds": [None if b is None else b for b in series.analytic_bounds],
                 "classification": verdict.classification,

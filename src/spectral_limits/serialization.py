@@ -1,17 +1,23 @@
 """JSON encoding of algebras, elements, homomorphisms, states, triples,
 morphisms and inductive systems.
 
-Complex numbers are written as {"re": float, "im": float}; matrices as
-row-major nested lists of those objects.  Diagonal representations are
-written compactly as their coordinate-to-point map.  Dumps are
+A matrix is written as {"shape": [rows, cols], "data": base64}, where data
+holds the row-major little-endian complex128 entries, so every bit
+round-trips.  The decoder also reads the row-major nested lists of
+{"re": float, "im": float} objects of ``spectral-limits/system-v1`` files
+and of hand-written ``st2 --element`` blocks.  Diagonal representations
+are written compactly as their coordinate-to-point map.  Dumps are
 deterministic (sorted keys, fixed separators), so identical inputs produce
 byte-identical files.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
-from typing import Any
+import math
+from typing import Any, Callable
 
 import numpy as np
 
@@ -33,7 +39,14 @@ from .triple import (
     TripleMorphism,
 )
 
-SYSTEM_FORMAT = "spectral-limits/system-v1"
+SYSTEM_FORMAT = "spectral-limits/system-v2"
+# Formats system_from_json reads: v1 differs only in its nested-list matrices.
+READ_FORMATS = (SYSTEM_FORMAT, "spectral-limits/system-v1")
+MATRIX_DTYPE = np.dtype("<c16")
+# Largest dense matrix data a generator config may ask for, in bytes.  Binary
+# CI at J=12 (dim 4096, the largest workload the roadmap targets) needs about
+# 0.54 GB and passes; J=13 needs about 2.1 GB and is rejected.
+MAX_GENERATOR_BYTES = 2**30
 
 
 def complex_to_json(z: complex) -> dict:
@@ -44,17 +57,46 @@ def complex_to_json(z: complex) -> dict:
 def complex_from_json(obj) -> complex:
     if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
         raise ValidationError(f"expected a {{re, im}} object, got {obj!r}")
-    return complex(float(obj["re"]), float(obj["im"]))
+    try:
+        return complex(float(obj["re"]), float(obj["im"]))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"expected numbers in {obj!r}") from exc
 
 
-def matrix_to_json(m) -> list:
-    a = np.asarray(m, dtype=complex)
-    return [[complex_to_json(z) for z in row] for row in a]
+def matrix_to_json(m) -> dict:
+    a = np.ascontiguousarray(m, dtype=MATRIX_DTYPE)
+    rows, cols = a.shape
+    return {"shape": [rows, cols], "data": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
-        raise ValidationError("expected a nested list matrix")
+    """Decode a {shape, data} matrix object or a nested list of {re, im} objects."""
+    if isinstance(obj, dict) and set(obj) == {"shape", "data"}:
+        shape, data = obj["shape"], obj["data"]
+        if (
+            not isinstance(shape, list)
+            or len(shape) != 2
+            or not all(isinstance(n, int) and not isinstance(n, bool) and n > 0 for n in shape)
+        ):
+            raise ValidationError(f"matrix shape must be two positive integers, got {shape!r}")
+        if not isinstance(data, str):
+            raise ValidationError("matrix data must be a base64 string")
+        try:
+            raw = base64.b64decode(data, validate=True)
+        except binascii.Error as exc:
+            raise ValidationError(f"matrix data is not valid base64: {exc}") from exc
+        rows, cols = shape
+        size = rows * cols * MATRIX_DTYPE.itemsize
+        if len(raw) != size:
+            raise ValidationError(f"matrix data has {len(raw)} bytes, shape {shape} needs {size}")
+        # astype copies: frombuffer views immutable bytes, in the file's byte order.
+        return np.frombuffer(raw, dtype=MATRIX_DTYPE).reshape(rows, cols).astype(complex)
+    if (
+        not isinstance(obj, list)
+        or not obj
+        or not all(isinstance(r, list) and len(r) == len(obj[0]) for r in obj)
+    ):
+        raise ValidationError("expected a {shape, data} object or a nested list matrix with equal rows")
     return np.array([[complex_from_json(z) for z in row] for row in obj], dtype=complex)
 
 
@@ -162,17 +204,32 @@ def system_to_json(s: InductiveSystem) -> dict:
 
 
 def system_from_json(obj) -> InductiveSystem:
-    if not isinstance(obj, dict) or obj.get("format") != SYSTEM_FORMAT:
-        raise ValidationError(f"not a {SYSTEM_FORMAT} document")
-    triples = tuple(triple_from_json(t) for t in obj["triples"])
-    links = []
-    for j, m in enumerate(obj["links"]):
-        links.append(
+    """Decode a v1 or v2 system document; any malformed part raises ValidationError."""
+    if not isinstance(obj, dict) or obj.get("format") not in READ_FORMATS:
+        raise ValidationError(f"not a {' or '.join(READ_FORMATS)} document")
+    triples_doc, links_doc = obj.get("triples"), obj.get("links")
+    if not isinstance(triples_doc, list) or not triples_doc:
+        raise ValidationError("'triples' must be a non-empty list")
+    if not isinstance(links_doc, list) or len(links_doc) != len(triples_doc) - 1:
+        raise ValidationError(
+            f"'links' must be a list of {len(triples_doc) - 1} links, one per adjacent pair of triples"
+        )
+    provenance = obj.get("provenance", {})
+    if not isinstance(provenance, dict) or not all(
+        isinstance(t, dict) and isinstance(t.get("meta", {}), dict) for t in triples_doc
+    ):
+        raise ValidationError("'provenance' and every triple's 'meta' must be objects")
+    try:
+        triples = tuple(triple_from_json(t) for t in triples_doc)
+        links = tuple(
             TripleMorphism(
                 triples[j], triples[j + 1], hom_from_json(m["phi"]), matrix_from_json(m["iso"])
             )
+            for j, m in enumerate(links_doc)
         )
-    return InductiveSystem(triples, tuple(links), obj.get("provenance", {}))
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed system document: {exc!r}") from exc
+    return InductiveSystem(triples, links, provenance)
 
 
 def dumps(obj: dict) -> str:
@@ -194,14 +251,102 @@ def load_system(path: str) -> InductiveSystem:
     return system_from_json(obj)
 
 
-def check_generator_config(cfg) -> int:
-    """Check the fields every generator config needs; returns its ``levels``."""
+def _numbers(values, name: str) -> list[float]:
+    """A JSON list of finite numbers, as floats."""
+    if isinstance(values, list) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+    ):
+        try:
+            floats = [float(v) for v in values]
+        except OverflowError:  # an integer beyond the float range
+            floats = [math.inf]
+        if all(math.isfinite(v) for v in floats):
+            return floats
+    raise ValidationError(f"generator config {name!r} must be a list of finite numbers, got {values!r}")
+
+
+def _check_generator_size(dims, matrices_per_level: int) -> None:
+    """Reject a system whose dense matrices would exceed MAX_GENERATOR_BYTES.
+
+    ``dims`` yields the Hilbert dimension n_j of each level; a level holds
+    ``matrices_per_level`` n_j x n_j matrices (Dirac operator, grading) and a
+    link one n_{j+1} x n_j isometry.  Stops at the first level over the cap.
+    """
+    total, previous = 0, 0
+    for n in dims:
+        total += MATRIX_DTYPE.itemsize * (matrices_per_level * n * n + previous * n)
+        if total > MAX_GENERATOR_BYTES:
+            raise ValidationError(
+                f"generator config needs more than {MAX_GENERATOR_BYTES} bytes of dense matrices"
+            )
+        previous = n
+
+
+def parse_generator_config(cfg) -> Callable[[], InductiveSystem]:
+    """Check a generator config and return the call that builds its system.
+
+    Malformed fields, and a system whose dense matrices would exceed
+    MAX_GENERATOR_BYTES, raise ValidationError here, before any generator
+    runs; the returned call raises what the generators themselves reject.
+    The config format is described in ``system_from_generator_config``.
+    """
     if not isinstance(cfg, dict) or "type" not in cfg:
         raise ValidationError("generator config must be an object with a 'type' field")
     levels = cfg.get("levels")
     if not isinstance(levels, int) or isinstance(levels, bool) or levels < 0:
         raise ValidationError(f"generator config 'levels' must be an integer >= 0, got {levels!r}")
-    return levels
+    kind = cfg["type"]
+    if kind == "cantor":
+        gaps = cfg.get("gaps", "middle-thirds")
+        if gaps != "middle-thirds":
+            if not isinstance(gaps, list) or not gaps or not all(
+                isinstance(g, list) and len(g) == 2 for g in gaps
+            ):
+                raise ValidationError("explicit gaps need [[x0+, x0-], [left, right], ...]")
+            gaps = [tuple(_numbers(g, "gaps")) for g in gaps]
+        with_grading = bool(cfg.get("grading", True))
+        _check_generator_size((2 * (j + 1) for j in range(levels + 1)), 1 + with_grading)
+
+        def generate_cantor() -> InductiveSystem:
+            if gaps == "middle-thirds":
+                seq = middle_thirds(levels)
+            else:
+                seq = GapSequence(*gaps[0], tuple(gaps[1:]))
+            return cantor_system(seq, levels, with_grading=with_grading)
+
+        return generate_cantor
+    if kind == "christensen-ivan":
+        chain_cfg = cfg.get("chain", "binary")
+        if chain_cfg == "binary":
+            branching = None
+            dims = (2**j for j in range(levels + 1))
+        elif isinstance(chain_cfg, dict) and "branching" in chain_cfg:
+            maps = chain_cfg["branching"]
+            if not isinstance(maps, list) or not all(
+                isinstance(m, list) and all(isinstance(v, int) and not isinstance(v, bool) for v in m)
+                for m in maps
+            ):
+                raise ValidationError("chain 'branching' must be a list of integer lists")
+            try:
+                branching = [np.array(m, dtype=int) for m in maps]
+            except OverflowError as exc:
+                raise ValidationError("chain 'branching' has an integer out of range") from exc
+            dims = ([1] + [len(m) for m in maps])[: levels + 1]
+        else:
+            raise ValidationError("chain must be 'binary' or {'branching': [...]}")
+        weights_cfg = cfg.get("weights", "uniform")
+        weights = None if weights_cfg == "uniform" else np.array(_numbers(weights_cfg, "weights"))
+        alphas = _numbers(cfg.get("alphas"), "alphas")
+        _check_generator_size(dims, 1)
+
+        def generate_ci() -> InductiveSystem:
+            maps = binary_branching(levels) if branching is None else branching
+            n_top = len(maps[-1]) if maps else 1
+            w = np.full(n_top, 1.0 / n_top) if weights is None else weights
+            return ci_system(commutative_af_chain(maps, w, alphas), levels)
+
+        return generate_ci
+    raise ValidationError(f"unknown generator type {kind!r}")
 
 
 def system_from_generator_config(cfg: dict) -> InductiveSystem:
@@ -216,37 +361,4 @@ def system_from_generator_config(cfg: dict) -> InductiveSystem:
     {"branching": [[...], ...]}, "weights": "uniform" | [w...],
     "alphas": [a...], "levels": J}.
     """
-    levels = check_generator_config(cfg)
-    kind = cfg["type"]
-    if kind == "cantor":
-        gaps = cfg.get("gaps", "middle-thirds")
-        if gaps == "middle-thirds":
-            seq = middle_thirds(levels)
-        else:
-            if not isinstance(gaps, list) or len(gaps) < 1:
-                raise ValidationError("explicit gaps need [[x0+, x0-], [left, right], ...]")
-            outer = gaps[0]
-            seq = GapSequence(
-                float(outer[0]),
-                float(outer[1]),
-                tuple((float(l), float(r)) for l, r in gaps[1:]),
-            )
-        return cantor_system(seq, levels, with_grading=bool(cfg.get("grading", True)))
-    if kind == "christensen-ivan":
-        chain_cfg = cfg.get("chain", "binary")
-        if chain_cfg == "binary":
-            branching = binary_branching(levels)
-        elif isinstance(chain_cfg, dict) and "branching" in chain_cfg:
-            branching = [np.asarray(b, dtype=int) for b in chain_cfg["branching"]]
-        else:
-            raise ValidationError("chain must be 'binary' or {'branching': [...]}")
-        n_top = len(branching[-1]) if branching else 1
-        weights_cfg = cfg.get("weights", "uniform")
-        if weights_cfg == "uniform":
-            weights = np.full(n_top, 1.0 / n_top)
-        else:
-            weights = np.asarray(weights_cfg, dtype=float)
-        alphas = [float(a) for a in cfg["alphas"]]
-        chain = commutative_af_chain(branching, weights, alphas)
-        return ci_system(chain, levels)
-    raise ValidationError(f"unknown generator type {kind!r}")
+    return parse_generator_config(cfg)()

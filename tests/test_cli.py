@@ -1,6 +1,8 @@
 """CLI integration: subcommands, exit codes, determinism."""
 
+import copy
 import json
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from spectral_limits import load_system, save_system
 from spectral_limits.cli import main, parse_complex, parse_levels
 from spectral_limits.errors import ValidationError
+from spectral_limits.serialization import matrix_from_json, matrix_to_json
 
 from test_diagnostics import growing_commutator_system
 
@@ -85,6 +88,21 @@ class TestGeneratorLevels:
         assert load_system(str(out)).top_level == 0
 
 
+CI2 = {"type": "christensen-ivan", "chain": "binary", "alphas": [1, 2], "levels": 2}
+MALFORMED_GENERATORS = {
+    "alphas-str": dict(CI2, alphas="ab"),
+    "alpha-str": dict(CI2, alphas=[1, "2"]),
+    "no-alphas": {k: v for k, v in CI2.items() if k != "alphas"},
+    "weights-str": dict(CI2, weights="ab"),
+    "branching-str": dict(CI2, chain={"branching": "ab"}),
+    "branching-float": dict(CI2, chain={"branching": [[0, 0.5]]}),
+    "branching-huge": dict(CI2, chain={"branching": [[0, 10**30]]}),
+    "gap-short": {"type": "cantor", "gaps": [[0, 1], [0.2]], "levels": 1},
+    "gap-str": {"type": "cantor", "gaps": [[0, 1], "ab"], "levels": 1},
+    "gap-null": {"type": "cantor", "gaps": [[0, 1], [0.4, None]], "levels": 1},
+}
+
+
 class TestBuild:
     def test_cantor_dims(self, cantor_file):
         system = load_system(cantor_file)
@@ -112,6 +130,35 @@ class TestBuild:
         missing = write_json(tmp_path / "m.json", {"type": "cantor"})
         assert main(["build", "--config", missing, "--out", str(tmp_path / "y.json")]) == 2
 
+    def test_two_builds_byte_identical_v2(self, tmp_path, cantor_file):
+        again = tmp_path / "again.json"
+        assert main(["build", "--config", str(tmp_path / "cfg.json"), "--out", str(again)]) == 0
+        assert again.read_bytes() == open(cantor_file, "rb").read()
+        assert json.loads(again.read_text())["format"] == "spectral-limits/system-v2"
+
+    @pytest.mark.parametrize("cfg", MALFORMED_GENERATORS.values(), ids=MALFORMED_GENERATORS.keys())
+    def test_malformed_generator_fields_exit2(self, tmp_path, capsys, cfg):
+        out = tmp_path / "x.json"
+        assert main(["build", "--config", write_json(tmp_path / "bad.json", cfg), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"type": "christensen-ivan", "chain": "binary", "alphas": [1.0] * 40, "levels": 40},
+            {"type": "cantor", "gaps": "middle-thirds", "levels": 100000},
+        ],
+        ids=["binary-ci-40", "cantor-100000"],
+    )
+    def test_oversized_config_exit2_before_allocating(self, tmp_path, capsys, cfg):
+        out = tmp_path / "big.json"
+        start = time.perf_counter()
+        assert main(["build", "--config", write_json(tmp_path / "big_cfg.json", cfg), "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "bytes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_generator_failure_exit1(self, tmp_path):
         cfg = write_json(
             tmp_path / "zero_alpha.json",
@@ -132,7 +179,9 @@ class TestValidate:
 
     def test_corrupted_isometry_exit1_names_link(self, tmp_path, cantor_file, capsys):
         doc = json.loads(open(cantor_file).read())
-        doc["links"][3]["iso"][0][0]["re"] = 0.25
+        iso = matrix_from_json(doc["links"][3]["iso"])
+        iso[0, 0] = 0.25
+        doc["links"][3]["iso"] = matrix_to_json(iso)
         bad = tmp_path / "corrupt.json"
         bad.write_text(json.dumps(doc))
         assert main(["validate", "--system", str(bad)]) == 1
@@ -143,6 +192,70 @@ class TestValidate:
         trunc = tmp_path / "trunc.json"
         trunc.write_text(text[: len(text) // 3])
         assert main(["validate", "--system", str(trunc)]) == 2
+
+
+def _set(path, value):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return mutate
+
+
+def _extra_link(doc):
+    doc["links"].append(copy.deepcopy(doc["links"][0]))
+
+
+ZERO = {"re": 0.0, "im": 0.0}
+FOUR_BY_FOUR = matrix_to_json(np.zeros((4, 4)))
+
+MALFORMED_SYSTEMS = {
+    "no-triples": _set(["triples"], []),
+    "triples-int": _set(["triples"], 5),
+    "extra-link": _extra_link,
+    "block-dims-str": _set(["triples", 0, "algebra", "block_dims"], "ab"),
+    "coord-points-str": _set(["triples", 0, "representation", "coord_points"], "x"),
+    "ragged-dirac": _set(["triples", 0, "dirac"], [[ZERO, ZERO], [ZERO]]),
+    "re-str": _set(["triples", 0, "dirac"], [[{"re": "x", "im": 0.0}, ZERO], [ZERO, ZERO]]),
+    "provenance-list": _set(["provenance"], []),
+    "meta-str": _set(["triples", 0, "meta"], "x"),
+    # v2 matrix objects: shape, data type, base64 and byte length.
+    "shape-one-int": _set(["triples", 1, "dirac", "shape"], [16]),
+    "shape-zero": _set(["triples", 1, "dirac", "shape"], [4, 0]),
+    "shape-negative": _set(["triples", 1, "dirac", "shape"], [-4, -4]),
+    "shape-float": _set(["triples", 1, "dirac", "shape"], [4, 4.0]),
+    "shape-bool": _set(["triples", 1, "dirac", "shape"], [4, True]),
+    "shape-str": _set(["triples", 1, "dirac", "shape"], "4x4"),
+    "data-int": _set(["triples", 1, "dirac", "data"], 5),
+    "data-null": _set(["triples", 1, "dirac", "data"], None),
+    "data-bad-char": _set(["triples", 1, "dirac", "data"], "*" + FOUR_BY_FOUR["data"][1:]),
+    "data-bad-padding": _set(["triples", 1, "dirac", "data"], FOUR_BY_FOUR["data"][:-1]),
+    "data-newline": _set(["triples", 1, "dirac", "data"], FOUR_BY_FOUR["data"][:8] + "\n" + FOUR_BY_FOUR["data"][8:]),
+    "data-short": _set(["triples", 1, "dirac", "data"], FOUR_BY_FOUR["data"][:-4]),
+    "data-wrong-shape": _set(["triples", 1, "dirac", "shape"], [4, 3]),
+    "matrix-extra-key": _set(["triples", 1, "dirac", "dtype"], "complex64"),
+}
+
+
+class TestMalformedSystemFiles:
+    @pytest.fixture()
+    def cantor2_doc(self, tmp_path):
+        cfg = write_json(tmp_path / "c2.json", {"type": "cantor", "gaps": "middle-thirds", "levels": 2})
+        out = tmp_path / "c2sys.json"
+        assert main(["build", "--config", cfg, "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    @pytest.mark.parametrize("mutate", MALFORMED_SYSTEMS.values(), ids=MALFORMED_SYSTEMS.keys())
+    def test_validate_exit2_without_traceback(self, tmp_path, capsys, cantor2_doc, mutate):
+        mutate(cantor2_doc)
+        path = write_json(tmp_path / "bad_sys.json", cantor2_doc)
+        capsys.readouterr()
+        assert main(["validate", "--system", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 class TestSt1:
@@ -297,6 +410,13 @@ class TestSt2:
         assert rc == 0
         rows = open(str(tmp_path / "e") + ".csv").read().strip().splitlines()[1:]
         assert all(abs(float(r.split(",")[4]) - 3.0) <= 1e-9 for r in rows)
+
+    def test_element_blocks_match_values(self, cantor_file, tmp_path):
+        blocks = '{"level": 1, "blocks": [[[{"re": 1, "im": 0}]], [[{"re": 0, "im": 0}]]]}'
+        values = '{"level": 1, "values": [1.0, 0.0]}'
+        for name, element in (("b", blocks), ("v", values)):
+            assert main(["st2", "--system", cantor_file, "--element", element, "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "b.csv").read_text() == (tmp_path / "v.csv").read_text()
 
     @pytest.mark.parametrize("bound", ["-1", "-1e-300", "nan", "inf", "-inf"])
     def test_bad_bound_exit2(self, cantor_file, tmp_path, capsys, bound):

@@ -1,11 +1,13 @@
 """JSON round trips and generator configs."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spectral_limits import (
+    AfChain,
     FiniteCStarAlgebra,
     StarHomomorphism,
     State,
@@ -33,9 +35,20 @@ from spectral_limits.serialization import (
     hom_to_json,
     matrix_from_json,
     matrix_to_json,
+    parse_generator_config,
     state_from_json,
     state_to_json,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def dense_gns_system():
+    """The GNS system of M_2 over C: explicit-linear hom, dense representation."""
+    c1, m2 = FiniteCStarAlgebra((1,)), FiniteCStarAlgebra((2,))
+    inc = StarHomomorphism(c1, m2, matrix=np.array([[1], [0], [0], [1]], dtype=complex))
+    chain = AfChain((c1, m2), (inc,), State(m2, (np.eye(2, dtype=complex) / 2,)), (5.0,))
+    return ci_system(chain, 1)
 
 
 class TestScalarsAndMatrices:
@@ -48,6 +61,16 @@ class TestScalarsAndMatrices:
         m = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
         out = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
         assert np.array_equal(out, m)  # bitwise, repr round-trip
+        signed = np.array(
+            [
+                [complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, -5e-324)],
+                [complex(-0.0, -0.0), complex(-5e-324, 1.0), complex(1.0, 0.0)],
+            ]
+        )
+        for a in (signed, np.array([[complex(-0.0, 5e-324)]]), m):
+            back = matrix_from_json(json.loads(json.dumps(matrix_to_json(a))))
+            assert back.shape == a.shape
+            assert np.array_equal(back.view(np.uint64), a.view(np.uint64))
 
     def test_malformed_rejected(self):
         with pytest.raises(ValidationError):
@@ -117,6 +140,15 @@ class TestSystemRoundTrip:
         loaded = load_system(str(path))
         assert dumps(system_to_json(loaded)) == dumps(system_to_json(system))
 
+    @pytest.mark.parametrize(
+        "name, fresh",
+        [("cantor3_v1.json", lambda: cantor_system(middle_thirds(3), 3)), ("ci_dense_v1.json", dense_gns_system)],
+    )
+    def test_v1_file_loads_as_fresh_system(self, name, fresh):
+        path = DATA / name
+        assert json.loads(path.read_text())["format"] == "spectral-limits/system-v1"
+        assert dumps(system_to_json(load_system(str(path)))) == dumps(system_to_json(fresh()))
+
     def test_reject_wrong_format(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "other"}')
@@ -172,6 +204,12 @@ class TestGeneratorConfigs:
         }
         system = system_from_generator_config(cfg)
         assert system.triples[1].hilbert_dim == 3
+
+    def test_size_limit_between_binary_ci_12_and_13(self):
+        cfg = {"type": "christensen-ivan", "chain": "binary", "alphas": [1.0] * 13, "levels": 12}
+        assert callable(parse_generator_config(cfg))  # about 0.54 GB: accepted, nothing built
+        with pytest.raises(ValidationError, match="bytes"):
+            parse_generator_config(dict(cfg, levels=13))  # about 2.1 GB
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValidationError):
