@@ -21,9 +21,8 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from . import __version__
+from .algebra import AlgebraElement
 from .diagnostics import (
     DEFAULT_LAMBDAS,
     FUNCTION_PROBES,
@@ -47,8 +46,9 @@ from .inductive import InductiveSystem, realize, system_validate
 from .serialization import (
     complex_to_json,
     dumps,
-    element_from_json,
+    finite_numbers,
     load_system,
+    matrix_from_json,
     parse_generator_config,
     save_system,
     system_from_generator_config,
@@ -264,6 +264,25 @@ def cmd_st1(args) -> int:
 ST2_CSV_HEADER = "kind,base_level,element,k,norm"
 
 
+def _element_from_doc(doc, system: InductiveSystem) -> tuple[str, int, AlgebraElement]:
+    """Check an ``st2 --element`` document; return its name, level and element."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"--element must be a JSON object, got {doc!r}")
+    j = doc.get("level")
+    if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j <= system.top_level:
+        raise ValidationError(f"element level must be an integer in [0, {system.top_level}], got {j!r}")
+    name = doc.get("name", f"element@{j}")
+    if not isinstance(name, str):
+        raise ValidationError(f"element name must be a string, got {name!r}")
+    algebra = system.triples[j].algebra
+    if "values" in doc:
+        return name, j, algebra.from_point_values(finite_numbers(doc["values"], "element 'values'"))
+    blocks = doc.get("blocks")
+    if not isinstance(blocks, list):
+        raise ValidationError(f"element needs 'values' or a 'blocks' list, got {blocks!r}")
+    return name, j, algebra.element([matrix_from_json(b) for b in blocks])
+
+
 def _st2_series(args, system: InductiveSystem) -> list[tuple[str, CommutatorSeries]]:
     k_max = system.top_level
     if args.element:
@@ -277,15 +296,8 @@ def _st2_series(args, system: InductiveSystem) -> list[tuple[str, CommutatorSeri
                     doc = json.loads(spec_item)
                 except json.JSONDecodeError as exc:
                     raise ValidationError(f"--element must be a file or inline JSON: {exc}")
-            j = int(doc["level"])
-            if not (0 <= j <= system.top_level):
-                raise ValidationError(f"element level {j} outside the system range")
-            algebra = system.triples[j].algebra
-            if "values" in doc:
-                elem = algebra.from_point_values(np.asarray(doc["values"], dtype=complex))
-            else:
-                elem = element_from_json({"algebra": {"block_dims": list(algebra.block_dims)}, "blocks": doc["blocks"]})
-            out.append((doc.get("name", f"element@{j}"), commutator_series(system, j, elem, k_max)))
+            name, j, elem = _element_from_doc(doc, system)
+            out.append((name, commutator_series(system, j, elem, k_max)))
         return out
     levels = parse_levels(args.levels, k_max) if args.levels else None
     probe = default_st2_probe(system, levels=levels, k_max=k_max)
@@ -323,10 +335,14 @@ def cmd_st2(args) -> int:
 
 
 def _resolve_point(triple, text: str) -> int:
+    # Meta points, when present, are one finite number per point: the system
+    # decoder checks this and the generators write them so.
     points = triple.meta.get("points")
     try:
         if points is not None:
             x = float(text)
+            if not math.isfinite(x):
+                raise ValidationError(f"point {text!r} is not finite")
             best = min(range(len(points)), key=lambda i: abs(points[i] - x))
             if abs(points[best] - x) > 1e-9 * max(1.0, abs(x)):
                 raise ValidationError(f"{text!r} is not a point of this level (points: {points})")

@@ -8,7 +8,8 @@ constraint decouples into pairwise difference bounds and the supremum is the
 shortest-path distance in the weighted constraint graph.  An exhaustive
 vertex-enumeration LP over the same polytope serves as an independent
 oracle.  Genuinely coupled instances fall back to a cutting-plane loop whose
-relaxations are solved by a small dense simplex.
+relaxations are solved by a simplex that works on the k x k block of the
+k structural columns in each basis.
 
 Points in different components of the interaction graph are at infinite
 distance, returned as ``math.inf``.
@@ -33,13 +34,14 @@ ORACLE_MAX_TREES = 200_000
 # Cutting-plane loop control.
 KELLEY_MAX_ITER = 200
 KELLEY_TOL = 1e-9
-# Largest dense simplex tableau the cutting plane may build, in bytes.  The
-# simplex holds several arrays of about this size at once (the slack
-# identity, the stacked constraint matrix, its float copies and the basis
-# matrix of each pivot's solves), so 128 MiB keeps one distance near 1 GB at
-# worst.  Instances that converge in practice (under 10 points, a few hundred
-# constraints) need under 1 MiB; fully coupled instances reach the limit
-# near 60 points.
+# Size cap on a cutting-plane instance, checked before any constraint row is
+# built: with nvar free variables and ncon the worst-case constraint count,
+# 8 * ncon * (2 * nvar + ncon) may not exceed it.  That is the byte size of a
+# dense [A, -A, I] tableau, but none is allocated (each pivot solves on a
+# k x k block, k <= 2 * nvar), so the cap bounds the number of constraints
+# and variables and with them the work of each pivot.  Instances that
+# converge in practice (under 10 points, a few hundred constraints) are far
+# below it; fully coupled instances reach it near 60 points.
 KELLEY_MAX_TABLEAU_BYTES = 2**27
 
 
@@ -263,41 +265,55 @@ def connes_distance_lp(t: FiniteSpectralTriple, x: int, y: int) -> float:
 def _simplex_max(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> np.ndarray:
     """max c.z over {A z <= b} with free z and strictly positive b.
 
-    Free variables are split as z = u - w; since b > 0 the slack basis is
-    feasible and a single-phase tableau with Bland's rule suffices.
+    Free variables are split as z = u - w and every row gets a slack, so the
+    standard-form columns are [A, -A, I]; since b > 0 the slack basis is
+    feasible and a single phase with Bland's rule suffices.  No tableau is
+    formed.  Every basic slack is an identity column, so a basis is its k
+    structural columns S together with the rows R whose slack is nonbasic
+    (|R| = k): B x = r reduces to S[R] x_S = r[R] with the basic slacks
+    r - S x_S on the other rows, and B^T lam = c_B to S[R]^T lam[R] = c_S
+    with lam zero off R.  Each pivot therefore solves k x k systems only.
     """
     n = c.shape[0]
     ncon = a_ub.shape[0]
-    amat = np.hstack([a_ub, -a_ub, np.eye(ncon)])
+    signed = np.hstack([a_ub, -a_ub])
     cost = np.concatenate([c, -c, np.zeros(ncon)])
-    basis = list(range(2 * n, 2 * n + ncon))
-    bvec = b_ub.astype(float).copy()
-    tab = amat.astype(float).copy()
+    basic = np.zeros(2 * n + ncon, dtype=bool)
+    basic[2 * n :] = True
     for _ in range(20000):
-        lam = np.linalg.solve(tab[:, basis].T, cost[basis])
-        reduced = cost - lam @ tab
-        reduced[basis] = 0.0
-        enter = -1
-        for j in range(reduced.shape[0]):  # Bland: smallest improving index
-            if reduced[j] > 1e-11:
-                enter = j
-                break
-        if enter < 0:
-            sol = np.zeros(2 * n + ncon)
-            xb = np.linalg.solve(tab[:, basis], bvec)
-            sol[basis] = xb
-            return sol[:n] - sol[n : 2 * n]
-        direction = np.linalg.solve(tab[:, basis], tab[:, enter])
-        xb = np.linalg.solve(tab[:, basis], bvec)
-        ratios = [
-            (xb[i] / direction[i], basis[i], i)
-            for i in range(ncon)
-            if direction[i] > 1e-11
-        ]
-        if not ratios:
+        struct = np.flatnonzero(basic[: 2 * n])
+        rows = np.flatnonzero(~basic[2 * n :])
+        s_cols = signed[:, struct]
+        block = s_cols[rows]
+        lam = np.zeros(ncon)
+        lam[rows] = np.linalg.solve(block.T, cost[struct])
+        reduced = cost - np.concatenate([lam @ signed, lam])
+        reduced[struct] = 0.0
+        improving = np.flatnonzero(reduced > 1e-11)
+        x_struct = np.linalg.solve(block, b_ub[rows])
+        if improving.size == 0:
+            sol = np.zeros(2 * n)
+            sol[struct] = x_struct
+            return sol[:n] - sol[n:]
+        enter = improving[0]  # Bland: the smallest improving index enters
+        if enter < 2 * n:
+            column = signed[:, enter]
+        else:
+            column = np.zeros(ncon)
+            column[enter - 2 * n] = 1.0
+        d_struct = np.linalg.solve(block, column[rows])
+        slack = np.flatnonzero(basic[2 * n :])
+        basis = np.concatenate([struct, 2 * n + slack])
+        xb = np.concatenate([x_struct, (b_ub - s_cols @ x_struct)[slack]])
+        direction = np.concatenate([d_struct, (column - s_cols @ d_struct)[slack]])
+        cand = np.flatnonzero(direction > 1e-11)
+        if cand.size == 0:
             raise NumericError("cutting-plane LP relaxation is unbounded")
-        _, _, leave_pos = min(ratios, key=lambda r: (r[0], r[1]))
-        basis[leave_pos] = enter
+        ratio = xb[cand] / direction[cand]
+        # Bland: the smallest ratio leaves, ties to the smallest column index.
+        leave = basis[cand[np.lexsort((basis[cand], ratio))[0]]]
+        basic[enter] = True
+        basic[leave] = False
     raise NumericError("simplex did not terminate")
 
 
@@ -309,24 +325,20 @@ def _kelley_distance(coord_points, dirac, edges, comp, x: int, y: int) -> float:
     KELLEY_TOL.  Result accuracy is therefore KELLEY_TOL relative.
     """
     points = sorted(np.nonzero(comp == comp[x])[0].tolist())
-    index = {p: i for i, p in enumerate(points)}
     m = len(points)
     # Variables: f at component points except y (gauge f_y = 0).
-    var_of = {}
-    for p in points:
-        if p != y:
-            var_of[p] = len(var_of)
+    var_points = np.array([p for p in points if p != y])
+    var_of = {int(p): j for j, p in enumerate(var_points)}
     nvar = len(var_of)
     # Constraints: two per edge, two box rows per variable and one cut per
-    # iteration; the tableau adds a slack column per constraint.
+    # iteration.
     n_edges = sum(1 for u, _ in edges if comp[u] == comp[x])
     ncon = 2 * n_edges + 2 * nvar + KELLEY_MAX_ITER
-    tableau_bytes = 8 * ncon * (2 * nvar + ncon)
-    if tableau_bytes > KELLEY_MAX_TABLEAU_BYTES:
+    if 8 * ncon * (2 * nvar + ncon) > KELLEY_MAX_TABLEAU_BYTES:
         raise ValidationError(
-            f"cutting-plane instance too large: {m} points and up to {ncon} constraints "
-            f"need a {tableau_bytes / 2**20:.0f} MiB tableau (limit "
-            f"{KELLEY_MAX_TABLEAU_BYTES // 2**20} MiB)"
+            f"cutting-plane instance too large: {m} points give {nvar} variables and up to "
+            f"{ncon} constraints (limit: 8 * constraints * (2 * variables + constraints) "
+            f"<= {KELLEY_MAX_TABLEAU_BYTES})"
         )
 
     def row_for_difference(u, v):
@@ -348,25 +360,21 @@ def _kelley_distance(coord_points, dirac, edges, comp, x: int, y: int) -> float:
         rhs.extend([w, w])
         total_w += w
     box = total_w + 1.0
-    for p, j in var_of.items():
-        r = np.zeros(nvar)
-        r[j] = 1.0
+    for r in np.eye(nvar):
         rows.extend([r, -r])
         rhs.extend([box, box])
 
     c = np.zeros(nvar)
     c[var_of[x]] = 1.0
-    n_coords = dirac.shape[0]
-    masks = {p: (coord_points == p) for p in points}
+    n_points = len(comp)
 
     value = math.inf
     for _ in range(KELLEY_MAX_ITER):
         f_sol = _simplex_max(c, np.array(rows), np.array(rhs))
         value = float(c @ f_sol)
-        fdiag = np.zeros(n_coords)
-        for p in points:
-            fp = 0.0 if p == y else f_sol[var_of[p]]
-            fdiag[masks[p]] = fp
+        f_points = np.zeros(n_points)
+        f_points[var_points] = f_sol
+        fdiag = f_points[coord_points]
         cmat = dirac * (fdiag[None, :] - fdiag[:, None])
         nu = operator_norm(cmat)
         if nu <= 1.0 + KELLEY_TOL:
@@ -375,15 +383,10 @@ def _kelley_distance(coord_points, dirac, edges, comp, x: int, y: int) -> float:
         usv = np.linalg.svd(cmat)
         uvec = usv[0][:, 0]
         vvec = usv[2][0, :].conj()
-        grad = np.zeros(nvar)
         du = np.conj(uvec) @ dirac
         dv = dirac @ vvec
-        for p in points:
-            if p == y:
-                continue
-            sel = masks[p]
-            gp = np.sum(du[sel] * vvec[sel]) - np.sum(np.conj(uvec[sel]) * dv[sel])
-            grad[var_of[p]] = float(np.real(gp))
+        g_coords = np.real(du * vvec - np.conj(uvec) * dv)
+        grad = np.bincount(coord_points, weights=g_coords, minlength=n_points)[var_points]
         rows.append(grad)
         rhs.append(1.0)
     raise NumericError(f"cutting-plane distance did not converge in {KELLEY_MAX_ITER} iterations")

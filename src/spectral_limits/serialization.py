@@ -229,6 +229,14 @@ def system_from_json(obj) -> InductiveSystem:
         )
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed system document: {exc!r}") from exc
+    for j, t in enumerate(triples):
+        points = t.meta.get("points")
+        if points is None:
+            continue
+        if len(finite_numbers(points, f"triple {j} meta 'points'")) != t.algebra.n_points:
+            raise ValidationError(
+                f"triple {j} meta 'points' has {len(points)} entries for {t.algebra.n_points} points"
+            )
     return InductiveSystem(triples, links, provenance)
 
 
@@ -251,8 +259,8 @@ def load_system(path: str) -> InductiveSystem:
     return system_from_json(obj)
 
 
-def _numbers(values, name: str) -> list[float]:
-    """A JSON list of finite numbers, as floats."""
+def finite_numbers(values, what: str) -> list[float]:
+    """A JSON list of finite numbers, as floats; ``what`` names it in the error."""
     if isinstance(values, list) and all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
     ):
@@ -262,7 +270,7 @@ def _numbers(values, name: str) -> list[float]:
             floats = [math.inf]
         if all(math.isfinite(v) for v in floats):
             return floats
-    raise ValidationError(f"generator config {name!r} must be a list of finite numbers, got {values!r}")
+    raise ValidationError(f"{what} must be a list of finite numbers, got {values!r}")
 
 
 def _check_generator_size(dims, matrices_per_level: int) -> None:
@@ -303,7 +311,7 @@ def parse_generator_config(cfg) -> Callable[[], InductiveSystem]:
                 isinstance(g, list) and len(g) == 2 for g in gaps
             ):
                 raise ValidationError("explicit gaps need [[x0+, x0-], [left, right], ...]")
-            gaps = [tuple(_numbers(g, "gaps")) for g in gaps]
+            gaps = [tuple(finite_numbers(g, "generator config 'gaps'")) for g in gaps]
         with_grading = bool(cfg.get("grading", True))
         _check_generator_size((2 * (j + 1) for j in range(levels + 1)), 1 + with_grading)
 
@@ -335,8 +343,8 @@ def parse_generator_config(cfg) -> Callable[[], InductiveSystem]:
         else:
             raise ValidationError("chain must be 'binary' or {'branching': [...]}")
         weights_cfg = cfg.get("weights", "uniform")
-        weights = None if weights_cfg == "uniform" else np.array(_numbers(weights_cfg, "weights"))
-        alphas = _numbers(cfg.get("alphas"), "alphas")
+        weights = None if weights_cfg == "uniform" else np.array(finite_numbers(weights_cfg, "generator config 'weights'"))
+        alphas = finite_numbers(cfg.get("alphas"), "generator config 'alphas'")
         _check_generator_size(dims, 1)
 
         def generate_ci() -> InductiveSystem:

@@ -429,6 +429,27 @@ class TestSt2:
         rc = main(["st2", "--system", cantor_file, "--levels", "0..1", "--bound", "0", "--out", str(tmp_path / "z")])
         assert rc == 0
 
+    @pytest.mark.parametrize(
+        "element",
+        [
+            "[1]",
+            '{"level": 1, "blocks": 5}',
+            '{"level": "x", "values": [1, 0]}',
+            '{"level": 1, "values": "ab"}',
+            '{"level": 1.0, "values": [1, 0]}',
+            '{"level": 1, "values": [1, NaN]}',
+            '{"level": 1}',
+            '{"level": 1, "blocks": ["x", "y"]}',
+            '{"level": 1, "name": 5, "values": [1, 0]}',
+        ],
+    )
+    def test_malformed_element_exit2(self, cantor_file, tmp_path, capsys, element):
+        rc = main(["st2", "--system", cantor_file, "--element", element, "--out", str(tmp_path / "bad")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "bad.csv").exists()
+
     def test_element_level_mismatch_exit2(self, cantor_file, tmp_path):
         rc = main(
             [
@@ -445,6 +466,29 @@ class TestSt2:
 
 
 class TestDistance:
+    @pytest.mark.parametrize(
+        "points",
+        [["a", "b"], [0.0], [0.0, None], [0.0, float("nan")], "ab", [0.0, 0.5, 1.0]],
+        ids=["non-numeric", "short", "null", "nan", "string", "long"],
+    )
+    def test_bad_meta_points_exit2(self, cantor_file, tmp_path, capsys, points):
+        doc = json.loads(open(cantor_file).read())
+        doc["triples"][1]["meta"]["points"] = points
+        path = write_json(tmp_path / "bad_points.json", doc)
+        capsys.readouterr()
+        assert main(["distance", "--system", path, "--level", "1", "--x", "0", "--y", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "meta 'points'" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "-1e999"])
+    def test_non_finite_point_exit2(self, cantor_file, capsys, x):
+        # A NaN or infinite coordinate used to match the first point.
+        rc = main(["distance", "--system", cantor_file, "--level", "1", f"--x={x}", "--y", str(2 / 3)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not finite" in captured.err
+
     def test_middle_thirds_value_and_path(self, cantor_file, capsys):
         rc = main(
             ["distance", "--system", cantor_file, "--level", "1", "--x", "0", "--y", str(2 / 3)]

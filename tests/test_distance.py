@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
 from spectral_limits import (
     DiagonalRepresentation,
+    NumericError,
     FiniteCStarAlgebra,
     FiniteSpectralTriple,
     UnsupportedError,
@@ -18,7 +20,9 @@ from spectral_limits import (
     connes_distance_with_path,
     middle_thirds,
     random_gap_sequence,
+    system_from_generator_config,
 )
+from spectral_limits import distance
 
 SEQ = middle_thirds(6)
 CANTOR = cantor_system(SEQ, 4)
@@ -159,3 +163,114 @@ class TestCoupledFallback:
                     hi = mid
             best = max(best, lo)
         assert value == pytest.approx(best, abs=1e-4)
+
+
+def dense_tableau_simplex(c, a_ub, b_ub):
+    """The former dense-tableau simplex, kept as the oracle for distance._simplex_max.
+
+    Same standard form [A, -A, I], cold start from the slack basis, Bland's
+    rule and 1e-11 thresholds, but every pivot solves ncon x ncon systems on
+    the full tableau.  Returns the maximiser and the number of pivots.
+    """
+    n = c.shape[0]
+    ncon = a_ub.shape[0]
+    amat = np.hstack([a_ub, -a_ub, np.eye(ncon)])
+    cost = np.concatenate([c, -c, np.zeros(ncon)])
+    basis = list(range(2 * n, 2 * n + ncon))
+    bvec = b_ub.astype(float).copy()
+    tab = amat.astype(float).copy()
+    for pivots in range(20000):
+        lam = np.linalg.solve(tab[:, basis].T, cost[basis])
+        reduced = cost - lam @ tab
+        reduced[basis] = 0.0
+        enter = -1
+        for j in range(reduced.shape[0]):  # Bland: smallest improving index
+            if reduced[j] > 1e-11:
+                enter = j
+                break
+        if enter < 0:
+            sol = np.zeros(2 * n + ncon)
+            xb = np.linalg.solve(tab[:, basis], bvec)
+            sol[basis] = xb
+            return sol[:n] - sol[n : 2 * n], pivots
+        direction = np.linalg.solve(tab[:, basis], tab[:, enter])
+        xb = np.linalg.solve(tab[:, basis], bvec)
+        ratios = [
+            (xb[i] / direction[i], basis[i], i)
+            for i in range(ncon)
+            if direction[i] > 1e-11
+        ]
+        if not ratios:
+            raise NumericError("cutting-plane LP relaxation is unbounded")
+        _, _, leave_pos = min(ratios, key=lambda r: (r[0], r[1]))
+        basis[leave_pos] = enter
+    raise NumericError("simplex did not terminate")
+
+
+def ci_level(alphas, level, sizes=None):
+    chain = "binary"
+    if sizes is not None:
+        chain = {"branching": [[k * a // b for k in range(b)] for a, b in zip(sizes, sizes[1:])]}
+    cfg = {"type": "christensen-ivan", "chain": chain, "weights": "uniform", "alphas": alphas, "levels": len(alphas)}
+    return system_from_generator_config(cfg).triples[level]
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that each call records its positional arguments."""
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+class TestStructuralSimplex:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_tableau_oracle(self, monkeypatch, seed):
+        # b > 0, a box of +-e_j rows and random extra cut rows, as the
+        # cutting plane builds them.
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            nvar = int(rng.integers(1, 7))
+            box = float(rng.uniform(2.0, 10.0))
+            cuts = rng.normal(size=(int(rng.integers(0, 30)), nvar))
+            a_ub = np.vstack([np.eye(nvar), -np.eye(nvar), cuts])
+            b_ub = np.concatenate([np.full(2 * nvar, box), rng.uniform(0.1, 2.0, size=cuts.shape[0])])
+            c = rng.normal(size=nvar)
+            want, want_pivots = dense_tableau_simplex(c, a_ub, b_ub)
+            ratio_tests = count_calls(monkeypatch, np, "lexsort")
+            got = distance._simplex_max(c, a_ub, b_ub)
+            monkeypatch.undo()
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+            assert len(ratio_tests) == want_pivots
+
+    def test_unbounded_relaxation_raises(self):
+        with pytest.raises(NumericError, match="unbounded"):
+            distance._simplex_max(np.array([1.0, 0.0]), np.array([[-1.0, 0.0], [0.0, 1.0]]), np.ones(2))
+
+    def test_solves_only_structural_blocks(self, monkeypatch):
+        # ci-report-style level 3: 6 coupled points, so 5 free variables and
+        # about a hundred constraint rows; the dense tableau solved
+        # ncon x ncon systems at every pivot.
+        t = ci_level([-1.0, 1.0, -1.0], 3, sizes=[1, 2, 3, 6])
+        nvar = t.algebra.n_points - 1
+        solves = count_calls(monkeypatch, np.linalg, "solve")
+        value = connes_distance(t, 0, 1)
+        assert value == pytest.approx(1.3093073409403495, abs=1e-12)
+        assert solves
+        assert max(a.shape[0] for a, _ in solves) <= 2 * nvar
+
+
+class TestKelleyRegression:
+    def test_binary_ci_level3_alternating_alphas(self):
+        # 8 coupled points; the dense-tableau simplex took about 18 s here.
+        t = ci_level([-1.0, 1.0, -1.0], 3)
+        assert t.algebra.n_points == 8
+        start = time.perf_counter()
+        value = connes_distance(t, 0, 1)
+        assert time.perf_counter() - start < 10.0
+        assert value == pytest.approx(1.333333332781743, abs=1e-9)
