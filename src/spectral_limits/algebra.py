@@ -23,8 +23,6 @@ from .linalg import operator_norm  # noqa: F401  (wrapped by name in perfbench/t
 
 # Smallest eigenvalue (relative to trace) below which a density is not faithful.
 FAITHFUL_TOL = 1e-12
-# Numerical rank threshold for subspace extraction.
-RANK_TOL = 1e-10
 # Complex entries per chunk of a stacked residual, which bounds its memory.
 CHUNK_ENTRIES = 2**20
 
@@ -482,23 +480,3 @@ def gns(algebra: FiniteCStarAlgebra, state: State) -> GnsSpace:
     space = GnsSpace(algebra, state, gram)
     space.chol  # force the faithfulness check now
     return space
-
-
-def subspace_projection(space: GnsSpace, inclusion: StarHomomorphism) -> np.ndarray:
-    """Orthogonal projection of the GNS space onto eta(B), B included in A.
-
-    Returned in orthonormal coordinates, where it is an ordinary Hermitian
-    idempotent; conjugating with the Cholesky factor recovers the
-    gram-self-adjoint form on element coordinates.
-    """
-    if inclusion.target.block_dims != space.algebra.block_dims:
-        raise ValidationError("inclusion target must be the GNS algebra")
-    v = inclusion.as_matrix()
-    w = space._chol_h @ v
-    q, r = np.linalg.qr(w)
-    diag = np.abs(np.diag(r))
-    scale = max(1.0, float(diag.max()) if diag.size else 1.0)
-    if np.any(diag < RANK_TOL * scale):
-        raise ValidationError("inclusion image is rank deficient (map not injective)")
-    p = q @ dagger(q)
-    return 0.5 * (p + dagger(p))

@@ -24,8 +24,12 @@ import sys
 from . import __version__
 from .algebra import AlgebraElement
 from .diagnostics import (
+    CONTAIN_TOL,
     DEFAULT_LAMBDAS,
     FUNCTION_PROBES,
+    GROUP_TOL,
+    VERDICT_THRESHOLD,
+    VERDICT_WINDOW,
     CommutatorSeries,
     GapSeries,
     commutator_series,
@@ -94,11 +98,14 @@ def _check_positive(name: str, value: float, allow_zero: bool = False) -> None:
 def parse_levels(text: str, top: int) -> list[int]:
     """Parse 'a..b' (inclusive) or a single level."""
     t = text.strip()
-    if ".." in t:
-        a_str, b_str = t.split("..", 1)
-        a, b = int(a_str), int(b_str)
-    else:
-        a = b = int(t)
+    try:
+        if ".." in t:
+            a_str, b_str = t.split("..", 1)
+            a, b = int(a_str), int(b_str)
+        else:
+            a = b = int(t)
+    except ValueError as exc:
+        raise ValidationError(f"cannot parse level range {text!r}") from exc
     if not (0 <= a <= b <= top):
         raise ValidationError(f"level range {text!r} outside [0, {top}]")
     return list(range(a, b + 1))
@@ -128,6 +135,24 @@ def _write_or_print(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_csv_and_json(csv_text: str, doc: dict, prefix: str | None) -> None:
+    """Write ``prefix``.csv and ``prefix``.json, or both to stdout without a prefix."""
+    _write_or_print(csv_text, prefix and prefix + ".csv")
+    _write_or_print(dumps(doc) + "\n", prefix and prefix + ".json")
+    if prefix:
+        print(f"wrote {prefix}.csv and {prefix}.json")
+
+
+def _check_functions(names) -> list[str]:
+    """Check a list of probe-function names against ``FUNCTION_PROBES``."""
+    if not isinstance(names, list):
+        raise ValidationError(f"probe functions must be a list of names, got {names!r}")
+    for name in names:
+        if not isinstance(name, str) or name not in FUNCTION_PROBES:
+            raise ValidationError(f"unknown probe function {name!r}; known: {sorted(FUNCTION_PROBES)}")
+    return names
+
+
 def _system_summary(system: InductiveSystem) -> dict:
     return {
         "levels": system.top_level,
@@ -136,7 +161,7 @@ def _system_summary(system: InductiveSystem) -> dict:
     }
 
 
-def _gap_rows(system: InductiveSystem, series: GapSeries, cross: dict | None) -> list[list[str]]:
+def _gap_rows(series: GapSeries, cross: dict | None) -> list[list[str]]:
     rows = []
     for idx, (j, gap) in enumerate(series.entries):
         bound = None
@@ -197,10 +222,7 @@ def cmd_st1(args) -> int:
     system = _load_system_arg(args)
     r = realize(system)
     levels = parse_levels(args.levels, r.level) if args.levels else list(range(r.level + 1))
-    functions = args.function or []
-    for name in functions:
-        if name not in FUNCTION_PROBES:
-            raise ValidationError(f"unknown probe function {name!r}; known: {sorted(FUNCTION_PROBES)}")
+    functions = _check_functions(args.function or [])
 
     group_tol = args.tol_group
     contain_tol = args.tol_contain
@@ -221,18 +243,16 @@ def cmd_st1(args) -> int:
 
     lines = [GAP_CSV_HEADER]
     for series, cross in resolvent_results:
-        for row in _gap_rows(system, series, cross):
+        for row in _gap_rows(series, cross):
             lines.append(",".join(row))
     for series in function_results:
-        for row in _gap_rows(system, series, None):
+        for row in _gap_rows(series, None):
             lines.append(",".join(row))
     csv_text = "\n".join(lines) + "\n"
 
     probes = []
-    worst_cross = 0.0
     for (series, cross), lam in zip(resolvent_results, lambdas):
         verdict = st1_verdict(series, threshold=args.threshold, window=args.window)
-        worst_cross = max(worst_cross, max(cross.values(), default=0.0))
         probes.append(
             {
                 "lambda": complex_to_json(lam),
@@ -248,14 +268,7 @@ def cmd_st1(args) -> int:
         "probes": probes,
         "version": __version__,
     }
-
-    if args.out:
-        _write_or_print(csv_text, args.out + ".csv")
-        _write_or_print(dumps(verdict_doc) + "\n", args.out + ".json")
-        print(f"wrote {args.out}.csv and {args.out}.json")
-    else:
-        sys.stdout.write(csv_text)
-        sys.stdout.write(dumps(verdict_doc) + "\n")
+    _emit_csv_and_json(csv_text, verdict_doc, args.out)
     if any(p["classification"] == "inconsistent" for p in probes):
         return EXIT_MATH
     return EXIT_OK
@@ -324,13 +337,7 @@ def cmd_st2(args) -> int:
         "series_names": [name for name, _ in named],
         "version": __version__,
     }
-    if args.out:
-        _write_or_print(csv_text, args.out + ".csv")
-        _write_or_print(dumps(verdict_doc) + "\n", args.out + ".json")
-        print(f"wrote {args.out}.csv and {args.out}.json")
-    else:
-        sys.stdout.write(csv_text)
-        sys.stdout.write(dumps(verdict_doc) + "\n")
+    _emit_csv_and_json(csv_text, verdict_doc, args.out)
     return EXIT_MATH if verdict.classification == "inconsistent" else EXIT_OK
 
 
@@ -394,13 +401,15 @@ def cmd_report(args) -> int:
         cfg = json.load(fh)
     if not isinstance(cfg, dict) or "system" not in cfg:
         raise ValidationError("report config must contain a 'system' entry")
-    lambdas = parse_lambdas(cfg.get("lambdas", ["i", "2i", "1+i"]))
+    lambdas = parse_lambdas(cfg["lambdas"]) if "lambdas" in cfg else list(DEFAULT_LAMBDAS)
+    functions = _check_functions(cfg.get("functions", []))
     sys_cfg = cfg["system"]
     if isinstance(sys_cfg, dict) and "path" in sys_cfg:
+        if not isinstance(sys_cfg["path"], str):
+            raise ValidationError(f"report 'system.path' must be a string, got {sys_cfg['path']!r}")
         system = load_system(sys_cfg["path"])
     else:
         system = system_from_generator_config(sys_cfg)
-    functions = cfg.get("functions", [])
     j_range = _report_levels(cfg.get("levels"), system.top_level)
     r = realize(system)
 
@@ -413,7 +422,7 @@ def cmd_report(args) -> int:
             {
                 "lambda": complex_to_json(lam),
                 "entries": [{"j": j, "gap": v} for j, v in series.entries],
-                "analytic_bounds": [None if b is None else b for b in series.analytic_bounds],
+                "analytic_bounds": list(series.analytic_bounds),
                 "classification": verdict.classification,
                 "evidence": verdict.evidence,
                 "caveat": verdict.caveat,
@@ -484,10 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", action="append", help=f"named probe function (repeatable); known: {sorted(FUNCTION_PROBES)}")
     p.add_argument("--levels", help="level range a..b")
     p.add_argument("--out", help="output prefix (.csv and .json are appended)")
-    p.add_argument("--tol-group", dest="tol_group", type=float, default=1e-8)
-    p.add_argument("--tol-contain", dest="tol_contain", type=float, default=1e-8)
-    p.add_argument("--threshold", type=float, default=1e-3)
-    p.add_argument("--window", type=int, default=5)
+    p.add_argument("--tol-group", dest="tol_group", type=float, default=GROUP_TOL)
+    p.add_argument("--tol-contain", dest="tol_contain", type=float, default=CONTAIN_TOL)
+    p.add_argument("--threshold", type=float, default=VERDICT_THRESHOLD)
+    p.add_argument("--window", type=int, default=VERDICT_WINDOW)
     p.set_defaults(func=cmd_st1)
 
     p = sub.add_parser("st2", help="commutator-norm series and verdicts")

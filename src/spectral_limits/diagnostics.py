@@ -26,8 +26,6 @@ from .algebra import AlgebraElement
 from .errors import ValidationError
 from .inductive import InductiveSystem, Realization
 from .linalg import (
-    GROUP_TOL,
-    _group_indices,
     dagger,
     function_from_decomposition,
     operator_norm,
@@ -35,6 +33,8 @@ from .linalg import (
 )
 from .triple import commutator_norm
 
+# Relative eigenvalue-clustering tolerance (against max(1, max |eigenvalue|)).
+GROUP_TOL = 1e-8
 # Containment threshold for ||Q - P_j Q|| in the eigenprojection route.
 CONTAIN_TOL = 1e-8
 # Verdict heuristics (callers may override): absolute smallness threshold,
@@ -73,6 +73,21 @@ def _check_nonreal(lam: complex) -> complex:
     if lam.imag == 0.0:
         raise ValidationError(f"resolvent probe must be non-real, got {lam:g}")
     return lam
+
+
+def _group_indices(eigenvalues: np.ndarray, group_tol: float) -> tuple[tuple[int, ...], ...]:
+    """Clusters of ascending eigenvalues whose neighbours lie within the scaled tolerance."""
+    scale = max(1.0, float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 1.0)
+    tol = group_tol * scale
+    groups: list[tuple[int, ...]] = []
+    current = [0]
+    for i in range(1, eigenvalues.shape[0]):
+        if eigenvalues[i] - eigenvalues[i - 1] > tol:
+            groups.append(tuple(current))
+            current = []
+        current.append(i)
+    groups.append(tuple(current))
+    return tuple(groups)
 
 
 def _embedded_gap(r: Realization, j: int, g: Callable, outer: np.ndarray) -> float:

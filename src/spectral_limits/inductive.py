@@ -17,7 +17,6 @@ from .algebra import ResidualReport
 from .errors import ValidationError
 from .linalg import (
     SpectralDecomposition,
-    commutator,
     dagger,
     eigh,
     operator_norm,
@@ -61,9 +60,6 @@ class InductiveSystem:
     @property
     def top_level(self) -> int:
         return len(self.triples) - 1
-
-    def level(self, j: int) -> FiniteSpectralTriple:
-        return self.triples[j]
 
 
 def embed(system: InductiveSystem, j: int, k: int) -> TripleMorphism:
@@ -139,7 +135,7 @@ class Realization:
         self.level = level
         self.ambient = system.triples[level]
         embeddings = [None] * (level + 1)
-        embeddings[level] = identity_morphism(self.ambient).iso
+        embeddings[level] = np.eye(self.ambient.hilbert_dim, dtype=complex)
         for j in range(level - 1, -1, -1):
             embeddings[j] = embeddings[j + 1] @ system.links[j].iso
         self.embeddings = tuple(embeddings)
@@ -177,31 +173,3 @@ def realize(system: InductiveSystem, level: int | None = None) -> Realization:
     if level is None:
         level = system.top_level
     return Realization(system, level)
-
-
-def realization_residuals(r: Realization, tol: float = VALIDATION_TOL) -> ResidualReport:
-    """Structural invariants of a realization.
-
-    Checks projection monotonicity P_j P_k = P_j (j <= k), commutation of
-    every P_j with the ambient Dirac operator, and the Dirac intertwining
-    I_{j,J} D_j = D_J I_{j,J}.
-    """
-    monotone = 0.0
-    commute = 0.0
-    intertwine = 0.0
-    d_top = r.ambient.dirac
-    projections = [r.projection(j) for j in range(r.level + 1)]
-    for j, p_j in enumerate(projections):
-        commute = max(commute, operator_norm(commutator(p_j, d_top)))
-        intertwine = max(
-            intertwine,
-            operator_norm(r.embedding(j) @ r.system.triples[j].dirac - d_top @ r.embedding(j)),
-        )
-        for p_k in projections[j:]:
-            monotone = max(monotone, operator_norm(p_j @ p_k - p_j))
-    entries = {
-        "projection_monotonicity": monotone,
-        "projection_dirac_commutation": commute,
-        "dirac_intertwining": intertwine,
-    }
-    return ResidualReport(entries, tol)

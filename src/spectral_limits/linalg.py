@@ -18,8 +18,6 @@ from .errors import NumericError, SingularityError, ValidationError
 
 # Relative Hermiticity tolerance (Frobenius norm, against max(1, ||H||_F)).
 HERMITIAN_TOL = 1e-10
-# Relative eigenvalue-clustering tolerance (against max(1, max |eigenvalue|)).
-GROUP_TOL = 1e-8
 # Minimal allowed distance from a real resolvent point to the spectrum.
 REAL_RESOLVENT_MARGIN = 1e-8
 
@@ -57,59 +55,29 @@ def check_hermitian(h, tol: float = HERMITIAN_TOL, name: str = "operator") -> np
     return 0.5 * (a + dagger(a))
 
 
-def check_isometry(i, tol: float = 1e-10, name: str = "isometry") -> np.ndarray:
-    """Validate I*I = id on the source space (tall or square matrices)."""
-    a = as_matrix(i, name)
-    if a.shape[0] < a.shape[1]:
-        raise ValidationError(f"{name} must be tall or square, got shape {a.shape}")
-    residual = frobenius(dagger(a) @ a - np.eye(a.shape[1]))
-    if residual > tol * max(1.0, np.sqrt(a.shape[1])):
-        raise ValidationError(f"{name}: ||I*I - id||_F = {residual:.3e} exceeds tolerance")
-    return a
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigendecomposition of a Hermitian operator.
 
-    ``eigenvalues`` are ascending, ``vectors`` holds the corresponding
-    orthonormal eigenvectors as columns, and ``groups`` partitions the index
-    range into clusters of equal-within-tolerance eigenvalues.
+    ``eigenvalues`` are ascending and ``vectors`` holds the corresponding
+    orthonormal eigenvectors as columns.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    groups: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.eigenvalues) @ dagger(self.vectors)
 
-
-def _group_indices(eigenvalues: np.ndarray, group_tol: float) -> tuple[tuple[int, ...], ...]:
-    scale = max(1.0, float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 1.0)
-    tol = group_tol * scale
-    groups: list[tuple[int, ...]] = []
-    current = [0]
-    for i in range(1, eigenvalues.shape[0]):
-        if eigenvalues[i] - eigenvalues[i - 1] > tol:
-            groups.append(tuple(current))
-            current = []
-        current.append(i)
-    groups.append(tuple(current))
-    return tuple(groups)
-
-
-def eigh(h, *, group_tol: float = GROUP_TOL) -> SpectralDecomposition:
-    """Eigendecomposition (LAPACK) of a Hermitian operator with eigenvalue clustering."""
+def eigh(h) -> SpectralDecomposition:
+    """Eigendecomposition (LAPACK) of a Hermitian operator."""
     a = check_hermitian(h)
     vals, vecs = np.linalg.eigh(a)
     vals = np.asarray(vals, dtype=float)
     vecs = np.asarray(vecs, dtype=complex)
-    return SpectralDecomposition(vals, vecs, _group_indices(vals, group_tol))
+    return SpectralDecomposition(vals, vecs)
 
 
 def operator_norm(m) -> float:
@@ -149,6 +117,7 @@ def resolvent(h, lam: complex) -> np.ndarray:
 def function_from_decomposition(
     dec: SpectralDecomposition, f: Callable[[float], float]
 ) -> np.ndarray:
+    """f(H) for a real-valued f; resolvent-type functions belong to ``resolvent``."""
     vals = np.empty(dec.dim, dtype=float)
     for i, x in enumerate(dec.eigenvalues):
         y = f(float(x))
@@ -163,15 +132,6 @@ def function_from_decomposition(
         vals[i] = y
     out = (dec.vectors * vals) @ dagger(dec.vectors)
     return 0.5 * (out + dagger(out))
-
-
-def apply_function(h, f: Callable[[float], float]) -> np.ndarray:
-    """Functional calculus f(H) for a real-valued f on the spectrum of H.
-
-    Complex-valued functions are rejected; resolvent-type functions
-    x -> 1/(x - lam) with non-real lam belong to ``resolvent`` instead.
-    """
-    return function_from_decomposition(eigh(h), f)
 
 
 def commutator(a, b) -> np.ndarray:

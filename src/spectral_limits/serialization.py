@@ -1,5 +1,5 @@
-"""JSON encoding of algebras, elements, homomorphisms, states, triples,
-morphisms and inductive systems.
+"""JSON encoding of algebras, homomorphisms, triples, morphisms and
+inductive systems.
 
 A matrix is written as {"shape": [rows, cols], "data": base64}, where data
 holds the row-major little-endian complex128 entries, so every bit
@@ -21,7 +21,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .algebra import AlgebraElement, FiniteCStarAlgebra, StarHomomorphism, State
+from .algebra import FiniteCStarAlgebra, StarHomomorphism
 from .errors import ValidationError
 from .generators import (
     GapSequence,
@@ -108,18 +108,6 @@ def algebra_from_json(obj) -> FiniteCStarAlgebra:
     return FiniteCStarAlgebra(tuple(int(n) for n in obj["block_dims"]))
 
 
-def element_to_json(a: AlgebraElement) -> dict:
-    return {
-        "algebra": algebra_to_json(a.algebra),
-        "blocks": [matrix_to_json(b) for b in a.blocks],
-    }
-
-
-def element_from_json(obj) -> AlgebraElement:
-    algebra = algebra_from_json(obj["algebra"])
-    return algebra.element([matrix_from_json(b) for b in obj["blocks"]])
-
-
 def hom_to_json(phi: StarHomomorphism) -> dict:
     out: dict[str, Any] = {
         "source": algebra_to_json(phi.source),
@@ -141,18 +129,6 @@ def hom_from_json(obj) -> StarHomomorphism:
     if enc["kind"] == "explicit_linear":
         return StarHomomorphism(source, target, matrix=matrix_from_json(enc["matrix"]))
     raise ValidationError(f"unknown homomorphism encoding {enc.get('kind')!r}")
-
-
-def state_to_json(s: State) -> dict:
-    return {
-        "algebra": algebra_to_json(s.algebra),
-        "block_densities": [matrix_to_json(b) for b in s.block_densities],
-    }
-
-
-def state_from_json(obj) -> State:
-    algebra = algebra_from_json(obj["algebra"])
-    return State(algebra, tuple(matrix_from_json(b) for b in obj["block_densities"]))
 
 
 def _rep_to_json(rep) -> dict:

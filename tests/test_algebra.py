@@ -12,7 +12,6 @@ from spectral_limits import (
     hom_compose,
     hom_validate,
     operator_norm,
-    subspace_projection,
 )
 from spectral_limits.algebra import map_residuals
 from spectral_limits.linalg import dagger
@@ -287,65 +286,3 @@ class TestGns:
         y = a.from_point_values([1.0, -1.0])
         assert np.allclose(space.left_mult_matrix(x) @ y.coordinates, (x * y).coordinates)
 
-
-class TestSubspaceProjection:
-    def test_full_algebra_gives_identity(self):
-        a = FiniteCStarAlgebra((1, 1))
-        space = gns(a, State.from_weights(a, [0.5, 0.5]))
-        p = subspace_projection(space, StarHomomorphism.identity(a))
-        assert np.allclose(p, np.eye(2), atol=1e-12)
-
-    def test_constants_in_two_points_uniform(self):
-        # Explicit Gram-Schmidt: eta(1) has orthonormal coordinates
-        # (1/sqrt2, 1/sqrt2), so the projection is the constant matrix 1/2.
-        a0, a1 = FiniteCStarAlgebra((1,)), FiniteCStarAlgebra((1, 1))
-        space = gns(a1, State.from_weights(a1, [0.5, 0.5]))
-        inc = StarHomomorphism(a0, a1, spectrum_map=np.array([0, 0]))
-        p = subspace_projection(space, inc)
-        assert np.allclose(p, np.full((2, 2), 0.5), atol=1e-12)
-
-    def test_constants_weighted(self):
-        # Weights (1/4, 3/4): unit vector (1/2, sqrt(3)/2) in orthonormal
-        # coordinates, projection [[1/4, sqrt3/4], [sqrt3/4, 3/4]].
-        a0, a1 = FiniteCStarAlgebra((1,)), FiniteCStarAlgebra((1, 1))
-        space = gns(a1, State.from_weights(a1, [0.25, 0.75]))
-        inc = StarHomomorphism(a0, a1, spectrum_map=np.array([0, 0]))
-        p = subspace_projection(space, inc)
-        s3 = np.sqrt(3)
-        assert np.allclose(p, np.array([[0.25, s3 / 4], [s3 / 4, 0.75]]), atol=1e-12)
-
-    def test_identity_span_in_m2(self):
-        # HS-orthogonality: the traceless part is orthogonal to 1, so the
-        # projection is onto the normalized identity's coordinate line.
-        m2 = FiniteCStarAlgebra((2,))
-        space = gns(m2, State(m2, (np.eye(2, dtype=complex) / 2,)))
-        c1 = FiniteCStarAlgebra((1,))
-        inc = StarHomomorphism(c1, m2, matrix=np.array([[1], [0], [0], [1]], dtype=complex))
-        p = subspace_projection(space, inc)
-        w = space._chol_h @ m2.unit().coordinates
-        w = w / np.linalg.norm(w)
-        assert np.allclose(p, np.outer(w, w.conj()), atol=1e-12)
-
-    def test_nested_projections_commute(self):
-        a0 = FiniteCStarAlgebra((1,))
-        a1 = FiniteCStarAlgebra((1, 1))
-        a2 = FiniteCStarAlgebra((1, 1, 1, 1))
-        space = gns(a2, State.from_weights(a2, [0.1, 0.2, 0.3, 0.4]))
-        inc01 = StarHomomorphism(a0, a1, spectrum_map=np.array([0, 0]))
-        inc12 = StarHomomorphism(a1, a2, spectrum_map=np.array([0, 0, 1, 1]))
-        p1 = subspace_projection(space, hom_compose(inc12, inc01))
-        p2 = subspace_projection(space, inc12)
-        assert operator_norm(p1 @ p2 - p1) <= 1e-10
-        assert operator_norm(p2 @ p1 - p1) <= 1e-10
-        for p in (p1, p2):
-            assert operator_norm(p @ p - p) <= 1e-10
-            assert operator_norm(p - dagger(p)) <= 1e-10
-
-    def test_rank_deficient_inclusion_rejected(self):
-        a1 = FiniteCStarAlgebra((1, 1))
-        space = gns(a1, State.from_weights(a1, [0.5, 0.5]))
-        bad = StarHomomorphism(
-            FiniteCStarAlgebra((1, 1)), a1, matrix=np.array([[1, 1], [1, 1]], dtype=complex)
-        )
-        with pytest.raises(ValidationError):
-            subspace_projection(space, bad)

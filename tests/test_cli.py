@@ -51,6 +51,14 @@ class TestParsers:
         with pytest.raises(ValidationError):
             parse_levels("0..9", 6)
 
+    @pytest.mark.parametrize("command, levels", [("st1", "abc"), ("st1", "1..x"), ("st2", "q")])
+    def test_unparsable_levels_exit2(self, cantor_file, tmp_path, capsys, command, levels):
+        rc = main([command, "--system", cantor_file, "--levels", levels, "--out", str(tmp_path / "l")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "l.csv").exists()
+
 
 BAD_LEVELS = ["abc", 2.5, True, -1, None, [3]]
 
@@ -602,6 +610,26 @@ class TestReport:
         assert main(["report", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"functions": 5}, {"functions": None}, {"functions": [["gaussian"]]}, {"functions": ["nope"]}],
+        ids=["int", "null", "nested", "unknown"],
+    )
+    def test_malformed_functions_exit2(self, tmp_path, capsys, entry):
+        doc = {"system": {"type": "cantor", "gaps": "middle-thirds", "levels": 3}, "lambdas": ["i"]}
+        cfg = write_json(tmp_path / "run_functions.json", {**doc, **entry})
+        assert main(["report", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "probe function" in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("path", [None, ["a"]], ids=["null", "list"])
+    def test_malformed_system_path_exit2(self, tmp_path, capsys, path):
+        cfg = write_json(tmp_path / "run_path.json", {"system": {"path": path}, "lambdas": ["i"]})
+        assert main(["report", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "system.path" in err and "Traceback" not in err
 
     def test_system_by_path(self, tmp_path, cantor_file):
         cfg = write_json(

@@ -129,7 +129,7 @@ class TestEigenOracle:
         # instead of decomposing D_J again, and each containment defect is
         # taken once per (level, cluster) whatever the number of probes.
         from spectral_limits import diagnostics, inductive
-        from spectral_limits.linalg import _group_indices
+        from spectral_limits.diagnostics import _group_indices
 
         counts = {"eigh": 0, "norm": 0}
 

@@ -16,7 +16,6 @@ from spectral_limits import (
     middle_thirds,
     operator_norm,
     random_commutative_system,
-    realization_residuals,
     realize,
     resolvent,
     system_validate,
@@ -108,12 +107,6 @@ class TestRealize:
     def test_invalid_level(self):
         with pytest.raises(ValidationError):
             realize(CANTOR5, 9)
-
-    def test_realization_invariants(self):
-        for system in (CANTOR5, CI3):
-            report = realization_residuals(realize(system))
-            assert report.passed, report.summary()
-            assert report.worst <= 1e-10
 
 
 class TestResolventIdentities:

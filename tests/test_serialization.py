@@ -29,15 +29,11 @@ from spectral_limits.serialization import (
     complex_from_json,
     complex_to_json,
     dumps,
-    element_from_json,
-    element_to_json,
     hom_from_json,
     hom_to_json,
     matrix_from_json,
     matrix_to_json,
     parse_generator_config,
-    state_from_json,
-    state_to_json,
 )
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -84,12 +80,6 @@ class TestObjects:
         a = FiniteCStarAlgebra((2, 1, 3))
         assert algebra_from_json(algebra_to_json(a)) == a
 
-    def test_element(self):
-        a = FiniteCStarAlgebra((2, 1))
-        x = a.from_coordinates(np.arange(5) + 1j)
-        y = element_from_json(element_to_json(x))
-        assert np.array_equal(x.coordinates, y.coordinates)
-
     def test_homs(self):
         a0, a1 = FiniteCStarAlgebra((1, 1)), FiniteCStarAlgebra((1, 1, 1))
         spec = StarHomomorphism(a0, a1, spectrum_map=np.array([0, 1, 1]))
@@ -102,12 +92,6 @@ class TestObjects:
         )
         back2 = hom_from_json(hom_to_json(lin))
         assert np.array_equal(back2.matrix, lin.matrix)
-
-    def test_state(self):
-        a = FiniteCStarAlgebra((2,))
-        s = State(a, (np.eye(2, dtype=complex) / 2,))
-        back = state_from_json(state_to_json(s))
-        assert np.array_equal(back.block_densities[0], s.block_densities[0])
 
 
 class TestSystemRoundTrip:
