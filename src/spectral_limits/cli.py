@@ -27,6 +27,7 @@ from .diagnostics import (
     CONTAIN_TOL,
     DEFAULT_LAMBDAS,
     FUNCTION_PROBES,
+    GAP_DELTA_TOL,
     GROUP_TOL,
     VERDICT_THRESHOLD,
     VERDICT_WINDOW,
@@ -221,7 +222,7 @@ def cmd_st1(args) -> int:
     lambdas = parse_lambdas(args.lam) if args.lam else list(DEFAULT_LAMBDAS)
     system = _load_system_arg(args)
     r = realize(system)
-    levels = parse_levels(args.levels, r.level) if args.levels else list(range(r.level + 1))
+    levels = list(range(r.level + 1)) if args.levels is None else parse_levels(args.levels, r.level)
     functions = _check_functions(args.function or [])
 
     group_tol = args.tol_group
@@ -269,6 +270,14 @@ def cmd_st1(args) -> int:
         "version": __version__,
     }
     _emit_csv_and_json(csv_text, verdict_doc, args.out)
+    for (_, cross), lam in zip(resolvent_results, lambdas):
+        j = max(cross, key=cross.get)
+        if cross[j] > GAP_DELTA_TOL:
+            print(
+                f"warning: direct and eigenprojection gaps differ by {cross[j]:.3g} at "
+                f"lambda={lam:g}, j={j} (cross-check tolerance {GAP_DELTA_TOL:g})",
+                file=sys.stderr,
+            )
     if any(p["classification"] == "inconsistent" for p in probes):
         return EXIT_MATH
     return EXIT_OK
@@ -312,7 +321,7 @@ def _st2_series(args, system: InductiveSystem) -> list[tuple[str, CommutatorSeri
             name, j, elem = _element_from_doc(doc, system)
             out.append((name, commutator_series(system, j, elem, k_max)))
         return out
-    levels = parse_levels(args.levels, k_max) if args.levels else None
+    levels = None if args.levels is None else parse_levels(args.levels, k_max)
     probe = default_st2_probe(system, levels=levels, k_max=k_max)
     return [(f"basis{i}@{s.base_level}", s) for i, s in enumerate(probe)]
 

@@ -2,11 +2,13 @@
 conditions.
 
 The resolvent gap ||I_{j,J} R_lam(D_j) I_{j,J}* - R_lam(D_J)|| is computed
-both directly and through the eigenprojection formula (the supremum of
-|lam_n - lam|^(-1) over ambient eigenvalue clusters not contained in the
-range of P_j); agreement of the two routes is the module's central
-cross-check.  Commutator series track ||[D_k, pi_k(phi_{j,k}(a))]|| over
-k >= j, which is nondecreasing for valid systems.
+both directly, as a Lanczos estimate of the norm, and through the
+eigenprojection formula (the supremum of |lam_n - lam|^(-1) over ambient
+eigenvalue clusters not contained in the range of P_j); agreement of the
+two routes is the module's central cross-check, and it is what catches a
+Lanczos run that stopped on a singular value below the top one.
+Commutator series track ||[D_k, pi_k(phi_{j,k}(a))]|| over k >= j, which
+is nondecreasing for valid systems.
 
 Verdicts are explicitly heuristic: a finite truncation can only report
 trends, never prove a limit statement, and every verdict carries that
@@ -28,6 +30,7 @@ from .inductive import InductiveSystem, Realization
 from .linalg import (
     dagger,
     function_from_decomposition,
+    lanczos_norm,
     operator_norm,
     resolvent_from_decomposition,
 )
@@ -44,6 +47,9 @@ VERDICT_WINDOW = 5
 VERDICT_DECAY = 0.9
 # Tolerance for monotonicity statements about diagnostic series.
 MONOTONE_TOL = 1e-9
+# Largest |direct - eigenprojection| gap difference the st1 cross-check accepts
+# without a warning.
+GAP_DELTA_TOL = 1e-9
 
 CAVEAT = (
     "heuristic verdict from a finite truncation: trends at probed levels "
@@ -91,9 +97,15 @@ def _group_indices(eigenvalues: np.ndarray, group_tol: float) -> tuple[tuple[int
 
 
 def _embedded_gap(r: Realization, j: int, g: Callable, outer: np.ndarray) -> float:
-    """||I_{j,J} g(D_j) I_{j,J}* - outer||, with g mapping a decomposition to g(D)."""
+    """||I_{j,J} g(D_j) I_{j,J}* - outer||, with g mapping a decomposition to g(D).
+
+    The norm is the Lanczos estimate, or the dense norm when Lanczos does
+    not converge.
+    """
     iso = r.embedding(j)
-    return operator_norm(iso @ g(r.level_decomposition(j)) @ dagger(iso) - outer)
+    delta = iso @ g(r.level_decomposition(j)) @ dagger(iso) - outer
+    norm = lanczos_norm(delta)
+    return operator_norm(delta) if norm is None else norm
 
 
 def resolvent_gap(r: Realization, j: int, lam: complex) -> float:

@@ -2,17 +2,33 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spectral_limits import load_system, save_system
+from spectral_limits import (
+    DiagonalRepresentation,
+    FiniteCStarAlgebra,
+    FiniteSpectralTriple,
+    InductiveSystem,
+    StarHomomorphism,
+    TripleMorphism,
+    load_system,
+    save_system,
+)
 from spectral_limits.cli import main, parse_complex, parse_levels
 from spectral_limits.errors import ValidationError
+from spectral_limits.linalg import lanczos_start
 from spectral_limits.serialization import matrix_from_json, matrix_to_json
 
 from test_diagnostics import growing_commutator_system
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_json(path, obj):
@@ -51,7 +67,9 @@ class TestParsers:
         with pytest.raises(ValidationError):
             parse_levels("0..9", 6)
 
-    @pytest.mark.parametrize("command, levels", [("st1", "abc"), ("st1", "1..x"), ("st2", "q")])
+    @pytest.mark.parametrize(
+        "command, levels", [("st1", "abc"), ("st1", "1..x"), ("st2", "q"), ("st1", ""), ("st2", "")]
+    )
     def test_unparsable_levels_exit2(self, cantor_file, tmp_path, capsys, command, levels):
         rc = main([command, "--system", cantor_file, "--levels", levels, "--out", str(tmp_path / "l")])
         assert rc == 2
@@ -381,6 +399,88 @@ class TestSt1:
         assert "function" in body and "one_over_one_plus_x2" in body
 
 
+def _planted_miss_system(n: int = 8):
+    """Two levels: C on C^1 with D_0 = 0, and C by scalars on C^n with isometry u.
+
+    D_1 is 0 on u, 0.1 on a unit vector e orthogonal to u and to the Lanczos
+    start vector, and 5 elsewhere, so the top singular value of the level-0
+    gap at i, 1/|0.1 - i|, lies on e, which the Krylov space reaches only
+    through rounding.
+    """
+    u = np.zeros(n, dtype=complex)
+    u[0] = 1.0
+    q = lanczos_start(n)
+    q = q - np.vdot(u, q) * u
+    q /= np.linalg.norm(q)
+    e = np.zeros(n, dtype=complex)
+    e[1] = 1.0
+    for b in (u, q):
+        e -= np.vdot(b, e) * b
+    e /= np.linalg.norm(e)
+    dirac = 5.0 * (np.eye(n) - np.outer(u, u.conj())) - 4.9 * np.outer(e, e.conj())
+    algebra = FiniteCStarAlgebra((1,))
+    t0 = FiniteSpectralTriple(algebra, DiagonalRepresentation(np.zeros(1, dtype=int), 1), np.zeros((1, 1)))
+    t1 = FiniteSpectralTriple(algebra, DiagonalRepresentation(np.zeros(n, dtype=int), 1), dirac)
+    link = TripleMorphism(t0, t1, StarHomomorphism.identity(algebra), u[:, np.newaxis])
+    return InductiveSystem((t0, t1), (link,))
+
+
+class TestSt1CrossCheck:
+    def test_no_warning_at_defaults(self, cantor_file, capsys):
+        capsys.readouterr()
+        assert main(["st1", "--system", cantor_file]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_disagreeing_routes_warn_without_changing_output(self, cantor_file, tmp_path, capsys):
+        # One cluster for the whole spectrum: the eigen route reads the top
+        # cluster only, far from the direct gaps, but the verdict stands.
+        out = tmp_path / "wide"
+        capsys.readouterr()
+        assert main(["st1", "--system", cantor_file, "--lambda", "i", "--tol-group", "1e300", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"wrote {out}.csv and {out}.json\n"
+        warnings = captured.err.splitlines()
+        assert len(warnings) == 1
+        assert warnings[0].startswith("warning: ") and "lambda=0+1j, j=" in warnings[0]
+        probe = json.loads(Path(f"{out}.json").read_text())["probes"][0]
+        assert probe["max_eigen_gap_delta"] > 1e-9
+        assert probe["classification"] == "consistent"
+
+    def test_planted_top_singular_value_found_or_caught(self, tmp_path, capsys):
+        sysf = tmp_path / "planted_system.json"
+        save_system(_planted_miss_system(), str(sysf))
+        out = tmp_path / "planted"
+        capsys.readouterr()
+        assert main(["st1", "--system", str(sysf), "--lambda", "i", "--out", str(out)]) in (0, 1)
+        err = capsys.readouterr().err
+        delta = json.loads((tmp_path / "planted.json").read_text())["probes"][0]["max_eigen_gap_delta"]
+        found = delta <= 1e-9 and "warning" not in err
+        caught = delta > 1e-9 and err.startswith("warning: ") and "j=0" in err
+        assert found or caught, (delta, err)
+
+    def test_underflowing_probe_exit2(self, tmp_path, capsys):
+        # D_0 = 0, so the level-0 resolvent at 1e-320i overflows.
+        cfg = write_json(
+            tmp_path / "ci2.json",
+            {"type": "christensen-ivan", "chain": "binary", "weights": "uniform", "alphas": [1.0, 2.0], "levels": 2},
+        )
+        assert main(["st1", "--config", cfg, "--lambda", "1e-320j", "--out", str(tmp_path / "u")]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "Traceback" not in err
+
+    def test_st1_leaves_numpy_random_unloaded(self, cantor_file):
+        # numpy.random costs about 6 MB of resident memory at import.
+        code = (
+            "import sys; from spectral_limits.cli import main; "
+            f"rc = main(['st1', '--system', {cantor_file!r}, '--out', {cantor_file + '.st1'!r}]); "
+            "print(rc, 'numpy.random' in sys.modules)"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+
+
 class TestSt2:
     def test_cantor_consistent_constant_series(self, cantor_file, tmp_path):
         out = tmp_path / "st2"
@@ -630,6 +730,14 @@ class TestReport:
         assert main(["report", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
         assert "system.path" in err and "Traceback" not in err
+
+    def test_underflowing_probe_exit2(self, tmp_path, capsys):
+        system = {"type": "christensen-ivan", "chain": "binary", "weights": "uniform", "alphas": [1.0, 2.0], "levels": 2}
+        cfg = write_json(tmp_path / "run_tiny.json", {"system": system, "lambdas": ["1e-320j"]})
+        assert main(["report", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_system_by_path(self, tmp_path, cantor_file):
         cfg = write_json(

@@ -23,6 +23,7 @@ from spectral_limits import (
     function_gap,
     gap_series,
     middle_thirds,
+    operator_norm,
     random_commutative_system,
     realize,
     resolvent_gap,
@@ -31,7 +32,9 @@ from spectral_limits import (
     st2_verdict,
     system_validate,
 )
-from spectral_limits.diagnostics import FUNCTION_PROBES
+from spectral_limits import diagnostics
+from spectral_limits.diagnostics import DEFAULT_LAMBDAS, FUNCTION_PROBES
+from spectral_limits.serialization import system_from_generator_config
 
 SEQ = middle_thirds(6)
 CANTOR6 = cantor_system(SEQ, 6)
@@ -220,6 +223,47 @@ class TestGapSeries:
     def test_nonzero_ambient_entry_rejected(self):
         with pytest.raises(ValidationError):
             GapSeries("resolvent", 3, ((3, 0.5),), lam=1j)
+
+
+def _point_chain_config(sizes, alphas):
+    # Point k of level i+1 lies over point k * size_i // size_{i+1} of level i.
+    branching = [[k * a // b for k in range(b)] for a, b in zip(sizes, sizes[1:])]
+    return {
+        "type": "christensen-ivan",
+        "chain": {"branching": branching},
+        "weights": "uniform",
+        "alphas": alphas,
+        "levels": len(alphas),
+    }
+
+
+class TestDirectRouteOracle:
+    """Every gap of the Krylov direct route against the dense ``operator_norm``."""
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            lambda: ci_system(commutative_af_chain(binary_branching(6), np.full(64, 1 / 64), list(range(1, 7))), 6),
+            lambda: cantor_system(middle_thirds(10), 10),
+            lambda: system_from_generator_config(
+                _point_chain_config([1, 2, 3, 6, 12, 24], [(-1.0) ** j for j in range(1, 6)])
+            ),
+        ],
+        ids=["binary-ci-6", "cantor-10", "point-chain-ci-5"],
+    )
+    def test_gap_series_matches_dense(self, system, monkeypatch):
+        r = realize(system())
+        probes = [{"lam": lam} for lam in DEFAULT_LAMBDAS] + [{"f_name": name} for name in FUNCTION_PROBES]
+        dense_calls = []
+        monkeypatch.setattr(diagnostics, "operator_norm", lambda m: dense_calls.append(m) or operator_norm(m))
+        krylov = [gap_series(r, **probe).values for probe in probes]
+        assert not dense_calls, "the Krylov route fell back to the dense norm"
+        monkeypatch.setattr(diagnostics, "lanczos_norm", lambda m: None)
+        dense = [gap_series(r, **probe).values for probe in probes]
+        assert len(dense_calls) == sum(map(len, dense))
+        for got, want in zip(krylov, dense):
+            for a, b in zip(got, want):
+                assert abs(a - b) <= 1e-13 * max(a, b)
 
 
 class TestCommutatorSeries:

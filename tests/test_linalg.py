@@ -23,6 +23,7 @@ from spectral_limits.linalg import (
     dagger,
     frobenius,
     function_from_decomposition,
+    lanczos_norm,
 )
 
 # Jacobi oracle: off-diagonal convergence threshold, relative to ||H||_F.
@@ -178,6 +179,45 @@ class TestOperatorNorm:
             assert operator_norm(h) == pytest.approx(
                 float(np.max(np.abs(dec.eigenvalues))), abs=1e-10 * max(1, abs(h).max())
             )
+
+
+class TestLanczosNorm:
+    """The Krylov estimate against the dense oracle ``operator_norm``."""
+
+    @staticmethod
+    def assert_matches_oracle(m):
+        want = operator_norm(m)
+        got = lanczos_norm(m)
+        assert got is not None
+        assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (7, 3), (3, 7), (40, 40), (65, 50)])
+    def test_seeded_random(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(5):
+            self.assert_matches_oracle(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+    @pytest.mark.parametrize("rank", [1, 2, 5])
+    def test_rank_deficient(self, rank):
+        rng = np.random.default_rng(rank)
+        left = rng.normal(size=(30, rank)) + 1j * rng.normal(size=(30, rank))
+        right = rng.normal(size=(rank, 24)) + 1j * rng.normal(size=(rank, 24))
+        self.assert_matches_oracle(left @ right)
+
+    def test_one_by_one(self):
+        assert lanczos_norm([[-3.0 + 4.0j]]) == pytest.approx(5.0, rel=1e-15)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (3, 6)])
+    def test_zero_is_exactly_zero(self, shape):
+        assert lanczos_norm(np.zeros(shape)) == 0.0
+
+    def test_hermitian_with_repeated_top_eigenvalue(self):
+        h = np.diag([2.0, -2.0, 2.0, 1.0, 0.5, 0.0])
+        assert lanczos_norm(h) == pytest.approx(2.0, rel=1e-14)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            lanczos_norm(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
 class TestResolvent:
