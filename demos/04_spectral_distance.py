@@ -4,7 +4,7 @@
 d(x, y) = sup{ |f(x) - f(y)| : ||[D, pi(f)]|| <= 1 }.  On gapwise Cantor
 triples the constraint decouples into per-gap difference bounds and the
 distance is a shortest path; the exhaustive vertex-enumeration LP verifies
-it independently.  A coupled example exercises the cutting-plane fallback.
+it independently.  A coupled example exercises the barrier (SDP) solve.
 
 To run:
     python demos/04_spectral_distance.py

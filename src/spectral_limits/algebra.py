@@ -21,6 +21,9 @@ from .errors import ValidationError
 from .linalg import as_matrix, dagger, frobenius
 from .linalg import operator_norm  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 
+# Default residual tolerance of every validation: homomorphisms here, triples,
+# morphisms and whole systems in ``triple`` and ``inductive``.
+VALIDATION_TOL = 1e-10
 # Smallest eigenvalue (relative to trace) below which a density is not faithful.
 FAITHFUL_TOL = 1e-12
 # Complex entries per chunk of a stacked residual, which bounds its memory.
@@ -344,7 +347,7 @@ def chunks(count: int, entries_per_item: int) -> Iterable[slice]:
     return (slice(i, i + step) for i in range(0, count, step))
 
 
-def hom_validate(phi: StarHomomorphism, tol: float = 1e-10) -> ResidualReport:
+def hom_validate(phi: StarHomomorphism, tol: float = VALIDATION_TOL) -> ResidualReport:
     """Residuals for unitality, multiplicativity, *-preservation and injectivity.
 
     The injectivity margin is the smallest singular value of the coordinate

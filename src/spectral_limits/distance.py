@@ -7,9 +7,9 @@ most one coordinate carrying a different point (gapwise triples), the norm
 constraint decouples into pairwise difference bounds and the supremum is the
 shortest-path distance in the weighted constraint graph.  An exhaustive
 vertex-enumeration LP over the same polytope serves as an independent
-oracle.  Genuinely coupled instances fall back to a cutting-plane loop whose
-relaxations are solved by a simplex that works on the k x k block of the
-k structural columns in each basis.
+oracle.  Genuinely coupled instances are solved as the semidefinite program
+max f(x) - f(y) subject to -I <= i[D, diag(f)] <= I, by log-barrier Newton
+steps with a certified optimality gap.
 
 Points in different components of the interaction graph are at infinite
 distance, returned as ``math.inf``.
@@ -31,18 +31,16 @@ from .triple import DiagonalRepresentation, FiniteSpectralTriple
 COUPLING_CUTOFF = 1e-12
 # Work cap for the vertex-enumeration oracle.
 ORACLE_MAX_TREES = 200_000
-# Cutting-plane loop control.
-KELLEY_MAX_ITER = 200
-KELLEY_TOL = 1e-9
-# Size cap on a cutting-plane instance, checked before any constraint row is
-# built: with nvar free variables and ncon the worst-case constraint count,
-# 8 * ncon * (2 * nvar + ncon) may not exceed it.  That is the byte size of a
-# dense [A, -A, I] tableau, but none is allocated (each pivot solves on a
-# k x k block, k <= 2 * nvar), so the cap bounds the number of constraints
-# and variables and with them the work of each pivot.  Instances that
-# converge in practice (under 10 points, a few hundred constraints) are far
-# below it; fully coupled instances reach it near 60 points.
-KELLEY_MAX_TABLEAU_BYTES = 2**27
+# Relative certified gap at which the coupled (barrier) solve stops.  Each
+# factor 50 costs about five Newton steps; at 1e-15 rounding pushes the
+# eigenvalues of M(f) past +-1 (NumericError).
+SDP_GAP_TOL = 1e-10
+# Newton steps allowed in one solve; coupled CI levels take 35-45.
+SDP_MAX_STEPS = 200
+# Cap on the bytes of the nvar x n x n complex stack B_k, checked before it is
+# built: binary CI level 7 (n = 128, 33 MB, 5 s, 170 MB peak) passes, level 8
+# (267 MB) does not.
+SDP_MAX_STACK_BYTES = 2**27
 
 
 def _diagonal_form(t: FiniteSpectralTriple) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +154,9 @@ def connes_distance_with_path(t: FiniteSpectralTriple, x: int, y: int):
     """Distance together with a certifying geodesic (decoupled instances).
 
     Returns (value, path) where path is a point-index list or None when the
-    distance is infinite or the instance required the cutting-plane route.
+    distance is infinite or the instance is coupled; a coupled value comes
+    from the barrier solve, a feasible lower bound within SDP_GAP_TOL
+    relative of the distance.
     """
     x, y = _check_points(t, x, y)
     if x == y:
@@ -168,8 +168,7 @@ def connes_distance_with_path(t: FiniteSpectralTriple, x: int, y: int):
         return math.inf, None
     if decoupled:
         return _dijkstra(t.algebra.n_points, edges, x, y)
-    value = _kelley_distance(coord_points, dirac, edges, comp, x, y)
-    return value, None
+    return _barrier_distance(coord_points, dirac, comp, x, y)[0], None
 
 
 def connes_distance(t: FiniteSpectralTriple, x: int, y: int) -> float:
@@ -262,131 +261,62 @@ def connes_distance_lp(t: FiniteSpectralTriple, x: int, y: int) -> float:
     return best
 
 
-def _simplex_max(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> np.ndarray:
-    """max c.z over {A z <= b} with free z and strictly positive b.
+def _barrier_distance(coord_points, dirac, comp, x: int, y: int) -> tuple[float, np.ndarray, float]:
+    """Log-barrier solve of max f_x over ||[D, diag(f)]|| <= 1 with f_y = 0.
 
-    Free variables are split as z = u - w and every row gets a slack, so the
-    standard-form columns are [A, -A, I]; since b > 0 the slack basis is
-    feasible and a single phase with Bland's rule suffices.  No tableau is
-    formed.  Every basic slack is an identity column, so a basis is its k
-    structural columns S together with the rows R whose slack is nonbasic
-    (|R| = k): B x = r reduces to S[R] x_S = r[R] with the basic slacks
-    r - S x_S on the other rows, and B^T lam = c_B to S[R]^T lam[R] = c_S
-    with lam zero off R.  Each pivot therefore solves k x k systems only.
+    M(f) = i[D, diag(f)] = sum_k f_k B_k is Hermitian, so the constraint is
+    -I <= M(f) <= I, with barrier -sum_a log(1 - w_a^2) over the eigenvalues
+    w of M(f) (parameter nu = 2n on n coordinates); one eigendecomposition
+    M = V diag(w) V* per Newton step gives gradient and Hessian through
+    V* B_k V.  From the feasible f = 0, Newton steps on -t f_x + barrier are
+    damped by 1 / (1 + lam) while the decrement lam exceeds 1/2.  At such an
+    approximate centre the optimum exceeds f_x by at most
+    (nu + (lam + sqrt(nu)) lam / (1 - lam)) / t (Nesterov, Introductory
+    Lectures on Convex Optimization, section 4.2); t grows 50-fold until that
+    gap is at most SDP_GAP_TOL * f_x.  Returns (value, f, gap): f is feasible
+    on all points, value = f_x and the distance lies in [value, value + gap].
     """
-    n = c.shape[0]
-    ncon = a_ub.shape[0]
-    signed = np.hstack([a_ub, -a_ub])
-    cost = np.concatenate([c, -c, np.zeros(ncon)])
-    basic = np.zeros(2 * n + ncon, dtype=bool)
-    basic[2 * n :] = True
-    for _ in range(20000):
-        struct = np.flatnonzero(basic[: 2 * n])
-        rows = np.flatnonzero(~basic[2 * n :])
-        s_cols = signed[:, struct]
-        block = s_cols[rows]
-        lam = np.zeros(ncon)
-        lam[rows] = np.linalg.solve(block.T, cost[struct])
-        reduced = cost - np.concatenate([lam @ signed, lam])
-        reduced[struct] = 0.0
-        improving = np.flatnonzero(reduced > 1e-11)
-        x_struct = np.linalg.solve(block, b_ub[rows])
-        if improving.size == 0:
-            sol = np.zeros(2 * n)
-            sol[struct] = x_struct
-            return sol[:n] - sol[n:]
-        enter = improving[0]  # Bland: the smallest improving index enters
-        if enter < 2 * n:
-            column = signed[:, enter]
-        else:
-            column = np.zeros(ncon)
-            column[enter - 2 * n] = 1.0
-        d_struct = np.linalg.solve(block, column[rows])
-        slack = np.flatnonzero(basic[2 * n :])
-        basis = np.concatenate([struct, 2 * n + slack])
-        xb = np.concatenate([x_struct, (b_ub - s_cols @ x_struct)[slack]])
-        direction = np.concatenate([d_struct, (column - s_cols @ d_struct)[slack]])
-        cand = np.flatnonzero(direction > 1e-11)
-        if cand.size == 0:
-            raise NumericError("cutting-plane LP relaxation is unbounded")
-        ratio = xb[cand] / direction[cand]
-        # Bland: the smallest ratio leaves, ties to the smallest column index.
-        leave = basis[cand[np.lexsort((basis[cand], ratio))[0]]]
-        basic[enter] = True
-        basic[leave] = False
-    raise NumericError("simplex did not terminate")
-
-
-def _kelley_distance(coord_points, dirac, edges, comp, x: int, y: int) -> float:
-    """Cutting-plane solve of max f_x - f_y over ||[D, diag(f)]|| <= 1.
-
-    Starts from the entrywise difference-bound outer relaxation and adds
-    norm subgradient cuts until the relaxed optimum is feasible within
-    KELLEY_TOL.  Result accuracy is therefore KELLEY_TOL relative.
-    """
-    points = sorted(np.nonzero(comp == comp[x])[0].tolist())
-    m = len(points)
-    # Variables: f at component points except y (gauge f_y = 0).
-    var_points = np.array([p for p in points if p != y])
-    var_of = {int(p): j for j, p in enumerate(var_points)}
-    nvar = len(var_of)
-    # Constraints: two per edge, two box rows per variable and one cut per
-    # iteration.
-    n_edges = sum(1 for u, _ in edges if comp[u] == comp[x])
-    ncon = 2 * n_edges + 2 * nvar + KELLEY_MAX_ITER
-    if 8 * ncon * (2 * nvar + ncon) > KELLEY_MAX_TABLEAU_BYTES:
+    coords = np.flatnonzero(comp[coord_points] == comp[x])
+    owners = coord_points[coords]
+    var_points = np.unique(owners[owners != y])
+    n, nvar = coords.size, var_points.size
+    if 16 * nvar * n * n > SDP_MAX_STACK_BYTES:
         raise ValidationError(
-            f"cutting-plane instance too large: {m} points give {nvar} variables and up to "
-            f"{ncon} constraints (limit: 8 * constraints * (2 * variables + constraints) "
-            f"<= {KELLEY_MAX_TABLEAU_BYTES})"
+            f"coupled distance instance too large: {nvar} free points on {n} coordinates "
+            f"need {16 * nvar * n * n} bytes of constraint matrices (limit {SDP_MAX_STACK_BYTES})"
         )
-
-    def row_for_difference(u, v):
-        row = np.zeros(nvar)
-        if u != y:
-            row[var_of[u]] += 1.0
-        if v != y:
-            row[var_of[v]] -= 1.0
-        return row
-
-    rows = []
-    rhs = []
-    total_w = 0.0
-    for (u, v), w in sorted(edges.items()):
-        if comp[u] != comp[x]:
+    member = (owners[None, :] == var_points[:, None]).astype(float)
+    # B_k[r, s] = i D_rs (1_k(s) - 1_k(r)) on the component's coordinates.
+    basis = 1j * dirac[np.ix_(coords, coords)] * (member[:, None, :] - member[:, :, None])
+    c = (var_points == x).astype(float)
+    f = np.zeros(nvar)
+    t, nu = 1.0, 2.0 * n
+    for _ in range(SDP_MAX_STEPS):
+        try:
+            w, v = np.linalg.eigh(np.tensordot(f, basis, 1))
+            if np.max(np.abs(w)) >= 1.0:
+                raise NumericError("barrier iterate left the feasible set")
+            rotated = (v.conj().T @ basis @ v).reshape(nvar, n * n)
+            d1, d2 = 1.0 / (1.0 - w), 1.0 / (1.0 + w)
+            grad = rotated[:, :: n + 1].real @ (d1 - d2) - t * c
+            weight = (np.outer(d1, d1) + np.outer(d2, d2)).ravel()
+            step = -np.linalg.solve(((rotated * weight) @ rotated.conj().T).real, grad)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"barrier Newton step failed: {exc}") from exc
+        lam = math.sqrt(max(-float(grad @ step), 0.0))
+        if lam > 0.5:
+            f += step / (1.0 + lam)
             continue
-        r = row_for_difference(u, v)
-        rows.extend([r, -r])
-        rhs.extend([w, w])
-        total_w += w
-    box = total_w + 1.0
-    for r in np.eye(nvar):
-        rows.extend([r, -r])
-        rhs.extend([box, box])
-
-    c = np.zeros(nvar)
-    c[var_of[x]] = 1.0
-    n_points = len(comp)
-
-    value = math.inf
-    for _ in range(KELLEY_MAX_ITER):
-        f_sol = _simplex_max(c, np.array(rows), np.array(rhs))
-        value = float(c @ f_sol)
-        f_points = np.zeros(n_points)
-        f_points[var_points] = f_sol
-        fdiag = f_points[coord_points]
-        cmat = dirac * (fdiag[None, :] - fdiag[:, None])
-        nu = operator_norm(cmat)
-        if nu <= 1.0 + KELLEY_TOL:
-            return value / max(nu, 1.0)
-        # Norm subgradient at f_sol: g_p = Re(u* [D, diag(1_p)] v).
-        usv = np.linalg.svd(cmat)
-        uvec = usv[0][:, 0]
-        vvec = usv[2][0, :].conj()
-        du = np.conj(uvec) @ dirac
-        dv = dirac @ vvec
-        g_coords = np.real(du * vvec - np.conj(uvec) * dv)
-        grad = np.bincount(coord_points, weights=g_coords, minlength=n_points)[var_points]
-        rows.append(grad)
-        rhs.append(1.0)
-    raise NumericError(f"cutting-plane distance did not converge in {KELLEY_MAX_ITER} iterations")
+        value = float(f @ c)
+        gap = (nu + (lam + math.sqrt(nu)) * lam / (1.0 - lam)) / t
+        if gap <= SDP_GAP_TOL * value:
+            break
+        t *= 50.0
+    else:
+        raise NumericError(f"barrier distance did not converge in {SDP_MAX_STEPS} Newton steps")
+    f_points = np.zeros(len(comp))
+    f_points[var_points] = f
+    fd = f_points[coord_points]
+    # Rescale into the feasible set should rounding leave ||[D, diag(f)]|| above 1.
+    scale = max(1.0, operator_norm(dirac * (fd[None, :] - fd[:, None])))
+    return value / scale, f_points / scale, gap + value - value / scale

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from .algebra import ResidualReport
+from .algebra import VALIDATION_TOL, ResidualReport
 from .errors import ValidationError
 from .linalg import (
     SpectralDecomposition,
@@ -29,8 +29,6 @@ from .triple import (
     validate_morphism,
     validate_triple,
 )
-
-VALIDATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)

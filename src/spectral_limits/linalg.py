@@ -156,12 +156,18 @@ def lanczos_norm(m) -> float | None:
 def resolvent_from_decomposition(dec: SpectralDecomposition, lam: complex) -> np.ndarray:
     lam = complex(lam)
     denom = dec.eigenvalues - lam
+    closest = float(np.min(np.abs(denom)))
     if lam.imag == 0.0:
         margin = REAL_RESOLVENT_MARGIN * max(1.0, float(np.max(np.abs(dec.eigenvalues))))
-        if float(np.min(np.abs(denom))) <= margin:
+        if closest <= margin:
             raise SingularityError(
                 f"real resolvent point {lam.real:g} is within {margin:.1e} of the spectrum"
             )
+    if closest < 1.0 / np.finfo(float).max:
+        raise ValidationError(
+            f"probe lambda={lam} gives a non-finite resolvent: it lies {closest!r} from the "
+            "spectrum and 1/|lambda_n - lambda| overflows"
+        )
     return (dec.vectors / denom) @ dagger(dec.vectors)
 
 
@@ -170,7 +176,9 @@ def resolvent(h, lam: complex) -> np.ndarray:
 
     ``lam`` must be non-real, or real with distance to the spectrum larger
     than the rejection margin (near-spectrum real points raise
-    ``SingularityError`` rather than being regularized).
+    ``SingularityError`` rather than being regularized).  A probe so close
+    to the spectrum that 1/|lambda_n - lam| overflows raises
+    ``ValidationError``.
     """
     return resolvent_from_decomposition(eigh(h), lam)
 

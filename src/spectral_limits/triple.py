@@ -27,6 +27,7 @@ from .algebra import (
     FiniteCStarAlgebra,
     ResidualReport,
     StarHomomorphism,
+    VALIDATION_TOL,
     chunks,
     hom_compose,
     hom_validate,
@@ -41,9 +42,6 @@ from .linalg import (
     frobenius,
     operator_norm,
 )
-
-# Default residual tolerance for triple / morphism validation.
-VALIDATION_TOL = 1e-10
 
 
 class DenseRepresentation:

@@ -467,6 +467,7 @@ class TestSt1CrossCheck:
         assert main(["st1", "--config", cfg, "--lambda", "1e-320j", "--out", str(tmp_path / "u")]) == 2
         err = capsys.readouterr().err
         assert "non-finite" in err and "Traceback" not in err
+        assert "RuntimeWarning" not in err and "lambda=1e-320j" in err
 
     def test_st1_leaves_numpy_random_unloaded(self, cantor_file):
         # numpy.random costs about 6 MB of resident memory at import.
@@ -650,10 +651,30 @@ class TestDistance:
         assert rc == 2
 
 
+class TestCoupledDistance:
+    @pytest.mark.parametrize("level", [4, 5])
+    def test_alternating_binary_ci_converges(self, tmp_path, capsys, level):
+        # Binary CI at J=8 with alpha_j = (-1)^j.  The former cutting plane
+        # exited 1 on both levels; at level 4 its last certified interval for
+        # d(0, 1) was [1.2075, 1.2975].
+        alphas = [(-1.0) ** j for j in range(1, 9)]
+        cfg = write_json(
+            tmp_path / "ci8.json",
+            {"type": "christensen-ivan", "chain": "binary", "weights": "uniform", "alphas": alphas, "levels": 8},
+        )
+        start = time.perf_counter()
+        rc = main(["distance", "--config", cfg, "--level", str(level), "--x", "0", "--y", "1"])
+        assert time.perf_counter() - start < 30.0
+        assert rc == 0
+        value = float(capsys.readouterr().out.splitlines()[0].rsplit("=", 1)[1])
+        if level == 4:
+            assert 1.2075 <= value <= 1.2975
+
+
 class TestDistanceSizeLimit:
     def test_large_coupled_instance_exit2(self, tmp_path, capsys):
         # Binary CI at J=8 with alternating alphas couples all 256 top-level
-        # points; the cutting-plane tableau would need about 33 GB.
+        # points; the barrier's constraint matrices would need 267 MB.
         cfg = write_json(
             tmp_path / "ci8.json",
             {
@@ -737,6 +758,7 @@ class TestReport:
         assert main(["report", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
         assert "non-finite" in err and "Traceback" not in err
+        assert "RuntimeWarning" not in err and "lambda=1e-320j" in err
         assert not (tmp_path / "r.json").exists()
 
     def test_system_by_path(self, tmp_path, cantor_file):

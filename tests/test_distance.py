@@ -28,6 +28,22 @@ SEQ = middle_thirds(6)
 CANTOR = cantor_system(SEQ, 4)
 
 
+def decoupled_instances():
+    """Cantor levels 1-4 and six random gap sequences: 51 point pairs."""
+    rng = np.random.default_rng(21)
+    instances = [CANTOR.triples[j] for j in range(1, 5)]
+    for _ in range(6):
+        levels = int(rng.integers(1, 5))
+        instances.append(cantor_system(random_gap_sequence(rng, levels), levels).triples[levels])
+    return instances
+
+
+def row_coupled(a, b):
+    """One coordinate of point 0 coupled to two coordinates of point 1."""
+    d = np.array([[0, a, b], [a, 0, 0], [b, 0, 0]], dtype=complex)
+    return FiniteSpectralTriple(FiniteCStarAlgebra((1, 1)), DiagonalRepresentation(np.array([0, 1, 1]), 2), d)
+
+
 class TestBasics:
     def test_same_point(self):
         assert connes_distance(CANTOR.triples[3], 2, 2) == 0.0
@@ -65,12 +81,7 @@ class TestBasics:
                 assert d[x, y] <= d[x, z] + d[z, y] + 1e-9
 
     def test_shortest_path_equals_lp_oracle(self):
-        rng = np.random.default_rng(21)
-        instances = [CANTOR.triples[j] for j in range(1, 5)]
-        for _ in range(6):
-            levels = int(rng.integers(1, 5))
-            instances.append(cantor_system(random_gap_sequence(rng, levels), levels).triples[levels])
-        for t in instances:
+        for t in decoupled_instances():
             pts = t.algebra.n_points
             assert pts <= 16
             for x, y in itertools.combinations(range(pts), 2):
@@ -124,14 +135,8 @@ class TestCoupledFallback:
         # distance is 1/sqrt(a^2 + b^2); the entrywise relaxation alone
         # would give the larger 1/max(a, b).
         a, b = 2.0, 3.0
-        d = np.array([[0, a, b], [a, 0, 0], [b, 0, 0]], dtype=complex)
-        t = FiniteSpectralTriple(
-            FiniteCStarAlgebra((1, 1)),
-            DiagonalRepresentation(np.array([0, 1, 1]), 2),
-            d,
-        )
-        value = connes_distance(t, 0, 1)
-        assert value == pytest.approx(1.0 / math.sqrt(a * a + b * b), abs=1e-8)
+        value = connes_distance(row_coupled(a, b), 0, 1)
+        assert value == pytest.approx(1.0 / math.sqrt(a * a + b * b), abs=1e-10)
 
     def test_coupled_three_points(self):
         # Chain 0 - 1 - 2 with an extra coupled coordinate on the middle
@@ -165,104 +170,12 @@ class TestCoupledFallback:
         assert value == pytest.approx(best, abs=1e-4)
 
 
-def dense_tableau_simplex(c, a_ub, b_ub):
-    """The former dense-tableau simplex, kept as the oracle for distance._simplex_max.
-
-    Same standard form [A, -A, I], cold start from the slack basis, Bland's
-    rule and 1e-11 thresholds, but every pivot solves ncon x ncon systems on
-    the full tableau.  Returns the maximiser and the number of pivots.
-    """
-    n = c.shape[0]
-    ncon = a_ub.shape[0]
-    amat = np.hstack([a_ub, -a_ub, np.eye(ncon)])
-    cost = np.concatenate([c, -c, np.zeros(ncon)])
-    basis = list(range(2 * n, 2 * n + ncon))
-    bvec = b_ub.astype(float).copy()
-    tab = amat.astype(float).copy()
-    for pivots in range(20000):
-        lam = np.linalg.solve(tab[:, basis].T, cost[basis])
-        reduced = cost - lam @ tab
-        reduced[basis] = 0.0
-        enter = -1
-        for j in range(reduced.shape[0]):  # Bland: smallest improving index
-            if reduced[j] > 1e-11:
-                enter = j
-                break
-        if enter < 0:
-            sol = np.zeros(2 * n + ncon)
-            xb = np.linalg.solve(tab[:, basis], bvec)
-            sol[basis] = xb
-            return sol[:n] - sol[n : 2 * n], pivots
-        direction = np.linalg.solve(tab[:, basis], tab[:, enter])
-        xb = np.linalg.solve(tab[:, basis], bvec)
-        ratios = [
-            (xb[i] / direction[i], basis[i], i)
-            for i in range(ncon)
-            if direction[i] > 1e-11
-        ]
-        if not ratios:
-            raise NumericError("cutting-plane LP relaxation is unbounded")
-        _, _, leave_pos = min(ratios, key=lambda r: (r[0], r[1]))
-        basis[leave_pos] = enter
-    raise NumericError("simplex did not terminate")
-
-
 def ci_level(alphas, level, sizes=None):
     chain = "binary"
     if sizes is not None:
         chain = {"branching": [[k * a // b for k in range(b)] for a, b in zip(sizes, sizes[1:])]}
     cfg = {"type": "christensen-ivan", "chain": chain, "weights": "uniform", "alphas": alphas, "levels": len(alphas)}
     return system_from_generator_config(cfg).triples[level]
-
-
-def count_calls(monkeypatch, owner, name):
-    """Wrap owner.name so that each call records its positional arguments."""
-    calls = []
-    original = getattr(owner, name)
-
-    def spy(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(owner, name, spy)
-    return calls
-
-
-class TestStructuralSimplex:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_dense_tableau_oracle(self, monkeypatch, seed):
-        # b > 0, a box of +-e_j rows and random extra cut rows, as the
-        # cutting plane builds them.
-        rng = np.random.default_rng(seed)
-        for _ in range(5):
-            nvar = int(rng.integers(1, 7))
-            box = float(rng.uniform(2.0, 10.0))
-            cuts = rng.normal(size=(int(rng.integers(0, 30)), nvar))
-            a_ub = np.vstack([np.eye(nvar), -np.eye(nvar), cuts])
-            b_ub = np.concatenate([np.full(2 * nvar, box), rng.uniform(0.1, 2.0, size=cuts.shape[0])])
-            c = rng.normal(size=nvar)
-            want, want_pivots = dense_tableau_simplex(c, a_ub, b_ub)
-            ratio_tests = count_calls(monkeypatch, np, "lexsort")
-            got = distance._simplex_max(c, a_ub, b_ub)
-            monkeypatch.undo()
-            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
-            assert len(ratio_tests) == want_pivots
-
-    def test_unbounded_relaxation_raises(self):
-        with pytest.raises(NumericError, match="unbounded"):
-            distance._simplex_max(np.array([1.0, 0.0]), np.array([[-1.0, 0.0], [0.0, 1.0]]), np.ones(2))
-
-    def test_solves_only_structural_blocks(self, monkeypatch):
-        # ci-report-style level 3: 6 coupled points, so 5 free variables and
-        # about a hundred constraint rows; the dense tableau solved
-        # ncon x ncon systems at every pivot.
-        t = ci_level([-1.0, 1.0, -1.0], 3, sizes=[1, 2, 3, 6])
-        nvar = t.algebra.n_points - 1
-        solves = count_calls(monkeypatch, np.linalg, "solve")
-        value = connes_distance(t, 0, 1)
-        assert value == pytest.approx(1.3093073409403495, abs=1e-12)
-        assert solves
-        assert max(a.shape[0] for a, _ in solves) <= 2 * nvar
 
 
 class TestKelleyRegression:
@@ -274,3 +187,52 @@ class TestKelleyRegression:
         value = connes_distance(t, 0, 1)
         assert time.perf_counter() - start < 10.0
         assert value == pytest.approx(1.333333332781743, abs=1e-9)
+
+
+def barrier_solve(t, x, y):
+    """The coupled-route solve called directly, also on decoupled instances."""
+    coord_points, dirac = distance._diagonal_form(t)
+    edges, _ = distance._interaction(coord_points, dirac)
+    comp = distance._components(t.algebra.n_points, edges)
+    return distance._barrier_distance(coord_points, dirac, comp, x, y)
+
+
+class TestBarrierSolve:
+    def test_matches_shortest_path_on_decoupled_instances(self):
+        pairs = 0
+        for t in decoupled_instances():
+            for x, y in itertools.combinations(range(t.algebra.n_points), 2):
+                value, _, _ = barrier_solve(t, x, y)
+                assert abs(value - connes_distance(t, x, y)) <= 1e-10, (x, y, value)
+                pairs += 1
+        assert pairs == 51
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_row_coupled_relative_accuracy(self, scale):
+        # The stop is relative, so tiny and huge distances keep their digits.
+        a, b = 2.0 * scale, 3.0 * scale
+        value, _, _ = barrier_solve(row_coupled(a, b), 0, 1)
+        assert value == pytest.approx(1.0 / math.sqrt(a * a + b * b), rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "alphas, level, sizes",
+        [
+            ([-1.0, 1.0, -1.0], 3, None),
+            ([-1.0, 1.0, -1.0], 3, [1, 2, 3, 6]),
+            ([(-1.0) ** j for j in range(1, 6)], 4, None),
+            ([(-1.0) ** j for j in range(1, 6)], 5, None),
+        ],
+        ids=["binary-3", "ci-report-3", "binary-4", "binary-5"],
+    )
+    def test_certificate(self, alphas, level, sizes):
+        t = ci_level(alphas, level, sizes)
+        value, f, gap = barrier_solve(t, 0, 1)
+        assert f[1] == 0.0 and f[0] == value
+        fd = f[t.rep.coord_points]
+        assert np.linalg.norm(t.dirac * (fd[None, :] - fd[:, None]), 2) <= 1.0
+        assert 0.0 <= gap <= 1e-10 * max(1.0, value)
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(distance, "SDP_MAX_STEPS", 5)
+        with pytest.raises(NumericError, match="did not converge in 5 Newton steps"):
+            connes_distance(row_coupled(2.0, 3.0), 0, 1)
