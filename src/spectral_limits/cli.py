@@ -319,7 +319,10 @@ def _st2_series(args, system: InductiveSystem) -> list[tuple[str, CommutatorSeri
                 except json.JSONDecodeError as exc:
                     raise ValidationError(f"--element must be a file or inline JSON: {exc}")
             name, j, elem = _element_from_doc(doc, system)
-            out.append((name, commutator_series(system, j, elem, k_max)))
+            try:
+                out.append((name, commutator_series(system, j, elem, k_max)))
+            except ValidationError as exc:
+                raise ValidationError(f"element {name!r}: {exc}") from None
         return out
     levels = None if args.levels is None else parse_levels(args.levels, k_max)
     probe = default_st2_probe(system, levels=levels, k_max=k_max)

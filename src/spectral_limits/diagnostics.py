@@ -96,23 +96,28 @@ def _group_indices(eigenvalues: np.ndarray, group_tol: float) -> tuple[tuple[int
     return tuple(groups)
 
 
-def _embedded_gap(r: Realization, j: int, g: Callable, outer: np.ndarray) -> float:
+def _embedded_gap(r: Realization, j: int, g: Callable, outer: np.ndarray, probe: str) -> float:
     """||I_{j,J} g(D_j) I_{j,J}* - outer||, with g mapping a decomposition to g(D).
 
     The norm is the Lanczos estimate, or the dense norm when Lanczos does
-    not converge.
+    not converge.  A norm beyond the float range raises ``ValidationError``
+    naming ``probe``.
     """
     iso = r.embedding(j)
-    delta = iso @ g(r.level_decomposition(j)) @ dagger(iso) - outer
-    norm = lanczos_norm(delta)
-    return operator_norm(delta) if norm is None else norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = iso @ g(r.level_decomposition(j)) @ dagger(iso) - outer
+    norm = lanczos_norm(delta) if np.isfinite(delta).all() else math.inf
+    norm = operator_norm(delta) if norm is None else norm
+    if not math.isfinite(norm):
+        raise ValidationError(f"{probe} gives a gap norm beyond the float range at level {j}")
+    return norm
 
 
 def resolvent_gap(r: Realization, j: int, lam: complex) -> float:
     """Direct norm of I_{j,J} R_lam(D_j) I_{j,J}* - R_lam(D_J)."""
     j = _check_level(r, j)
     g = partial(resolvent_from_decomposition, lam=_check_nonreal(lam))
-    return _embedded_gap(r, j, g, g(r.ambient_decomposition()))
+    return _embedded_gap(r, j, g, g(r.ambient_decomposition()), f"probe lambda={lam}")
 
 
 def resolvent_gap_eigen(
@@ -141,7 +146,7 @@ def function_gap(r: Realization, j: int, f: Callable[[float], float]) -> float:
     """Norm of I_{j,J} f(D_j) I_{j,J}* - f(D_J) for a vanishing-at-infinity f."""
     j = _check_level(r, j)
     g = partial(function_from_decomposition, f=f)
-    return _embedded_gap(r, j, g, g(r.ambient_decomposition()))
+    return _embedded_gap(r, j, g, g(r.ambient_decomposition()), f"function probe {f!r}")
 
 
 @dataclass(frozen=True)
@@ -219,7 +224,8 @@ def gap_series(
             f"unknown probe function {f_name!r}; known: {sorted(FUNCTION_PROBES)}"
         )
     outer = g(r.ambient_decomposition())
-    entries = tuple((j, _embedded_gap(r, j, g, outer)) for j in levels)
+    probe = f"probe lambda={lam}" if lam is not None else f"function probe {f_name}"
+    entries = tuple((j, _embedded_gap(r, j, g, outer, probe)) for j in levels)
     if lam is None:
         return GapSeries("function", r.level, entries, f_name=f_name)
     bounds = tuple(

@@ -2,13 +2,16 @@
 
 Hermitian eigendecomposition (LAPACK), dense operator norms, a Lanczos
 top-singular-value estimate, resolvents, functional calculus and
-commutators.  Operators are plain ``numpy.ndarray`` values; every function
-validates its inputs and never mutates them.  All operations are pure, so
-callers may evaluate independent ones concurrently.
+commutators.  Both norms divide a huge input by a power of two before
+forming a Gram product, so it cannot overflow.  Operators are plain
+``numpy.ndarray`` values; every function validates its inputs and never
+mutates them.  All operations are pure, so callers may evaluate independent
+ones concurrently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,6 +25,13 @@ HERMITIAN_TOL = 1e-10
 REAL_RESOLVENT_MARGIN = 1e-8
 # Relative Ritz-residual stop of ``lanczos_norm``.
 LANCZOS_TOL = 1e-14
+# The norms rescale a matrix whose largest entry modulus exceeds
+# 2^GRAM_SCALE_EXP before forming its Gram.  Below it, nothing overflows:
+# the squared norm of a Lanczos vector is at most s^4 (nm)^2 <= 2^800 (nm)^2
+# for entries s and an n x m matrix.  Tiny matrices are left alone, so
+# norms that round to 0 keep reading 0; with entries below about 1e-77 the
+# Lanczos residual underflows, and its estimate can stop on a smaller value.
+GRAM_SCALE_EXP = 200
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -82,16 +92,47 @@ def eigh(h) -> SpectralDecomposition:
     return SpectralDecomposition(vals, vecs)
 
 
-def operator_norm(m) -> float:
-    """Largest singular value, computed from the Gram matrix of the short side."""
+def _gram_scaled(m) -> tuple[np.ndarray, int]:
+    """(A 2^-e, e) for A = as_matrix(m): e = 0 unless the largest entry
+    modulus exceeds 2^GRAM_SCALE_EXP, else the exponent that brings every
+    real and imaginary part below 1.
+
+    Scaling by a power of two is exact, so ordinary inputs keep their bytes
+    and huge ones keep their relative accuracy through a Gram product.
+    """
     a = as_matrix(m)
+    # A modulus above the float range reads inf; its parts are still finite.
+    s = float(abs(a).max())
+    if s <= 2.0**GRAM_SCALE_EXP:
+        return a, 0
+    e = math.frexp(min(s, np.finfo(float).max))[1]
+    out = np.empty_like(a)
+    out.real = np.ldexp(a.real, -e)
+    out.imag = np.ldexp(a.imag, -e)
+    return out, e
+
+
+def _unscaled(x: float, e: int) -> float:
+    """x 2^e; inf when that exceeds the float range."""
+    if not e:
+        return x
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(x, e))
+
+
+def operator_norm(m) -> float:
+    """Largest singular value, computed from the Gram matrix of the short side.
+
+    Returns inf only when the norm itself exceeds the float range.
+    """
+    a, e = _gram_scaled(m)
     if a.shape[1] <= a.shape[0]:
         gram = dagger(a) @ a
     else:
         gram = a @ dagger(a)
     gram = 0.5 * (gram + dagger(gram))
     top = float(np.linalg.eigvalsh(gram)[-1])
-    return float(np.sqrt(max(top, 0.0)))
+    return _unscaled(float(np.sqrt(max(top, 0.0))), e)
 
 
 def lanczos_start(n: int) -> np.ndarray:
@@ -120,9 +161,10 @@ def lanczos_norm(m) -> float | None:
     not that it is the largest: a start vector (nearly) orthogonal to the top
     singular space can stop early on a smaller one.  Callers that need the
     top value certain compare against an independent route or use
-    ``operator_norm``.
+    ``operator_norm``.  Extreme inputs are rescaled as there, and the result
+    is inf only when the norm exceeds the float range.
     """
-    a = as_matrix(m)
+    a, e = _gram_scaled(m)
     if a.shape[1] > a.shape[0]:
         a = dagger(a)
     a_h = dagger(a)
@@ -146,7 +188,7 @@ def lanczos_norm(m) -> float | None:
         ritz, vecs = np.linalg.eigh(tri.astype(complex))
         theta = float(ritz[-1])
         if beta == 0.0 or beta * abs(vecs[-1, -1]) <= LANCZOS_TOL * theta:
-            return float(np.sqrt(max(theta, 0.0)))
+            return _unscaled(float(np.sqrt(max(theta, 0.0))), e)
         betas.append(beta)
         q = w / beta
         basis = np.vstack((basis, q))

@@ -17,7 +17,9 @@ conditions are trivial at this level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -135,6 +137,11 @@ class FiniteSpectralTriple:
     @property
     def hilbert_dim(self) -> int:
         return self.rep.hilbert_dim
+
+    @cached_property
+    def dirac_is_hermitian(self) -> bool:
+        """Whether D equals D* exactly, as the cut-block route of ``commutator_norm`` needs."""
+        return bool(np.array_equal(self.dirac, dagger(self.dirac)))
 
     def represent(self, a: AlgebraElement) -> np.ndarray:
         if a.algebra.block_dims != self.algebra.block_dims:
@@ -273,14 +280,52 @@ def validate_morphism(m: TripleMorphism, tol: float = VALIDATION_TOL) -> Residua
     return ResidualReport(entries, tol, notes=notes, informational=("injectivity_margin",))
 
 
+def _cut_norm(dirac: np.ndarray, f: np.ndarray) -> float | None:
+    """||[D, diag f]|| for a Hermitian D when f takes at most two values, else None.
+
+    A constant f commutes with D.  For f = c + d 1_S the commutator is
+    d [[0, -B], [B*, 0]] with B = D[S, S^c], so its norm is |d| ||B||, and
+    dropping the zero rows and columns of B leaves ||B|| unchanged.
+    """
+    cut = f != f[0]
+    if not cut.any():
+        return 0.0
+    other = f[cut]
+    if not (other == other[0]).all():
+        return None
+    block = dirac[np.ix_(cut, ~cut)]
+    block = block[np.ix_(block.any(axis=1), block.any(axis=0))]
+    if not block.size:
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = float(abs(other[0] - f[0]))
+    return d * operator_norm(block)
+
+
 def commutator_norm(t: FiniteSpectralTriple, a: AlgebraElement) -> float:
-    """Operator norm of [D, pi(a)]; a diagonal pi(a) = diag(f) is never formed."""
+    """Operator norm of [D, pi(a)]; a diagonal pi(a) = diag(f) is never formed.
+
+    A diagonal pi(a) with at most two values takes the cut block of
+    ``_cut_norm`` when D is exactly Hermitian; everything else takes the
+    dense commutator.  Raises ``ValidationError`` when the norm exceeds the
+    float range.
+    """
     if a.algebra.block_dims != t.algebra.block_dims:
         raise ValidationError("element does not belong to the triple's algebra")
-    if isinstance(t.rep, DiagonalRepresentation):
+    diagonal = isinstance(t.rep, DiagonalRepresentation)
+    if diagonal:
         f = np.asarray(a.coordinates, dtype=complex)[t.rep.coord_points]
-        return operator_norm(t.dirac * f[None, :] - f[:, None] * t.dirac)
-    return operator_norm(commutator(t.dirac, t.rep.apply_coordinates(a.coordinates)))
+        norm = _cut_norm(t.dirac, f) if t.dirac_is_hermitian else None
+    if not diagonal or norm is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if diagonal:
+                c = t.dirac * f[None, :] - f[:, None] * t.dirac
+            else:
+                c = commutator(t.dirac, t.rep.apply_coordinates(a.coordinates))
+        norm = operator_norm(c) if np.isfinite(c).all() else math.inf
+    if not math.isfinite(norm):
+        raise ValidationError("||[D, pi(a)]|| exceeds the float range")
+    return norm
 
 
 def check_even(t: FiniteSpectralTriple, tol: float = VALIDATION_TOL) -> ResidualReport:

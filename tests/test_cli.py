@@ -31,6 +31,10 @@ from test_diagnostics import growing_commutator_system
 ROOT = Path(__file__).resolve().parents[1]
 
 
+# Binary Christensen-Ivan system with two levels; D_0 = 0.
+CI2 = {"type": "christensen-ivan", "chain": "binary", "weights": "uniform", "alphas": [1.0, 2.0], "levels": 2}
+
+
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
@@ -469,6 +473,14 @@ class TestSt1CrossCheck:
         assert "non-finite" in err and "Traceback" not in err
         assert "RuntimeWarning" not in err and "lambda=1e-320j" in err
 
+    def test_huge_resolvent_gap_is_finite(self, tmp_path, capsys):
+        # The level-0 resolvent at 1e-300i has norm 1e300; its Gram would overflow.
+        cfg = write_json(tmp_path / "ci2.json", CI2)
+        assert main(["st1", "--config", cfg, "--lambda", "1e-300j", "--out", str(tmp_path / "h")]) in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
+        gaps = [float(row.split(",")[5]) for row in (tmp_path / "h.csv").read_text().splitlines()[1:]]
+        assert gaps[0] == pytest.approx(1e300, rel=1e-12)
+
     def test_st1_leaves_numpy_random_unloaded(self, cantor_file):
         # numpy.random costs about 6 MB of resident memory at import.
         code = (
@@ -558,6 +570,22 @@ class TestSt2:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "bad.csv").exists()
+
+    def test_huge_two_valued_element(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "ci2.json", CI2)
+        element = '{"level": 1, "values": [0, 1e300]}'
+        assert main(["st2", "--config", cfg, "--element", element, "--out", str(tmp_path / "h")]) == 0
+        norms = [float(row.split(",")[4]) for row in (tmp_path / "h.csv").read_text().splitlines()[1:]]
+        assert norms == pytest.approx([5e299, 5e299], rel=1e-14)
+
+    @pytest.mark.parametrize("level, values", [(1, "[-1.7e308, 1.7e308]"), (2, "[-1.7e308, 1.7e308, 0, 1]")])
+    def test_norm_beyond_float_range_exit2(self, tmp_path, capsys, level, values):
+        cfg = write_json(tmp_path / "ci2.json", CI2)
+        element = f'{{"level": {level}, "name": "huge", "values": {values}}}'
+        assert main(["st2", "--config", cfg, "--element", element, "--out", str(tmp_path / "h")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: element 'huge': ") and "float range" in err
+        assert not (tmp_path / "h.csv").exists()
 
     def test_element_level_mismatch_exit2(self, cantor_file, tmp_path):
         rc = main(

@@ -105,6 +105,22 @@ class TestResolventGap:
         with pytest.raises(ValidationError):
             resolvent_gap(R6, 9, 1j)
 
+    def test_huge_gap_is_finite(self):
+        # D_0 = 0 on the binary CI system, so the level-0 resolvent at 1e-300i has norm 1e300.
+        chain = commutative_af_chain(binary_branching(2), np.full(4, 1 / 4), [1.0, 2.0])
+        r = realize(ci_system(chain, 2))
+        assert resolvent_gap(r, 0, 1e-300j) == pytest.approx(1e300, rel=1e-12)
+
+    @pytest.mark.parametrize("entry", [1.5e308, 0.8e308], ids=["entries-overflow", "norm-overflows"])
+    def test_gap_beyond_float_range_names_probe(self, entry):
+        # At the top level I = 1, so the difference has entries 2 * entry: beyond
+        # the float range, or finite with a norm 38 times larger.
+        n = R6.ambient_decomposition().dim
+        g = lambda dec: np.full((dec.dim, dec.dim), entry)
+        outer = np.full((n, n), -entry)
+        with pytest.raises(ValidationError, match="probe X gives a gap norm beyond the float range at level 6"):
+            diagnostics._embedded_gap(R6, 6, g, outer, "probe X")
+
 
 class TestEigenOracle:
     def test_matches_direct_on_cantor(self):

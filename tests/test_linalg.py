@@ -17,6 +17,8 @@ from spectral_limits import (
 )
 from spectral_limits.diagnostics import GROUP_TOL, _group_indices
 from spectral_limits.linalg import (
+    GRAM_SCALE_EXP,
+    _gram_scaled,
     anticommutator,
     as_matrix,
     check_hermitian,
@@ -218,6 +220,29 @@ class TestLanczosNorm:
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError, match="non-finite"):
             lanczos_norm(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+
+class TestScaleSafeNorms:
+    """Both Gram norms rescale huge matrices by a power of two first."""
+
+    @pytest.mark.parametrize("scale", [1e-30, 1e60, 1e77, 1e150, 1e300])
+    @pytest.mark.parametrize("norm", [operator_norm, lanczos_norm], ids=["dense", "lanczos"])
+    def test_scaled_matrix_scales_the_norm(self, norm, scale):
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(9, 6)) + 1j * rng.normal(size=(9, 6))
+        assert norm(scale * m) == pytest.approx(scale * operator_norm(m), rel=1e-13)
+
+    @pytest.mark.parametrize("norm", [operator_norm, lanczos_norm], ids=["dense", "lanczos"])
+    def test_norm_beyond_float_range_is_inf(self, norm):
+        assert norm(np.full((3, 2), 1.5e308 - 1.5e308j)) == np.inf
+
+    def test_only_huge_entries_rescaled(self):
+        edge = np.array([[2.0**GRAM_SCALE_EXP, -1.0], [0.5j, 0.0]])
+        a, e = _gram_scaled(edge)
+        assert e == 0 and np.array_equal(a, edge)
+        a, e = _gram_scaled(3.0 * edge)
+        assert e == GRAM_SCALE_EXP + 2
+        assert np.array_equal(a * 2.0**e, 3.0 * edge)
 
 
 class TestResolvent:

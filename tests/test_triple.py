@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spectral_limits import triple as triple_module
 from spectral_limits import (
     AfChain,
     DenseRepresentation,
@@ -18,6 +21,7 @@ from spectral_limits import (
     cantor_system,
     check_even,
     ci_system,
+    commutator,
     commutator_norm,
     compose_morphisms,
     embed,
@@ -25,6 +29,7 @@ from spectral_limits import (
     middle_thirds,
     operator_norm,
     random_commutative_system,
+    system_from_generator_config,
     theta,
     validate_morphism,
     validate_triple,
@@ -292,6 +297,155 @@ class TestCommutatorNorm:
                 low = commutator_norm(system.triples[j], a)
                 high = commutator_norm(system.triples[system.top_level], m.phi.apply(a))
                 assert low <= high + 1e-9
+
+
+def ci_config(alphas, sizes=None):
+    """Christensen-Ivan config; a point chain of the given sizes, else binary."""
+    chain = "binary"
+    if sizes is not None:
+        # Point k of level i+1 lies over point k * size_i // size_{i+1} of level i.
+        chain = {"branching": [[k * a // b for k in range(b)] for a, b in zip(sizes, sizes[1:])]}
+    return {"type": "christensen-ivan", "chain": chain, "weights": "uniform", "alphas": alphas, "levels": len(alphas)}
+
+
+def probe_entries(system, levels):
+    """(triple, element) behind every entry of the default ST2 probe over ``levels``."""
+    for j in levels:
+        algebra = system.triples[j].algebra
+        for i in range(algebra.element_dim):
+            a = algebra.basis_element(i)
+            for k in range(j, system.top_level + 1):
+                yield system.triples[k], a
+                if k < system.top_level:
+                    a = system.links[k].phi.apply(a)
+
+
+def dense_oracle(t, a):
+    """||[D, pi(a)]|| from the materialized commutator."""
+    return operator_norm(commutator(t.dirac, t.represent(a)))
+
+
+def diagonal_triple(dirac, coord_points):
+    n_points = max(coord_points) + 1
+    return FiniteSpectralTriple(
+        FiniteCStarAlgebra((1,) * n_points), DiagonalRepresentation(coord_points, n_points), dirac
+    )
+
+
+def random_hermitian(rng, n):
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return x + x.conj().T
+
+
+@pytest.fixture
+def norm_shapes(monkeypatch):
+    """Shapes of the matrices ``commutator_norm`` hands to ``operator_norm``."""
+    shapes = []
+
+    def recording(m):
+        shapes.append(np.shape(m))
+        return operator_norm(m)
+
+    monkeypatch.setattr(triple_module, "operator_norm", recording)
+    return shapes
+
+
+class TestCutBlockNorm:
+    """Two-valued diagonal elements take the cut block D[S, S^c]; the dense commutator is the oracle."""
+
+    @pytest.mark.parametrize(
+        "config, levels",
+        [
+            ({"type": "cantor", "gaps": "middle-thirds", "levels": 18}, range(18)),
+            # The benchmark probes this system with --levels 0..1.
+            (ci_config([float(j) for j in range(1, 9)]), range(2)),
+            (ci_config([float((-1) ** j) for j in range(1, 8)], [1, 2, 3, 6, 12, 24, 48, 96]), range(7)),
+            (ci_config([float(j) for j in range(1, 7)]), range(6)),
+        ],
+        ids=["cantor-18", "binary-ci-8", "point-chain-ci-7", "binary-ci-6"],
+    )
+    def test_default_probe_matches_dense(self, config, levels):
+        system = system_from_generator_config(config)
+        for t, a in probe_entries(system, levels):
+            want = dense_oracle(t, a)
+            assert abs(commutator_norm(t, a) - want) <= 1e-13 * want
+
+    def test_constant_is_exactly_zero(self, norm_shapes):
+        t = diagonal_triple(random_hermitian(np.random.default_rng(1), 5), [0, 1, 2, 1, 0])
+        value = commutator_norm(t, t.algebra.from_point_values([2.0 - 1.5j] * 3))
+        assert value == 0.0 and type(value) is float
+        assert norm_shapes == []
+
+    def test_complex_two_values(self, norm_shapes):
+        rng = np.random.default_rng(2)
+        d = random_hermitian(rng, 7)
+        t = diagonal_triple(d, [0, 1, 1, 0, 2, 1, 2])
+        c, delta = 1.0 + 2.0j, -1.5 + 1.0j
+        a = t.algebra.from_point_values([c, c + delta, c])
+        cut = np.array([False, True, True, False, False, True, False])
+        closed_form = abs(delta) * operator_norm(d[np.ix_(cut, ~cut)])
+        want = dense_oracle(t, a)
+        assert abs(closed_form - want) <= 1e-13 * want
+        assert abs(commutator_norm(t, a) - want) <= 1e-13 * want
+        assert norm_shapes == [(3, 4)]
+
+    def test_zero_rows_and_columns_dropped(self, norm_shapes):
+        # Point 0 on coordinates 0..2, point 1 (the cut S) on 3..6; only 4 and 6
+        # couple to 1 and 2, so B = D[S, S^c] is 4 x 3 with two zero rows and
+        # one zero column.
+        d = np.diag(np.arange(7.0)).astype(complex)
+        for i, j, v in ((1, 4, 2.0 - 1.0j), (2, 4, 0.5j), (2, 6, -3.0), (0, 2, 1.0), (4, 5, 7.0)):
+            d[i, j], d[j, i] = v, np.conj(v)
+        t = diagonal_triple(d, [0, 0, 0, 1, 1, 1, 1])
+        a = t.algebra.from_point_values([0.25, -2.0])
+        want = dense_oracle(t, a)
+        assert abs(commutator_norm(t, a) - want) <= 1e-13 * want
+        assert norm_shapes == [(2, 2)]
+
+    def test_cut_with_no_coupling_is_zero(self, norm_shapes):
+        t = diagonal_triple(np.diag([1.0, 2.0, 3.0]).astype(complex), [0, 1, 1])
+        assert commutator_norm(t, t.algebra.from_point_values([1.0, 5.0])) == 0.0
+        assert norm_shapes == []
+
+    def test_three_values_take_the_dense_kernel(self, norm_shapes):
+        t = diagonal_triple(random_hermitian(np.random.default_rng(3), 6), [0, 1, 2, 0, 1, 2])
+        a = t.algebra.from_point_values([0.0, 1.0, 2.0 + 1.0j])
+        want = dense_oracle(t, a)
+        assert abs(commutator_norm(t, a) - want) <= 1e-13 * want
+        assert norm_shapes[-1] == (6, 6)
+
+    def test_inexactly_hermitian_dirac_takes_the_dense_kernel(self, norm_shapes):
+        d = random_hermitian(np.random.default_rng(4), 5)
+        d[0, 3] += 1e-3
+        t = diagonal_triple(d, [0, 1, 1, 0, 1])
+        assert not t.dirac_is_hermitian
+        a = t.algebra.from_point_values([0.0, 1.0])
+        want = dense_oracle(t, a)
+        assert abs(commutator_norm(t, a) - want) <= 1e-13 * want
+        assert norm_shapes[-1] == (5, 5)
+
+    @pytest.mark.parametrize("values", [[0.0, 1.7e308], [-1.7e308, 1.7e308], [1.7e308, 0.0, -1.7e308]])
+    def test_norm_beyond_float_range_raises(self, values):
+        d = np.full((3, 3), 4.0, dtype=complex)
+        t = diagonal_triple(d, list(range(len(values))) + [0] * (3 - len(values)))
+        with pytest.raises(ValidationError, match="float range"):
+            commutator_norm(t, t.algebra.from_point_values(values))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        values=st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
+        data=st.data(),
+    )
+    def test_random_hermitian_two_values(self, n, seed, values, data):
+        d = random_hermitian(np.random.default_rng(seed), n)
+        t = diagonal_triple(d, data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        a = t.algebra.from_point_values(values[: t.algebra.n_points])
+        want = dense_oracle(t, a)
+        # The oracle's entries D_ij f_j - f_i D_ij cancel when f_i ~ f_j.
+        slack = 4 * np.finfo(float).eps * max(map(abs, values)) * np.linalg.norm(d)
+        assert abs(commutator_norm(t, a) - want) <= 1e-13 * want + slack
 
 
 class TestCheckEven:
