@@ -448,6 +448,9 @@ def cmd_report(args) -> int:
                 "entries": [{"j": j, "gap": v} for j, v in series.entries],
             }
         )
+    # The realization's embeddings, decompositions and rotations are not
+    # needed by the ST2 probe.
+    del r
     st2_probe = default_st2_probe(system)
     st2 = st2_verdict(st2_probe)
     doc = {

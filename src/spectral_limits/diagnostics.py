@@ -6,7 +6,11 @@ both directly, as a Lanczos estimate of the norm, and through the
 eigenprojection formula (the supremum of |lam_n - lam|^(-1) over ambient
 eigenvalue clusters not contained in the range of P_j); agreement of the
 two routes is the module's central cross-check, and it is what catches a
-Lanczos run that stopped on a singular value below the top one.
+Lanczos run that stopped on a singular value below the top one.  Both
+routes work in the ambient eigenbasis U and read the realization's cached
+rotation W_j = U* I_{j,J} V_j: the direct gap of a probe g is the norm of
+W_j g(Lambda_j) W_j* - g(Lambda_J), which equals the norm above because U
+is unitary, and is applied to vectors without being formed.
 Commutator series track ||[D_k, pi_k(phi_{j,k}(a))]|| over k >= j, which
 is nondecreasing for valid systems.
 
@@ -29,10 +33,14 @@ from .errors import ValidationError
 from .inductive import InductiveSystem, Realization
 from .linalg import (
     dagger,
-    function_from_decomposition,
-    lanczos_norm,
+    function_values,
+    lanczos_operator_norm,
+    lanczos_start,
     operator_norm,
-    resolvent_from_decomposition,
+    resolvent_values,
+    scale_exponent,
+    times_pow2,
+    unscaled,
 )
 from .triple import commutator_norm
 
@@ -96,28 +104,51 @@ def _group_indices(eigenvalues: np.ndarray, group_tol: float) -> tuple[tuple[int
     return tuple(groups)
 
 
-def _embedded_gap(r: Realization, j: int, g: Callable, outer: np.ndarray, probe: str) -> float:
-    """||I_{j,J} g(D_j) I_{j,J}* - outer||, with g mapping a decomposition to g(D).
+def _embedded_gap(r: Realization, j: int, inner: np.ndarray, outer: np.ndarray, probe: str) -> float:
+    """||W_j diag(inner) W_j* - diag(outer)||, the direct gap of a probe g
+    with inner = g(Lambda_j) and outer = g(Lambda_J).
 
-    The norm is the Lanczos estimate, or the dense norm when Lanczos does
-    not converge.  A norm beyond the float range raises ``ValidationError``
+    The operator is never formed: Lanczos applies it as
+    x -> W_j (inner o (W_j* x)) - outer o x, from the ambient-eigenbasis
+    image U* q of the start vector q that the matrix form I g(D_j) I* - g(D_J)
+    would use, so the Krylov spaces correspond.  When Lanczos does not stop,
+    the norm is the dense one of the same operator.  The values are first
+    scaled by one power of two, so that no Gram product can overflow or
+    underflow.  A norm beyond the float range raises ``ValidationError``
     naming ``probe``.
     """
-    iso = r.embedding(j)
-    with np.errstate(over="ignore", invalid="ignore"):
-        delta = iso @ g(r.level_decomposition(j)) @ dagger(iso) - outer
-    norm = lanczos_norm(delta) if np.isfinite(delta).all() else math.inf
-    norm = operator_norm(delta) if norm is None else norm
+    w = r.rotation(j)
+    u = r.ambient_decomposition().vectors
+    e = scale_exponent(max(float(np.max(np.abs(inner))), float(np.max(np.abs(outer)))))
+    inner, outer = times_pow2(inner, -e), times_pow2(outer, -e)
+    inner_c, outer_c = inner.conj(), outer.conj()
+
+    def gram(x):
+        # W* x is computed as conj(x* W), which reads W without copying it.
+        y = w @ (inner * (x.conj() @ w).conj()) - outer * x
+        return w @ (inner_c * (y.conj() @ w).conj()) - outer_c * y
+
+    norm = lanczos_operator_norm(gram, (lanczos_start(u.shape[0]).conj() @ u).conj())
+    if norm is None:
+        norm = operator_norm((w * inner) @ dagger(w) - np.diag(outer))
+    norm = unscaled(norm, e)
     if not math.isfinite(norm):
         raise ValidationError(f"{probe} gives a gap norm beyond the float range at level {j}")
     return norm
 
 
+def _probe_gap(r: Realization, j: int, g: Callable[[np.ndarray], np.ndarray], probe: str) -> float:
+    # The level's values first: a probe whose resolvent overflows there is
+    # named for that before the ambient spectrum's rounding check refuses it.
+    inner = g(r.level_decomposition(j).eigenvalues)
+    return _embedded_gap(r, j, inner, g(r.ambient_decomposition().eigenvalues), probe)
+
+
 def resolvent_gap(r: Realization, j: int, lam: complex) -> float:
     """Direct norm of I_{j,J} R_lam(D_j) I_{j,J}* - R_lam(D_J)."""
     j = _check_level(r, j)
-    g = partial(resolvent_from_decomposition, lam=_check_nonreal(lam))
-    return _embedded_gap(r, j, g, g(r.ambient_decomposition()), f"probe lambda={lam}")
+    g = partial(resolvent_values, lam=_check_nonreal(lam))
+    return _probe_gap(r, j, g, f"probe lambda={lam}")
 
 
 def resolvent_gap_eigen(
@@ -145,8 +176,8 @@ def resolvent_gap_eigen(
 def function_gap(r: Realization, j: int, f: Callable[[float], float]) -> float:
     """Norm of I_{j,J} f(D_j) I_{j,J}* - f(D_J) for a vanishing-at-infinity f."""
     j = _check_level(r, j)
-    g = partial(function_from_decomposition, f=f)
-    return _embedded_gap(r, j, g, g(r.ambient_decomposition()), f"function probe {f!r}")
+    g = partial(function_values, f=f)
+    return _probe_gap(r, j, g, f"function probe {f!r}")
 
 
 @dataclass(frozen=True)
@@ -216,16 +247,15 @@ def gap_series(
         _check_level(r, j)
     if lam is not None:
         lam = _check_nonreal(lam)
-        g = partial(resolvent_from_decomposition, lam=lam)
+        g = partial(resolvent_values, lam=lam)
     elif f_name in FUNCTION_PROBES:
-        g = partial(function_from_decomposition, f=FUNCTION_PROBES[f_name])
+        g = partial(function_values, f=FUNCTION_PROBES[f_name])
     else:
         raise ValidationError(
             f"unknown probe function {f_name!r}; known: {sorted(FUNCTION_PROBES)}"
         )
-    outer = g(r.ambient_decomposition())
     probe = f"probe lambda={lam}" if lam is not None else f"function probe {f_name}"
-    entries = tuple((j, _embedded_gap(r, j, g, outer, probe)) for j in levels)
+    entries = tuple((j, _probe_gap(r, j, g, probe)) for j in levels)
     if lam is None:
         return GapSeries("function", r.level, entries, f_name=f_name)
     bounds = tuple(

@@ -122,8 +122,10 @@ class Realization:
     """Level-J truncation of the inductive limit.
 
     Carries the ambient triple T_J and the embeddings I_{j,J} for j <= J.
-    Diagnostics read one cached eigendecomposition per level and one
-    containment defect per (level, ambient cluster) for every probe.
+    Diagnostics read, for every probe, one cached eigendecomposition per
+    level, one rotation W_j = U* I_{j,J} V_j per level into the ambient and
+    level-j eigenbases U and V_j, and one containment defect per (level,
+    ambient cluster).
     """
 
     def __init__(self, system: InductiveSystem, level: int):
@@ -138,6 +140,7 @@ class Realization:
             embeddings[j] = embeddings[j + 1] @ system.links[j].iso
         self.embeddings = tuple(embeddings)
         self._decompositions: dict[int, SpectralDecomposition] = {}
+        self._rotations: dict[int, np.ndarray] = {}
         self._defects: dict[tuple[int, tuple[int, ...]], float] = {}
 
     def embedding(self, j: int) -> np.ndarray:
@@ -155,14 +158,35 @@ class Realization:
     def ambient_decomposition(self) -> SpectralDecomposition:
         return self.level_decomposition(self.level)
 
+    def rotation(self, j: int) -> np.ndarray:
+        """W_j = U* I_{j,J} V_j, the embedding in the ambient and level-j eigenbases.
+
+        I_{j,J} g(D_j) I_{j,J}* = U W_j g(Lambda_j) W_j* U* for every function
+        g.  W_J is the identity exactly.
+        """
+        if j not in self._rotations:
+            if j == self.level:
+                w = np.eye(self.ambient.hilbert_dim, dtype=complex)
+            else:
+                u = self.ambient_decomposition().vectors
+                w = dagger(u) @ (self.embeddings[j] @ self.level_decomposition(j).vectors)
+            self._rotations[j] = w
+        return self._rotations[j]
+
     def containment_defect(self, j: int, cluster: tuple[int, ...]) -> float:
-        """||Q - P_j Q|| = ||(1 - P_j) U|| for the ambient eigenvectors U indexed by ``cluster``."""
+        """||Q - P_j Q|| for the eigenprojection Q of the ambient eigenvectors indexed by ``cluster``.
+
+        In the ambient eigenbasis this is ||W_j W_j[cluster]* - E||, with E
+        the identity columns of ``cluster``.
+        """
         key = (j, cluster)
         if key not in self._defects:
-            vecs = self.ambient_decomposition().vectors[:, list(cluster)]
-            iso = self.embeddings[j]
-            # Formed explicitly: the Gram shortcut I - (I_j* U)*(I_j* U) cancels to half precision.
-            self._defects[key] = operator_norm(vecs - iso @ (dagger(iso) @ vecs))
+            w = self.rotation(j)
+            rows = list(cluster)
+            # Formed explicitly: the Gram shortcut 1 - W[c]W[c]* cancels to half precision.
+            defect = w @ dagger(w[rows])
+            defect[rows, range(len(rows))] -= 1.0
+            self._defects[key] = operator_norm(defect)
         return self._defects[key]
 
 

@@ -473,13 +473,15 @@ class TestSt1CrossCheck:
         assert "non-finite" in err and "Traceback" not in err
         assert "RuntimeWarning" not in err and "lambda=1e-320j" in err
 
-    def test_huge_resolvent_gap_is_finite(self, tmp_path, capsys):
-        # The level-0 resolvent at 1e-300i has norm 1e300; its Gram would overflow.
+    def test_probe_within_eigenvalue_rounding_exit2(self, tmp_path, capsys):
+        # eigh returns D_2's zero eigenvalue as about -3e-16, so at 1e-300i the
+        # level-1 gap would read 1.3e15 where the true one is 1/2.
         cfg = write_json(tmp_path / "ci2.json", CI2)
-        assert main(["st1", "--config", cfg, "--lambda", "1e-300j", "--out", str(tmp_path / "h")]) in (0, 1)
-        assert "Traceback" not in capsys.readouterr().err
-        gaps = [float(row.split(",")[5]) for row in (tmp_path / "h.csv").read_text().splitlines()[1:]]
-        assert gaps[0] == pytest.approx(1e300, rel=1e-12)
+        assert main(["st1", "--config", cfg, "--lambda", "1e-300j", "--out", str(tmp_path / "h")]) == 2
+        err = capsys.readouterr().err
+        assert "lambda=1e-300j" in err and "rounding margin" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not (tmp_path / "h.csv").exists()
 
     def test_st1_leaves_numpy_random_unloaded(self, cantor_file):
         # numpy.random costs about 6 MB of resident memory at import.

@@ -1,7 +1,12 @@
 """Gap series, eigenprojection oracle, commutator series, verdicts."""
 
+import re
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spectral_limits import (
     CommutatorSeries,
@@ -34,6 +39,13 @@ from spectral_limits import (
 )
 from spectral_limits import diagnostics
 from spectral_limits.diagnostics import DEFAULT_LAMBDAS, FUNCTION_PROBES
+from spectral_limits.linalg import (
+    dagger,
+    function_from_decomposition,
+    function_values,
+    resolvent_from_decomposition,
+    resolvent_values,
+)
 from spectral_limits.serialization import system_from_generator_config
 
 SEQ = middle_thirds(6)
@@ -74,6 +86,22 @@ def growing_commutator_system(levels: int, base: float = 2.0) -> InductiveSystem
     return InductiveSystem(tuple(triples), tuple(links))
 
 
+def _spread_system(n: int) -> InductiveSystem:
+    """C on C^1 embedded in C^n along (1, ..., 1)/sqrt(n), with D_0 = 0 and
+    D_1 = diag(1, ..., n).
+
+    The link does not intertwine the Dirac operators; it only makes the
+    rotation W_0 = U* I V_0 a vector with every entry of modulus n^(-1/2).
+    """
+    algebra = FiniteCStarAlgebra((1,))
+    t0 = FiniteSpectralTriple(algebra, DiagonalRepresentation(np.zeros(1, dtype=int), 1), np.zeros((1, 1)))
+    t1 = FiniteSpectralTriple(
+        algebra, DiagonalRepresentation(np.zeros(n, dtype=int), 1), np.diag(np.arange(1.0, n + 1))
+    )
+    iso = np.full((n, 1), n**-0.5, dtype=complex)
+    return InductiveSystem((t0, t1), (TripleMorphism(t0, t1, StarHomomorphism.identity(algebra), iso),))
+
+
 class TestResolventGap:
     def test_zero_at_ambient_level(self):
         assert resolvent_gap(R6, 6, 1j) == pytest.approx(0.0, abs=1e-14)
@@ -106,20 +134,35 @@ class TestResolventGap:
             resolvent_gap(R6, 9, 1j)
 
     def test_huge_gap_is_finite(self):
-        # D_0 = 0 on the binary CI system, so the level-0 resolvent at 1e-300i has norm 1e300.
+        # D_0 = 0 on the binary CI system and D_2 has eigenvalues 0, 1 and 2,
+        # so the level-0 gap of f = 1e300 (1 + x^2)^(-1) is f(1) = 5e299.
         chain = commutative_af_chain(binary_branching(2), np.full(4, 1 / 4), [1.0, 2.0])
         r = realize(ci_system(chain, 2))
-        assert resolvent_gap(r, 0, 1e-300j) == pytest.approx(1e300, rel=1e-12)
+        assert function_gap(r, 0, lambda x: 1e300 / (1.0 + x * x)) == pytest.approx(5e299, rel=1e-13)
 
-    @pytest.mark.parametrize("entry", [1.5e308, 0.8e308], ids=["entries-overflow", "norm-overflows"])
-    def test_gap_beyond_float_range_names_probe(self, entry):
-        # At the top level I = 1, so the difference has entries 2 * entry: beyond
-        # the float range, or finite with a norm 38 times larger.
-        n = R6.ambient_decomposition().dim
-        g = lambda dec: np.full((dec.dim, dec.dim), entry)
-        outer = np.full((n, n), -entry)
-        with pytest.raises(ValidationError, match="probe X gives a gap norm beyond the float range at level 6"):
-            diagnostics._embedded_gap(R6, 6, g, outer, "probe X")
+    @pytest.mark.parametrize("lam", [1e-300j, 1e-13j, 1 + 1e-13j])
+    def test_probe_within_eigenvalue_rounding_refused(self, lam):
+        # D_2 of the binary CI system has eigenvalues 0, 1 and 2, which eigh
+        # returns with rounding errors of order 1e-16.
+        chain = commutative_af_chain(binary_branching(2), np.full(4, 1 / 4), [1.0, 2.0])
+        r = realize(ci_system(chain, 2))
+        with pytest.raises(ValidationError, match=re.escape(f"probe lambda={lam} lies ") + ".* within its rounding margin"):
+            gap_series(r, lam=lam)
+
+    @pytest.mark.parametrize("case", ["entries-overflow", "norm-overflows"])
+    def test_gap_beyond_float_range_names_probe(self, case):
+        if case == "entries-overflow":
+            # At the top level W = 1, so the operator is diag(3e308): every
+            # diagonal entry is beyond the float range.
+            r, j, value = R6, 6, 1.5e308
+        else:
+            # W_0 is a unit vector w with entries +-1/2, so the operator
+            # c (w w* + 1) has entries 1.25 c at most and norm 2c.
+            r, j, value = realize(_spread_system(4)), 0, 0.95e308
+        n = r.ambient_decomposition().dim
+        inner = np.full(r.level_decomposition(j).dim, value)
+        with pytest.raises(ValidationError, match=f"probe X gives a gap norm beyond the float range at level {j}"):
+            diagnostics._embedded_gap(r, j, inner, np.full(n, -value), "probe X")
 
 
 class TestEigenOracle:
@@ -253,8 +296,40 @@ def _point_chain_config(sizes, alphas):
     }
 
 
+def _dense_gaps(r, probe):
+    """(gaps, sup |g|) of one probe by the dense formula ||I g(D_j) I* - g(D_J)||, every level."""
+    if "lam" in probe:
+        values = partial(resolvent_values, lam=probe["lam"])
+        matrix = partial(resolvent_from_decomposition, lam=probe["lam"])
+    else:
+        values = partial(function_values, f=FUNCTION_PROBES[probe["f_name"]])
+        matrix = partial(function_from_decomposition, f=FUNCTION_PROBES[probe["f_name"]])
+    outer = matrix(r.ambient_decomposition())
+    gaps = []
+    sup = 0.0
+    for j in range(r.level + 1):
+        iso, dec = r.embedding(j), r.level_decomposition(j)
+        gaps.append(operator_norm(iso @ matrix(dec) @ dagger(iso) - outer))
+        sup = max(sup, float(np.max(np.abs(values(dec.eigenvalues)))))
+    return gaps, sup
+
+
+def _assert_gaps_match_dense(r, monkeypatch):
+    # Two algorithms cannot agree below rounding: the absolute term covers
+    # gaps at the rounding level of the probe's values.
+    probes = [{"lam": lam} for lam in DEFAULT_LAMBDAS] + [{"f_name": name} for name in FUNCTION_PROBES]
+    dense_calls = []
+    monkeypatch.setattr(diagnostics, "operator_norm", lambda m: dense_calls.append(m) or operator_norm(m))
+    krylov = [gap_series(r, **probe).values for probe in probes]
+    assert not dense_calls, "the Krylov route fell back to the dense norm"
+    for probe, got in zip(probes, krylov):
+        want, sup = _dense_gaps(r, probe)
+        for j, (a, b) in enumerate(zip(got, want)):
+            assert abs(a - b) <= 1e-13 * max(a, b) + 1e-14 * sup, (probe, j, a, b)
+
+
 class TestDirectRouteOracle:
-    """Every gap of the Krylov direct route against the dense ``operator_norm``."""
+    """Every gap of the rotated Krylov route against the dense formula ``operator_norm(I g(D_j) I* - g(D_J))``."""
 
     @pytest.mark.parametrize(
         "system",
@@ -264,22 +339,20 @@ class TestDirectRouteOracle:
             lambda: system_from_generator_config(
                 _point_chain_config([1, 2, 3, 6, 12, 24], [(-1.0) ** j for j in range(1, 6)])
             ),
+            lambda: ci_system(
+                commutative_af_chain(binary_branching(8), np.full(256, 1 / 256), [float(j) for j in range(1, 9)]), 8
+            ),
         ],
-        ids=["binary-ci-6", "cantor-10", "point-chain-ci-5"],
+        ids=["binary-ci-6", "cantor-10", "point-chain-ci-5", "binary-ci-8"],
     )
     def test_gap_series_matches_dense(self, system, monkeypatch):
-        r = realize(system())
-        probes = [{"lam": lam} for lam in DEFAULT_LAMBDAS] + [{"f_name": name} for name in FUNCTION_PROBES]
-        dense_calls = []
-        monkeypatch.setattr(diagnostics, "operator_norm", lambda m: dense_calls.append(m) or operator_norm(m))
-        krylov = [gap_series(r, **probe).values for probe in probes]
-        assert not dense_calls, "the Krylov route fell back to the dense norm"
-        monkeypatch.setattr(diagnostics, "lanczos_norm", lambda m: None)
-        dense = [gap_series(r, **probe).values for probe in probes]
-        assert len(dense_calls) == sum(map(len, dense))
-        for got, want in zip(krylov, dense):
-            for a, b in zip(got, want):
-                assert abs(a - b) <= 1e-13 * max(a, b)
+        _assert_gaps_match_dense(realize(system()), monkeypatch)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_systems_match_dense(self, seed, monkeypatch):
+        system = random_commutative_system(np.random.default_rng(seed), max_dim=24)
+        _assert_gaps_match_dense(realize(system), monkeypatch)
 
 
 class TestCommutatorSeries:

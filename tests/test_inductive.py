@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from spectral_limits import (
+    DiagonalRepresentation,
+    FiniteCStarAlgebra,
+    FiniteSpectralTriple,
     InductiveSystem,
+    StarHomomorphism,
     TripleMorphism,
     ValidationError,
     binary_branching,
@@ -107,6 +111,51 @@ class TestRealize:
     def test_invalid_level(self):
         with pytest.raises(ValidationError):
             realize(CANTOR5, 9)
+
+
+def _complex_pair_system() -> InductiveSystem:
+    """C on C^1 in C on C^4 along a complex unit vector u, D_0 = 0 and D_1 =
+    Q B Q for a complex Hermitian B and the projection Q onto {u, v}^perp.
+
+    D_1's kernel is span{u, v}, in which eigh picks its own basis, so the
+    rotation W_0 = U* u has complex entries.
+    """
+    u = np.array([[1.0], [1j], [-1.0], [0.0]]) / np.sqrt(3.0)
+    v = np.array([[1.0], [0.0], [1.0], [1j]]) / np.sqrt(3.0)
+    b = np.array(
+        [[2.0, 1 - 1j, 0.5j, 0.0], [1 + 1j, -1.0, 2.0, 1j], [-0.5j, 2.0, 3.0, 1.0], [0.0, -1j, 1.0, 1.0]]
+    )
+    q = np.eye(4) - u @ dagger(u) - v @ dagger(v)
+    algebra = FiniteCStarAlgebra((1,))
+    t0 = FiniteSpectralTriple(algebra, DiagonalRepresentation(np.zeros(1, dtype=int), 1), np.zeros((1, 1)))
+    t1 = FiniteSpectralTriple(algebra, DiagonalRepresentation(np.zeros(4, dtype=int), 1), q @ b @ q)
+    return InductiveSystem((t0, t1), (TripleMorphism(t0, t1, StarHomomorphism.identity(algebra), u),))
+
+
+class TestRotation:
+    @pytest.mark.parametrize("system", [CANTOR5, CI3, _complex_pair_system()], ids=["cantor", "ci", "complex"])
+    def test_rotation_rebuilds_embedding(self, system):
+        r = realize(system)
+        u = r.ambient_decomposition().vectors
+        for j in range(r.level + 1):
+            w = r.rotation(j)
+            v = r.level_decomposition(j).vectors
+            assert operator_norm(u @ w @ dagger(v) - r.embedding(j)) <= 1e-13
+            assert operator_norm(dagger(w) @ w - np.eye(w.shape[1])) <= 1e-13
+        assert np.array_equal(r.rotation(r.level), np.eye(r.ambient.hilbert_dim))
+
+    @pytest.mark.parametrize("system", [CANTOR5, CI3, _complex_pair_system()], ids=["cantor", "ci", "complex"])
+    def test_containment_defect_matches_ambient_formula(self, system):
+        # ||(1 - P_j) U_c|| in the ambient basis, over singleton clusters and the whole spectrum.
+        r = realize(system)
+        u = r.ambient_decomposition().vectors
+        n = u.shape[0]
+        for j in range(r.level + 1):
+            p = r.projection(j)
+            for cluster in [(i,) for i in range(n)] + [tuple(range(n))]:
+                vecs = u[:, list(cluster)]
+                want = operator_norm(vecs - p @ vecs)
+                assert abs(r.containment_defect(j, cluster) - want) <= 1e-13
 
 
 class TestResolventIdentities:

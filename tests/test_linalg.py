@@ -244,6 +244,25 @@ class TestScaleSafeNorms:
         assert e == GRAM_SCALE_EXP + 2
         assert np.array_equal(a * 2.0**e, 3.0 * edge)
 
+    def test_tiny_entries_rescaled(self):
+        edge = np.array([[2.0**-GRAM_SCALE_EXP, -(2.0**-GRAM_SCALE_EXP)], [0.5j * 2.0**-GRAM_SCALE_EXP, 0.0]])
+        a, e = _gram_scaled(edge)
+        assert e == 0 and np.array_equal(a, edge)
+        a, e = _gram_scaled(0.75 * edge)
+        assert e == -GRAM_SCALE_EXP
+        assert np.array_equal(a * 2.0**e, 0.75 * edge)
+        assert _gram_scaled(np.zeros((2, 2)))[1] == 0
+
+    @pytest.mark.parametrize("scale", [1e-80, 1e-100, 1e-300])
+    def test_tiny_matrix_lanczos_matches_dense(self, scale):
+        # Unscaled, the Lanczos residual of a 1e-100 matrix underflows and the
+        # estimate stops on the start vector's Rayleigh quotient.
+        rng = np.random.default_rng(20)
+        m = scale * (rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20)))
+        want = operator_norm(m)
+        assert want == pytest.approx(scale * operator_norm(m / scale), rel=1e-13, abs=0.0)
+        assert abs(lanczos_norm(m) - want) <= 1e-13 * want
+
 
 class TestResolvent:
     def test_scalar_zero_at_i(self):
@@ -280,6 +299,16 @@ class TestResolvent:
     def test_real_point_near_spectrum_rejected(self):
         with pytest.raises(SingularityError):
             resolvent(np.diag([1.0, 2.0]), 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("lam", [1e-13j, 1 + 1e-13j, 2 - 1e-300j])
+    def test_point_within_eigenvalue_rounding_rejected(self, lam):
+        # Within EIGENVALUE_ROUNDING * max(1, max |lambda_n|) = 2e-12 of the spectrum.
+        with pytest.raises(ValidationError, match="rounding margin 2.0e-12"):
+            resolvent(np.diag([0.0, 1.0, 2.0]), lam)
+
+    def test_nonreal_point_beyond_rounding_margin(self):
+        r = resolvent(np.diag([0.0, 1.0, 2.0]), 1 + 3e-12j)
+        assert r[1, 1] == pytest.approx(1 / (-3e-12j), rel=1e-12)
 
     def test_real_point_far_from_spectrum(self):
         r = resolvent(np.diag([1.0, 2.0]), 5.0)
