@@ -44,8 +44,8 @@ def main():
     print("analytic bounds (l_j):", np.round([b for b in series.analytic_bounds], 5))
     verdict = st1_verdict(series)
     print("cantor verdict:", verdict.classification, "--", verdict.evidence["reason"])
-    # Eigenprojection cross-check of the direct norm: sup of 1/|lam_n - lam|
-    # over ambient eigenvalue clusters not inside range(P_j).
+    # Eigenprojection cross-check of the direct norm: the largest |R_lam|
+    # over the increment spectra of the levels above j.
     deltas = [abs(g - resolvent_gap_eigen(r, j, lam)) for j, g in series.entries]
     print(f"max |direct - eigenprojection formula| = {max(deltas):.2e}")
 

@@ -39,7 +39,6 @@ from .triple import (
     DiagonalRepresentation,
     FiniteSpectralTriple,
     TripleMorphism,
-    check_even,
     commutator_norm,
     compose_morphisms,
     identity_morphism,
@@ -120,7 +119,6 @@ __all__ = [
     "compose_morphisms",
     "identity_morphism",
     "commutator_norm",
-    "check_even",
     "connes_distance",
     "connes_distance_lp",
     "connes_distance_with_path",

@@ -24,11 +24,9 @@ import sys
 from . import __version__
 from .algebra import AlgebraElement
 from .diagnostics import (
-    CONTAIN_TOL,
     DEFAULT_LAMBDAS,
     FUNCTION_PROBES,
     GAP_DELTA_TOL,
-    GROUP_TOL,
     VERDICT_THRESHOLD,
     VERDICT_WINDOW,
     CommutatorSeries,
@@ -217,26 +215,18 @@ def cmd_st1(args) -> int:
     if args.window < 2:
         raise ValidationError(f"--window must be at least 2, got {args.window}")
     _check_positive("--threshold", args.threshold)
-    _check_positive("--tol-group", args.tol_group)
-    _check_positive("--tol-contain", args.tol_contain)
     lambdas = parse_lambdas(args.lam) if args.lam else list(DEFAULT_LAMBDAS)
     system = _load_system_arg(args)
     r = realize(system)
     levels = list(range(r.level + 1)) if args.levels is None else parse_levels(args.levels, r.level)
     functions = _check_functions(args.function or [])
 
-    group_tol = args.tol_group
-    contain_tol = args.tol_contain
-
     def one_lambda(lam):
+        # The eigen route first: the QR temporaries of its increment spectra
+        # then come before any rotation is cached, under the memory peak.
+        eigen = [resolvent_gap_eigen(r, j, lam) for j in levels]
         series = gap_series(r, lam=lam, j_range=levels)
-        cross = {
-            j: abs(
-                gap
-                - resolvent_gap_eigen(r, j, lam, group_tol=group_tol, contain_tol=contain_tol)
-            )
-            for j, gap in series.entries
-        }
+        cross = {j: abs(gap - e) for (j, gap), e in zip(series.entries, eigen)}
         return series, cross
 
     resolvent_results = [one_lambda(lam) for lam in lambdas]
@@ -508,8 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", action="append", help=f"named probe function (repeatable); known: {sorted(FUNCTION_PROBES)}")
     p.add_argument("--levels", help="level range a..b")
     p.add_argument("--out", help="output prefix (.csv and .json are appended)")
-    p.add_argument("--tol-group", dest="tol_group", type=float, default=GROUP_TOL)
-    p.add_argument("--tol-contain", dest="tol_contain", type=float, default=CONTAIN_TOL)
     p.add_argument("--threshold", type=float, default=VERDICT_THRESHOLD)
     p.add_argument("--window", type=int, default=VERDICT_WINDOW)
     p.set_defaults(func=cmd_st1)

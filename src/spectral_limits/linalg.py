@@ -312,11 +312,3 @@ def commutator(a, b) -> np.ndarray:
     if ma.shape != mb.shape or ma.shape[0] != ma.shape[1]:
         raise ValidationError(f"commutator needs equal square shapes, got {ma.shape} and {mb.shape}")
     return ma @ mb - mb @ ma
-
-
-def anticommutator(a, b) -> np.ndarray:
-    ma = as_matrix(a, "A")
-    mb = as_matrix(b, "B")
-    if ma.shape != mb.shape or ma.shape[0] != ma.shape[1]:
-        raise ValidationError(f"anticommutator needs equal square shapes, got {ma.shape} and {mb.shape}")
-    return ma @ mb + mb @ ma

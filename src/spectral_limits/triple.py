@@ -11,8 +11,8 @@ entries per level.
 
 In finite dimension the compact-resolvent and bounded-commutator conditions
 hold automatically; validation therefore checks the representation axioms,
-Hermiticity and morphism identities, and records that the two analytic
-conditions are trivial at this level.
+Hermiticity, the grading when there is one, and morphism identities, and
+records that the two analytic conditions are trivial at this level.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .errors import ValidationError
 from .linalg import (
     as_matrix,
     commutator,
-    anticommutator,
     dagger,
     frobenius,
     operator_norm,
@@ -191,11 +190,14 @@ def compose_morphisms(m1: TripleMorphism, m2: TripleMorphism) -> TripleMorphism:
 
 
 def validate_triple(t: FiniteSpectralTriple, tol: float = VALIDATION_TOL) -> ResidualReport:
-    """Representation axioms, faithfulness margin and Dirac Hermiticity.
+    """Representation axioms, faithfulness margin, Dirac Hermiticity and,
+    when a grading gamma is present, gamma - gamma* and gamma^2 - 1.
 
     The representation residuals are exact maxima over the algebra basis
-    (see ``map_residuals``).  The report notes that the compact-resolvent
-    and bounded-commutator conditions are automatic in finite dimension.
+    (see ``map_residuals``); the Dirac and grading residuals are Frobenius
+    norms, which bound the operator norms.  The report notes that the
+    compact-resolvent and bounded-commutator conditions are automatic in
+    finite dimension.
     """
     target, images = t.rep.as_map()
     entries = map_residuals(t.algebra, target, images)
@@ -207,6 +209,10 @@ def validate_triple(t: FiniteSpectralTriple, tol: float = VALIDATION_TOL) -> Res
         margin = float(np.linalg.svd(images, compute_uv=False)[-1])
     entries["faithfulness_margin"] = margin
     entries["faithfulness_defect"] = 0.0 if margin > tol else 1.0
+    if t.grading is not None:
+        g = t.grading
+        entries["grading_selfadjoint"] = frobenius(g - dagger(g))
+        entries["grading_involution"] = frobenius(g @ g - np.eye(t.hilbert_dim))
     notes = (
         "compact resolvent (ST1) holds automatically in finite dimension",
         "bounded commutators (ST2) hold automatically in finite dimension",
@@ -326,46 +332,3 @@ def commutator_norm(t: FiniteSpectralTriple, a: AlgebraElement) -> float:
     if not math.isfinite(norm):
         raise ValidationError("||[D, pi(a)]|| exceeds the float range")
     return norm
-
-
-def check_even(t: FiniteSpectralTriple, tol: float = VALIDATION_TOL) -> ResidualReport:
-    """Grading diagnostics.
-
-    Reports how far the grading is from a self-adjoint involution, how it
-    relates to the algebra, and both the commutator and anticommutator with
-    the Dirac operator.  The Dirac pair and the algebra commutant are
-    informational: the usual even-triple convention asks for gamma
-    anticommuting with D and commuting with pi(a), but gapwise-swap gradings
-    on Cantor triples satisfy the opposite pair, so no verdict is attached.
-    """
-    if t.grading is None:
-        raise ValidationError("triple has no grading")
-    g = t.grading
-    n = t.hilbert_dim
-    if isinstance(t.rep, DiagonalRepresentation):
-        cp = t.rep.coord_points
-        alg_res = _labelled_residual(g, cp, cp, tol)
-    else:
-        basis = np.eye(t.algebra.element_dim)
-        alg_res = 0.0
-        for rows in chunks(basis.shape[0], n * n):
-            mats = t.rep.apply_coordinates(basis[rows])
-            alg_res = max(alg_res, float(np.linalg.norm(g @ mats - mats @ g, ord=2, axis=(-2, -1)).max()))
-    entries = {
-        "grading_selfadjoint": operator_norm(g - dagger(g)),
-        "grading_involution": operator_norm(g @ g - np.eye(n)),
-        "grading_algebra_commutant": float(alg_res),
-        "grading_dirac_commutator": operator_norm(commutator(g, t.dirac)),
-        "grading_dirac_anticommutator": operator_norm(anticommutator(g, t.dirac)),
-    }
-    notes = ("no verdict attached to the Dirac (anti)commutator pair or the algebra commutant",)
-    return ResidualReport(
-        entries,
-        tol,
-        notes=notes,
-        informational=(
-            "grading_algebra_commutant",
-            "grading_dirac_commutator",
-            "grading_dirac_anticommutator",
-        ),
-    )

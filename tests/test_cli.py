@@ -18,8 +18,13 @@ from spectral_limits import (
     InductiveSystem,
     StarHomomorphism,
     TripleMorphism,
+    cantor_system,
+    gap_series,
     load_system,
+    middle_thirds,
+    realize,
     save_system,
+    st1_verdict,
 )
 from spectral_limits.cli import main, parse_complex, parse_levels
 from spectral_limits.errors import ValidationError
@@ -217,6 +222,17 @@ class TestValidate:
         assert main(["validate", "--system", str(bad)]) == 1
         assert "link 3" in capsys.readouterr().out
 
+    def test_non_involutive_grading_exit1_names_triple(self, tmp_path, cantor_file, capsys):
+        doc = json.loads(open(cantor_file).read())
+        grading = matrix_from_json(doc["triples"][2]["grading"])
+        grading[0, 1] = grading[1, 0] = 0.5
+        doc["triples"][2]["grading"] = matrix_to_json(grading)
+        bad = tmp_path / "grading.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--system", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL triple 2: FAIL(grading_involution)")
+
     def test_truncated_exit2(self, tmp_path, cantor_file):
         text = open(cantor_file).read()
         trunc = tmp_path / "trunc.json"
@@ -358,13 +374,6 @@ class TestSt1:
             ["--threshold", "-1"],
             ["--threshold", "nan"],
             ["--threshold", "inf"],
-            ["--tol-group", "nan"],
-            ["--tol-group", "0"],
-            ["--tol-group=-1e-8"],
-            ["--tol-group", "inf"],
-            ["--tol-contain", "-1"],
-            ["--tol-contain", "nan"],
-            ["--tol-contain", "0"],
         ],
         ids=lambda e: " ".join(e),
     )
@@ -375,6 +384,33 @@ class TestSt1:
         assert captured.out == ""
         assert "Traceback" not in captured.err and "Warning" not in captured.err
         assert not (tmp_path / "n.csv").exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--tol-group", "1e-8"],
+            ["--tol-contain", "1e-8"],
+            ["--tol-group", "nan"],
+            ["--tol-group", "0"],
+            ["--tol-group=-1e-8"],
+            ["--tol-group", "inf"],
+            ["--tol-contain", "-1"],
+            ["--tol-contain", "nan"],
+            ["--tol-contain", "0"],
+        ],
+        ids=lambda e: " ".join(e),
+    )
+    def test_removed_tolerance_flags_exit2(self, cantor_file, tmp_path, capsys, extra):
+        # The eigenprojection route has no clustering or containment
+        # tolerance, so argparse refuses both flags as unknown.
+        with pytest.raises(SystemExit) as exc:
+            main(["st1", "--system", cantor_file, "--out", str(tmp_path / "n")] + extra)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ") and extra[0].split("=")[0] in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "n.csv").exists() and not (tmp_path / "n.json").exists()
 
     @pytest.mark.parametrize("window", ["0", "1", "-2"])
     def test_window_below_two_exit2(self, cantor_file, tmp_path, capsys, window):
@@ -435,20 +471,37 @@ class TestSt1CrossCheck:
         assert main(["st1", "--system", cantor_file]) == 0
         assert capsys.readouterr().err == ""
 
-    def test_disagreeing_routes_warn_without_changing_output(self, cantor_file, tmp_path, capsys):
-        # One cluster for the whole spectrum: the eigen route reads the top
-        # cluster only, far from the direct gaps, but the verdict stands.
+    def test_disagreeing_routes_warn_without_changing_output(self, tmp_path, capsys):
+        # Link 2 of Cantor J=5, left-multiplied by a random unitary, no longer
+        # intertwines the Dirac operators.  st1 does not validate first: the
+        # direct route reads the planted embeddings, the eigen route reads
+        # the increment spectra, and the routes part (by 0.134 at lambda=i).
+        system = cantor_system(middle_thirds(6), 5)
+        link = system.links[2]
+        n = link.target.hilbert_dim
+        rng = np.random.default_rng(0)
+        unitary = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        links = list(system.links)
+        links[2] = TripleMorphism(link.source, link.target, link.phi, unitary @ link.iso)
+        planted = InductiveSystem(system.triples, tuple(links), system.provenance)
+        sysf = tmp_path / "planted_link.json"
+        save_system(planted, str(sysf))
         out = tmp_path / "wide"
         capsys.readouterr()
-        assert main(["st1", "--system", cantor_file, "--lambda", "i", "--tol-group", "1e300", "--out", str(out)]) == 0
+        lambdas = (1j, 2j)
+        argv = ["st1", "--system", str(sysf), "--lambda", "i", "--lambda", "2i", "--out", str(out)]
+        r = realize(load_system(str(sysf)))
+        verdicts = [st1_verdict(gap_series(r, lam=lam)).classification for lam in lambdas]
+        assert main(argv) == (1 if "inconsistent" in verdicts else 0)
         captured = capsys.readouterr()
         assert captured.out == f"wrote {out}.csv and {out}.json\n"
         warnings = captured.err.splitlines()
-        assert len(warnings) == 1
-        assert warnings[0].startswith("warning: ") and "lambda=0+1j, j=" in warnings[0]
-        probe = json.loads(Path(f"{out}.json").read_text())["probes"][0]
-        assert probe["max_eigen_gap_delta"] > 1e-9
-        assert probe["classification"] == "consistent"
+        assert len(warnings) == len(lambdas)
+        for line, lam in zip(warnings, lambdas):
+            assert line.startswith("warning: ") and f"lambda={lam:g}, j=" in line
+        probes = json.loads(Path(f"{out}.json").read_text())["probes"]
+        assert [p["classification"] for p in probes] == verdicts
+        assert all(p["max_eigen_gap_delta"] > 1e-9 for p in probes)
 
     def test_planted_top_singular_value_found_or_caught(self, tmp_path, capsys):
         sysf = tmp_path / "planted_system.json"

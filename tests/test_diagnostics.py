@@ -174,8 +174,8 @@ class TestEigenOracle:
                 ) <= 1e-10
 
     def test_degenerate_alphas_clusters_merge(self):
-        # Repeated alpha values merge eigenvalue clusters; the eigen route
-        # must still match the direct norm.
+        # Repeated alpha values put one eigenvalue into several increment
+        # spectra; the eigen route must still match the direct norm.
         chain = commutative_af_chain(
             binary_branching(4), np.full(16, 1 / 16), [2.0, 2.0, 3.0, 2.0]
         )
@@ -186,14 +186,13 @@ class TestEigenOracle:
                 eigen = resolvent_gap_eigen(r, j, lam)
                 assert abs(direct - eigen) <= 1e-9, (j, lam, direct, eigen)
 
-    def test_one_decomposition_per_level_and_one_defect_per_cluster(self, monkeypatch):
-        # A non-default group_tol reclusters the cached ambient eigenvalues
-        # instead of decomposing D_J again, and each containment defect is
-        # taken once per (level, cluster) whatever the number of probes.
-        from spectral_limits import diagnostics, inductive
-        from spectral_limits.diagnostics import _group_indices
+    def test_one_decomposition_and_one_increment_spectrum_per_level(self, monkeypatch):
+        # Over every probe and level, the eigen route takes one eigvalsh per
+        # level above 0 and no other, and inductive.eigh decomposes each
+        # level once for both routes together.
+        from spectral_limits import inductive
 
-        counts = {"eigh": 0, "norm": 0}
+        counts = {"eigh": 0, "eigvalsh": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -207,14 +206,12 @@ class TestEigenOracle:
         lambdas = (1j, 2j, 1 + 1j)
         for lam in lambdas:
             gap_series(r, lam=lam)
-        for module in (inductive, diagnostics):
-            monkeypatch.setattr(module, "operator_norm", counting("norm", module.operator_norm))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
         for lam in lambdas:
             for j in range(r.level + 1):
-                resolvent_gap_eigen(r, j, lam, group_tol=1e-7)
-        clusters = _group_indices(r.ambient_decomposition().eigenvalues, 1e-7)
+                resolvent_gap_eigen(r, j, lam)
+        assert counts["eigvalsh"] == r.level == 6
         assert counts["eigh"] == r.level + 1 == 7
-        assert counts["norm"] == (r.level + 1) * len(clusters) == 56
 
 
 class TestFunctionGap:

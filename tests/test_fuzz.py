@@ -5,9 +5,10 @@ key (or a list entry), substitutes a random JSON value, or truncates or
 flips a character of a base64 matrix string.  The numeric examples give
 ``st2 --element`` values and ``st1 --lambda`` probes from 1e-300 to 1e300
 in magnitude; a RuntimeWarning fails them, since tier-1 turns it into an
-error.
+error.  The argv examples give ``st1`` random flags and values.
 """
 
+import argparse
 import json
 
 import pytest
@@ -16,7 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from spectral_limits import cantor_system, middle_thirds, system_to_json
-from spectral_limits.cli import main
+from spectral_limits.cli import build_parser, main
 
 BASE_DOC = json.dumps(system_to_json(cantor_system(middle_thirds(2), 2)))
 B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/="
@@ -131,4 +132,51 @@ def test_st2_element_values_exit_code(ci2_config, tmp_path, capsys, data):
 def test_st1_small_imaginary_probe_exit_code(ci2_config, tmp_path, capsys, exponent, sign, real):
     lam = repr(complex(real, sign * 10.0**exponent))
     code = main(["st1", "--config", ci2_config, f"--lambda={lam}", "--out", str(tmp_path / "st1")])
+    _assert_clean_exit(code, capsys)
+
+
+def _st1_flags() -> list[str]:
+    """Option strings of the ``st1`` subparser, read from the parser."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted(o for action in sub.choices["st1"]._actions for o in action.option_strings)
+
+
+# The parser's flags plus two it no longer accepts.
+ST1_FLAGS = _st1_flags() + ["--tol-group", "--tol-contain"]
+# argv strings carry neither NUL nor lone surrogates.
+argv_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=8)
+argv_values = (
+    st.sampled_from(["i", "2i", "1+i", "-0.5-2i", "0", "0..2", "1..1", "2..0", "gaussian", "nan", "-inf", ""])
+    | st.floats().map(repr)
+    | st.integers(-3, 10).map(str)
+    | argv_text
+)
+
+
+@pytest.fixture(scope="module")
+def cantor2_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "cantor2.json"
+    path.write_text(BASE_DOC)
+    return str(path)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(pairs=st.lists(st.tuples(st.sampled_from(ST1_FLAGS), argv_values), max_size=4))
+def test_st1_argv_exit_code(cantor2_file, tmp_path, capsys, pairs):
+    out = str(tmp_path / "st1")
+    argv = ["st1", "--system", cantor2_file, "--out", out]
+    for flag, value in pairs:
+        if flag in ("-h", "--help"):
+            argv.append(flag)
+        else:
+            argv += [flag, out if flag == "--out" else value]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     _assert_clean_exit(code, capsys)

@@ -22,6 +22,7 @@ from spectral_limits import (
     random_commutative_system,
     realize,
     resolvent,
+    resolvent_gap_eigen,
     system_validate,
 )
 from spectral_limits.linalg import dagger
@@ -144,18 +145,27 @@ class TestRotation:
             assert operator_norm(dagger(w) @ w - np.eye(w.shape[1])) <= 1e-13
         assert np.array_equal(r.rotation(r.level), np.eye(r.ambient.hilbert_dim))
 
+
+class TestIncrementSpectra:
     @pytest.mark.parametrize("system", [CANTOR5, CI3, _complex_pair_system()], ids=["cantor", "ci", "complex"])
-    def test_containment_defect_matches_ambient_formula(self, system):
-        # ||(1 - P_j) U_c|| in the ambient basis, over singleton clusters and the whole spectrum.
+    def test_eigen_route_matches_dense_oracle(self, system):
+        # ||R_lam(D_J)(1 - P_j)||, formed densely in ambient coordinates.
         r = realize(system)
-        u = r.ambient_decomposition().vectors
-        n = u.shape[0]
-        for j in range(r.level + 1):
-            p = r.projection(j)
-            for cluster in [(i,) for i in range(n)] + [tuple(range(n))]:
-                vecs = u[:, list(cluster)]
-                want = operator_norm(vecs - p @ vecs)
-                assert abs(r.containment_defect(j, cluster) - want) <= 1e-13
+        n = r.ambient.hilbert_dim
+        for lam in LAMBDAS:
+            outer = resolvent(r.ambient.dirac, lam)
+            for j in range(r.level + 1):
+                want = operator_norm(outer @ (np.eye(n) - r.projection(j)))
+                assert abs(resolvent_gap_eigen(r, j, lam) - want) <= 1e-12
+
+    @pytest.mark.parametrize("system", [CANTOR5, CI3, _complex_pair_system()], ids=["cantor", "ci", "complex"])
+    def test_increments_complete_the_ambient_spectrum(self, system):
+        r = realize(system)
+        parts = [r.level_decomposition(0).eigenvalues] + [r.increment_spectrum(k) for k in range(1, r.level + 1)]
+        assert np.allclose(np.sort(np.concatenate(parts)), r.ambient_decomposition().eigenvalues, atol=1e-12)
+        for k in (0, r.level + 1):
+            with pytest.raises(ValidationError, match="increment level"):
+                r.increment_spectrum(k)
 
 
 class TestResolventIdentities:

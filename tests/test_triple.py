@@ -19,7 +19,6 @@ from spectral_limits import (
     State,
     ValidationError,
     cantor_system,
-    check_even,
     ci_system,
     commutator,
     commutator_norm,
@@ -448,7 +447,7 @@ class TestCutBlockNorm:
         assert abs(commutator_norm(t, a) - want) <= 1e-13 * want + slack
 
 
-class TestCheckEven:
+class TestGrading:
     def test_identity_grading_zero_dirac(self):
         t = FiniteSpectralTriple(
             FiniteCStarAlgebra((1,)),
@@ -456,42 +455,45 @@ class TestCheckEven:
             np.zeros((1, 1)),
             grading=np.eye(1),
         )
-        report = check_even(t)
+        report = validate_triple(t)
         assert report.passed
-        assert all(v == 0 for v in report.entries.values())
+        assert report.entries["grading_selfadjoint"] == 0.0
+        assert report.entries["grading_involution"] == 0.0
 
     def test_cantor_swap_grading_level1(self):
-        # The printed swap grading commutes with the printed Dirac operator
-        # and anticommutes up to 2 ||D||.
-        t = cantor_system(SEQ, 1).triples[1]
-        report = check_even(t)
-        assert report.entries["grading_involution"] <= 1e-14
-        assert report.entries["grading_selfadjoint"] <= 1e-14
-        assert report.entries["grading_dirac_commutator"] <= 1e-14
-        assert report.entries["grading_dirac_anticommutator"] == pytest.approx(6.0, abs=1e-12)
-        assert operator_norm(t.dirac) == pytest.approx(3.0, abs=1e-12)
+        report = validate_triple(cantor_system(SEQ, 1).triples[1])
+        assert report.passed
+        assert report.entries["grading_selfadjoint"] == 0.0
+        assert report.entries["grading_involution"] == 0.0
 
-    def test_sign_grading_anticommutes(self):
+    def test_generated_cantor_gradings_exact(self):
+        system = cantor_system(middle_thirds(18), 18)
+        for t in system.triples:
+            report = validate_triple(t)
+            assert report.entries["grading_selfadjoint"] == 0.0
+            assert report.entries["grading_involution"] == 0.0
+
+    def test_missing_grading(self):
+        report = validate_triple(cantor_system(SEQ, 1, with_grading=False).triples[1])
+        assert report.passed
+        assert not any(name.startswith("grading") for name in report.entries)
+
+    @pytest.mark.parametrize(
+        "grading, failing",
+        [
+            (np.array([[0.0, 2.0], [0.5, 0.0]]), ("grading_selfadjoint",)),
+            (np.diag([1.0, 0.5]), ("grading_involution",)),
+            (np.diag([1.0, -1.0 - 1e-9]), ("grading_involution",)),
+        ],
+        ids=["not-selfadjoint", "not-involution", "near-involution"],
+    )
+    def test_bad_grading_fails(self, grading, failing):
         t = FiniteSpectralTriple(
             FiniteCStarAlgebra((1,)),
             DiagonalRepresentation(np.array([0, 0]), 1),
             np.array([[0.0, 3.0], [3.0, 0.0]]),
-            grading=np.diag([1.0, -1.0]),
+            grading=grading,
         )
-        report = check_even(t)
-        assert report.entries["grading_dirac_anticommutator"] <= 1e-14
-        assert report.entries["grading_dirac_commutator"] == pytest.approx(6.0, abs=1e-12)
-
-    @pytest.mark.parametrize("level", [1, 3])
-    def test_algebra_commutant_exact(self, level):
-        t = cantor_system(SEQ, level).triples[level]
-        oracle = max(
-            operator_norm(t.grading @ t.represent(e) - t.represent(e) @ t.grading) for e in t.algebra.basis()
-        )
-        assert oracle > 0.1
-        assert check_even(t).entries["grading_algebra_commutant"] == pytest.approx(oracle, rel=1e-12)
-
-    def test_missing_grading(self):
-        t = cantor_system(SEQ, 1, with_grading=False).triples[1]
-        with pytest.raises(ValidationError):
-            check_even(t)
+        report = validate_triple(t)
+        assert report.failures == failing
+        assert "FAIL(" + ",".join(failing) + ")" in report.summary()
