@@ -42,14 +42,18 @@ def main():
     report = system_validate(system)
     print("\nsystem validation:", report.summary())
 
-    # Truncated realization: embeddings I_{j,J} and projections P_j inside
-    # the top level; I R_lam(D_j) I* equals P_j R_lam(D_J) P_j exactly.
+    # Truncated realization: the embeddings I_{j,J} = I_{j+1,J} L_j, chained
+    # down from I_{J,J} = 1, and the projections P_j = I I* inside the top
+    # level; I R_lam(D_j) I* equals P_j R_lam(D_J) P_j exactly.
     r = realize(system)
     lam = 1j
     worst = 0.0
     r_top = resolvent(r.ambient.dirac, lam)
-    for j in range(levels + 1):
-        iso, p = r.embedding(j), r.projection(j)
+    iso = np.eye(r.ambient.hilbert_dim, dtype=complex)
+    for j in range(levels, -1, -1):
+        if j < levels:
+            iso = iso @ system.links[j].iso
+        p = iso @ dagger(iso)
         lhs = iso @ resolvent(system.triples[j].dirac, lam) @ dagger(iso)
         worst = max(worst, operator_norm(lhs - p @ r_top @ p))
     print(f"strong-resolvent identity residual over all levels: {worst:.2e}")

@@ -21,7 +21,6 @@ from spectral_limits import (
     commutative_af_chain,
     eigh,
     gns,
-    realize,
     system_validate,
 )
 
@@ -37,8 +36,11 @@ def main():
     print("  (alpha_i on each projection increment, 0 on the base line)")
     print("validation:", system_validate(system).summary())
 
-    r = realize(system)
-    print("projection ranks:", [int(round(np.trace(r.projection(j)).real)) for j in range(5)])
+    # P_j = I_{j,4} I_{j,4}*, with I_{j,4} = I_{j+1,4} L_j chained down from I_{4,4} = 1.
+    isos = [np.eye(system.triples[4].hilbert_dim, dtype=complex)]
+    for link in reversed(system.links):
+        isos.insert(0, isos[0] @ link.iso)
+    print("projection ranks:", [int(round(np.trace(iso @ iso.conj().T).real)) for iso in isos])
 
     # Noncommutative chain: scalars inside M_2 with the normalized trace.
     c1, m2 = FiniteCStarAlgebra((1,)), FiniteCStarAlgebra((2,))

@@ -3,8 +3,8 @@
 
 d(x, y) = sup{ |f(x) - f(y)| : ||[D, pi(f)]|| <= 1 }.  On gapwise Cantor
 triples the constraint decouples into per-gap difference bounds and the
-distance is a shortest path; the exhaustive vertex-enumeration LP verifies
-it independently.  A coupled example exercises the barrier (SDP) solve.
+distance is a shortest path.  A coupled example exercises the barrier (SDP)
+solve.
 
 To run:
     python demos/04_spectral_distance.py
@@ -18,7 +18,6 @@ from spectral_limits import (
     FiniteSpectralTriple,
     cantor_system,
     connes_distance,
-    connes_distance_lp,
     connes_distance_with_path,
     middle_thirds,
 )
@@ -32,7 +31,6 @@ def main():
     labels = t1.meta["points"]
     print(f"level 1: d(0, 2/3) = {value:.6f}")
     print("geodesic:", " -> ".join(f"{labels[p]:.4f}" for p in path))
-    print("LP oracle:", f"{connes_distance_lp(t1, 0, 1):.6f}")
 
     # Deeper levels reroute old gap constraints through new points, so the
     # level distance between the same endpoints grows toward its limit.

@@ -40,16 +40,13 @@ from .triple import (
     FiniteSpectralTriple,
     TripleMorphism,
     commutator_norm,
-    compose_morphisms,
-    identity_morphism,
     validate_morphism,
     validate_triple,
 )
-from .distance import connes_distance, connes_distance_lp, connes_distance_with_path
+from .distance import connes_distance, connes_distance_with_path
 from .inductive import (
     InductiveSystem,
     Realization,
-    embed,
     realize,
     system_validate,
 )
@@ -116,15 +113,11 @@ __all__ = [
     "DiagonalRepresentation",
     "validate_triple",
     "validate_morphism",
-    "compose_morphisms",
-    "identity_morphism",
     "commutator_norm",
     "connes_distance",
-    "connes_distance_lp",
     "connes_distance_with_path",
     "InductiveSystem",
     "Realization",
-    "embed",
     "realize",
     "system_validate",
     "GapSeries",

@@ -223,7 +223,9 @@ def cmd_st1(args) -> int:
 
     def one_lambda(lam):
         # The eigen route first: the QR temporaries of its increment spectra
-        # then come before any rotation is cached, under the memory peak.
+        # then come before any rotation is cached, under the memory peak
+        # (binary CI dim 1024, 3 probes and gaussian: 147 MB peak RSS,
+        # against 173 MB with the direct route first).
         eigen = [resolvent_gap_eigen(r, j, lam) for j in levels]
         series = gap_series(r, lam=lam, j_range=levels)
         cross = {j: abs(gap - e) for (j, gap), e in zip(series.entries, eigen)}
@@ -438,8 +440,8 @@ def cmd_report(args) -> int:
                 "entries": [{"j": j, "gap": v} for j, v in series.entries],
             }
         )
-    # The realization's embeddings, decompositions and rotations are not
-    # needed by the ST2 probe.
+    # The realization's decompositions, rotations and increment spectra are
+    # not needed by the ST2 probe.
     del r
     st2_probe = default_st2_probe(system)
     st2 = st2_verdict(st2_probe)

@@ -5,9 +5,8 @@ d(x, y) = sup{ |f(x) - f(y)| : f real, ||[D, pi(f)]|| <= 1 }.
 When every Hilbert-space coordinate is coupled by the Dirac operator to at
 most one coordinate carrying a different point (gapwise triples), the norm
 constraint decouples into pairwise difference bounds and the supremum is the
-shortest-path distance in the weighted constraint graph.  An exhaustive
-vertex-enumeration LP over the same polytope serves as an independent
-oracle.  Genuinely coupled instances are solved as the semidefinite program
+shortest-path distance in the weighted constraint graph.  Genuinely
+coupled instances are solved as the semidefinite program
 max f(x) - f(y) subject to -I <= i[D, diag(f)] <= I, by log-barrier Newton
 steps with a certified optimality gap.
 
@@ -18,7 +17,6 @@ distance, returned as ``math.inf``.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 
 import numpy as np
@@ -29,8 +27,6 @@ from .triple import DiagonalRepresentation, FiniteSpectralTriple
 
 # Entries of D below cutoff * ||D|| are treated as structural zeros.
 COUPLING_CUTOFF = 1e-12
-# Work cap for the vertex-enumeration oracle.
-ORACLE_MAX_TREES = 200_000
 # Relative certified gap at which the coupled (barrier) solve stops.  Each
 # factor 50 costs about five Newton steps; at 1e-15 rounding pushes the
 # eigenvalues of M(f) past +-1 (NumericError).
@@ -174,91 +170,6 @@ def connes_distance_with_path(t: FiniteSpectralTriple, x: int, y: int):
 def connes_distance(t: FiniteSpectralTriple, x: int, y: int) -> float:
     """sup{ |f(x) - f(y)| : ||[D, pi(f)]|| <= 1 }, or inf when disconnected."""
     return connes_distance_with_path(t, x, y)[0]
-
-
-def connes_distance_lp(t: FiniteSpectralTriple, x: int, y: int) -> float:
-    """Vertex-enumeration LP oracle over the difference-bound polytope.
-
-    Only valid for decoupled instances, where the polytope equals the true
-    feasible set; every polytope vertex arises from a spanning tree of tight
-    constraints with a sign per edge, so the maximum of f(x) - f(y) is found
-    by exhausting trees and sign patterns.
-    """
-    x, y = _check_points(t, x, y)
-    if x == y:
-        return 0.0
-    coord_points, dirac = _diagonal_form(t)
-    edges, decoupled = _interaction(coord_points, dirac)
-    if not decoupled:
-        raise ValidationError("LP oracle requires decoupled (pairwise) constraints")
-    comp = _components(t.algebra.n_points, edges)
-    if comp[x] != comp[y]:
-        return math.inf
-
-    points = sorted(np.nonzero(comp == comp[x])[0].tolist())
-    index = {p: i for i, p in enumerate(points)}
-    elist = [(index[u], index[v], w) for (u, v), w in sorted(edges.items()) if comp[u] == comp[x]]
-    m = len(points)
-    xi, yi = index[x], index[y]
-    if m < 2:
-        return 0.0
-
-    n_trees = math.comb(len(elist), m - 1)
-    if n_trees * (2 ** (m - 1)) > ORACLE_MAX_TREES * 16:
-        raise ValidationError("LP oracle instance too large for exhaustive enumeration")
-
-    weights_all = np.array([w for (_, _, w) in elist])
-    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m - 1)))
-    best = -math.inf
-    for subset in itertools.combinations(range(len(elist)), m - 1):
-        # Acyclicity + spanning check via union-find.
-        parent = list(range(m))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        ok = True
-        for ei in subset:
-            u, v, _ = elist[ei]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                ok = False
-                break
-            parent[ru] = rv
-        if not ok:
-            continue
-        # Orient the tree from the root y; T[p, e] = +-1 if edge e lies on the
-        # path y -> p, signed by traversal direction (f_v - f_u = value of e).
-        adj: dict[int, list[tuple[int, int, int]]] = {p: [] for p in range(m)}
-        for k, ei in enumerate(subset):
-            u, v, _ = elist[ei]
-            adj[u].append((v, k, +1))
-            adj[v].append((u, k, -1))
-        tmat = np.zeros((m, m - 1))
-        stack = [yi]
-        seen = {yi}
-        while stack:
-            p = stack.pop()
-            for q, k, sgn in adj[p]:
-                if q in seen:
-                    continue
-                seen.add(q)
-                tmat[q] = tmat[p]
-                tmat[q, k] = sgn
-                stack.append(q)
-        w_tree = np.array([elist[ei][2] for ei in subset])
-        fvals = (signs * w_tree) @ tmat.T  # (2^(m-1), m); f(y) = 0 always
-        feas = np.ones(fvals.shape[0], dtype=bool)
-        for u, v, w in elist:
-            feas &= np.abs(fvals[:, u] - fvals[:, v]) <= w + 1e-12 * max(1.0, w)
-        if feas.any():
-            best = max(best, float(np.max(fvals[feas, xi] - fvals[feas, yi])))
-    if best == -math.inf:
-        raise NumericError("vertex enumeration found no feasible vertex")
-    return best
 
 
 def _barrier_distance(coord_points, dirac, comp, x: int, y: int) -> tuple[float, np.ndarray, float]:

@@ -1,11 +1,11 @@
 """Inductive systems of spectral triples and their truncated realizations.
 
-Only adjacent links are stored; every composed morphism is derived by
-chaining, which makes the cocycle identities structural instead of
-something to verify.  The infinite inductive limit is represented solely by
-its level-J truncations: the ambient triple of a realization is the top
-triple of the chain, carrying the composed embeddings I_{j,J}; the
-orthogonal projections P_j = I_{j,J} I_{j,J}* are formed on demand.
+Only adjacent links are stored, so the cocycle identities of the composed
+embeddings I_{j,J} = L_{J-1} ... L_j are structural instead of something to
+verify.  The infinite inductive limit is represented solely by its level-J
+truncations: the ambient triple of a realization is the top triple of the
+chain, and a realization keeps spectra, never a composed embedding; where
+I_{j,J} is needed, the links are applied in turn.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from .linalg import (
 from .triple import (
     FiniteSpectralTriple,
     TripleMorphism,
-    compose_morphisms,
-    identity_morphism,
     validate_morphism,
     validate_triple,
 )
@@ -58,18 +56,6 @@ class InductiveSystem:
     @property
     def top_level(self) -> int:
         return len(self.triples) - 1
-
-
-def embed(system: InductiveSystem, j: int, k: int) -> TripleMorphism:
-    """Composed morphism T_j -> T_k obtained by chaining adjacent links."""
-    if not (0 <= j <= k <= system.top_level):
-        raise ValidationError(f"need 0 <= j <= k <= {system.top_level}, got j={j}, k={k}")
-    if j == k:
-        return identity_morphism(system.triples[j])
-    morphism = system.links[j]
-    for step in range(j + 1, k):
-        morphism = compose_morphisms(morphism, system.links[step])
-    return morphism
 
 
 def system_validate(
@@ -121,7 +107,7 @@ class SystemReport:
 class Realization:
     """Level-J truncation of the inductive limit.
 
-    Carries the ambient triple T_J and the embeddings I_{j,J} for j <= J.
+    Holds the ambient triple T_J but no composed embedding I_{j,J}.
     Diagnostics read, for every probe, one cached eigendecomposition per
     level, one rotation W_j = U* I_{j,J} V_j per level into the ambient and
     level-j eigenbases U and V_j, and one increment spectrum per level
@@ -134,24 +120,17 @@ class Realization:
         self.system = system
         self.level = level
         self.ambient = system.triples[level]
-        embeddings = [None] * (level + 1)
-        embeddings[level] = np.eye(self.ambient.hilbert_dim, dtype=complex)
-        for j in range(level - 1, -1, -1):
-            embeddings[j] = embeddings[j + 1] @ system.links[j].iso
-        self.embeddings = tuple(embeddings)
         self._decompositions: dict[int, SpectralDecomposition] = {}
         self._rotations: dict[int, np.ndarray] = {}
         self._increments: dict[int, np.ndarray] = {}
 
-    def embedding(self, j: int) -> np.ndarray:
-        return self.embeddings[j]
-
-    def projection(self, j: int) -> np.ndarray:
-        """P_j = I_{j,J} I_{j,J}*, formed on each call."""
-        return self.embeddings[j] @ dagger(self.embeddings[j])
+    def _check_level(self, j: int) -> None:
+        if not (0 <= j <= self.level):
+            raise ValidationError(f"level must lie in [0, {self.level}], got {j}")
 
     def level_decomposition(self, j: int) -> SpectralDecomposition:
         if j not in self._decompositions:
+            self._check_level(j)
             self._decompositions[j] = eigh(self.system.triples[j].dirac)
         return self._decompositions[j]
 
@@ -162,14 +141,18 @@ class Realization:
         """W_j = U* I_{j,J} V_j, the embedding in the ambient and level-j eigenbases.
 
         I_{j,J} g(D_j) I_{j,J}* = U W_j g(Lambda_j) W_j* U* for every function
-        g.  W_J is the identity exactly.
+        g.  W_J is the identity exactly.  I_{j,J} V_j is formed by applying
+        the links L_j, ..., L_{J-1} to V_j in turn.
         """
         if j not in self._rotations:
+            self._check_level(j)
             if j == self.level:
                 w = np.eye(self.ambient.hilbert_dim, dtype=complex)
             else:
-                u = self.ambient_decomposition().vectors
-                w = dagger(u) @ (self.embeddings[j] @ self.level_decomposition(j).vectors)
+                w = self.level_decomposition(j).vectors
+                for link in self.system.links[j : self.level]:
+                    w = link.iso @ w
+                w = dagger(self.ambient_decomposition().vectors) @ w
             self._rotations[j] = w
         return self._rotations[j]
 

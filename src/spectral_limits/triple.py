@@ -31,7 +31,6 @@ from .algebra import (
     StarHomomorphism,
     VALIDATION_TOL,
     chunks,
-    hom_compose,
     hom_validate,
     map_residuals,
 )
@@ -169,24 +168,6 @@ class TripleMorphism:
         if self.phi.target.block_dims != self.target.algebra.block_dims:
             raise ValidationError("phi target does not match the target triple")
         object.__setattr__(self, "iso", m)
-
-
-def identity_morphism(t: FiniteSpectralTriple) -> TripleMorphism:
-    return TripleMorphism(
-        t, t, StarHomomorphism.identity(t.algebra), np.eye(t.hilbert_dim, dtype=complex)
-    )
-
-
-def compose_morphisms(m1: TripleMorphism, m2: TripleMorphism) -> TripleMorphism:
-    """Composite m2 o m1 (m1: j->k, m2: k->l)."""
-    if m1.target is not m2.source and (
-        m1.target.hilbert_dim != m2.source.hilbert_dim
-        or m1.target.algebra.block_dims != m2.source.algebra.block_dims
-    ):
-        raise ValidationError("morphisms do not compose: endpoint mismatch")
-    return TripleMorphism(
-        m1.source, m2.target, hom_compose(m2.phi, m1.phi), m2.iso @ m1.iso
-    )
 
 
 def validate_triple(t: FiniteSpectralTriple, tol: float = VALIDATION_TOL) -> ResidualReport:

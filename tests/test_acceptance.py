@@ -27,7 +27,6 @@ from spectral_limits import (
     commutative_af_chain,
     commutator_series,
     connes_distance,
-    connes_distance_lp,
     eigh,
     function_gap,
     gap_series,
@@ -45,6 +44,8 @@ from spectral_limits import (
 )
 from spectral_limits.diagnostics import FUNCTION_PROBES
 from spectral_limits.linalg import dagger, resolvent_from_decomposition
+from test_distance import connes_distance_lp
+from test_inductive import chain
 
 LAMBDAS = (1j, 2j, 1 + 1j)
 
@@ -133,8 +134,8 @@ def test_criterion_02_oracle_equivalence(cantor10, ci64, random_systems):
 
 def _eq6_residual(system, r, j, lam, outer):
     """||I R_lam(D_j) I* - P_j R_lam(D_J) P_j||, with outer = R_lam(D_J)."""
-    iso = r.embedding(j)
-    p = r.projection(j)
+    iso = chain(system, j, r.level).iso
+    p = iso @ dagger(iso)
     inner = outer if j == r.level else resolvent(system.triples[j].dirac, lam)
     return operator_norm(iso @ inner @ dagger(iso) - p @ outer @ p)
 
@@ -171,10 +172,10 @@ def test_criterion_04_padded_resolvent_correction(cantor10, ci64, random_systems
 
     def padded_residual(system, r, j, lam):
         n = r.ambient.hilbert_dim
-        iso = r.embedding(j)
+        iso = chain(system, j, r.level).iso
         padded = np.linalg.inv(iso @ system.triples[j].dirac @ dagger(iso) - lam * np.eye(n))
         inner = iso @ resolvent(system.triples[j].dirac, lam) @ dagger(iso)
-        perp = np.eye(n) - r.projection(j)
+        perp = np.eye(n) - iso @ dagger(iso)
         return operator_norm(padded - inner + perp / lam)
 
     for system in [cantor10[1], ci64[1]] + random_systems[:10]:

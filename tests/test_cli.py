@@ -474,7 +474,7 @@ class TestSt1CrossCheck:
     def test_disagreeing_routes_warn_without_changing_output(self, tmp_path, capsys):
         # Link 2 of Cantor J=5, left-multiplied by a random unitary, no longer
         # intertwines the Dirac operators.  st1 does not validate first: the
-        # direct route reads the planted embeddings, the eigen route reads
+        # direct route applies the planted link, the eigen route reads
         # the increment spectra, and the routes part (by 0.134 at lambda=i).
         system = cantor_system(middle_thirds(6), 5)
         link = system.links[2]

@@ -47,6 +47,7 @@ from spectral_limits.linalg import (
     resolvent_values,
 )
 from spectral_limits.serialization import system_from_generator_config
+from test_inductive import chain
 
 SEQ = middle_thirds(6)
 CANTOR6 = cantor_system(SEQ, 6)
@@ -305,7 +306,7 @@ def _dense_gaps(r, probe):
     gaps = []
     sup = 0.0
     for j in range(r.level + 1):
-        iso, dec = r.embedding(j), r.level_decomposition(j)
+        iso, dec = chain(r.system, j, r.level).iso, r.level_decomposition(j)
         gaps.append(operator_norm(iso @ matrix(dec) @ dagger(iso) - outer))
         sup = max(sup, float(np.max(np.abs(values(dec.eigenvalues)))))
     return gaps, sup

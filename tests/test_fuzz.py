@@ -180,3 +180,82 @@ def test_st1_argv_exit_code(cantor2_file, tmp_path, capsys, pairs):
     except SystemExit as exc:
         code = exc.code
     _assert_clean_exit(code, capsys)
+
+
+def _write_json(path, doc) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def ci2_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "ci2_system.json"
+    assert main(["build", "--config", _write_json(path.with_name("ci2_build.json"), CI2), "--out", str(path)]) == 0
+    return str(path)
+
+
+# Level and point arguments: indices, Cantor coordinates, and malformed text.
+point_values = (
+    st.sampled_from(["0", "1", "2", "3", "-1", "0.0", "1.0", "0.2222222222222222", "0.6666666666666666", "1e400", "nan"])
+    | st.integers(-3, 6).map(str)
+    | st.floats().map(repr)
+    | argv_text
+)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    which=st.sampled_from(["cantor", "ci"]),
+    pairs=st.lists(st.tuples(st.sampled_from(["--level", "--x", "--y"]), point_values), max_size=4),
+)
+def test_distance_argv_exit_code(cantor2_file, ci2_file, capsys, which, pairs):
+    argv = ["distance", "--system", cantor2_file if which == "cantor" else ci2_file]
+    for flag, value in pairs:
+        argv += [flag, value]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    _assert_clean_exit(code, capsys)
+
+
+# Small values for report config fields: no generator config drawn here
+# builds more than a few levels.
+small_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=2),
+    max_leaves=4,
+)
+REPORT_FIELDS = {
+    "lambdas": st.lists(st.sampled_from(["i", "2i", "1+i", "0", "1", "nan", "1e-320j", "inf"]) | argv_text, max_size=3),
+    "functions": st.lists(st.sampled_from(["gaussian", "exp", ""]) | argv_text, max_size=2),
+    "levels": st.lists(st.integers(-1, 3), max_size=3),
+}
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_report_config_exit_code(tmp_path, capsys, data):
+    system = dict(data.draw(st.sampled_from([CI2, {"type": "cantor", "gaps": "middle-thirds", "levels": 2}])))
+    cfg = {"system": system, "lambdas": ["i"], "functions": ["gaussian"], "levels": [0, 2]}
+    for key in data.draw(st.lists(st.sampled_from(sorted(REPORT_FIELDS) + ["system"]), min_size=1, max_size=2)):
+        action = data.draw(st.sampled_from(["drop", "field", "any"]))
+        if key == "system" and action == "field":
+            system[data.draw(st.sampled_from(sorted(system)))] = data.draw(small_values)
+        elif action == "drop":
+            cfg.pop(key, None)
+        else:
+            cfg[key] = data.draw(small_values if action == "any" or key == "system" else REPORT_FIELDS[key])
+    config = _write_json(tmp_path / "report.json", cfg)
+    code = main(["report", "--config", config, "--out", str(tmp_path / "out.json")])
+    _assert_clean_exit(code, capsys)

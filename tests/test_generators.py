@@ -23,6 +23,7 @@ from spectral_limits import (
     theta,
 )
 from spectral_limits.linalg import dagger
+from test_inductive import chain
 
 
 class TestMiddleThirds:
@@ -156,14 +157,12 @@ class TestCiSystem:
 
     def test_dirac_restriction_consistency(self):
         # D_k restricted to the level-j subspace equals D_j.
-        chain = commutative_af_chain(
+        af = commutative_af_chain(
             binary_branching(4), np.full(16, 1 / 16), [1.0, -2.0, 3.5, 0.5]
         )
-        system = ci_system(chain, 4)
-        from spectral_limits import embed
-
+        system = ci_system(af, 4)
         for j in range(4):
-            m = embed(system, j, 4)
+            m = chain(system, j, 4)
             restricted = dagger(m.iso) @ system.triples[4].dirac @ m.iso
             assert np.allclose(restricted, system.triples[j].dirac, atol=1e-12)
 

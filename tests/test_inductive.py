@@ -1,5 +1,7 @@
 """Inductive systems, embeddings, realizations and resolvent identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from spectral_limits import (
     ci_system,
     commutative_af_chain,
     commutator,
-    embed,
+    hom_compose,
     middle_thirds,
     operator_norm,
     random_commutative_system,
@@ -34,6 +36,15 @@ CI3 = ci_system(
 )
 
 LAMBDAS = (1j, 2j, 1 + 1j)
+
+
+def chain(system, j, k):
+    """The composed morphism T_j -> T_k: (phi_{j,k}, I_{j,k}) from links j..k-1."""
+    t = system.triples[j]
+    phi, iso = StarHomomorphism.identity(t.algebra), np.eye(t.hilbert_dim, dtype=complex)
+    for link in system.links[j:k]:
+        phi, iso = hom_compose(link.phi, phi), link.iso @ iso
+    return TripleMorphism(t, system.triples[k], phi, iso)
 
 
 class TestSystemValidate:
@@ -67,51 +78,67 @@ class TestSystemValidate:
 
 class TestEmbed:
     def test_identity_at_equal_levels(self):
-        m = embed(CANTOR5, 2, 2)
+        m = chain(CANTOR5, 2, 2)
         assert np.allclose(m.iso, np.eye(6))
         assert np.array_equal(m.phi.spectrum_map, np.arange(3))
 
     def test_chaining_definition(self):
-        direct = embed(CANTOR5, 0, 2)
-        split = embed(CANTOR5, 1, 2)
-        first = embed(CANTOR5, 0, 1)
+        direct = chain(CANTOR5, 0, 2)
+        split = chain(CANTOR5, 1, 2)
+        first = chain(CANTOR5, 0, 1)
         assert np.allclose(direct.iso, split.iso @ first.iso)
         assert np.array_equal(
             direct.phi.spectrum_map, first.phi.spectrum_map[split.phi.spectrum_map]
         )
 
     def test_cantor_embedding_is_coordinate_inclusion(self):
-        m = embed(CANTOR5, 0, 3)
+        m = chain(CANTOR5, 0, 3)
         oracle = np.zeros((8, 2))
         oracle[:2, :] = np.eye(2)
         assert np.allclose(m.iso, oracle)
-
-    def test_invalid_range(self):
-        with pytest.raises(ValidationError):
-            embed(CANTOR5, 3, 1)
-        with pytest.raises(ValidationError):
-            embed(CANTOR5, 0, 9)
 
 
 class TestRealize:
     def test_level_zero(self):
         r = realize(CANTOR5, 0)
         assert r.ambient is CANTOR5.triples[0]
-        assert np.allclose(r.projection(0), np.eye(2))
+        assert np.array_equal(r.rotation(0), np.eye(2))
 
     def test_cantor_projection_ranks(self):
-        r = realize(cantor_system(SEQ, 3), 3)
-        assert r.ambient.hilbert_dim == 8
-        assert np.trace(r.projection(1)).real == pytest.approx(4.0, abs=1e-12)
+        system = cantor_system(SEQ, 3)
+        assert realize(system, 3).ambient.hilbert_dim == 8
+        iso = chain(system, 1, 3).iso
+        assert np.trace(iso @ dagger(iso)).real == pytest.approx(4.0, abs=1e-12)
 
     def test_ci_projection_ranks(self):
-        r = realize(CI3)
-        ranks = [np.trace(r.projection(j)).real for j in range(4)]
+        ranks = [np.linalg.norm(chain(CI3, j, 3).iso) ** 2 for j in range(4)]
         assert np.allclose(ranks, [1, 2, 4, 8], atol=1e-12)
 
     def test_invalid_level(self):
         with pytest.raises(ValidationError):
             realize(CANTOR5, 9)
+
+    def test_level_outside_realization(self):
+        top = realize(CANTOR5)
+        with pytest.raises(ValidationError, match=r"level must lie in \[0, 5\], got -1"):
+            top.rotation(-1)
+        mid = realize(cantor_system(middle_thirds(4), 4), 2)
+        with pytest.raises(ValidationError, match=r"level must lie in \[0, 2\], got -1"):
+            mid.rotation(-1)
+        with pytest.raises(ValidationError, match=r"level must lie in \[0, 2\], got 4"):
+            mid.level_decomposition(4)
+
+    def test_realize_keeps_no_embeddings(self):
+        # Binary CI J=8 (dim 256): realizing forms no embedding I_{j,J}; the
+        # identity I_{J,J} alone would take 1 MiB.
+        system = ci_system(commutative_af_chain(binary_branching(8), np.full(256, 1 / 256), [1.0] * 8), 8)
+        tracemalloc.start()
+        try:
+            realize(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 def _complex_pair_system() -> InductiveSystem:
@@ -141,7 +168,7 @@ class TestRotation:
         for j in range(r.level + 1):
             w = r.rotation(j)
             v = r.level_decomposition(j).vectors
-            assert operator_norm(u @ w @ dagger(v) - r.embedding(j)) <= 1e-13
+            assert operator_norm(u @ w @ dagger(v) - chain(system, j, r.level).iso) <= 1e-13
             assert operator_norm(dagger(w) @ w - np.eye(w.shape[1])) <= 1e-13
         assert np.array_equal(r.rotation(r.level), np.eye(r.ambient.hilbert_dim))
 
@@ -155,7 +182,8 @@ class TestIncrementSpectra:
         for lam in LAMBDAS:
             outer = resolvent(r.ambient.dirac, lam)
             for j in range(r.level + 1):
-                want = operator_norm(outer @ (np.eye(n) - r.projection(j)))
+                iso = chain(system, j, r.level).iso
+                want = operator_norm(outer @ (np.eye(n) - iso @ dagger(iso)))
                 assert abs(resolvent_gap_eigen(r, j, lam) - want) <= 1e-12
 
     @pytest.mark.parametrize("system", [CANTOR5, CI3, _complex_pair_system()], ids=["cantor", "ci", "complex"])
@@ -177,8 +205,8 @@ class TestResolventIdentities:
         for lam in LAMBDAS:
             r_top = resolvent(d_top, lam)
             for j in range(r.level + 1):
-                iso = r.embedding(j)
-                p = r.projection(j)
+                iso = chain(system, j, r.level).iso
+                p = iso @ dagger(iso)
                 inner = resolvent(system.triples[j].dirac, lam)
                 lhs = iso @ inner @ dagger(iso)
                 rhs = p @ r_top @ p
@@ -193,12 +221,12 @@ class TestResolventIdentities:
         n = r.ambient.hilbert_dim
         for lam in LAMBDAS:
             for j in range(r.level + 1):
-                iso = r.embedding(j)
+                iso = chain(system, j, r.level).iso
                 padded = np.linalg.inv(
                     iso @ system.triples[j].dirac @ dagger(iso) - lam * np.eye(n)
                 )
                 inner = iso @ resolvent(system.triples[j].dirac, lam) @ dagger(iso)
-                perp = np.eye(n) - r.projection(j)
+                perp = np.eye(n) - iso @ dagger(iso)
                 assert operator_norm(padded - inner + perp / lam) <= 1e-10
 
     def test_padded_resolvent_plus_lambda_form_is_wrong(self):
@@ -209,12 +237,12 @@ class TestResolventIdentities:
         lam = 2j
         j = 1
         n = r.ambient.hilbert_dim
-        iso = r.embedding(j)
+        iso = chain(CANTOR5, j, r.level).iso
         padded = np.linalg.inv(
             iso @ CANTOR5.triples[j].dirac @ dagger(iso) - lam * np.eye(n)
         )
         inner = iso @ resolvent(CANTOR5.triples[j].dirac, lam) @ dagger(iso)
-        perp = np.eye(n) - r.projection(j)
+        perp = np.eye(n) - iso @ dagger(iso)
         assert operator_norm(padded - inner - lam * perp) > 0.5
 
     @pytest.mark.parametrize("system", [CANTOR5, CI3], ids=["cantor", "ci"])
@@ -225,13 +253,14 @@ class TestResolventIdentities:
         top = system.triples[r.level]
         for j in range(r.level):
             algebra = system.triples[j].algebra
-            m = embed(system, j, r.level)
+            m = chain(system, j, r.level)
             for i in range(algebra.element_dim):
                 a = algebra.basis_element(i)
                 a = 0.5 * (a + a.star())  # selfadjoint part
                 comm = commutator(top.dirac, top.represent(m.phi.apply(a)))
                 for k in range(j, r.level + 1):
-                    assert operator_norm(commutator(r.projection(k), comm)) <= 1e-9
+                    iso = chain(system, k, r.level).iso
+                    assert operator_norm(commutator(iso @ dagger(iso), comm)) <= 1e-9
 
 
 def test_random_systems_validate():

@@ -22,9 +22,6 @@ from spectral_limits import (
     ci_system,
     commutator,
     commutator_norm,
-    compose_morphisms,
-    embed,
-    identity_morphism,
     middle_thirds,
     operator_norm,
     random_commutative_system,
@@ -33,6 +30,7 @@ from spectral_limits import (
     validate_morphism,
     validate_triple,
 )
+from test_inductive import chain
 
 SEQ = middle_thirds(6)
 CANTOR = cantor_system(SEQ, 4)
@@ -118,7 +116,7 @@ class TestValidateTriple:
 
 class TestValidateMorphism:
     def test_identity_residuals_zero(self):
-        report = validate_morphism(identity_morphism(CANTOR.triples[2]))
+        report = validate_morphism(chain(CANTOR, 2, 2))
         assert report.passed
         assert report.worst == 0.0
 
@@ -195,18 +193,10 @@ class TestValidateMorphism:
 
 
 class TestComposeMorphisms:
-    def test_identity_neutral(self):
-        m = CANTOR.links[0]
-        left = compose_morphisms(identity_morphism(m.source), m)
-        right = compose_morphisms(m, identity_morphism(m.target))
-        for other in (left, right):
-            assert np.allclose(other.iso, m.iso)
-            assert np.array_equal(other.phi.spectrum_map, m.phi.spectrum_map)
-
     def test_chain_matches_direct(self):
         # Composing levels 0 -> 1 -> 2 must equal the direct composition
         # computed independently from the theta maps.
-        composed = compose_morphisms(CANTOR.links[0], CANTOR.links[1])
+        composed = chain(CANTOR, 0, 2)
         direct_map = np.array(
             [
                 SEQ.plus_points(0).index(theta(SEQ, 0, x))
@@ -219,17 +209,13 @@ class TestComposeMorphisms:
         assert np.allclose(composed.iso, oracle_iso, atol=1e-14)
         assert validate_morphism(composed).passed
 
-    def test_endpoint_mismatch(self):
-        with pytest.raises(ValidationError):
-            compose_morphisms(CANTOR.links[0], CANTOR.links[2])
-
     def test_composition_of_valid_morphisms_validates(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
             system = random_commutative_system(rng, max_dim=32)
             if system.top_level < 2:
                 continue
-            composed = compose_morphisms(system.links[0], system.links[1])
+            composed = chain(system, 0, 2)
             report = validate_morphism(composed)
             assert report.passed, report.summary()
 
@@ -290,7 +276,7 @@ class TestCommutatorNorm:
         for _ in range(5):
             system = random_commutative_system(rng, max_dim=32)
             j = 0
-            m = embed(system, j, system.top_level)
+            m = chain(system, j, system.top_level)
             for i in range(system.triples[j].algebra.element_dim):
                 a = system.triples[j].algebra.basis_element(i)
                 low = commutator_norm(system.triples[j], a)
