@@ -35,10 +35,12 @@ from .algebra import AlgebraElement
 from .errors import ValidationError
 from .inductive import InductiveSystem, Realization
 from .linalg import (
+    adjoint_matvec,
     dagger,
     function_values,
     lanczos_operator_norm,
     lanczos_start,
+    matvec,
     operator_norm,
     resolvent_values,
     scale_exponent,
@@ -99,7 +101,8 @@ def _embedded_gap(r: Realization, j: int, inner: np.ndarray, outer: np.ndarray, 
     the norm is the dense one of the same operator.  The values are first
     scaled by one power of two, so that no Gram product can overflow or
     underflow.  A norm beyond the float range raises ``ValidationError``
-    naming ``probe``.
+    naming ``probe``.  A real W_j is applied to the complex Lanczos vectors
+    by ``matvec`` and ``adjoint_matvec``, one real product each.
     """
     w = r.rotation(j)
     u = r.ambient_decomposition().vectors
@@ -108,11 +111,10 @@ def _embedded_gap(r: Realization, j: int, inner: np.ndarray, outer: np.ndarray, 
     inner_c, outer_c = inner.conj(), outer.conj()
 
     def gram(x):
-        # W* x is computed as conj(x* W), which reads W without copying it.
-        y = w @ (inner * (x.conj() @ w).conj()) - outer * x
-        return w @ (inner_c * (y.conj() @ w).conj()) - outer_c * y
+        y = matvec(w, inner * adjoint_matvec(w, x)) - outer * x
+        return matvec(w, inner_c * adjoint_matvec(w, y)) - outer_c * y
 
-    norm = lanczos_operator_norm(gram, (lanczos_start(u.shape[0]).conj() @ u).conj())
+    norm = lanczos_operator_norm(gram, adjoint_matvec(u, lanczos_start(u.shape[0])))
     if norm is None:
         norm = operator_norm((w * inner) @ dagger(w) - np.diag(outer))
     norm = unscaled(norm, e)

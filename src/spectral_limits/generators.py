@@ -11,7 +11,8 @@ projections.
 Commutative chains are built in point coordinates (diagonal multiplication
 representations, sparse inclusion isometries), which keeps deep binary
 chains cheap; noncommutative chains go through the dense GNS route and are
-capped at small dimensions.
+capped at small dimensions.  Every Dirac operator, grading and link is
+allocated in float64, since all of them are real.
 """
 
 from __future__ import annotations
@@ -166,8 +167,8 @@ def cantor_system(seq: GapSequence, levels: int, with_grading: bool = True) -> I
         dim = 2 * (j + 1)
         coords = seq.endpoint_basis(j)
         coord_points = np.array([theta_index(seq, j, x) for x in coords])
-        dirac = np.zeros((dim, dim), dtype=complex)
-        grading = np.zeros((dim, dim), dtype=complex)
+        dirac = np.zeros((dim, dim))
+        grading = np.zeros((dim, dim))
         for n in range(j + 1):
             w = 1.0 / lengths[n]
             dirac[2 * n, 2 * n + 1] = w
@@ -197,7 +198,7 @@ def cantor_system(seq: GapSequence, levels: int, with_grading: bool = True) -> I
             [theta_index(seq, j, seq.plus_point(q)) for q in range(j + 2)]
         )
         phi = StarHomomorphism(source.algebra, target.algebra, spectrum_map=mapping)
-        iso = np.zeros((target.hilbert_dim, source.hilbert_dim), dtype=complex)
+        iso = np.zeros((target.hilbert_dim, source.hilbert_dim))
         iso[: source.hilbert_dim, :] = np.eye(source.hilbert_dim)
         links.append(TripleMorphism(source, target, phi, iso))
     provenance = {
@@ -326,13 +327,13 @@ def _ci_system_commutative(chain: AfChain, levels: int) -> InductiveSystem:
 
     isometries = []
     for j in range(levels):
-        iso = np.zeros((sizes[j + 1], sizes[j]), dtype=complex)
+        iso = np.zeros((sizes[j + 1], sizes[j]))
         for q in range(sizes[j + 1]):
             p = sigmas[j][q]
             iso[q, p] = math.sqrt(weights[j + 1][q] / weights[j][p])
         isometries.append(iso)
 
-    diracs = [np.zeros((1, 1), dtype=complex)]
+    diracs = [np.zeros((1, 1))]
     for j in range(1, levels + 1):
         iso = isometries[j - 1]
         proj = iso @ dagger(iso)
@@ -404,12 +405,12 @@ def _ci_system_gns(chain: AfChain, levels: int) -> InductiveSystem:
             top_elem = chain.composed_inclusion(j, levels).apply(e)
             mats.append(dagger(q_j) @ space.representation_matrix(top_elem) @ q_j)
         rep = DenseRepresentation(np.array(mats))
-        dirac = np.diag(diag_values[:d_j]).astype(complex)
+        dirac = np.diag(diag_values[:d_j])
         meta = {"kind": "christensen-ivan", "level": j}
         triples.append(FiniteSpectralTriple(chain.algebras[j], rep, dirac, meta=meta))
     links = []
     for j in range(levels):
-        iso = np.zeros((dims[j + 1], dims[j]), dtype=complex)
+        iso = np.zeros((dims[j + 1], dims[j]))
         iso[: dims[j], :] = np.eye(dims[j])
         links.append(TripleMorphism(triples[j], triples[j + 1], chain.inclusions[j], iso))
     provenance = {

@@ -141,13 +141,14 @@ class Realization:
         """W_j = U* I_{j,J} V_j, the embedding in the ambient and level-j eigenbases.
 
         I_{j,J} g(D_j) I_{j,J}* = U W_j g(Lambda_j) W_j* U* for every function
-        g.  W_J is the identity exactly.  I_{j,J} V_j is formed by applying
-        the links L_j, ..., L_{J-1} to V_j in turn.
+        g.  W_j takes the dtype of the eigenvectors and links it is made
+        from; W_J is the identity exactly, in the dtype of U.  I_{j,J} V_j
+        is formed by applying the links L_j, ..., L_{J-1} to V_j in turn.
         """
         if j not in self._rotations:
             self._check_level(j)
             if j == self.level:
-                w = np.eye(self.ambient.hilbert_dim, dtype=complex)
+                w = np.eye(self.ambient.hilbert_dim, dtype=self.ambient_decomposition().vectors.dtype)
             else:
                 w = self.level_decomposition(j).vectors
                 for link in self.system.links[j : self.level]:

@@ -1,4 +1,11 @@
-"""Dense complex-matrix kernel.
+"""Dense matrix kernel, in float64 or complex128 as the data is.
+
+A system whose matrices have imaginary parts that are exactly zero is
+stored in float64 (``exactly_real``), and every kernel here keeps the dtype
+it is given: a real Hermitian matrix takes the real LAPACK solvers and
+real eigenvectors, a complex one the complex solvers.  Probe values and
+vectors stay complex; ``matvec`` and ``adjoint_matvec`` apply a real
+matrix to a complex vector as one real product, never widening the matrix.
 
 Hermitian eigendecomposition (LAPACK), dense operator norms, a Lanczos
 top-singular-value estimate on a matrix or on an operator given by its
@@ -45,14 +52,29 @@ GRAM_SCALE_EXP = 200
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce ``m`` to a 2-d complex array with finite entries."""
-    a = np.asarray(m, dtype=complex)
+    """Coerce ``m`` to a 2-d array with finite entries: float64 input stays
+    float64, anything else becomes complex128."""
+    a = np.asarray(m)
+    if a.dtype != np.float64:
+        a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise ValidationError(f"{name} must be 2-dimensional, got shape {a.shape}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ValidationError(f"{name} must have at least one row and column")
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{name} has non-finite entries")
+    return a
+
+
+def exactly_real(a: np.ndarray) -> np.ndarray:
+    """``a`` as float64 when it is complex and every imaginary part is +0.0
+    bit for bit, else ``a`` itself.
+
+    A -0.0 imaginary part keeps the matrix complex, so writing it back
+    reproduces its bytes.
+    """
+    if np.iscomplexobj(a) and not a.imag.view(np.uint64).any():
+        return a.real.astype(float)
     return a
 
 
@@ -65,10 +87,16 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def check_hermitian(h, tol: float = HERMITIAN_TOL, name: str = "operator") -> np.ndarray:
-    """Validate Hermiticity up to ``tol`` and return the symmetrized matrix."""
+    """Validate Hermiticity up to ``tol`` and return the symmetrized matrix.
+
+    An exactly Hermitian input is returned as it is, without the two
+    temporaries that measuring and removing a drift take.
+    """
     a = as_matrix(h, name)
     if a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {a.shape}")
+    if np.array_equal(a, dagger(a)):
+        return a
     drift = frobenius(a - dagger(a))
     if drift > tol * max(1.0, frobenius(a)):
         raise ValidationError(
@@ -94,12 +122,10 @@ class SpectralDecomposition:
 
 
 def eigh(h) -> SpectralDecomposition:
-    """Eigendecomposition (LAPACK) of a Hermitian operator."""
-    a = check_hermitian(h)
-    vals, vecs = np.linalg.eigh(a)
-    vals = np.asarray(vals, dtype=float)
-    vecs = np.asarray(vecs, dtype=complex)
-    return SpectralDecomposition(vals, vecs)
+    """Eigendecomposition (LAPACK) of a Hermitian operator; the eigenvectors
+    are real when the operator is."""
+    vals, vecs = np.linalg.eigh(check_hermitian(h))
+    return SpectralDecomposition(np.asarray(vals, dtype=float), vecs)
 
 
 def scale_exponent(s: float) -> int:
@@ -159,6 +185,32 @@ def operator_norm(m) -> float:
     return unscaled(float(np.sqrt(max(top, 0.0))), e)
 
 
+def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M x for a contiguous complex128 vector x.
+
+    A real M multiplies the (n, 2) view of x's real and imaginary parts, one
+    real product; ``m @ x`` would copy M to complex first.
+    """
+    if np.iscomplexobj(m):
+        return m @ x
+    return (m @ x.view(float).reshape(-1, 2)).view(complex).ravel()
+
+
+def adjoint_matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M* x for a contiguous complex128 vector x, reading M without copying it.
+
+    Complex M: conj(x* M).  Real M: the (2, n) product [Re x; Im x] M, whose
+    rows are the parts of M^T x; BLAS runs this row form several times
+    faster than M^T times the (n, 2) view.
+    """
+    if np.iscomplexobj(m):
+        return (x.conj() @ m).conj()
+    parts = x.view(float).reshape(-1, 2).T @ m
+    out = np.empty(parts.shape[1], dtype=complex)
+    out.real, out.imag = parts
+    return out
+
+
 def lanczos_start(n: int) -> np.ndarray:
     """Start vector of ``lanczos_norm``: (1 + cos(sqrt(2) k)/2) exp(i k^2/2), normalized.
 
@@ -182,8 +234,7 @@ def lanczos_norm(m) -> float | None:
     a, e = _gram_scaled(m)
     if a.shape[1] > a.shape[0]:
         a = dagger(a)
-    a_h = dagger(a)
-    top = lanczos_operator_norm(lambda q: a_h @ (a @ q), lanczos_start(a.shape[1]))
+    top = lanczos_operator_norm(lambda q: adjoint_matvec(a, matvec(a, q)), lanczos_start(a.shape[1]))
     return None if top is None else unscaled(top, e)
 
 
@@ -207,14 +258,12 @@ def lanczos_operator_norm(gram: Callable[[np.ndarray], np.ndarray], start: np.nd
     n = start.shape[0]
     q = start
     basis = q[np.newaxis, :]
-    # The tridiagonal Ritz matrix, grown in place.  Complex, so LAPACK runs
-    # the Hermitian solver that every other decomposition here already paged
-    # in; the real one adds about 0.5 MB of resident code to each command.
-    tri = np.zeros((min(n, 16),) * 2, dtype=complex)
+    # The real symmetric tridiagonal Ritz matrix, grown in place.
+    tri = np.zeros((min(n, 16),) * 2)
     beta = 0.0
     for k in range(n):
         if k == tri.shape[0]:
-            grown = np.zeros((min(2 * k, n),) * 2, dtype=complex)
+            grown = np.zeros((min(2 * k, n),) * 2)
             grown[:k, :k] = tri
             tri = grown
         if k:

@@ -3,7 +3,10 @@ inductive systems.
 
 A matrix is written as {"shape": [rows, cols], "data": base64}, where data
 holds the row-major little-endian complex128 entries, so every bit
-round-trips.  The decoder also reads the row-major nested lists of
+round-trips.  The reader returns float64 when every imaginary part is +0.0
+bit for bit (``linalg.exactly_real``), else complex128; a real matrix is
+written with +0.0 imaginary parts, so both read back to their bytes.  The
+decoder also reads the row-major nested lists of
 {"re": float, "im": float} objects of ``spectral-limits/system-v1`` files
 and of hand-written ``st2 --element`` blocks.  Diagonal representations
 are written compactly as their coordinate-to-point map.  Dumps are
@@ -32,6 +35,7 @@ from .generators import (
     middle_thirds,
 )
 from .inductive import InductiveSystem
+from .linalg import exactly_real
 from .triple import (
     DenseRepresentation,
     DiagonalRepresentation,
@@ -70,7 +74,11 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    """Decode a {shape, data} matrix object or a nested list of {re, im} objects."""
+    """Decode a {shape, data} matrix object or a nested list of {re, im} objects.
+
+    A {shape, data} matrix comes back as float64 when all its imaginary
+    parts are +0.0 bit for bit, else as complex128.
+    """
     if isinstance(obj, dict) and set(obj) == {"shape", "data"}:
         shape, data = obj["shape"], obj["data"]
         if (
@@ -89,8 +97,11 @@ def matrix_from_json(obj) -> np.ndarray:
         size = rows * cols * MATRIX_DTYPE.itemsize
         if len(raw) != size:
             raise ValidationError(f"matrix data has {len(raw)} bytes, shape {shape} needs {size}")
-        # astype copies: frombuffer views immutable bytes, in the file's byte order.
-        return np.frombuffer(raw, dtype=MATRIX_DTYPE).reshape(rows, cols).astype(complex)
+        # Both results are native copies: frombuffer views immutable bytes, in
+        # the file's byte order.
+        view = np.frombuffer(raw, dtype=MATRIX_DTYPE).reshape(rows, cols)
+        narrowed = exactly_real(view)
+        return view.astype(complex) if narrowed is view else narrowed
     if (
         not isinstance(obj, list)
         or not obj
@@ -307,10 +318,10 @@ def parse_generator_config(cfg) -> Callable[[], InductiveSystem]:
         elif isinstance(chain_cfg, dict) and "branching" in chain_cfg:
             maps = chain_cfg["branching"]
             if not isinstance(maps, list) or not all(
-                isinstance(m, list) and all(isinstance(v, int) and not isinstance(v, bool) for v in m)
+                isinstance(m, list) and m and all(isinstance(v, int) and not isinstance(v, bool) for v in m)
                 for m in maps
             ):
-                raise ValidationError("chain 'branching' must be a list of integer lists")
+                raise ValidationError("chain 'branching' must be a list of non-empty integer lists")
             try:
                 branching = [np.array(m, dtype=int) for m in maps]
             except OverflowError as exc:

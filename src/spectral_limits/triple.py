@@ -39,6 +39,7 @@ from .linalg import (
     as_matrix,
     commutator,
     dagger,
+    exactly_real,
     frobenius,
     operator_norm,
 )
@@ -112,6 +113,12 @@ Representation = Union[DenseRepresentation, DiagonalRepresentation]
 
 @dataclass(frozen=True)
 class FiniteSpectralTriple:
+    """Algebra, representation, Dirac operator and optional grading.
+
+    ``dirac`` and ``grading`` are stored as float64 when their imaginary
+    parts are exactly +0.0, else as complex128 (``linalg.exactly_real``).
+    """
+
     algebra: FiniteCStarAlgebra
     rep: Representation
     dirac: np.ndarray
@@ -119,7 +126,7 @@ class FiniteSpectralTriple:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        d = as_matrix(self.dirac, "dirac")
+        d = exactly_real(as_matrix(self.dirac, "dirac"))
         n = self.rep.hilbert_dim
         if d.shape != (n, n):
             raise ValidationError(f"dirac shape {d.shape} does not match Hilbert dimension {n}")
@@ -127,7 +134,7 @@ class FiniteSpectralTriple:
             raise ValidationError("representation basis size does not match the algebra")
         object.__setattr__(self, "dirac", d)
         if self.grading is not None:
-            g = as_matrix(self.grading, "grading")
+            g = exactly_real(as_matrix(self.grading, "grading"))
             if g.shape != (n, n):
                 raise ValidationError("grading shape does not match Hilbert dimension")
             object.__setattr__(self, "grading", g)
@@ -149,7 +156,8 @@ class FiniteSpectralTriple:
 
 @dataclass(frozen=True)
 class TripleMorphism:
-    """Pair (phi, I): *-homomorphism plus intertwining isometry."""
+    """Pair (phi, I): *-homomorphism plus intertwining isometry; ``iso`` is
+    stored as float64 when its imaginary parts are exactly +0.0."""
 
     source: FiniteSpectralTriple
     target: FiniteSpectralTriple
@@ -157,7 +165,7 @@ class TripleMorphism:
     iso: np.ndarray
 
     def __post_init__(self):
-        m = as_matrix(self.iso, "isometry")
+        m = exactly_real(as_matrix(self.iso, "isometry"))
         if m.shape != (self.target.hilbert_dim, self.source.hilbert_dim):
             raise ValidationError(
                 f"isometry shape {m.shape} does not match Hilbert dimensions "

@@ -47,7 +47,7 @@ from spectral_limits.linalg import (
     resolvent_values,
 )
 from spectral_limits.serialization import system_from_generator_config
-from test_inductive import chain
+from test_inductive import CANTOR5, CI3, chain
 
 SEQ = middle_thirds(6)
 CANTOR6 = cantor_system(SEQ, 6)
@@ -351,6 +351,21 @@ class TestDirectRouteOracle:
     def test_random_systems_match_dense(self, seed, monkeypatch):
         system = random_commutative_system(np.random.default_rng(seed), max_dim=24)
         _assert_gaps_match_dense(realize(system), monkeypatch)
+
+    @pytest.mark.parametrize("system", [CANTOR5, CI3], ids=["cantor", "ci"])
+    def test_real_rotation_closure_matches_dense(self, system):
+        # A real W is applied to the complex Lanczos vectors part by part.
+        r = realize(system)
+        probes = [partial(resolvent_values, lam=lam) for lam in DEFAULT_LAMBDAS]
+        probes.append(partial(function_values, f=FUNCTION_PROBES["one_over_one_plus_x2"]))
+        for j in range(r.level):
+            w = r.rotation(j)
+            assert w.dtype == np.float64
+            for g in probes:
+                inner, outer = g(r.level_decomposition(j).eigenvalues), g(r.ambient_decomposition().eigenvalues)
+                want = operator_norm((w * inner) @ w.T - np.diag(outer))
+                got = diagnostics._embedded_gap(r, j, inner, outer, "probe")
+                assert abs(got - want) <= 1e-13 * want, (j, got, want)
 
 
 class TestCommutatorSeries:

@@ -5,7 +5,10 @@ key (or a list entry), substitutes a random JSON value, or truncates or
 flips a character of a base64 matrix string.  The numeric examples give
 ``st2 --element`` values and ``st1 --lambda`` probes from 1e-300 to 1e300
 in magnitude; a RuntimeWarning fails them, since tier-1 turns it into an
-error.  The argv examples give ``st1`` random flags and values.
+error.  The argv examples give ``st1`` random flags and values, and the
+generator examples run ``build``, ``validate``, ``st2`` and ``report`` on
+small, partly malformed generator configs with random flags of each
+command.
 """
 
 import argparse
@@ -98,7 +101,7 @@ def ci2_config(tmp_path_factory):
 def _assert_clean_exit(code, capsys):
     assert code in (0, 1, 2)
     err = capsys.readouterr().err
-    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err and "ComplexWarning" not in err
 
 
 FUZZ_SETTINGS = settings(
@@ -135,14 +138,14 @@ def test_st1_small_imaginary_probe_exit_code(ci2_config, tmp_path, capsys, expon
     _assert_clean_exit(code, capsys)
 
 
-def _st1_flags() -> list[str]:
-    """Option strings of the ``st1`` subparser, read from the parser."""
+def _flags(command: str) -> list[str]:
+    """Option strings of one subparser, read from the parser."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return sorted(o for action in sub.choices["st1"]._actions for o in action.option_strings)
+    return sorted(o for action in sub.choices[command]._actions for o in action.option_strings)
 
 
 # The parser's flags plus two it no longer accepts.
-ST1_FLAGS = _st1_flags() + ["--tol-group", "--tol-contain"]
+ST1_FLAGS = _flags("st1") + ["--tol-group", "--tol-contain"]
 # argv strings carry neither NUL nor lone surrogates.
 argv_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=8)
 argv_values = (
@@ -259,3 +262,80 @@ def test_report_config_exit_code(tmp_path, capsys, data):
     config = _write_json(tmp_path / "report.json", cfg)
     code = main(["report", "--config", config, "--out", str(tmp_path / "out.json")])
     _assert_clean_exit(code, capsys)
+
+
+# Generator config fields: well-formed small values and malformed ones.  The
+# largest well-formed system is binary CI at J=4 (dimension 16).
+GENERATOR_FIELDS = {
+    "cantor": {
+        "gaps": st.sampled_from(
+            [
+                "middle-thirds",
+                [[0.0, 1.0], [0.4, 0.6]],
+                [[0.0, 1.0], [0.2, 0.5], [0.6, 0.7]],
+                [[0.0, 1.0], [0.6, 0.4]],
+                [[1.0, 0.0]],
+                [],
+                "thirds",
+            ]
+        ),
+        "levels": st.integers(-1, 4),
+        "grading": st.booleans(),
+    },
+    "christensen-ivan": {
+        "chain": st.sampled_from(["binary", {"branching": [[0, 0], [0, 0, 1]]}, {"branching": [[0], [0, 1]]}])
+        | st.lists(st.lists(st.integers(-1, 3), max_size=4), max_size=3).map(lambda maps: {"branching": maps}),
+        "weights": st.sampled_from(["uniform", "random"]) | st.lists(st.floats(-1.0, 2.0), max_size=4),
+        "alphas": st.lists(extreme | st.floats(), max_size=5),
+        "levels": st.integers(-1, 4),
+    },
+}
+COMMANDS = ("build", "validate", "st2", "report")
+COMMAND_FLAGS = {command: _flags(command) for command in COMMANDS}
+# Flag values: the documented forms, element blocks, numbers and random text.
+command_values = (
+    st.sampled_from(["0..1", "1..0", "0..9", "2", "1e308", "-1", '{"level": 1, "values": [0, 1]}', '{"level": 0}'])
+    | argv_values
+)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_generator_config_and_argv_exit_code(tmp_path, capsys, data):
+    kind = data.draw(st.sampled_from(sorted(GENERATOR_FIELDS)))
+    cfg = {"type": kind, **{k: data.draw(v) for k, v in GENERATOR_FIELDS[kind].items()}}
+    for key in data.draw(st.lists(st.sampled_from(sorted(cfg)), max_size=1)):
+        if data.draw(st.booleans()):
+            del cfg[key]
+        else:
+            cfg[key] = data.draw(small_values)
+    config = _write_json(tmp_path / "generator.json", cfg)
+    report = _write_json(tmp_path / "report.json", {"system": cfg, "lambdas": ["i"], "functions": ["gaussian"]})
+    system = tmp_path / "system.json"
+    out = str(tmp_path / "out")
+    for command in COMMANDS:
+        if command == "build":
+            argv = ["build", "--config", config, "--out", str(system)]
+        elif command == "report":
+            argv = ["report", "--config", report, "--out", out]
+        else:
+            argv = [command] + (["--system", str(system)] if system.exists() else ["--config", config])
+            argv += ["--out", out] if command == "st2" else []
+        for flag, value in data.draw(st.lists(st.tuples(st.sampled_from(COMMAND_FLAGS[command]), command_values), max_size=2)):
+            if flag in ("-h", "--help"):
+                argv.append(flag)
+            elif flag == "--out":
+                # Outputs stay in the example's directory.
+                argv += [flag, str(system) if command == "build" else out]
+            else:
+                argv += [flag, value]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        _assert_clean_exit(code, capsys)

@@ -19,12 +19,15 @@ from spectral_limits import (
     commutative_af_chain,
     commutator,
     hom_compose,
+    load_system,
     middle_thirds,
     operator_norm,
     random_commutative_system,
     realize,
     resolvent,
     resolvent_gap_eigen,
+    save_system,
+    system_from_generator_config,
     system_validate,
 )
 from spectral_limits.linalg import dagger
@@ -160,8 +163,41 @@ def _complex_pair_system() -> InductiveSystem:
     return InductiveSystem((t0, t1), (TripleMorphism(t0, t1, StarHomomorphism.identity(algebra), u),))
 
 
+def _random_complex_system(seed: int = 11, dims=(2, 3, 5, 6)) -> InductiveSystem:
+    """C on C^{n_0} in C^{n_1} in ... along seeded random complex isometries L_j.
+
+    D_0 is a random complex Hermitian matrix and D_{j+1} = L_j D_j L_j* +
+    Q B Q, with B random complex Hermitian and Q = 1 - L_j L_j*, so every
+    link intertwines the Dirac operators up to rounding.
+    """
+    rng = np.random.default_rng(seed)
+    algebra = FiniteCStarAlgebra((1,))
+
+    def hermitian(n):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return a + dagger(a)
+
+    def triple(dirac):
+        rep = DiagonalRepresentation(np.zeros(dirac.shape[0], dtype=int), 1)
+        return FiniteSpectralTriple(algebra, rep, 0.5 * (dirac + dagger(dirac)))
+
+    triples, links = [triple(hermitian(dims[0]))], []
+    for n in dims[1:]:
+        source = triples[-1]
+        m = source.hilbert_dim
+        iso = np.linalg.qr(rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)))[0]
+        q = np.eye(n) - iso @ dagger(iso)
+        triples.append(triple(iso @ source.dirac @ dagger(iso) + q @ hermitian(n) @ q))
+        links.append(TripleMorphism(source, triples[-1], StarHomomorphism.identity(algebra), iso))
+    return InductiveSystem(tuple(triples), tuple(links))
+
+
+SYSTEMS = [CANTOR5, CI3, _complex_pair_system(), _random_complex_system()]
+SYSTEM_IDS = ["cantor", "ci", "complex", "random-complex"]
+
+
 class TestRotation:
-    @pytest.mark.parametrize("system", [CANTOR5, CI3, _complex_pair_system()], ids=["cantor", "ci", "complex"])
+    @pytest.mark.parametrize("system", SYSTEMS, ids=SYSTEM_IDS)
     def test_rotation_rebuilds_embedding(self, system):
         r = realize(system)
         u = r.ambient_decomposition().vectors
@@ -174,7 +210,7 @@ class TestRotation:
 
 
 class TestIncrementSpectra:
-    @pytest.mark.parametrize("system", [CANTOR5, CI3, _complex_pair_system()], ids=["cantor", "ci", "complex"])
+    @pytest.mark.parametrize("system", SYSTEMS, ids=SYSTEM_IDS)
     def test_eigen_route_matches_dense_oracle(self, system):
         # ||R_lam(D_J)(1 - P_j)||, formed densely in ambient coordinates.
         r = realize(system)
@@ -184,9 +220,9 @@ class TestIncrementSpectra:
             for j in range(r.level + 1):
                 iso = chain(system, j, r.level).iso
                 want = operator_norm(outer @ (np.eye(n) - iso @ dagger(iso)))
-                assert abs(resolvent_gap_eigen(r, j, lam) - want) <= 1e-12
+                assert abs(resolvent_gap_eigen(r, j, lam) - want) <= 1e-13
 
-    @pytest.mark.parametrize("system", [CANTOR5, CI3, _complex_pair_system()], ids=["cantor", "ci", "complex"])
+    @pytest.mark.parametrize("system", SYSTEMS, ids=SYSTEM_IDS)
     def test_increments_complete_the_ambient_spectrum(self, system):
         r = realize(system)
         parts = [r.level_decomposition(0).eigenvalues] + [r.increment_spectrum(k) for k in range(1, r.level + 1)]
@@ -194,6 +230,42 @@ class TestIncrementSpectra:
         for k in (0, r.level + 1):
             with pytest.raises(ValidationError, match="increment level"):
                 r.increment_spectrum(k)
+
+
+class TestDtypeRule:
+    """Exactly real systems are stored and decomposed in float64, complex ones in complex128."""
+
+    @staticmethod
+    def assert_dtype(system, dtype):
+        assert system.triples[-1].dirac.dtype == dtype and system.links[-1].iso.dtype == dtype
+        r = realize(system)
+        for j in range(r.level + 1):
+            # The complex pair system's D_0 = 0 is real; its rotation W_0 is not.
+            assert r.level_decomposition(j).vectors.dtype == system.triples[j].dirac.dtype
+            assert r.rotation(j).dtype == dtype
+
+    def test_generated_systems_are_real(self):
+        for system in (CANTOR5, CI3):
+            for t in system.triples:
+                assert t.dirac.dtype == np.float64
+                assert t.grading is None or t.grading.dtype == np.float64
+            assert all(link.iso.dtype == np.float64 for link in system.links)
+            self.assert_dtype(system, np.float64)
+        assert CANTOR5.triples[-1].grading.dtype == np.float64
+
+    def test_ci_wide_file_reads_back_real(self, tmp_path):
+        # The binary CI system at J=8 (dimension 256), through a system file.
+        cfg = {"type": "christensen-ivan", "chain": "binary", "weights": "uniform", "alphas": list(range(1, 9)), "levels": 8}
+        path = tmp_path / "ci_wide.json"
+        save_system(system_from_generator_config(cfg), str(path))
+        system = load_system(str(path))
+        assert all(t.dirac.dtype == np.float64 for t in system.triples)
+        assert all(link.iso.dtype == np.float64 for link in system.links)
+        self.assert_dtype(system, np.float64)
+
+    @pytest.mark.parametrize("system", SYSTEMS[2:], ids=SYSTEM_IDS[2:])
+    def test_complex_systems_stay_complex(self, system):
+        self.assert_dtype(system, np.complex128)
 
 
 class TestResolventIdentities:

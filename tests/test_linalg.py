@@ -1,5 +1,7 @@
 """Operator kernel: eigendecomposition, norms, resolvents, calculus."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,12 +20,15 @@ from spectral_limits import (
 from spectral_limits.linalg import (
     GRAM_SCALE_EXP,
     _gram_scaled,
+    adjoint_matvec,
     as_matrix,
     check_hermitian,
     dagger,
+    exactly_real,
     frobenius,
     function_from_decomposition,
     lanczos_norm,
+    matvec,
 )
 
 # Jacobi oracle: off-diagonal convergence threshold, relative to ||H||_F.
@@ -213,6 +218,24 @@ class TestLanczosNorm:
         with pytest.raises(ValidationError, match="non-finite"):
             lanczos_norm(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_tridiagonal_is_real(self, kind, monkeypatch):
+        # The Ritz matrix is real symmetric whatever the operator's dtype.
+        seen = []
+        solver = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            seen.append(a.dtype)
+            return solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        rng = np.random.default_rng(8)
+        m = rng.normal(size=(12, 9))
+        if kind == "complex":
+            m = m + 1j * rng.normal(size=(12, 9))
+        self.assert_matches_oracle(m)
+        assert len(seen) > 1 and set(seen) == {np.dtype(np.float64)}
+
 
 class TestScaleSafeNorms:
     """Both Gram norms rescale huge matrices by a power of two first."""
@@ -352,6 +375,65 @@ class TestValidationHelpers:
         h = np.array([[1.0, 1e-14], [0.0, 2.0]])
         out = check_hermitian(h)
         assert np.allclose(out, dagger(out))
+        assert np.array_equal(out, 0.5 * (h + dagger(h)))
+
+    def test_check_hermitian_rejects_drift(self):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            check_hermitian(np.array([[1.0, 1e-3], [0.0, 2.0]]))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_exactly_hermitian_input_returned_without_temporaries(self, dtype):
+        # At most the adjoint of a complex input and one boolean mask; the
+        # drift check and the symmetrization take two more n x n matrices.
+        rng = np.random.default_rng(512)
+        a = rng.normal(size=(512, 512)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.normal(size=(512, 512))
+        h = a + dagger(a)
+        tracemalloc.start()
+        try:
+            out = check_hermitian(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out is h
+        assert peak <= (h.nbytes if dtype is complex else 0) + 2 * h.size
+
+
+class TestDtypeRule:
+    def test_as_matrix_keeps_float64_and_widens_the_rest(self):
+        assert as_matrix(np.eye(2)).dtype == np.float64
+        assert as_matrix([[1.0, 2.0]]).dtype == np.float64
+        for m in (np.eye(2, dtype=int), np.eye(2, dtype=np.float32), [[1, 0]], [[1j]], np.eye(2, dtype=complex)):
+            assert as_matrix(m).dtype == np.complex128
+
+    def test_exactly_real(self):
+        z = np.array([[1.0, 2.0], [3.0, -4.0]], dtype=complex)
+        r = exactly_real(z)
+        assert r.dtype == np.float64 and r.flags.c_contiguous and np.array_equal(r, z.real)
+        real = np.eye(2)
+        assert exactly_real(real) is real
+        for imag in (-0.0, 5e-324, 1.0):
+            w = z.copy()
+            w[1, 0] = complex(3.0, imag)
+            assert exactly_real(w) is w
+
+    def test_eigenvectors_follow_the_operator(self):
+        assert eigh(np.array([[2.0, 1.0], [1.0, 2.0]])).vectors.dtype == np.float64
+        assert eigh(np.array([[2.0, 1j], [-1j, 2.0]])).vectors.dtype == np.complex128
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (7, 3), (3, 7)])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matvec_matches_dense(self, shape, kind):
+        rng = np.random.default_rng(sum(shape))
+        m = rng.normal(size=shape)
+        if kind == "complex":
+            m = m + 1j * rng.normal(size=shape)
+        x = rng.normal(size=shape[1]) + 1j * rng.normal(size=shape[1])
+        y = rng.normal(size=shape[0]) + 1j * rng.normal(size=shape[0])
+        scale = operator_norm(m)
+        assert np.max(np.abs(matvec(m, x) - m @ x)) <= 1e-14 * scale * np.linalg.norm(x)
+        assert np.max(np.abs(adjoint_matvec(m, y) - dagger(m) @ y)) <= 1e-14 * scale * np.linalg.norm(y)
 
 
 @settings(max_examples=40, deadline=None)

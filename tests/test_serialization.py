@@ -68,6 +68,30 @@ class TestScalarsAndMatrices:
             assert back.shape == a.shape
             assert np.array_equal(back.view(np.uint64), a.view(np.uint64))
 
+    def test_reader_narrows_only_positive_zero_imaginary_parts(self):
+        real = np.array([[1.0, -2.0], [0.0, -0.0]])
+        back = matrix_from_json(json.loads(json.dumps(matrix_to_json(real))))
+        assert back.dtype == np.float64 and np.array_equal(back.view(np.uint64), real.view(np.uint64))
+        signed = real.astype(complex)
+        signed[0, 1] = complex(-2.0, -0.0)
+        obj = matrix_to_json(signed)
+        back = matrix_from_json(json.loads(json.dumps(obj)))
+        assert back.dtype == np.complex128 and np.array_equal(back.view(np.uint64), signed.view(np.uint64))
+        assert matrix_to_json(back) == obj
+
+    def test_negative_zero_imaginary_part_survives_a_system_round_trip(self, tmp_path):
+        doc = system_to_json(cantor_system(middle_thirds(2), 2))
+        dirac = matrix_from_json(doc["triples"][1]["dirac"]).astype(complex)
+        dirac[0, 1] = complex(dirac[0, 1].real, -0.0)
+        doc["triples"][1]["dirac"] = matrix_to_json(dirac)
+        path = tmp_path / "signed.json"
+        path.write_text(dumps(doc) + "\n")
+        system = load_system(str(path))
+        assert system.triples[1].dirac.dtype == np.complex128
+        assert system.triples[0].dirac.dtype == np.float64
+        save_system(system, str(tmp_path / "again.json"))
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
     def test_malformed_rejected(self):
         with pytest.raises(ValidationError):
             complex_from_json({"re": 1.0})
@@ -188,6 +212,13 @@ class TestGeneratorConfigs:
         }
         system = system_from_generator_config(cfg)
         assert system.triples[1].hilbert_dim == 3
+
+    @pytest.mark.parametrize("maps", [[[]], [[0, 0], []]])
+    def test_empty_branching_level_rejected(self, maps):
+        # A level without points used to divide by zero in the uniform weights.
+        cfg = {"type": "christensen-ivan", "chain": {"branching": maps}, "alphas": [1.0, 2.0], "levels": 0}
+        with pytest.raises(ValidationError, match="non-empty integer lists"):
+            parse_generator_config(cfg)
 
     def test_size_limit_between_binary_ci_12_and_13(self):
         cfg = {"type": "christensen-ivan", "chain": "binary", "alphas": [1.0] * 13, "levels": 12}

@@ -173,7 +173,7 @@ class TestValidateMorphism:
             link = m2_system().links[0]
         assert intertwining_oracle(link) <= 1e-12
         for _ in range(5):
-            iso = link.iso.copy()
+            iso = link.iso.astype(complex)
             r, c = rng.integers(0, iso.shape[0]), rng.integers(0, iso.shape[1])
             iso[r, c] += 0.3 + 0.1j
             bad = TripleMorphism(link.source, link.target, link.phi, iso)
