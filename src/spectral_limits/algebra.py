@@ -347,7 +347,7 @@ def chunks(count: int, entries_per_item: int) -> Iterable[slice]:
     return (slice(i, i + step) for i in range(0, count, step))
 
 
-def hom_validate(phi: StarHomomorphism, tol: float = VALIDATION_TOL) -> ResidualReport:
+def hom_validate(phi: StarHomomorphism) -> ResidualReport:
     """Residuals for unitality, multiplicativity, *-preservation and injectivity.
 
     The injectivity margin is the smallest singular value of the coordinate
@@ -363,8 +363,8 @@ def hom_validate(phi: StarHomomorphism, tol: float = VALIDATION_TOL) -> Residual
     else:
         margin = float(np.linalg.svd(phi.as_matrix(), compute_uv=False)[-1])
     entries["injectivity_margin"] = margin
-    entries["injectivity_defect"] = 0.0 if margin > tol else 1.0
-    return ResidualReport(entries, tol, informational=("injectivity_margin",))
+    entries["injectivity_defect"] = 0.0 if margin > VALIDATION_TOL else 1.0
+    return ResidualReport(entries, VALIDATION_TOL, informational=("injectivity_margin",))
 
 
 @dataclass(frozen=True)

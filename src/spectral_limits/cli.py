@@ -211,6 +211,39 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.passed else EXIT_MATH
 
 
+def _st1_probes(r, lambdas, functions, levels, threshold, window):
+    """The ST1 series of every probe at ``levels``.
+
+    Returns ``(resolvent, function)``: for each resolvent probe its gap
+    series, the per-level |direct - eigen| deltas of the cross-check and
+    its verdict, then one gap series per named function probe.
+    """
+    resolvent = []
+    for lam in lambdas:
+        # The eigen route first: the QR temporaries of its increment spectra
+        # then come before any rotation is cached, under the memory peak
+        # (binary CI dim 1024, 3 probes and gaussian: 147 MB peak RSS,
+        # against 173 MB with the direct route first).
+        eigen = [resolvent_gap_eigen(r, j, lam) for j in levels]
+        series = gap_series(r, lam=lam, j_range=levels)
+        cross = {j: abs(gap - e) for (j, gap), e in zip(series.entries, eigen)}
+        resolvent.append((series, cross, st1_verdict(series, threshold=threshold, window=window)))
+    return resolvent, [gap_series(r, f_name=name, j_range=levels) for name in functions]
+
+
+def _warn_route_deltas(resolvent) -> None:
+    """One ``warning:`` line on stderr per resolvent probe whose routes differ
+    by more than ``GAP_DELTA_TOL`` at some level."""
+    for series, cross, _ in resolvent:
+        j = max(cross, key=cross.get)
+        if cross[j] > GAP_DELTA_TOL:
+            print(
+                f"warning: direct and eigenprojection gaps differ by {cross[j]:.3g} at "
+                f"lambda={series.lam:g}, j={j} (cross-check tolerance {GAP_DELTA_TOL:g})",
+                file=sys.stderr,
+            )
+
+
 def cmd_st1(args) -> int:
     if args.window < 2:
         raise ValidationError(f"--window must be at least 2, got {args.window}")
@@ -220,32 +253,19 @@ def cmd_st1(args) -> int:
     r = realize(system)
     levels = list(range(r.level + 1)) if args.levels is None else parse_levels(args.levels, r.level)
     functions = _check_functions(args.function or [])
-
-    def one_lambda(lam):
-        # The eigen route first: the QR temporaries of its increment spectra
-        # then come before any rotation is cached, under the memory peak
-        # (binary CI dim 1024, 3 probes and gaussian: 147 MB peak RSS,
-        # against 173 MB with the direct route first).
-        eigen = [resolvent_gap_eigen(r, j, lam) for j in levels]
-        series = gap_series(r, lam=lam, j_range=levels)
-        cross = {j: abs(gap - e) for (j, gap), e in zip(series.entries, eigen)}
-        return series, cross
-
-    resolvent_results = [one_lambda(lam) for lam in lambdas]
-    function_results = [gap_series(r, f_name=name, j_range=levels) for name in functions]
+    resolvent, function = _st1_probes(r, lambdas, functions, levels, args.threshold, args.window)
 
     lines = [GAP_CSV_HEADER]
-    for series, cross in resolvent_results:
+    for series, cross, _ in resolvent:
         for row in _gap_rows(series, cross):
             lines.append(",".join(row))
-    for series in function_results:
+    for series in function:
         for row in _gap_rows(series, None):
             lines.append(",".join(row))
     csv_text = "\n".join(lines) + "\n"
 
     probes = []
-    for (series, cross), lam in zip(resolvent_results, lambdas):
-        verdict = st1_verdict(series, threshold=args.threshold, window=args.window)
+    for (_, cross, verdict), lam in zip(resolvent, lambdas):
         probes.append(
             {
                 "lambda": complex_to_json(lam),
@@ -262,14 +282,7 @@ def cmd_st1(args) -> int:
         "version": __version__,
     }
     _emit_csv_and_json(csv_text, verdict_doc, args.out)
-    for (_, cross), lam in zip(resolvent_results, lambdas):
-        j = max(cross, key=cross.get)
-        if cross[j] > GAP_DELTA_TOL:
-            print(
-                f"warning: direct and eigenprojection gaps differ by {cross[j]:.3g} at "
-                f"lambda={lam:g}, j={j} (cross-check tolerance {GAP_DELTA_TOL:g})",
-                file=sys.stderr,
-            )
+    _warn_route_deltas(resolvent)
     if any(p["classification"] == "inconsistent" for p in probes):
         return EXIT_MATH
     return EXIT_OK
@@ -298,7 +311,6 @@ def _element_from_doc(doc, system: InductiveSystem) -> tuple[str, int, AlgebraEl
 
 
 def _st2_series(args, system: InductiveSystem) -> list[tuple[str, CommutatorSeries]]:
-    k_max = system.top_level
     if args.element:
         out = []
         for spec_item in args.element:
@@ -312,12 +324,12 @@ def _st2_series(args, system: InductiveSystem) -> list[tuple[str, CommutatorSeri
                     raise ValidationError(f"--element must be a file or inline JSON: {exc}")
             name, j, elem = _element_from_doc(doc, system)
             try:
-                out.append((name, commutator_series(system, j, elem, k_max)))
+                out.append((name, commutator_series(system, j, elem)))
             except ValidationError as exc:
                 raise ValidationError(f"element {name!r}: {exc}") from None
         return out
-    levels = None if args.levels is None else parse_levels(args.levels, k_max)
-    probe = default_st2_probe(system, levels=levels, k_max=k_max)
+    levels = None if args.levels is None else parse_levels(args.levels, system.top_level)
+    probe = default_st2_probe(system, levels=levels)
     return [(f"basis{i}@{s.base_level}", s) for i, s in enumerate(probe)]
 
 
@@ -418,10 +430,9 @@ def cmd_report(args) -> int:
     r = realize(system)
 
     validation = system_validate(system)
+    resolvent, function = _st1_probes(r, lambdas, functions, j_range, VERDICT_THRESHOLD, VERDICT_WINDOW)
     gap_docs = []
-    for lam in lambdas:
-        series = gap_series(r, lam=lam, j_range=j_range)
-        verdict = st1_verdict(series)
+    for (series, _, verdict), lam in zip(resolvent, lambdas):
         gap_docs.append(
             {
                 "lambda": complex_to_json(lam),
@@ -432,11 +443,10 @@ def cmd_report(args) -> int:
                 "caveat": verdict.caveat,
             }
         )
-    for name in functions:
-        series = gap_series(r, f_name=name, j_range=j_range)
+    for series in function:
         gap_docs.append(
             {
-                "function": name,
+                "function": series.f_name,
                 "entries": [{"j": j, "gap": v} for j, v in series.entries],
             }
         )
@@ -467,6 +477,7 @@ def cmd_report(args) -> int:
         "config": cfg,
     }
     _write_or_print(dumps(doc) + "\n", args.out)
+    _warn_route_deltas(resolvent)
     failed = (
         not validation.passed
         or st2.classification == "inconsistent"

@@ -49,15 +49,18 @@ from .linalg import (
 )
 from .triple import commutator_norm
 
-# Verdict heuristics (callers may override): absolute smallness threshold,
-# tail window length, and the decay factor a falling tail must achieve.
+# Verdict heuristics: absolute smallness threshold and tail window length
+# (``st1 --threshold`` and ``--window`` set them), the decay factor a
+# falling tail must achieve, and the largest relative rise over the window
+# that still counts a commutator series as stalled.
 VERDICT_THRESHOLD = 1e-3
 VERDICT_WINDOW = 5
 VERDICT_DECAY = 0.9
+STALL_TOL = 1e-9
 # Tolerance for monotonicity statements about diagnostic series.
 MONOTONE_TOL = 1e-9
-# Largest |direct - eigenprojection| gap difference the st1 cross-check accepts
-# without a warning.
+# Largest |direct - eigenprojection| gap difference the ST1 cross-check of
+# `st1` and `report` accepts without a warning.
 GAP_DELTA_TOL = 1e-9
 
 CAVEAT = (
@@ -240,7 +243,7 @@ def gap_series(
 
 @dataclass(frozen=True)
 class CommutatorSeries:
-    """||[D_k, pi_k(phi_{j,k}(a))]|| for k = j..k_max, nondecreasing."""
+    """||[D_k, pi_k(phi_{j,k}(a))]|| for k = j..J, nondecreasing."""
 
     base_level: int
     element: AlgebraElement
@@ -269,21 +272,18 @@ class CommutatorSeries:
         return max((v for _, v in self.entries), default=0.0)
 
 
-def commutator_series(
-    system: InductiveSystem, j: int, a: AlgebraElement, k_max: int | None = None
-) -> CommutatorSeries:
-    """Track the commutator norm of one level-j element up the chain."""
-    if k_max is None:
-        k_max = system.top_level
-    if not (0 <= j <= k_max <= system.top_level):
-        raise ValidationError(f"need 0 <= j <= k_max <= {system.top_level}")
+def commutator_series(system: InductiveSystem, j: int, a: AlgebraElement) -> CommutatorSeries:
+    """Track the commutator norm of one level-j element up to the top level."""
+    top = system.top_level
+    if not 0 <= j <= top:
+        raise ValidationError(f"need 0 <= j <= {top}")
     if a.algebra.block_dims != system.triples[j].algebra.block_dims:
         raise ValidationError(f"element does not belong to the level-{j} algebra")
     entries = []
     current = a
-    for k in range(j, k_max + 1):
+    for k in range(j, top + 1):
         entries.append((k, commutator_norm(system.triples[k], current)))
-        if k < k_max:
+        if k < top:
             current = system.links[k].phi.apply(current)
     return CommutatorSeries(j, a, tuple(entries))
 
@@ -298,18 +298,15 @@ class Verdict:
 
 
 def st1_verdict(
-    series: GapSeries,
-    threshold: float = VERDICT_THRESHOLD,
-    window: int = VERDICT_WINDOW,
-    decay: float = VERDICT_DECAY,
+    series: GapSeries, threshold: float = VERDICT_THRESHOLD, window: int = VERDICT_WINDOW
 ) -> Verdict:
     """Trend classification of a gap series.
 
     The tail (last ``window`` entries, excluding the structurally-zero
     ambient level) is called consistent when it is nonincreasing and either
-    already below ``threshold`` or still decaying by at least the ``decay``
-    factor across the window; a tail bounded away from zero without decrease
-    is inconsistent; anything else is inconclusive.
+    already below ``threshold`` or still decaying by at least the
+    ``VERDICT_DECAY`` factor across the window; a tail bounded away from
+    zero without decrease is inconsistent; anything else is inconclusive.
     """
     if not series.entries:
         raise ValidationError("empty gap series")
@@ -340,24 +337,20 @@ def st1_verdict(
     if nondecreasing and values[-1] > threshold:
         evidence["reason"] = "tail stalled or growing above threshold"
         return Verdict("inconsistent", evidence)
-    if nonincreasing and tail_ratio <= decay:
-        evidence["reason"] = f"tail decayed by factor {tail_ratio:.3g} <= {decay}"
+    if nonincreasing and tail_ratio <= VERDICT_DECAY:
+        evidence["reason"] = f"tail decayed by factor {tail_ratio:.3g} <= {VERDICT_DECAY}"
         return Verdict("consistent", evidence)
     evidence["reason"] = "no clear trend across the window"
     return Verdict("inconclusive", evidence)
 
 
-def st2_verdict(
-    series_set: Sequence[CommutatorSeries],
-    bound: float | None = None,
-    window: int = VERDICT_WINDOW,
-    stall_tol: float = 1e-9,
-) -> Verdict:
+def st2_verdict(series_set: Sequence[CommutatorSeries], bound: float | None = None) -> Verdict:
     """Uniform-boundedness classification for a family of commutator series.
 
-    Consistent when every series stabilizes over its tail (or stays below a
-    caller-set bound); a series still strictly growing at the end of the
-    probed range (and above the bound, if any) is inconsistent.
+    Consistent when every series stabilizes over its last ``VERDICT_WINDOW``
+    entries (or stays below a caller-set bound); a series still strictly
+    growing at the end of the probed range (and above the bound, if any) is
+    inconsistent.
     """
     if not series_set:
         raise ValidationError("empty commutator series collection")
@@ -366,13 +359,13 @@ def st2_verdict(
         "n_series": len(series_set),
         "per_series_sup": sups,
         "bound": bound,
-        "window": window,
+        "window": VERDICT_WINDOW,
     }
     growing = []
     for idx, s in enumerate(series_set):
-        values = list(s.values)[-window:]
+        values = list(s.values)[-VERDICT_WINDOW:]
         scale = max(1.0, max(values, default=0.0))
-        stabilized = len(values) >= 2 and (values[-1] - values[0]) <= stall_tol * scale
+        stabilized = len(values) >= 2 and (values[-1] - values[0]) <= STALL_TOL * scale
         below_bound = bound is not None and s.sup <= bound
         if len(values) < 2 and bound is None:
             evidence["reason"] = f"series {idx} has fewer than two entries"
@@ -387,21 +380,17 @@ def st2_verdict(
     return Verdict("inconsistent", evidence)
 
 
-def default_st2_probe(
-    system: InductiveSystem, levels: Sequence[int] | None = None, k_max: int | None = None
-) -> list[CommutatorSeries]:
+def default_st2_probe(system: InductiveSystem, levels: Sequence[int] | None = None) -> list[CommutatorSeries]:
     """One commutator series per basis generator of each probed level.
 
-    By default levels below ``k_max`` are probed, so every series has at
+    By default the levels below the top are probed, so every series has at
     least two entries and carries trend information.
     """
-    if k_max is None:
-        k_max = system.top_level
     if levels is None:
-        levels = range(k_max) if k_max > 0 else [0]
+        levels = range(system.top_level) if system.top_level > 0 else [0]
     out = []
     for j in levels:
         algebra = system.triples[j].algebra
         for i in range(algebra.element_dim):
-            out.append(commutator_series(system, j, algebra.basis_element(i), k_max))
+            out.append(commutator_series(system, j, algebra.basis_element(i)))
     return out

@@ -17,7 +17,6 @@ allocated in float64, since all of them are real.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,22 +324,22 @@ def _ci_system_commutative(chain: AfChain, levels: int) -> InductiveSystem:
         np.add.at(w, sigmas[j - 1], weights[j])
         weights[j - 1] = w
 
-    isometries = []
+    # Each link has one nonzero per row: point q of level j+1 maps to
+    # sigma(q) with weight a_q = sqrt(w_{j+1}(q) / w_j(sigma(q))).  So
+    # L D L* is a gather of D scaled by a on both sides, and L L* is
+    # a_q a_q' on pairs of points in the same fibre, 0 elsewhere.
+    isometries, diracs = [], [np.zeros((1, 1))]
     for j in range(levels):
+        sigma = sigmas[j]
+        a = np.sqrt(weights[j + 1] / weights[j][sigma])
         iso = np.zeros((sizes[j + 1], sizes[j]))
-        for q in range(sizes[j + 1]):
-            p = sigmas[j][q]
-            iso[q, p] = math.sqrt(weights[j + 1][q] / weights[j][p])
+        iso[np.arange(sizes[j + 1]), sigma] = a
         isometries.append(iso)
-
-    diracs = [np.zeros((1, 1))]
-    for j in range(1, levels + 1):
-        iso = isometries[j - 1]
-        proj = iso @ dagger(iso)
-        d = iso @ diracs[j - 1] @ dagger(iso) + chain.alphas[j - 1] * (
-            np.eye(sizes[j]) - proj
+        proj = np.outer(a, a) * (sigma[:, None] == sigma[None, :])
+        d = (a[:, None] * diracs[j][np.ix_(sigma, sigma)]) * a[None, :] + chain.alphas[j] * (
+            np.eye(sizes[j + 1]) - proj
         )
-        diracs.append(0.5 * (d + dagger(d)))
+        diracs.append(0.5 * (d + d.T))
 
     triples = []
     for j in range(levels + 1):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from .algebra import VALIDATION_TOL, ResidualReport
+from .algebra import ResidualReport
 from .errors import ValidationError
 from .linalg import (
     SpectralDecomposition,
@@ -58,22 +58,19 @@ class InductiveSystem:
         return len(self.triples) - 1
 
 
-def system_validate(
-    system: InductiveSystem, tol: float = VALIDATION_TOL
-) -> "SystemReport":
+def system_validate(system: InductiveSystem) -> "SystemReport":
     """Validate every triple and every link; aggregate names the first failure."""
-    triple_reports = tuple(validate_triple(t, tol=tol) for t in system.triples)
-    link_reports = tuple(validate_morphism(m, tol=tol) for m in system.links)
+    triple_reports = tuple(validate_triple(t) for t in system.triples)
+    link_reports = tuple(validate_morphism(m) for m in system.links)
     failing_triple = next((j for j, r in enumerate(triple_reports) if not r.passed), None)
     failing_link = next((j for j, r in enumerate(link_reports) if not r.passed), None)
-    return SystemReport(triple_reports, link_reports, tol, failing_triple, failing_link)
+    return SystemReport(triple_reports, link_reports, failing_triple, failing_link)
 
 
 @dataclass(frozen=True)
 class SystemReport:
     triple_reports: tuple[ResidualReport, ...]
     link_reports: tuple[ResidualReport, ...]
-    tol: float
     failing_triple: int | None
     failing_link: int | None
 
@@ -105,7 +102,7 @@ class SystemReport:
 
 
 class Realization:
-    """Level-J truncation of the inductive limit.
+    """Level-J truncation of the inductive limit, J the top level of the system.
 
     Holds the ambient triple T_J but no composed embedding I_{j,J}.
     Diagnostics read, for every probe, one cached eigendecomposition per
@@ -114,12 +111,10 @@ class Realization:
     above 0.
     """
 
-    def __init__(self, system: InductiveSystem, level: int):
-        if not (0 <= level <= system.top_level):
-            raise ValidationError(f"level must lie in [0, {system.top_level}], got {level}")
+    def __init__(self, system: InductiveSystem):
         self.system = system
-        self.level = level
-        self.ambient = system.triples[level]
+        self.level = system.top_level
+        self.ambient = system.triples[-1]
         self._decompositions: dict[int, SpectralDecomposition] = {}
         self._rotations: dict[int, np.ndarray] = {}
         self._increments: dict[int, np.ndarray] = {}
@@ -176,8 +171,6 @@ class Realization:
         return self._increments[k]
 
 
-def realize(system: InductiveSystem, level: int | None = None) -> Realization:
-    """Truncated inductive realization at the given level (default: top)."""
-    if level is None:
-        level = system.top_level
-    return Realization(system, level)
+def realize(system: InductiveSystem) -> Realization:
+    """Truncated inductive realization at the top level of ``system``."""
+    return Realization(system)

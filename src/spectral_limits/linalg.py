@@ -8,15 +8,15 @@ vectors stay complex; ``matvec`` and ``adjoint_matvec`` apply a real
 matrix to a complex vector as one real product, never widening the matrix.
 
 Hermitian eigendecomposition (LAPACK), dense operator norms, a Lanczos
-top-singular-value estimate on a matrix or on an operator given by its
-action, resolvents, functional calculus and commutators.  Both norms divide
-a huge or tiny input by a power of two before forming a Gram product, so it
-can neither overflow nor underflow.  The values a resolvent or function
-probe takes on a spectrum are checked in one place (``resolvent_values``,
-``function_values``), which the matrix forms also use.  Operators are plain
-``numpy.ndarray`` values; every function validates its inputs and never
-mutates them.  All operations are pure, so callers may evaluate independent
-ones concurrently.
+top-singular-value estimate on an operator given by its action,
+resolvents, functional calculus and commutators.  A huge or tiny input is
+divided by a power of two before its Gram product is formed, so that
+product can neither overflow nor underflow.  The values a resolvent or
+function probe takes on a spectrum are checked in one place
+(``resolvent_values``, ``function_values``), which the matrix forms also
+use.  Operators are plain ``numpy.ndarray`` values; every function
+validates its inputs and never mutates them.  All operations are pure, so
+callers may evaluate independent ones concurrently.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ REAL_RESOLVENT_MARGIN = 1e-8
 # dimension 4096, the largest a generator config admits.  A probe closer
 # than that to the computed spectrum gives a resolvent ruled by rounding.
 EIGENVALUE_ROUNDING = 1e-12
-# Relative Ritz-residual stop of ``lanczos_norm``.
+# Relative Ritz-residual stop of ``lanczos_operator_norm``.
 LANCZOS_TOL = 1e-14
 # The norms rescale a matrix whose largest nonzero entry modulus lies
 # outside [2^-GRAM_SCALE_EXP, 2^GRAM_SCALE_EXP] before forming its Gram.
@@ -86,21 +86,21 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def check_hermitian(h, tol: float = HERMITIAN_TOL, name: str = "operator") -> np.ndarray:
-    """Validate Hermiticity up to ``tol`` and return the symmetrized matrix.
+def check_hermitian(h) -> np.ndarray:
+    """Validate Hermiticity up to ``HERMITIAN_TOL`` and return the symmetrized matrix.
 
     An exactly Hermitian input is returned as it is, without the two
     temporaries that measuring and removing a drift take.
     """
-    a = as_matrix(h, name)
+    a = as_matrix(h, "operator")
     if a.shape[0] != a.shape[1]:
-        raise ValidationError(f"{name} must be square, got shape {a.shape}")
+        raise ValidationError(f"operator must be square, got shape {a.shape}")
     if np.array_equal(a, dagger(a)):
         return a
     drift = frobenius(a - dagger(a))
-    if drift > tol * max(1.0, frobenius(a)):
+    if drift > HERMITIAN_TOL * max(1.0, frobenius(a)):
         raise ValidationError(
-            f"{name} is not Hermitian: ||H - H*||_F = {drift:.3e} exceeds tolerance"
+            f"operator is not Hermitian: ||H - H*||_F = {drift:.3e} exceeds tolerance"
         )
     return 0.5 * (a + dagger(a))
 
@@ -148,20 +148,6 @@ def times_pow2(a: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
-def _gram_scaled(m) -> tuple[np.ndarray, int]:
-    """(A 2^-e, e) for A = as_matrix(m), with e = scale_exponent of the
-    largest entry modulus.
-
-    Scaling by a power of two is exact, so ordinary inputs keep their bytes
-    and huge or tiny ones keep their relative accuracy through a Gram
-    product.
-    """
-    a = as_matrix(m)
-    # A modulus above the float range reads inf; its parts are still finite.
-    e = scale_exponent(float(abs(a).max()))
-    return times_pow2(a, -e), e
-
-
 def unscaled(x: float, e: int) -> float:
     """x 2^e; inf when that exceeds the float range."""
     if not e:
@@ -173,9 +159,16 @@ def unscaled(x: float, e: int) -> float:
 def operator_norm(m) -> float:
     """Largest singular value, computed from the Gram matrix of the short side.
 
-    Returns inf only when the norm itself exceeds the float range.
+    A = as_matrix(m) is first scaled by 2^-e, e the ``scale_exponent`` of its
+    largest entry modulus.  Scaling by a power of two is exact, so ordinary
+    inputs keep their bytes and huge or tiny ones keep their relative
+    accuracy through the Gram product.  Returns inf only when the norm
+    itself exceeds the float range.
     """
-    a, e = _gram_scaled(m)
+    a = as_matrix(m)
+    # A modulus above the float range reads inf; its parts are still finite.
+    e = scale_exponent(float(abs(a).max()))
+    a = times_pow2(a, -e)
     if a.shape[1] <= a.shape[0]:
         gram = dagger(a) @ a
     else:
@@ -212,7 +205,7 @@ def adjoint_matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def lanczos_start(n: int) -> np.ndarray:
-    """Start vector of ``lanczos_norm``: (1 + cos(sqrt(2) k)/2) exp(i k^2/2), normalized.
+    """Lanczos start vector (1 + cos(sqrt(2) k)/2) exp(i k^2/2), normalized.
 
     Fixed rather than random, so results are deterministic and no random
     number module is loaded; without symmetry, so structured operators do
@@ -221,21 +214,6 @@ def lanczos_start(n: int) -> np.ndarray:
     k = np.arange(n, dtype=float)
     q = (1.0 + 0.5 * np.cos(np.sqrt(2.0) * k)) * np.exp(0.5j * k * k)
     return q / np.linalg.norm(q)
-
-
-def lanczos_norm(m) -> float | None:
-    """Largest singular value by Lanczos on the Gram operator of the short side.
-
-    ``lanczos_operator_norm`` on x -> A*(A x), from ``lanczos_start``, with
-    A = as_matrix(m) (or its adjoint, whichever has fewer columns) rescaled
-    as in ``operator_norm``.  The result is inf only when the norm exceeds
-    the float range, and None when Lanczos does not stop.
-    """
-    a, e = _gram_scaled(m)
-    if a.shape[1] > a.shape[0]:
-        a = dagger(a)
-    top = lanczos_operator_norm(lambda q: adjoint_matvec(a, matvec(a, q)), lanczos_start(a.shape[1]))
-    return None if top is None else unscaled(top, e)
 
 
 def lanczos_operator_norm(gram: Callable[[np.ndarray], np.ndarray], start: np.ndarray) -> float | None:
@@ -253,7 +231,7 @@ def lanczos_operator_norm(gram: Callable[[np.ndarray], np.ndarray], start: np.nd
     singular space can stop early on a smaller one.  Callers that need the
     top value certain compare against an independent route or use
     ``operator_norm``.  The caller scales A so that its Gram can neither
-    overflow nor underflow, as ``lanczos_norm`` does.
+    overflow nor underflow (``scale_exponent``, ``times_pow2``).
     """
     n = start.shape[0]
     q = start

@@ -178,7 +178,7 @@ class TripleMorphism:
         object.__setattr__(self, "iso", m)
 
 
-def validate_triple(t: FiniteSpectralTriple, tol: float = VALIDATION_TOL) -> ResidualReport:
+def validate_triple(t: FiniteSpectralTriple) -> ResidualReport:
     """Representation axioms, faithfulness margin, Dirac Hermiticity and,
     when a grading gamma is present, gamma - gamma* and gamma^2 - 1.
 
@@ -197,7 +197,7 @@ def validate_triple(t: FiniteSpectralTriple, tol: float = VALIDATION_TOL) -> Res
     else:
         margin = float(np.linalg.svd(images, compute_uv=False)[-1])
     entries["faithfulness_margin"] = margin
-    entries["faithfulness_defect"] = 0.0 if margin > tol else 1.0
+    entries["faithfulness_defect"] = 0.0 if margin > VALIDATION_TOL else 1.0
     if t.grading is not None:
         g = t.grading
         entries["grading_selfadjoint"] = frobenius(g - dagger(g))
@@ -206,21 +206,21 @@ def validate_triple(t: FiniteSpectralTriple, tol: float = VALIDATION_TOL) -> Res
         "compact resolvent (ST1) holds automatically in finite dimension",
         "bounded commutators (ST2) hold automatically in finite dimension",
     )
-    return ResidualReport(entries, tol, notes=notes, informational=("faithfulness_margin",))
+    return ResidualReport(entries, VALIDATION_TOL, notes=notes, informational=("faithfulness_margin",))
 
 
-def _labelled_residual(x: np.ndarray, row_labels: np.ndarray, col_labels: np.ndarray, tol: float) -> float:
+def _labelled_residual(x: np.ndarray, row_labels: np.ndarray, col_labels: np.ndarray) -> float:
     """max_i ||x D1(i) - D2(i) x||, D1(i) / D2(i) the indicators of label i on columns / rows.
 
     Only entries with differing labels contribute.  The stack's Frobenius
-    norm, a sound bound, is returned when within ``tol``; otherwise exact
-    norms are taken at the labels those entries touch, where the residual
-    splits into x[row == i, col != i] and x[row != i, col == i], which share
-    no rows or columns.
+    norm, a sound bound, is returned when within ``VALIDATION_TOL``;
+    otherwise exact norms are taken at the labels those entries touch, where
+    the residual splits into x[row == i, col != i] and x[row != i,
+    col == i], which share no rows or columns.
     """
     mism = (row_labels[:, None] != col_labels[None, :]) & (x != 0)
     screen = float(np.sqrt(2.0 * np.sum(np.abs(x[mism]) ** 2)))
-    if screen <= tol:
+    if screen <= VALIDATION_TOL:
         return screen
     rows, cols = np.nonzero(mism)
     worst = 0.0
@@ -232,7 +232,7 @@ def _labelled_residual(x: np.ndarray, row_labels: np.ndarray, col_labels: np.nda
     return worst
 
 
-def _intertwining_residual(m: TripleMorphism, tol: float) -> float:
+def _intertwining_residual(m: TripleMorphism) -> float:
     """max over the algebra basis of ||I pi1(e) - pi2(phi(e)) I||.
 
     Diagonal representations linked by a spectrum map reduce to a labelled
@@ -246,7 +246,7 @@ def _intertwining_residual(m: TripleMorphism, tol: float) -> float:
         and phi.spectrum_map is not None
     ):
         return _labelled_residual(
-            iso, phi.spectrum_map[tgt.rep.coord_points], src.rep.coord_points, tol
+            iso, phi.spectrum_map[tgt.rep.coord_points], src.rep.coord_points
         )
     images = phi.as_matrix().T
     basis = np.eye(src.algebra.element_dim)
@@ -258,12 +258,12 @@ def _intertwining_residual(m: TripleMorphism, tol: float) -> float:
     return worst
 
 
-def validate_morphism(m: TripleMorphism, tol: float = VALIDATION_TOL) -> ResidualReport:
+def validate_morphism(m: TripleMorphism) -> ResidualReport:
     """Residuals for isometry, intertwining identities and injectivity."""
     iso_res = frobenius(dagger(m.iso) @ m.iso - np.eye(m.source.hilbert_dim))
     dirac_res = operator_norm(m.iso @ m.source.dirac - m.target.dirac @ m.iso)
-    rep_res = _intertwining_residual(m, tol)
-    phi_report = hom_validate(m.phi, tol=tol)
+    rep_res = _intertwining_residual(m)
+    phi_report = hom_validate(m.phi)
     entries = {
         "isometry": float(iso_res),
         "algebra_intertwining": float(rep_res),
@@ -272,7 +272,7 @@ def validate_morphism(m: TripleMorphism, tol: float = VALIDATION_TOL) -> Residua
         "injectivity_margin": phi_report.entries["injectivity_margin"],
     }
     notes = ("phi(A1^inf) in A2^inf holds automatically in finite dimension",)
-    return ResidualReport(entries, tol, notes=notes, informational=("injectivity_margin",))
+    return ResidualReport(entries, VALIDATION_TOL, notes=notes, informational=("injectivity_margin",))
 
 
 def _cut_norm(dirac: np.ndarray, f: np.ndarray) -> float | None:

@@ -465,6 +465,30 @@ def _planted_miss_system(n: int = 8):
     return InductiveSystem((t0, t1), (link,))
 
 
+def _planted_link_file(tmp_path) -> str:
+    """Cantor J=5 with link 2 left-multiplied by a random unitary, so that it
+    no longer intertwines the Dirac operators: the direct route applies the
+    planted link, the eigen route reads the increment spectra, and the
+    routes part (by 0.134 at lambda=i)."""
+    system = cantor_system(middle_thirds(6), 5)
+    link = system.links[2]
+    n = link.target.hilbert_dim
+    rng = np.random.default_rng(0)
+    unitary = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    links = list(system.links)
+    links[2] = TripleMorphism(link.source, link.target, link.phi, unitary @ link.iso)
+    sysf = tmp_path / "planted_link.json"
+    save_system(InductiveSystem(system.triples, tuple(links), system.provenance), str(sysf))
+    return str(sysf)
+
+
+def _assert_one_warning_per_lambda(err: str, lambdas) -> None:
+    warnings = err.splitlines()
+    assert len(warnings) == len(lambdas)
+    for line, lam in zip(warnings, lambdas):
+        assert line.startswith("warning: ") and f"lambda={lam:g}, j=" in line
+
+
 class TestSt1CrossCheck:
     def test_no_warning_at_defaults(self, cantor_file, capsys):
         capsys.readouterr()
@@ -472,20 +496,8 @@ class TestSt1CrossCheck:
         assert capsys.readouterr().err == ""
 
     def test_disagreeing_routes_warn_without_changing_output(self, tmp_path, capsys):
-        # Link 2 of Cantor J=5, left-multiplied by a random unitary, no longer
-        # intertwines the Dirac operators.  st1 does not validate first: the
-        # direct route applies the planted link, the eigen route reads
-        # the increment spectra, and the routes part (by 0.134 at lambda=i).
-        system = cantor_system(middle_thirds(6), 5)
-        link = system.links[2]
-        n = link.target.hilbert_dim
-        rng = np.random.default_rng(0)
-        unitary = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
-        links = list(system.links)
-        links[2] = TripleMorphism(link.source, link.target, link.phi, unitary @ link.iso)
-        planted = InductiveSystem(system.triples, tuple(links), system.provenance)
-        sysf = tmp_path / "planted_link.json"
-        save_system(planted, str(sysf))
+        # st1 does not validate first, so the planted link reaches both routes.
+        sysf = _planted_link_file(tmp_path)
         out = tmp_path / "wide"
         capsys.readouterr()
         lambdas = (1j, 2j)
@@ -495,10 +507,7 @@ class TestSt1CrossCheck:
         assert main(argv) == (1 if "inconsistent" in verdicts else 0)
         captured = capsys.readouterr()
         assert captured.out == f"wrote {out}.csv and {out}.json\n"
-        warnings = captured.err.splitlines()
-        assert len(warnings) == len(lambdas)
-        for line, lam in zip(warnings, lambdas):
-            assert line.startswith("warning: ") and f"lambda={lam:g}, j=" in line
+        _assert_one_warning_per_lambda(captured.err, lambdas)
         probes = json.loads(Path(f"{out}.json").read_text())["probes"]
         assert [p["classification"] for p in probes] == verdicts
         assert all(p["max_eigen_gap_delta"] > 1e-9 for p in probes)
@@ -844,12 +853,29 @@ class TestReport:
         assert "RuntimeWarning" not in err and "lambda=1e-320j" in err
         assert not (tmp_path / "r.json").exists()
 
-    def test_system_by_path(self, tmp_path, cantor_file):
+    def test_system_by_path(self, tmp_path, cantor_file, capsys):
         cfg = write_json(
             tmp_path / "run2.json",
             {"system": {"path": cantor_file}, "lambdas": ["i"]},
         )
+        capsys.readouterr()
         assert main(["report", "--config", cfg, "--out", str(tmp_path / "r3.json")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_disagreeing_routes_warn_as_in_st1(self, tmp_path, capsys):
+        # The planted link fails validation (exit 1); the report still holds
+        # every section, and each probe warns on stderr as st1 does.
+        cfg = write_json(
+            tmp_path / "run_planted.json",
+            {"system": {"path": _planted_link_file(tmp_path)}, "lambdas": ["i", "2i"]},
+        )
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert main(["report", "--config", cfg, "--out", str(out)]) == 1
+        _assert_one_warning_per_lambda(capsys.readouterr().err, (1j, 2j))
+        doc = json.loads(out.read_text())
+        assert set(doc) == {"system", "validation", "gap_series", "commutator_series", "st2", "version", "config"}
+        assert doc["validation"]["passed"] is False and doc["validation"]["failing_link"] == 2
 
     @pytest.mark.parametrize("levels", [[0], [0, 1, 2], [2, 1], [0, 9], [-1, 2], [0, "3"], [0.0, 2], "0..2", []])
     def test_malformed_levels_exit2(self, tmp_path, capsys, levels):

@@ -141,6 +141,15 @@ class TestResolventGap:
         r = realize(ci_system(chain, 2))
         assert function_gap(r, 0, lambda x: 1e300 / (1.0 + x * x)) == pytest.approx(5e299, rel=1e-13)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-100, 1e-30, 1e60, 1e300])
+    def test_scaled_probe_scales_the_gap(self, scale):
+        # The direct route divides the probe values by a power of two before
+        # Lanczos, so tiny and huge values keep their relative accuracy.
+        f = FUNCTION_PROBES["one_over_one_plus_x2"]
+        for j in range(R6.level):
+            want = scale * function_gap(R6, j, f)
+            assert function_gap(R6, j, lambda x: scale * f(x)) == pytest.approx(want, rel=1e-13, abs=0.0)
+
     @pytest.mark.parametrize("lam", [1e-300j, 1e-13j, 1 + 1e-13j])
     def test_probe_within_eigenvalue_rounding_refused(self, lam):
         # D_2 of the binary CI system has eigenvalues 0, 1 and 2, which eigh

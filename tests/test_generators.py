@@ -175,6 +175,23 @@ class TestCiSystem:
         s3 = np.sqrt(3)
         assert np.allclose(r_proj, [[0.25, s3 / 4], [s3 / 4, 0.75]], atol=1e-12)
 
+    @pytest.mark.parametrize("levels", [4, 2])
+    def test_gathered_dirac_matches_dense_products(self, levels):
+        # The generator gathers L D L* and L L* from the one nonzero of each
+        # link row; the dense products L D_j L^T + alpha (1 - L L^T) give the
+        # same bits, signed zeros included, with uneven fibres, random
+        # weights and alphas of both signs.
+        sizes = [1, 2, 3, 6, 12]
+        branching = [[k * a // b for k in range(b)] for a, b in zip(sizes, sizes[1:])]
+        weights = np.random.default_rng(4).uniform(0.1, 3.0, 12)
+        alphas = [-2.5, 1.0, -0.3, 7.0]
+        system = ci_system(commutative_af_chain(branching, weights / weights.sum(), alphas), levels)
+        for j, link in enumerate(system.links):
+            l = link.iso
+            assert np.count_nonzero(l, axis=1).tolist() == [1] * l.shape[0]
+            d = l @ system.triples[j].dirac @ l.T + alphas[j] * (np.eye(l.shape[0]) - l @ l.T)
+            assert (0.5 * (d + d.T)).tobytes() == system.triples[j + 1].dirac.tobytes()
+
     def test_level_out_of_range(self):
         chain = commutative_af_chain(binary_branching(2), np.full(4, 1 / 4), [1, 2])
         with pytest.raises(ValidationError):

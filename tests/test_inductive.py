@@ -103,13 +103,14 @@ class TestEmbed:
 
 class TestRealize:
     def test_level_zero(self):
-        r = realize(CANTOR5, 0)
-        assert r.ambient is CANTOR5.triples[0]
+        system = cantor_system(SEQ, 0)
+        r = realize(system)
+        assert r.ambient is system.triples[0]
         assert np.array_equal(r.rotation(0), np.eye(2))
 
     def test_cantor_projection_ranks(self):
         system = cantor_system(SEQ, 3)
-        assert realize(system, 3).ambient.hilbert_dim == 8
+        assert realize(system).ambient.hilbert_dim == 8
         iso = chain(system, 1, 3).iso
         assert np.trace(iso @ dagger(iso)).real == pytest.approx(4.0, abs=1e-12)
 
@@ -117,15 +118,11 @@ class TestRealize:
         ranks = [np.linalg.norm(chain(CI3, j, 3).iso) ** 2 for j in range(4)]
         assert np.allclose(ranks, [1, 2, 4, 8], atol=1e-12)
 
-    def test_invalid_level(self):
-        with pytest.raises(ValidationError):
-            realize(CANTOR5, 9)
-
     def test_level_outside_realization(self):
         top = realize(CANTOR5)
         with pytest.raises(ValidationError, match=r"level must lie in \[0, 5\], got -1"):
             top.rotation(-1)
-        mid = realize(cantor_system(middle_thirds(4), 4), 2)
+        mid = realize(cantor_system(middle_thirds(4), 2))
         with pytest.raises(ValidationError, match=r"level must lie in \[0, 2\], got -1"):
             mid.rotation(-1)
         with pytest.raises(ValidationError, match=r"level must lie in \[0, 2\], got 4"):
