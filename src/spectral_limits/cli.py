@@ -53,6 +53,7 @@ from .serialization import (
     load_system,
     matrix_from_json,
     parse_generator_config,
+    read_json,
     save_system,
     system_from_generator_config,
 )
@@ -120,9 +121,7 @@ def _load_system_arg(args) -> InductiveSystem:
     if getattr(args, "system", None):
         return load_system(args.system)
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        return system_from_generator_config(cfg)
+        return system_from_generator_config(read_json(args.config))
     raise ValidationError("give --system FILE or --config FILE")
 
 
@@ -186,13 +185,7 @@ GAP_CSV_HEADER = "kind,j,lambda_re,lambda_im,f_name,gap,analytic_bound,eigen_gap
 
 
 def cmd_build(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    generate = parse_generator_config(cfg)
+    generate = parse_generator_config(read_json(args.config))
     try:
         system = generate()
     except SpectralLimitsError as exc:
@@ -315,12 +308,11 @@ def _st2_series(args, system: InductiveSystem) -> list[tuple[str, CommutatorSeri
         out = []
         for spec_item in args.element:
             if os.path.exists(spec_item):
-                with open(spec_item, "r", encoding="utf-8") as fh:
-                    doc = json.load(fh)
+                doc = read_json(spec_item)
             else:
                 try:
                     doc = json.loads(spec_item)
-                except json.JSONDecodeError as exc:
+                except (RecursionError, ValueError) as exc:
                     raise ValidationError(f"--element must be a file or inline JSON: {exc}")
             name, j, elem = _element_from_doc(doc, system)
             try:
@@ -413,8 +405,7 @@ def _report_levels(levels, top: int) -> list[int]:
 
 
 def cmd_report(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    cfg = read_json(args.config)
     if not isinstance(cfg, dict) or "system" not in cfg:
         raise ValidationError("report config must contain a 'system' entry")
     lambdas = parse_lambdas(cfg["lambdas"]) if "lambdas" in cfg else list(DEFAULT_LAMBDAS)

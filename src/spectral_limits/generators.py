@@ -314,6 +314,18 @@ def _restrict_state(chain: AfChain, level: int) -> State:
     return State(algebra, tuple(densities))
 
 
+def _fibre_pairs(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of every pair (q, q') with sigma(q) = sigma(q')."""
+    order = np.argsort(sigma, kind="stable")
+    counts = np.bincount(sigma)
+    fibre = counts[sigma]
+    rows = np.repeat(np.arange(sigma.size), fibre)
+    # Position of each pair's column within its fibre of ``order``.
+    within = np.arange(rows.size) - np.repeat(np.cumsum(fibre) - fibre, fibre)
+    starts = np.cumsum(counts) - counts
+    return rows, order[starts[sigma][rows] + within]
+
+
 def _ci_system_commutative(chain: AfChain, levels: int) -> InductiveSystem:
     sigmas = [inc.spectrum_map for inc in chain.inclusions[:levels]]
     sizes = [a.n_points for a in chain.algebras[: levels + 1]]
@@ -327,19 +339,28 @@ def _ci_system_commutative(chain: AfChain, levels: int) -> InductiveSystem:
     # Each link has one nonzero per row: point q of level j+1 maps to
     # sigma(q) with weight a_q = sqrt(w_{j+1}(q) / w_j(sigma(q))).  So
     # L D L* is a gather of D scaled by a on both sides, and L L* is
-    # a_q a_q' on pairs of points in the same fibre, 0 elsewhere.
+    # a_q a_q' on pairs of points in the same fibre, 0 elsewhere: the
+    # update alpha (1 - L L*) touches the fibre blocks only.  Every entry
+    # gets the bits of the dense form L D L* + alpha (1 - L L*).
     isometries, diracs = [], [np.zeros((1, 1))]
     for j in range(levels):
-        sigma = sigmas[j]
+        sigma, alpha = sigmas[j], chain.alphas[j]
         a = np.sqrt(weights[j + 1] / weights[j][sigma])
         iso = np.zeros((sizes[j + 1], sizes[j]))
         iso[np.arange(sizes[j + 1]), sigma] = a
         isometries.append(iso)
-        proj = np.outer(a, a) * (sigma[:, None] == sigma[None, :])
-        d = (a[:, None] * diracs[j][np.ix_(sigma, sigma)]) * a[None, :] + chain.alphas[j] * (
-            np.eye(sizes[j + 1]) - proj
-        )
-        diracs.append(0.5 * (d + d.T))
+        d = diracs[j][np.ix_(sigma, sigma)]
+        d *= a[:, None]
+        d *= a[None, :]
+        rows, cols = _fibre_pairs(sigma)
+        fibres = d[rows, cols] + alpha * ((rows == cols) - a[rows] * a[cols])
+        # Off the fibres the dense form adds alpha * 0.0, which turns a -0.0
+        # into +0.0 when alpha > 0.
+        d += alpha * 0.0
+        d[rows, cols] = fibres
+        d = d + d.T
+        d *= 0.5
+        diracs.append(d)
 
     triples = []
     for j in range(levels + 1):

@@ -2,14 +2,17 @@
 inductive systems.
 
 A matrix is written as {"shape": [rows, cols], "data": base64}, where data
-holds the row-major little-endian complex128 entries, so every bit
-round-trips.  The reader returns float64 when every imaginary part is +0.0
-bit for bit (``linalg.exactly_real``), else complex128; a real matrix is
-written with +0.0 imaginary parts, so both read back to their bytes.  The
-decoder also reads the row-major nested lists of
+holds the row-major little-endian entries at the matrix's own width:
+float64 when it is real, or complex with every imaginary part +0.0 bit for
+bit (``linalg.exactly_real``), else complex128.  The reader tells the width
+from the byte length, so every bit round-trips and a saved
+``spectral-limits/system-v3`` file re-saves to its own bytes.  It returns
+float64 for float64 data and for complex128 data whose imaginary parts are
+all +0.0, else complex128; ``spectral-limits/system-v2`` files hold
+complex128 data only.  The decoder also reads the row-major nested lists of
 {"re": float, "im": float} objects of ``spectral-limits/system-v1`` files
-and of hand-written ``st2 --element`` blocks.  Diagonal representations
-are written compactly as their coordinate-to-point map.  Dumps are
+and of hand-written ``st2 --element`` blocks.  Diagonal representations are
+written compactly as their coordinate-to-point map.  Dumps are
 deterministic (sorted keys, fixed separators), so identical inputs produce
 byte-identical files.
 """
@@ -43,10 +46,14 @@ from .triple import (
     TripleMorphism,
 )
 
-SYSTEM_FORMAT = "spectral-limits/system-v2"
-# Formats system_from_json reads: v1 differs only in its nested-list matrices.
-READ_FORMATS = (SYSTEM_FORMAT, "spectral-limits/system-v1")
-MATRIX_DTYPE = np.dtype("<c16")
+SYSTEM_FORMAT = "spectral-limits/system-v3"
+# Formats system_from_json reads: v2 writes every matrix as complex128, v1 as
+# nested lists.
+READ_FORMATS = (SYSTEM_FORMAT, "spectral-limits/system-v2", "spectral-limits/system-v1")
+REAL_DTYPE = np.dtype("<f8")
+COMPLEX_DTYPE = np.dtype("<c16")
+# Layout of every JSON document written: sorted keys, one-space indent.
+JSON_STYLE = {"sort_keys": True, "indent": 1, "separators": (",", ": ")}
 # Largest dense matrix data a generator config may ask for, in bytes.  Binary
 # CI at J=12 (dim 4096, the largest workload the roadmap targets) needs about
 # 0.54 GB and passes; J=13 needs about 2.1 GB and is rejected.
@@ -68,16 +75,19 @@ def complex_from_json(obj) -> complex:
 
 
 def matrix_to_json(m) -> dict:
-    a = np.ascontiguousarray(m, dtype=MATRIX_DTYPE)
+    """Encode a matrix as float64 when it is exactly real, else as complex128."""
+    a = exactly_real(np.asarray(m))
+    a = np.ascontiguousarray(a, dtype=COMPLEX_DTYPE if np.iscomplexobj(a) else REAL_DTYPE)
     rows, cols = a.shape
-    return {"shape": [rows, cols], "data": base64.b64encode(a.tobytes()).decode("ascii")}
+    return {"shape": [rows, cols], "data": base64.b64encode(a).decode("ascii")}
 
 
 def matrix_from_json(obj) -> np.ndarray:
     """Decode a {shape, data} matrix object or a nested list of {re, im} objects.
 
-    A {shape, data} matrix comes back as float64 when all its imaginary
-    parts are +0.0 bit for bit, else as complex128.
+    A {shape, data} matrix holds 8 (float64) or 16 (complex128) bytes per
+    entry; it comes back as float64 when its data is float64 or all its
+    imaginary parts are +0.0 bit for bit, else as complex128.
     """
     if isinstance(obj, dict) and set(obj) == {"shape", "data"}:
         shape, data = obj["shape"], obj["data"]
@@ -94,14 +104,16 @@ def matrix_from_json(obj) -> np.ndarray:
         except binascii.Error as exc:
             raise ValidationError(f"matrix data is not valid base64: {exc}") from exc
         rows, cols = shape
-        size = rows * cols * MATRIX_DTYPE.itemsize
-        if len(raw) != size:
-            raise ValidationError(f"matrix data has {len(raw)} bytes, shape {shape} needs {size}")
-        # Both results are native copies: frombuffer views immutable bytes, in
+        widths = {rows * cols * d.itemsize: d for d in (REAL_DTYPE, COMPLEX_DTYPE)}
+        if len(raw) not in widths:
+            raise ValidationError(
+                f"matrix data has {len(raw)} bytes, shape {shape} needs {' or '.join(map(str, widths))}"
+            )
+        # Every result is a native copy: frombuffer views immutable bytes, in
         # the file's byte order.
-        view = np.frombuffer(raw, dtype=MATRIX_DTYPE).reshape(rows, cols)
+        view = np.frombuffer(raw, dtype=widths[len(raw)]).reshape(rows, cols)
         narrowed = exactly_real(view)
-        return view.astype(complex) if narrowed is view else narrowed
+        return view.astype(view.dtype.type) if narrowed is view else narrowed
     if (
         not isinstance(obj, list)
         or not obj
@@ -191,7 +203,7 @@ def system_to_json(s: InductiveSystem) -> dict:
 
 
 def system_from_json(obj) -> InductiveSystem:
-    """Decode a v1 or v2 system document; any malformed part raises ValidationError."""
+    """Decode a v1, v2 or v3 system document; any malformed part raises ValidationError."""
     if not isinstance(obj, dict) or obj.get("format") not in READ_FORMATS:
         raise ValidationError(f"not a {' or '.join(READ_FORMATS)} document")
     triples_doc, links_doc = obj.get("triples"), obj.get("links")
@@ -228,22 +240,32 @@ def system_from_json(obj) -> InductiveSystem:
 
 
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1, separators=(",", ": "))
+    return json.dumps(obj, **JSON_STYLE)
 
 
 def save_system(s: InductiveSystem, path: str) -> None:
+    """Write the bytes of ``dumps(system_to_json(s)) + "\\n"``, streamed to the file."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(system_to_json(s)))
+        json.dump(system_to_json(s), fh, **JSON_STYLE)
         fh.write("\n")
 
 
+def read_json(path: str):
+    """The JSON document in the UTF-8 file ``path``.
+
+    A file that cannot be read, is not UTF-8 or is not JSON (including
+    nesting too deep or an integer too long to parse) raises
+    ValidationError naming the path.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, RecursionError, ValueError) as exc:
+        raise ValidationError(f"cannot read JSON from {path}: {exc}") from exc
+
+
 def load_system(path: str) -> InductiveSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
-    return system_from_json(obj)
+    return system_from_json(read_json(path))
 
 
 def finite_numbers(values, what: str) -> list[float]:
@@ -265,11 +287,12 @@ def _check_generator_size(dims, matrices_per_level: int) -> None:
 
     ``dims`` yields the Hilbert dimension n_j of each level; a level holds
     ``matrices_per_level`` n_j x n_j matrices (Dirac operator, grading) and a
-    link one n_{j+1} x n_j isometry.  Stops at the first level over the cap.
+    link one n_{j+1} x n_j isometry.  Entries are counted at 16 bytes (complex
+    width), twice what the float64 generators allocate.  Stops at the first level over the cap.
     """
     total, previous = 0, 0
     for n in dims:
-        total += MATRIX_DTYPE.itemsize * (matrices_per_level * n * n + previous * n)
+        total += COMPLEX_DTYPE.itemsize * (matrices_per_level * n * n + previous * n)
         if total > MAX_GENERATOR_BYTES:
             raise ValidationError(
                 f"generator config needs more than {MAX_GENERATOR_BYTES} bytes of dense matrices"

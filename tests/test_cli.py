@@ -1,5 +1,6 @@
 """CLI integration: subcommands, exit codes, determinism."""
 
+import base64
 import copy
 import json
 import os
@@ -165,11 +166,26 @@ class TestBuild:
         missing = write_json(tmp_path / "m.json", {"type": "cantor"})
         assert main(["build", "--config", missing, "--out", str(tmp_path / "y.json")]) == 2
 
-    def test_two_builds_byte_identical_v2(self, tmp_path, cantor_file):
+    def test_two_builds_byte_identical_v3(self, tmp_path, cantor_file):
         again = tmp_path / "again.json"
         assert main(["build", "--config", str(tmp_path / "cfg.json"), "--out", str(again)]) == 0
         assert again.read_bytes() == open(cantor_file, "rb").read()
-        assert json.loads(again.read_text())["format"] == "spectral-limits/system-v2"
+        assert json.loads(again.read_text())["format"] == "spectral-limits/system-v3"
+
+    def test_ci_wide_file_is_float64(self, tmp_path):
+        # The binary CI J=8 system (dim 256) is real: every matrix object
+        # holds 8 bytes per entry, and the file stays under 1.5 MB (it was
+        # 2.8 MB with complex128 data).
+        cfg = {"type": "christensen-ivan", "chain": "binary", "weights": "uniform", "alphas": list(range(1, 9)), "levels": 8}
+        out = tmp_path / "ci8.json"
+        assert main(["build", "--config", write_json(tmp_path / "ci8_cfg.json", cfg), "--out", str(out)]) == 0
+        assert out.stat().st_size <= 1_500_000
+        doc = json.loads(out.read_text())
+        matrices = [t["dirac"] for t in doc["triples"]] + [link["iso"] for link in doc["links"]]
+        assert len(matrices) == 17
+        for m in matrices:
+            rows, cols = m["shape"]
+            assert len(base64.b64decode(m["data"])) == 8 * rows * cols
 
     @pytest.mark.parametrize("cfg", MALFORMED_GENERATORS.values(), ids=MALFORMED_GENERATORS.keys())
     def test_malformed_generator_fields_exit2(self, tmp_path, capsys, cfg):
@@ -267,7 +283,7 @@ MALFORMED_SYSTEMS = {
     "re-str": _set(["triples", 0, "dirac"], [[{"re": "x", "im": 0.0}, ZERO], [ZERO, ZERO]]),
     "provenance-list": _set(["provenance"], []),
     "meta-str": _set(["triples", 0, "meta"], "x"),
-    # v2 matrix objects: shape, data type, base64 and byte length.
+    # Matrix objects: shape, data type, base64 and byte length (8 or 16 per entry).
     "shape-one-int": _set(["triples", 1, "dirac", "shape"], [16]),
     "shape-zero": _set(["triples", 1, "dirac", "shape"], [4, 0]),
     "shape-negative": _set(["triples", 1, "dirac", "shape"], [-4, -4]),
@@ -281,6 +297,7 @@ MALFORMED_SYSTEMS = {
     "data-newline": _set(["triples", 1, "dirac", "data"], FOUR_BY_FOUR["data"][:8] + "\n" + FOUR_BY_FOUR["data"][8:]),
     "data-short": _set(["triples", 1, "dirac", "data"], FOUR_BY_FOUR["data"][:-4]),
     "data-wrong-shape": _set(["triples", 1, "dirac", "shape"], [4, 3]),
+    "data-12-bytes-per-entry": _set(["triples", 1, "dirac", "data"], base64.b64encode(bytes(12 * 16)).decode()),
     "matrix-extra-key": _set(["triples", 1, "dirac", "dtype"], "complex64"),
 }
 
@@ -302,6 +319,48 @@ class TestMalformedSystemFiles:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+# Argv of each command that reads a JSON file, with FILE in place of its path.
+JSON_FILE_INPUTS = {
+    "system": ["validate", "--system", "FILE"],
+    "system-config": ["validate", "--config", "FILE"],
+    "build-config": ["build", "--config", "FILE", "--out", "OUT"],
+    "report-config": ["report", "--config", "FILE"],
+    "st2-element": ["st2", "--config", "CI2", "--element", "FILE"],
+}
+UNREADABLE_JSON = {
+    "invalid-utf8": b'{"format": "\xff"}',
+    "truncated-utf8": '{"level": 1, "name": "\u00e9'.encode()[:-1],
+    "not-json": b"{not json",
+    "too-deep": b"[" * 100000,
+    "huge-integer": b"1" * 5000,
+}
+
+
+class TestUnreadableJsonInputs:
+    @pytest.mark.parametrize("content", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON.keys())
+    @pytest.mark.parametrize("argv", JSON_FILE_INPUTS.values(), ids=JSON_FILE_INPUTS.keys())
+    def test_exit2_naming_the_file(self, tmp_path, capsys, argv, content):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        paths = {"FILE": str(path), "OUT": str(tmp_path / "out.json"), "CI2": write_json(tmp_path / "ci2.json", CI2)}
+        assert main([paths.get(a, a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "out.json").exists()
+        assert captured.err.startswith(f"error: cannot read JSON from {path}: ") and "Traceback" not in captured.err
+
+    def test_missing_file_exit2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["validate", "--system", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read JSON from {path}: ")
+
+    def test_report_system_path(self, tmp_path, capsys):
+        system = tmp_path / "system.json"
+        system.write_bytes(b'{"format": "\xff"}')
+        cfg = write_json(tmp_path / "report.json", {"system": {"path": str(system)}})
+        assert main(["report", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read JSON from {system}: ")
 
 
 class TestSt1:

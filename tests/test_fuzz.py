@@ -1,8 +1,10 @@
 """Fuzzed inputs: every command exits 0, 1 or 2 and never raises.
 
-Each system-file example mutates one node of a small v2 document: it drops a
-key (or a list entry), substitutes a random JSON value, or truncates or
-flips a character of a base64 matrix string.  The numeric examples give
+Each system-file example mutates one node of a small v3 document, whose
+matrices are float64 except one complex128 Dirac operator: it drops a key
+(or a list entry), substitutes a random JSON value, or truncates or flips a
+character of a base64 matrix string.  The raw-byte examples truncate a
+system file or a config, or write invalid UTF-8 into it.  The numeric examples give
 ``st2 --element`` values and ``st1 --lambda`` probes from 1e-300 to 1e300
 in magnitude; a RuntimeWarning fails them, since tier-1 turns it into an
 error.  The argv examples give ``st1`` random flags and values, and the
@@ -21,8 +23,19 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from spectral_limits import cantor_system, middle_thirds, system_to_json
 from spectral_limits.cli import build_parser, main
+from spectral_limits.serialization import dumps, matrix_from_json, matrix_to_json
 
-BASE_DOC = json.dumps(system_to_json(cantor_system(middle_thirds(2), 2)))
+
+def _base_doc() -> dict:
+    """Cantor J=2, with a -0.0 imaginary part that keeps triple 1's Dirac complex128."""
+    doc = system_to_json(cantor_system(middle_thirds(2), 2))
+    dirac = matrix_from_json(doc["triples"][1]["dirac"]).astype(complex)
+    dirac[0, 1] = complex(dirac[0, 1].real, -0.0)
+    doc["triples"][1]["dirac"] = matrix_to_json(dirac)
+    return doc
+
+
+BASE_DOC = json.dumps(_base_doc())
 B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/="
 
 json_values = st.recursive(
@@ -80,6 +93,21 @@ def test_mutated_system_file_exit_code(tmp_path, data):
     path = tmp_path / "mutated.json"
     path.write_text(json.dumps(doc))
     assert main(["validate", "--system", str(path)]) in (0, 1, 2)
+
+
+# Invalid UTF-8: a lone continuation byte, a truncated sequence, an
+# overlong encoding, a surrogate and a byte that never occurs.
+BAD_UTF8 = [b"\x80", b"\xc3", b"\xe2\x82", b"\xc0\xaf", b"\xed\xa0\x80", b"\xff"]
+
+
+def _raw_mutation(raw: bytes, data) -> bytes:
+    """Truncate ``raw``, or write an invalid UTF-8 sequence over or into it."""
+    action = data.draw(st.sampled_from(["truncate", "overwrite", "insert"]))
+    i = data.draw(st.integers(0, len(raw) - 1))
+    if action == "truncate":
+        return raw[:i]
+    bad = data.draw(st.sampled_from(BAD_UTF8))
+    return raw[:i] + bad + raw[i + (len(bad) if action == "overwrite" else 0) :]
 
 
 # Binary Christensen-Ivan system with two levels; D_0 = 0.
@@ -183,6 +211,30 @@ def test_st1_argv_exit_code(cantor2_file, tmp_path, capsys, pairs):
     except SystemExit as exc:
         code = exc.code
     _assert_clean_exit(code, capsys)
+
+
+@FUZZ_SETTINGS
+@given(data=st.data())
+def test_raw_byte_mutation_exit_code(tmp_path, capsys, data):
+    kind = data.draw(st.sampled_from(["system", "build", "report", "element"]))
+    report = {"system": CI2, "lambdas": ["i"], "functions": ["gaussian"], "levels": [0, 2]}
+    text = {
+        "system": BASE_DOC,
+        "build": json.dumps(CI2),
+        "report": dumps(report),
+        "element": json.dumps({"level": 1, "name": "\u00e9l\u00e9ment", "values": [0.0, 1.0]}, ensure_ascii=False),
+    }[kind]
+    path = tmp_path / "input.json"
+    path.write_bytes(_raw_mutation(text.encode("utf-8"), data))
+    ci2 = _write_json(tmp_path / "ci2.json", CI2)
+    out = str(tmp_path / "out")
+    argv = {
+        "system": ["validate", "--system", str(path)],
+        "build": ["build", "--config", str(path), "--out", out],
+        "report": ["report", "--config", str(path), "--out", out],
+        "element": ["st2", "--config", ci2, "--element", str(path), "--out", out],
+    }[kind]
+    _assert_clean_exit(main(argv), capsys)
 
 
 def _write_json(path, doc) -> str:

@@ -192,6 +192,22 @@ class TestCiSystem:
             d = l @ system.triples[j].dirac @ l.T + alphas[j] * (np.eye(l.shape[0]) - l @ l.T)
             assert (0.5 * (d + d.T)).tobytes() == system.triples[j + 1].dirac.tobytes()
 
+    def test_fibre_update_keeps_signed_zeros_of_dense_form(self):
+        # alpha_0 = 1e-323 makes D_1's off-diagonal -5e-324, and light points
+        # (a_q = 0.14) scale it to -0.0 across fibres of level 2.  The dense
+        # elementwise form adds alpha_1 * 0.0 there, giving +0.0, and the
+        # fibre update must give the same bits.
+        alphas = [1e-323, 1.0]
+        system = ci_system(commutative_af_chain(binary_branching(2), [0.01, 0.49, 0.01, 0.49], alphas), 2)
+        for j, link in enumerate(system.links):
+            sigma = np.argmax(link.iso, axis=1)
+            a = link.iso.max(axis=1)
+            n = a.size
+            proj = np.outer(a, a) * (sigma[:, None] == sigma[None, :])
+            d = (a[:, None] * system.triples[j].dirac[np.ix_(sigma, sigma)]) * a[None, :] + alphas[j] * (np.eye(n) - proj)
+            assert (0.5 * (d + d.T)).tobytes() == system.triples[j + 1].dirac.tobytes()
+        assert not np.signbit(system.triples[2].dirac[0, 2])
+
     def test_level_out_of_range(self):
         chain = commutative_af_chain(binary_branching(2), np.full(4, 1 / 4), [1, 2])
         with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
 """JSON round trips and generator configs."""
 
+import base64
 import json
 from pathlib import Path
 
@@ -37,6 +38,37 @@ from spectral_limits.serialization import (
 )
 
 DATA = Path(__file__).resolve().parent / "data"
+
+
+def matrix_objects(node):
+    """Every {shape, data} matrix object in a JSON document."""
+    if isinstance(node, dict):
+        if set(node) == {"shape", "data"}:
+            yield node
+            return
+        node = list(node.values())
+    if isinstance(node, list):
+        for child in node:
+            yield from matrix_objects(child)
+
+
+def bytes_per_entry(obj) -> float:
+    rows, cols = obj["shape"]
+    return len(base64.b64decode(obj["data"])) / (rows * cols)
+
+
+def stored_arrays(system):
+    """Every matrix a system holds, in a fixed order."""
+    for t in system.triples:
+        yield t.dirac
+        if t.grading is not None:
+            yield t.grading
+        if hasattr(t.rep, "tensor"):
+            yield t.rep.tensor
+    for link in system.links:
+        yield link.iso
+        if link.phi.spectrum_map is None:
+            yield link.phi.matrix
 
 
 def dense_gns_system():
@@ -91,6 +123,30 @@ class TestScalarsAndMatrices:
         assert system.triples[0].dirac.dtype == np.float64
         save_system(system, str(tmp_path / "again.json"))
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    def test_float64_data_round_trips_signed_zeros_and_subnormals(self):
+        real = np.array([[-0.0, 0.0, 5e-324], [-5e-324, 2.0**-1030, -1.0]])
+        obj = matrix_to_json(real)
+        assert bytes_per_entry(obj) == 8
+        back = matrix_from_json(json.loads(json.dumps(obj)))
+        assert back.dtype == np.float64 and back.tobytes() == real.tobytes()
+        assert back.flags.writeable
+        # Complex with every imaginary part +0.0 is written the same way.
+        assert matrix_to_json(real.astype(complex)) == obj
+
+    def test_negative_zero_imaginary_part_keeps_16_bytes_per_entry(self):
+        m = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
+        m[1, 0] = complex(3.0, -0.0)
+        obj = matrix_to_json(m)
+        assert bytes_per_entry(obj) == 16
+        back = matrix_from_json(obj)
+        assert back.dtype == np.complex128 and back.tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize("n_bytes", [0, 8, 47, 49, 72, 95, 97, 192])
+    def test_byte_length_neither_8_nor_16_per_entry_rejected(self, n_bytes):
+        obj = {"shape": [2, 3], "data": base64.b64encode(bytes(n_bytes)).decode()}
+        with pytest.raises(ValidationError, match="needs 48 or 96"):
+            matrix_from_json(obj)
 
     def test_malformed_rejected(self):
         with pytest.raises(ValidationError):
@@ -156,6 +212,32 @@ class TestSystemRoundTrip:
         path = DATA / name
         assert json.loads(path.read_text())["format"] == "spectral-limits/system-v1"
         assert dumps(system_to_json(load_system(str(path)))) == dumps(system_to_json(fresh()))
+
+    @pytest.mark.parametrize(
+        "name, fresh",
+        [
+            ("cantor3_v2.json", lambda: cantor_system(middle_thirds(3), 3)),
+            ("ci3_v2.json", lambda: ci_system(commutative_af_chain(binary_branching(3), np.full(8, 1 / 8), [1.0, 2.0, 3.0]), 3)),
+            ("ci_dense_v2.json", dense_gns_system),
+        ],
+    )
+    def test_v2_file_reads_and_resaves_as_fresh_v3(self, tmp_path, name, fresh):
+        # The v2 files were written by the v2 writer: complex128 data only.
+        v2_path = DATA / name
+        v2_doc = json.loads(v2_path.read_text())
+        assert v2_doc["format"] == "spectral-limits/system-v2"
+        assert {bytes_per_entry(m) for m in matrix_objects(v2_doc)} == {16}
+        v3_path = tmp_path / "fresh.json"
+        save_system(fresh(), str(v3_path))
+        v3_doc = json.loads(v3_path.read_text())
+        assert v3_doc["format"] == "spectral-limits/system-v3"
+        assert {bytes_per_entry(m) for m in matrix_objects(v3_doc)} == {8}
+        from_v2, from_v3 = load_system(str(v2_path)), load_system(str(v3_path))
+        for a, b in zip(stored_arrays(from_v2), stored_arrays(from_v3), strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for system, path in ((from_v2, "again_v2.json"), (from_v3, "again_v3.json")):
+            save_system(system, str(tmp_path / path))
+            assert (tmp_path / path).read_bytes() == v3_path.read_bytes()
 
     def test_reject_wrong_format(self, tmp_path):
         path = tmp_path / "bad.json"
