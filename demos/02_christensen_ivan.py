@@ -45,7 +45,7 @@ def main():
     # Noncommutative chain: scalars inside M_2 with the normalized trace.
     c1, m2 = FiniteCStarAlgebra((1,)), FiniteCStarAlgebra((2,))
     inc = StarHomomorphism(c1, m2, matrix=np.array([[1], [0], [0], [1]], dtype=complex))
-    tau = State(m2, (np.eye(2, dtype=complex) / 2,))
+    tau = State(m2, m2.element([np.eye(2) / 2]))
     nc_chain = AfChain((c1, m2), (inc,), tau, (5.0,))
     nc_system = ci_system(nc_chain, 1)
     print("\nC in M_2, alpha = 5:")

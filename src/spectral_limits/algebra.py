@@ -3,22 +3,23 @@
 An algebra is a direct sum of full matrix blocks, elements are flat
 coordinate vectors (the point values in the commutative case),
 *-homomorphisms come either as spectrum maps (pullbacks between finite point
-sets, commutative case) or as explicit linear maps on coordinates, and
-states are block-diagonal densities.  The GNS space of a
-faithful state is presented in the element basis with an explicit Gram
-matrix plus a cached Cholesky factor for orthonormal coordinates.
+sets, commutative case) or as explicit linear maps on coordinates, and a
+state holds its density as one algebra element, so tau(a) is the inner
+product of two coordinate vectors.  The GNS space of a faithful state is
+presented in the element basis with an explicit Gram matrix plus a cached
+Cholesky factor for orthonormal coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_matrix, dagger, frobenius
+from .linalg import as_matrix, dagger
 from .linalg import operator_norm  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 
 # Default residual tolerance of every validation: homomorphisms here, triples,
@@ -40,6 +41,9 @@ class FiniteCStarAlgebra:
     """
 
     block_dims: tuple[int, ...]
+    # Number of coordinates, sum of n^2 over the blocks; every element
+    # construction reads it, so it is computed once here.
+    element_dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.block_dims) < 1:
@@ -47,10 +51,7 @@ class FiniteCStarAlgebra:
         if any(int(n) < 1 for n in self.block_dims):
             raise ValidationError("block dimensions must be positive")
         object.__setattr__(self, "block_dims", tuple(int(n) for n in self.block_dims))
-
-    @property
-    def element_dim(self) -> int:
-        return int(sum(n * n for n in self.block_dims))
+        object.__setattr__(self, "element_dim", sum(n * n for n in self.block_dims))
 
     @property
     def is_commutative(self) -> bool:
@@ -319,21 +320,12 @@ def map_residuals(
     """
     unit = target.norms(source.unit().coordinates @ images - target.unit().coordinates)
     star = target.norms(images[source.star_permutation()] - target.adjoint(images)).max()
-    if source.is_commutative and target.is_commutative:
-        # e_a e_c = delta_ac e_a: with y_a = images[a], the pair (a, a) leaves
-        # |y_a - y_a^2| and a pair a != c leaves |y_a y_c| pointwise, largest
-        # for the two largest entries at each target point.
-        mult = np.abs(images - images * images).max()
-        if images.shape[0] > 1:
-            top = -np.partition(-np.abs(images), 1, axis=0)
-            mult = max(mult, (top[0] * top[1]).max())
-    else:
-        table = source.product_table()
-        mult = 0.0
-        for rows in chunks(images.shape[0], images.size):
-            lhs = np.where(table[rows, :, None] >= 0, images[table[rows]], 0.0)
-            rhs = target.multiply(images[rows, None, :], images[None, :, :])
-            mult = max(mult, target.norms(lhs - rhs).max())
+    table = source.product_table()
+    mult = 0.0
+    for rows in chunks(images.shape[0], images.size):
+        lhs = np.where(table[rows, :, None] >= 0, images[table[rows]], 0.0)
+        rhs = target.multiply(images[rows, None, :], images[None, :, :])
+        mult = max(mult, target.norms(lhs - rhs).max())
     return {
         "unitality": float(unit),
         "multiplicativity": float(mult),
@@ -350,18 +342,22 @@ def chunks(count: int, entries_per_item: int) -> Iterable[slice]:
 def hom_validate(phi: StarHomomorphism) -> ResidualReport:
     """Residuals for unitality, multiplicativity, *-preservation and injectivity.
 
+    A spectrum map is a unital *-homomorphism by construction (its range is
+    checked when it is made), so its three axiom residuals are exactly 0.0
+    and no matrix is built; an explicit map is checked by ``map_residuals``.
     The injectivity margin is the smallest singular value of the coordinate
     matrix; it is reported (not thresholded), and a zero margin fails the
     report since Definition-style morphisms require injective maps.
     """
-    entries = map_residuals(phi.source, phi.target, phi.as_matrix().T)
     if phi.spectrum_map is not None:
+        entries = dict.fromkeys(("unitality", "multiplicativity", "star_preservation"), 0.0)
         # The coordinate matrix has orthogonal columns of squared norm equal
         # to the fibre sizes.
         counts = np.bincount(phi.spectrum_map, minlength=phi.source.n_points)
         margin = float(np.sqrt(counts.min()))
     else:
-        margin = float(np.linalg.svd(phi.as_matrix(), compute_uv=False)[-1])
+        entries = map_residuals(phi.source, phi.target, phi.matrix.T)
+        margin = float(np.linalg.svd(phi.matrix, compute_uv=False)[-1])
     entries["injectivity_margin"] = margin
     entries["injectivity_defect"] = 0.0 if margin > VALIDATION_TOL else 1.0
     return ResidualReport(entries, VALIDATION_TOL, informational=("injectivity_margin",))
@@ -369,31 +365,36 @@ def hom_validate(phi: StarHomomorphism) -> ResidualReport:
 
 @dataclass(frozen=True)
 class State:
-    """Faithful state given by block-diagonal densities with total trace one."""
+    """Faithful state tau(a) = tr(rho a) given by a density element rho.
+
+    ``density`` is Hermitian and positive definite in every block with
+    total trace one; it is stored symmetrized.  On coordinates, tau(a) is
+    the inner product <rho, a>.
+    """
 
     algebra: FiniteCStarAlgebra
-    block_densities: tuple[np.ndarray, ...]
+    density: AlgebraElement
 
     def __post_init__(self):
-        if len(self.block_densities) != len(self.algebra.block_dims):
-            raise ValidationError("state needs one density block per algebra block")
-        blocks = []
+        if self.density.algebra.block_dims != self.algebra.block_dims:
+            raise ValidationError("density does not belong to the state's algebra")
+        x = self.density.coordinates
+        herm = np.empty_like(x)
         total = 0.0
-        for rho, n in zip(self.block_densities, self.algebra.block_dims):
-            m = as_matrix(rho, "density block")
-            if m.shape != (n, n):
-                raise ValidationError("density block shape mismatch")
-            if frobenius(m - dagger(m)) > 1e-12 * max(1.0, frobenius(m)):
+        for idx in self.algebra._block_index:
+            m = x[idx]
+            mh = m.conj().transpose(0, 2, 1)
+            scale = np.maximum(1.0, np.linalg.norm(m, axis=(1, 2)))
+            if np.any(np.linalg.norm(m - mh, axis=(1, 2)) > 1e-12 * scale):
                 raise ValidationError("density block is not Hermitian")
-            m = 0.5 * (m + dagger(m))
-            low = float(np.linalg.eigvalsh(m)[0])
-            if low <= FAITHFUL_TOL:
+            h = 0.5 * (m + mh)
+            if np.linalg.eigvalsh(h)[:, 0].min() <= FAITHFUL_TOL:
                 raise ValidationError("state is not faithful: density block not positive definite")
-            total += float(np.trace(m).real)
-            blocks.append(m)
+            total += float(np.trace(h, axis1=1, axis2=2).real.sum())
+            herm[idx] = h
         if abs(total - 1.0) > 1e-10:
             raise ValidationError(f"state traces sum to {total:g}, expected 1")
-        object.__setattr__(self, "block_densities", tuple(blocks))
+        object.__setattr__(self, "density", AlgebraElement(self.algebra, herm))
 
     @classmethod
     def from_weights(cls, algebra: FiniteCStarAlgebra, weights) -> "State":
@@ -402,28 +403,23 @@ class State:
             raise ValidationError("from_weights needs a commutative algebra and one weight per point")
         if np.any(w <= 0):
             raise ValidationError("state is not faithful: weights must be strictly positive")
-        w = w / w.sum()
-        return cls(algebra, tuple(np.array([[x]], dtype=complex) for x in w))
+        return cls(algebra, AlgebraElement(algebra, w / w.sum()))
 
     @classmethod
     def uniform(cls, algebra: FiniteCStarAlgebra) -> "State":
         # Normalized trace on each block, blocks weighted by dimension share.
-        total = sum(algebra.block_dims)
-        return cls(
-            algebra,
-            tuple(np.eye(n, dtype=complex) / total for n in algebra.block_dims),
-        )
+        return cls(algebra, AlgebraElement(algebra, algebra.unit().coordinates / sum(algebra.block_dims)))
 
     def value(self, a: AlgebraElement) -> complex:
         if a.algebra.block_dims != self.algebra.block_dims:
             raise ValidationError("element does not belong to the state's algebra")
-        return complex(sum(np.trace(r @ b) for r, b in zip(self.block_densities, a.blocks)))
+        return complex(np.vdot(self.density.coordinates, a.coordinates))
 
     @property
     def weights(self) -> np.ndarray:
         if not self.algebra.is_commutative:
             raise ValidationError("point weights are defined only for commutative algebras")
-        return np.array([r[0, 0].real for r in self.block_densities])
+        return self.density.coordinates.real
 
 
 @dataclass(frozen=True)
@@ -476,7 +472,7 @@ def gns(algebra: FiniteCStarAlgebra, state: State) -> GnsSpace:
         raise ValidationError("state is not a state of the given algebra")
     dim = algebra.element_dim
     gram = np.zeros((dim, dim), dtype=complex)
-    for o, n, rho in zip(algebra.block_offsets(), algebra.block_dims, state.block_densities):
+    for o, n, rho in zip(algebra.block_offsets(), algebra.block_dims, state.density.blocks):
         # tau(e_kl* e_mn) = delta_km rho[n, l]  =>  block = I_n (x) rho^T.
         gram[o : o + n * n, o : o + n * n] = np.kron(np.eye(n, dtype=complex), rho.T)
     gram = 0.5 * (gram + dagger(gram))

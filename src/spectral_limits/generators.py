@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    AlgebraElement,
     FiniteCStarAlgebra,
     StarHomomorphism,
     State,
@@ -297,21 +298,13 @@ def _restrict_state(chain: AfChain, level: int) -> State:
         return chain.state
     algebra = chain.algebras[level]
     inc = chain.composed_inclusion(level, chain.top_level)
-    if algebra.is_commutative and inc.spectrum_map is not None:
-        w_top = chain.state.weights
+    if inc.spectrum_map is not None:
         w = np.zeros(algebra.n_points)
-        np.add.at(w, inc.spectrum_map, w_top)
+        np.add.at(w, inc.spectrum_map, chain.state.weights)
         return State.from_weights(algebra, w)
-    densities = []
-    offsets = algebra.block_offsets()
-    for b, n in enumerate(algebra.block_dims):
-        rho = np.zeros((n, n), dtype=complex)
-        for k in range(n):
-            for l in range(n):
-                e = algebra.basis_element(offsets[b] + k * n + l)
-                rho[l, k] = chain.state.value(inc.apply(e))
-        densities.append(rho)
-    return State(algebra, tuple(densities))
+    # tau(phi(a)) = <rho, M a> = <M* rho, a> for the coordinate matrix M of phi.
+    rho = dagger(inc.matrix) @ chain.state.density.coordinates
+    return State(algebra, AlgebraElement(algebra, rho))
 
 
 def _fibre_pairs(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

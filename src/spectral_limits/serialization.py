@@ -322,7 +322,9 @@ def parse_generator_config(cfg) -> Callable[[], InductiveSystem]:
             ):
                 raise ValidationError("explicit gaps need [[x0+, x0-], [left, right], ...]")
             gaps = [tuple(finite_numbers(g, "generator config 'gaps'")) for g in gaps]
-        with_grading = bool(cfg.get("grading", True))
+        with_grading = cfg.get("grading", True)
+        if not isinstance(with_grading, bool):
+            raise ValidationError(f"generator config 'grading' must be true or false, got {with_grading!r}")
         _check_generator_size((2 * (j + 1) for j in range(levels + 1)), 1 + with_grading)
 
         def generate_cantor() -> InductiveSystem:

@@ -7,12 +7,16 @@ algebra basis element) and diagonal (a coordinate-to-point map, for
 commutative algebras acting by multiplication operators).  The diagonal
 encoding is what keeps deep inductive systems tractable: a dense tensor for
 a 1024-point algebra on a 1024-dimensional space would need order 10^9
-entries per level.
+entries per level.  Either encoding is a *-homomorphism (``hom``): a
+diagonal one is the spectrum map of its coordinates into C^N, a
+homomorphism by construction, and a dense one an explicit map into M_N.
 
 In finite dimension the compact-resolvent and bounded-commutator conditions
-hold automatically; validation therefore checks the representation axioms,
-Hermiticity, the grading when there is one, and morphism identities, and
-records that the two analytic conditions are trivial at this level.
+hold automatically; validation therefore checks the representation through
+``hom_validate`` (exact residuals for a dense one, range and fibre counts
+for a diagonal one), Hermiticity, the grading when there is one, and
+morphism identities, and records that the two analytic conditions are
+trivial at this level.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .algebra import (
     VALIDATION_TOL,
     chunks,
     hom_validate,
-    map_residuals,
 )
 from .errors import ValidationError
 from .linalg import (
@@ -62,10 +65,12 @@ class DenseRepresentation:
     def hilbert_dim(self) -> int:
         return self.tensor.shape[1]
 
-    def as_map(self) -> tuple[FiniteCStarAlgebra, np.ndarray]:
-        """Target algebra M_N and the image coordinates of every basis element."""
+    def hom(self, algebra: FiniteCStarAlgebra) -> StarHomomorphism:
+        """The representation as an explicit map of ``algebra`` into M_N."""
         n = self.hilbert_dim
-        return FiniteCStarAlgebra((n,)), self.tensor.reshape(self.n_basis, n * n)
+        return StarHomomorphism(
+            algebra, FiniteCStarAlgebra((n,)), matrix=self.tensor.reshape(self.n_basis, n * n).T
+        )
 
     def apply_coordinates(self, coords: np.ndarray) -> np.ndarray:
         """Matrices of the elements with the given coordinates (last axis)."""
@@ -94,10 +99,11 @@ class DiagonalRepresentation:
     def hilbert_dim(self) -> int:
         return self.coord_points.shape[0]
 
-    def as_map(self) -> tuple[FiniteCStarAlgebra, np.ndarray]:
-        """Target algebra of diagonals and the diagonal of every basis element."""
-        images = np.arange(self._n_points)[:, None] == self.coord_points[None, :]
-        return FiniteCStarAlgebra((1,) * self.hilbert_dim), images.astype(float)
+    def hom(self, algebra: FiniteCStarAlgebra) -> StarHomomorphism:
+        """The representation as the spectrum map ``coord_points`` into C^N."""
+        return StarHomomorphism(
+            algebra, FiniteCStarAlgebra((1,) * self.hilbert_dim), spectrum_map=self.coord_points
+        )
 
     def apply_coordinates(self, coords: np.ndarray) -> np.ndarray:
         """Matrices of the elements with the given coordinates (last axis)."""
@@ -182,22 +188,18 @@ def validate_triple(t: FiniteSpectralTriple) -> ResidualReport:
     """Representation axioms, faithfulness margin, Dirac Hermiticity and,
     when a grading gamma is present, gamma - gamma* and gamma^2 - 1.
 
-    The representation residuals are exact maxima over the algebra basis
-    (see ``map_residuals``); the Dirac and grading residuals are Frobenius
-    norms, which bound the operator norms.  The report notes that the
-    compact-resolvent and bounded-commutator conditions are automatic in
-    finite dimension.
+    The representation is checked as a *-homomorphism by ``hom_validate``:
+    a diagonal one is a spectrum map, so only its range and fibre counts
+    are checked; a dense one is an explicit map into M_N with exact
+    residuals.  The Dirac and grading residuals are Frobenius norms, which
+    bound the operator norms.  The report notes that the compact-resolvent
+    and bounded-commutator conditions are automatic in finite dimension.
     """
-    target, images = t.rep.as_map()
-    entries = map_residuals(t.algebra, target, images)
+    rep = hom_validate(t.rep.hom(t.algebra)).entries
+    entries = {k: rep[k] for k in ("unitality", "multiplicativity", "star_preservation")}
     entries["dirac_hermiticity"] = frobenius(t.dirac - dagger(t.dirac)) / max(1.0, frobenius(t.dirac))
-    if isinstance(t.rep, DiagonalRepresentation):
-        counts = np.bincount(t.rep.coord_points, minlength=t.algebra.n_points)
-        margin = float(np.sqrt(counts.min()))
-    else:
-        margin = float(np.linalg.svd(images, compute_uv=False)[-1])
-    entries["faithfulness_margin"] = margin
-    entries["faithfulness_defect"] = 0.0 if margin > VALIDATION_TOL else 1.0
+    entries["faithfulness_margin"] = rep["injectivity_margin"]
+    entries["faithfulness_defect"] = rep["injectivity_defect"]
     if t.grading is not None:
         g = t.grading
         entries["grading_selfadjoint"] = frobenius(g - dagger(g))

@@ -69,7 +69,7 @@ def ci64():
 def m2_chain_system():
     c1, m2 = FiniteCStarAlgebra((1,)), FiniteCStarAlgebra((2,))
     inc = StarHomomorphism(c1, m2, matrix=np.array([[1], [0], [0], [1]], dtype=complex))
-    chain = AfChain((c1, m2), (inc,), State(m2, (np.eye(2, dtype=complex) / 2,)), (5.0,))
+    chain = AfChain((c1, m2), (inc,), State(m2, m2.element([np.eye(2) / 2])), (5.0,))
     return chain, ci_system(chain, 1)
 
 
@@ -324,7 +324,7 @@ def test_criterion_09_validation_and_negative_controls(
         State.from_weights(FiniteCStarAlgebra((1, 1)), [1.0, 0.0])
     m2 = FiniteCStarAlgebra((2,))
     with pytest.raises(ValidationError):
-        State(m2, (np.array([[0.5, 0.0], [0.0, 0.0]], dtype=complex),))
+        State(m2, m2.element([np.array([[0.5, 0.0], [0.0, 0.0]])]))
 
     # Non-surjective spectrum map: zero injectivity margin, flagged.
     a2 = FiniteCStarAlgebra((1, 1))

@@ -1,5 +1,7 @@
 """Algebras, homomorphisms, states and the GNS construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,20 @@ class TestHomomorphisms:
         assert report.entries["multiplicativity"] == 1.0
         assert report.entries["star_preservation"] == 0.0
 
+    def test_spectrum_map_validation_builds_no_matrix(self):
+        # 1024 -> 2048 points: the dense complex image matrix would take 32 MB.
+        src, tgt = FiniteCStarAlgebra((1,) * 1024), FiniteCStarAlgebra((1,) * 2048)
+        phi = StarHomomorphism(src, tgt, spectrum_map=np.arange(2048) // 2)
+        tracemalloc.start()
+        try:
+            report = hom_validate(phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert report.passed and report.worst == 0.0
+        assert report.entries["injectivity_margin"] == np.sqrt(2.0)
+
     def test_compose_spectrum_maps(self):
         a0 = FiniteCStarAlgebra((1,))
         a1 = FiniteCStarAlgebra((1, 1))
@@ -212,13 +228,47 @@ class TestStates:
         with pytest.raises(ValidationError):
             State.from_weights(a, [1.0, 0.0])
         with pytest.raises(ValidationError):
-            State(a, (np.array([[0.5]]), np.array([[0.6]])))
+            State(a, a.from_point_values([0.5, 0.6]))
 
     def test_uniform_trace_state(self):
         m2 = FiniteCStarAlgebra((2,))
         tau = State.uniform(m2)
-        assert np.allclose(tau.block_densities[0], np.eye(2) / 2)
+        assert np.allclose(tau.density.blocks[0], np.eye(2) / 2)
         assert tau.value(m2.unit()) == pytest.approx(1.0)
+
+    def test_from_weights_density_is_normalized_weights(self):
+        w = np.random.default_rng(3).uniform(0.1, 2.0, size=17)
+        tau = State.from_weights(FiniteCStarAlgebra((1,) * 17), w)
+        assert np.array_equal(tau.density.coordinates, w / w.sum())
+        assert np.array_equal(tau.weights, w / w.sum())
+
+    def test_value_is_blockwise_trace(self):
+        rng = np.random.default_rng(4)
+        a = FiniteCStarAlgebra((2, 1, 3))
+        blocks = []
+        for n, share in zip(a.block_dims, (0.3, 0.2, 0.5)):
+            raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            rho = raw @ raw.conj().T + 0.1 * np.eye(n)
+            blocks.append(rho / np.trace(rho).real * share)
+        tau = State(a, a.element(blocks))
+        for _ in range(5):
+            x = a.from_coordinates(rng.normal(size=a.element_dim) + 1j * rng.normal(size=a.element_dim))
+            want = sum(np.trace(r @ b) for r, b in zip(blocks, x.blocks))
+            assert abs(tau.value(x) - want) <= 1e-14
+
+    def test_invalid_densities_rejected(self):
+        a = FiniteCStarAlgebra((2, 1))
+        good = [np.array([[0.3, 0.1j], [-0.1j, 0.3]]), np.array([[0.4]])]
+        State(a, a.element(good))
+        non_hermitian = [np.array([[0.3, 0.1], [0.0, 0.3]]), np.array([[0.4]])]
+        singular = [np.array([[0.3, 0.3], [0.3, 0.3]]), np.array([[0.4]])]
+        bad_trace = [np.array([[0.3, 0.0], [0.0, 0.3]]), np.array([[0.5]])]
+        for blocks, message in ((non_hermitian, "Hermitian"), (singular, "faithful"), (bad_trace, "traces")):
+            with pytest.raises(ValidationError, match=message):
+                State(a, a.element(blocks))
+        other = FiniteCStarAlgebra((1, 2))
+        with pytest.raises(ValidationError, match="algebra"):
+            State(a, other.element([good[1], good[0]]))
 
 
 class TestGns:
@@ -237,7 +287,7 @@ class TestGns:
     def test_m2_trace_state(self):
         # tr(e_ij* e_kl)/2 = delta_ik delta_jl / 2 on matrix units.
         m2 = FiniteCStarAlgebra((2,))
-        tau = State(m2, (np.eye(2, dtype=complex) / 2,))
+        tau = State(m2, m2.element([np.eye(2) / 2]))
         space = gns(m2, tau)
         oracle = np.zeros((4, 4), dtype=complex)
         units = [m2.basis_element(i) for i in range(4)]
@@ -254,7 +304,7 @@ class TestGns:
         rho0 = raw @ raw.conj().T + 0.1 * np.eye(2)
         rho1 = np.array([[0.3]], dtype=complex)
         rho0 = rho0 / np.trace(rho0).real * 0.7
-        tau = State(a, (rho0, rho1))
+        tau = State(a, a.element([rho0, rho1]))
         space = gns(a, tau)
         for i in range(a.element_dim):
             for j in range(a.element_dim):

@@ -136,6 +136,8 @@ MALFORMED_GENERATORS = {
     "gap-short": {"type": "cantor", "gaps": [[0, 1], [0.2]], "levels": 1},
     "gap-str": {"type": "cantor", "gaps": [[0, 1], "ab"], "levels": 1},
     "gap-null": {"type": "cantor", "gaps": [[0, 1], [0.4, None]], "levels": 1},
+    "grading-str": {"type": "cantor", "levels": 2, "grading": "false"},
+    "grading-list": {"type": "cantor", "levels": 2, "grading": []},
 }
 
 
@@ -210,18 +212,16 @@ class TestBuild:
         assert "bytes" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_generator_failure_exit1(self, tmp_path):
-        cfg = write_json(
-            tmp_path / "zero_alpha.json",
-            {
-                "type": "christensen-ivan",
-                "chain": "binary",
-                "weights": "uniform",
-                "alphas": [0.0, 1.0],
-                "levels": 2,
-            },
-        )
-        assert main(["build", "--config", cfg, "--out", str(tmp_path / "z.json")]) == 1
+    def test_generator_rejection_exit2(self, tmp_path, capsys):
+        # A config the generator rejects (a zero alpha, fewer alphas than
+        # chain steps) is an input error for every command.
+        for alphas in ([0.0, 1.0], [1.0]):
+            cfg = write_json(tmp_path / "rejected.json", dict(CI2, alphas=alphas))
+            out = tmp_path / "z.json"
+            assert main(["build", "--config", cfg, "--out", str(out)]) == 2
+            assert main(["validate", "--config", cfg]) == 2
+            assert "Traceback" not in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestValidate:
@@ -795,7 +795,7 @@ class TestDistance:
 
         c1, m2 = FiniteCStarAlgebra((1,)), FiniteCStarAlgebra((2,))
         inc = StarHomomorphism(c1, m2, matrix=np.array([[1], [0], [0], [1]], dtype=complex))
-        chain = AfChain((c1, m2), (inc,), State(m2, (np.eye(2, dtype=complex) / 2,)), (5.0,))
+        chain = AfChain((c1, m2), (inc,), State(m2, m2.element([np.eye(2) / 2])), (5.0,))
         sysf = tmp_path / "noncomm.json"
         save_system(ci_system(chain, 1), str(sysf))
         rc = main(["distance", "--system", str(sysf), "--level", "1", "--x", "0", "--y", "1"])

@@ -22,6 +22,7 @@ from spectral_limits import (
     system_validate,
     theta,
 )
+from spectral_limits.generators import _restrict_state
 from spectral_limits.linalg import dagger
 from test_inductive import chain
 
@@ -149,7 +150,7 @@ class TestCiSystem:
     def test_noncommutative_m2(self):
         c1, m2 = FiniteCStarAlgebra((1,)), FiniteCStarAlgebra((2,))
         inc = StarHomomorphism(c1, m2, matrix=np.array([[1], [0], [0], [1]], dtype=complex))
-        chain = AfChain((c1, m2), (inc,), State(m2, (np.eye(2, dtype=complex) / 2,)), (5.0,))
+        chain = AfChain((c1, m2), (inc,), State(m2, m2.element([np.eye(2) / 2])), (5.0,))
         system = ci_system(chain, 1)
         dec = eigh(system.triples[1].dirac)
         assert np.allclose(dec.eigenvalues, [0.0, 5.0, 5.0, 5.0], atol=1e-10)
@@ -208,6 +209,41 @@ class TestCiSystem:
             assert (0.5 * (d + d.T)).tobytes() == system.triples[j + 1].dirac.tobytes()
         assert not np.signbit(system.triples[2].dirac[0, 2])
 
+    def test_restricted_noncommutative_state_matches_pullback(self):
+        # C -> M_2 -> M_2 + M_2 (a -> (a, a)) with a non-uniform top state,
+        # restricted below the top: the density rho_j of the restriction
+        # satisfies rho_j[l, k] = tau(phi(e_kl)) block by block.
+        rng = np.random.default_rng(6)
+        c1, m2, m22 = FiniteCStarAlgebra((1,)), FiniteCStarAlgebra((2,)), FiniteCStarAlgebra((2, 2))
+        scalars = StarHomomorphism(c1, m2, matrix=np.array([[1], [0], [0], [1]], dtype=complex))
+        diagonal = StarHomomorphism(m2, m22, matrix=np.vstack([np.eye(4), np.eye(4)]))
+        blocks = []
+        for share in (0.35, 0.65):
+            raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            rho = raw @ raw.conj().T + 0.1 * np.eye(2)
+            blocks.append(rho / np.trace(rho).real * share)
+        chain = AfChain((c1, m2, m22), (scalars, diagonal), State(m22, m22.element(blocks)), (1.0, 2.0))
+
+        def oracle(level):
+            algebra = chain.algebras[level]
+            inc = chain.composed_inclusion(level, chain.top_level)
+            densities, offsets = [], algebra.block_offsets()
+            for b, n in enumerate(algebra.block_dims):
+                rho = np.zeros((n, n), dtype=complex)
+                for k in range(n):
+                    for l in range(n):
+                        e = algebra.basis_element(offsets[b] + k * n + l)
+                        rho[l, k] = chain.state.value(inc.apply(e))
+                densities.append(rho)
+            return densities
+
+        for level in (0, 1):
+            got = _restrict_state(chain, level).density.blocks
+            for g, want in zip(got, oracle(level)):
+                assert np.allclose(g, want, rtol=0, atol=1e-15)
+        assert np.allclose(_restrict_state(chain, 1).density.blocks[0], blocks[0] + blocks[1], atol=1e-15)
+        assert system_validate(ci_system(chain, 1)).passed
+
     def test_level_out_of_range(self):
         chain = commutative_af_chain(binary_branching(2), np.full(4, 1 / 4), [1, 2])
         with pytest.raises(ValidationError):
@@ -236,7 +272,7 @@ class TestChainValidation:
         m2 = FiniteCStarAlgebra((2,))
         singular = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValidationError):
-            State(m2, (singular,))
+            State(m2, m2.element([singular]))
 
 
 class TestRandomGenerators:

@@ -75,7 +75,7 @@ def dense_gns_system():
     """The GNS system of M_2 over C: explicit-linear hom, dense representation."""
     c1, m2 = FiniteCStarAlgebra((1,)), FiniteCStarAlgebra((2,))
     inc = StarHomomorphism(c1, m2, matrix=np.array([[1], [0], [0], [1]], dtype=complex))
-    chain = AfChain((c1, m2), (inc,), State(m2, (np.eye(2, dtype=complex) / 2,)), (5.0,))
+    chain = AfChain((c1, m2), (inc,), State(m2, m2.element([np.eye(2) / 2])), (5.0,))
     return ci_system(chain, 1)
 
 
@@ -191,7 +191,7 @@ class TestSystemRoundTrip:
         c1, m2 = FiniteCStarAlgebra((1,)), FiniteCStarAlgebra((2,))
         inc = StarHomomorphism(c1, m2, matrix=np.array([[1], [0], [0], [1]], dtype=complex))
         chain = __import__("spectral_limits").AfChain(
-            (c1, m2), (inc,), State(m2, (np.eye(2, dtype=complex) / 2,)), (5.0,)
+            (c1, m2), (inc,), State(m2, m2.element([np.eye(2) / 2])), (5.0,)
         )
         system = ci_system(chain, 1)
         doc = system_to_json(system)

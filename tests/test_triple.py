@@ -1,5 +1,7 @@
 """Spectral triples, morphisms, commutator seminorms and gradings."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,7 +49,7 @@ def intertwining_oracle(m):
 def m2_system():
     c1, m2 = FiniteCStarAlgebra((1,)), FiniteCStarAlgebra((2,))
     inc = StarHomomorphism(c1, m2, matrix=np.array([[1], [0], [0], [1]], dtype=complex))
-    return ci_system(AfChain((c1, m2), (inc,), State(m2, (np.eye(2, dtype=complex) / 2,)), (5.0,)), 1)
+    return ci_system(AfChain((c1, m2), (inc,), State(m2, m2.element([np.eye(2) / 2])), (5.0,)), 1)
 
 
 class TestValidateTriple:
@@ -105,6 +107,30 @@ class TestValidateTriple:
         assert "multiplicativity" in report.failures
         assert validate_triple(t).worst <= 1e-12
 
+    def test_diagonal_validation_allocates_only_dirac_temporaries(self):
+        # A diagonal representation is a spectrum map: no image matrix of
+        # the 1024 coordinates is built, only the n x n Dirac residual.
+        n = 1024
+        t = FiniteSpectralTriple(
+            FiniteCStarAlgebra((1,) * n), DiagonalRepresentation(np.arange(n)[::-1], n), np.zeros((n, n))
+        )
+        tracemalloc.start()
+        try:
+            report = validate_triple(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < t.dirac.nbytes + 2**20
+        assert list(report.entries) == [
+            "unitality",
+            "multiplicativity",
+            "star_preservation",
+            "dirac_hermiticity",
+            "faithfulness_margin",
+            "faithfulness_defect",
+        ]
+        assert report.passed and report.worst == 0.0
+
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValidationError):
             FiniteSpectralTriple(
@@ -136,7 +162,7 @@ class TestValidateMorphism:
                     matrix=np.array([[1], [0], [0], [1]], dtype=complex),
                 ),
             ),
-            State(FiniteCStarAlgebra((2,)), (np.eye(2, dtype=complex) / 2,)),
+            State.uniform(FiniteCStarAlgebra((2,))),
             (5.0,),
         )
         system = ci_system(chain, 1)
