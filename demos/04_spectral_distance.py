@@ -13,12 +13,12 @@ To run:
 import numpy as np
 
 from spectral_limits import (
-    DiagonalRepresentation,
     FiniteCStarAlgebra,
     FiniteSpectralTriple,
     cantor_system,
     connes_distance,
     connes_distance_with_path,
+    diagonal_representation,
     middle_thirds,
 )
 
@@ -51,9 +51,7 @@ def main():
     # coordinates of point 1; exact value 1/sqrt(a^2 + b^2).
     a, b = 2.0, 3.0
     dirac = np.array([[0, a, b], [a, 0, 0], [b, 0, 0]], dtype=complex)
-    coupled = FiniteSpectralTriple(
-        FiniteCStarAlgebra((1, 1)), DiagonalRepresentation(np.array([0, 1, 1]), 2), dirac
-    )
+    coupled = FiniteSpectralTriple(diagonal_representation(FiniteCStarAlgebra((1, 1)), [0, 1, 1]), dirac)
     print(
         f"\ncoupled instance: d = {connes_distance(coupled, 0, 1):.8f}"
         f"  (exact 1/sqrt({a:g}^2+{b:g}^2) = {1 / np.sqrt(a * a + b * b):.8f})"

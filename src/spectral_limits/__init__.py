@@ -35,11 +35,11 @@ from .algebra import (
     hom_validate,
 )
 from .triple import (
-    DenseRepresentation,
-    DiagonalRepresentation,
     FiniteSpectralTriple,
     TripleMorphism,
     commutator_norm,
+    dense_representation,
+    diagonal_representation,
     validate_morphism,
     validate_triple,
 )
@@ -109,8 +109,8 @@ __all__ = [
     "hom_validate",
     "FiniteSpectralTriple",
     "TripleMorphism",
-    "DenseRepresentation",
-    "DiagonalRepresentation",
+    "dense_representation",
+    "diagonal_representation",
     "validate_triple",
     "validate_morphism",
     "commutator_norm",

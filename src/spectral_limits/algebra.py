@@ -265,15 +265,21 @@ class StarHomomorphism:
 
 
 def hom_compose(second: StarHomomorphism, first: StarHomomorphism) -> StarHomomorphism:
-    """Composite second o first (first: A->B, second: B->C)."""
+    """Composite second o first (first: A->B, second: B->C).
+
+    A spectrum map after an explicit map gathers the rows of the explicit
+    matrix, which is the product with the 0/1 matrix of the spectrum map.
+    """
     if first.target.block_dims != second.source.block_dims:
         raise ValidationError("homomorphisms do not compose: endpoint mismatch")
-    if first.spectrum_map is not None and second.spectrum_map is not None:
-        return StarHomomorphism(
-            first.source, second.target, spectrum_map=first.spectrum_map[second.spectrum_map]
-        )
+    if second.spectrum_map is not None:
+        if first.spectrum_map is not None:
+            return StarHomomorphism(
+                first.source, second.target, spectrum_map=first.spectrum_map[second.spectrum_map]
+            )
+        return StarHomomorphism(first.source, second.target, matrix=first.matrix[second.spectrum_map])
     return StarHomomorphism(
-        first.source, second.target, matrix=second.as_matrix() @ first.as_matrix()
+        first.source, second.target, matrix=second.matrix @ first.as_matrix()
     )
 
 

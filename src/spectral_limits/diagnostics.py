@@ -297,6 +297,12 @@ class Verdict:
     caveat: str = CAVEAT
 
 
+def _nondecreasing(values: list[float]) -> bool:
+    """Whether no step falls by more than MONOTONE_TOL, relative to max(1, max value)."""
+    scale = max(1.0, max(values))
+    return all(b >= a - MONOTONE_TOL * scale for a, b in zip(values, values[1:]))
+
+
 def st1_verdict(
     series: GapSeries, threshold: float = VERDICT_THRESHOLD, window: int = VERDICT_WINDOW
 ) -> Verdict:
@@ -305,8 +311,11 @@ def st1_verdict(
     The tail (last ``window`` entries, excluding the structurally-zero
     ambient level) is called consistent when it is nonincreasing and either
     already below ``threshold`` or still decaying by at least the
-    ``VERDICT_DECAY`` factor across the window; a tail bounded away from
-    zero without decrease is inconsistent; anything else is inconclusive.
+    ``VERDICT_DECAY`` factor across the window.  A nondecreasing tail above
+    ``threshold`` is inconsistent when the whole interior series is
+    nondecreasing too; after an earlier decrease it may be a plateau (the
+    Cantor gaps of one subdivision depth have equal lengths), so it is
+    inconclusive.  Anything else is inconclusive.
     """
     if not series.entries:
         raise ValidationError("empty gap series")
@@ -326,7 +335,7 @@ def st1_verdict(
         return Verdict("inconclusive", evidence)
     scale = max(1.0, max(values))
     nonincreasing = all(b <= a + MONOTONE_TOL * scale for a, b in zip(values, values[1:]))
-    nondecreasing = all(b >= a - MONOTONE_TOL * scale for a, b in zip(values, values[1:]))
+    nondecreasing = _nondecreasing(values)
     tail_ratio = values[-1] / values[0] if values[0] > 0 else 0.0
     evidence["tail_nonincreasing"] = bool(nonincreasing)
     evidence["tail_nondecreasing"] = bool(nondecreasing)
@@ -335,8 +344,11 @@ def st1_verdict(
         evidence["reason"] = "tail nonincreasing and below threshold"
         return Verdict("consistent", evidence)
     if nondecreasing and values[-1] > threshold:
-        evidence["reason"] = "tail stalled or growing above threshold"
-        return Verdict("inconsistent", evidence)
+        if _nondecreasing([v for _, v in interior]):
+            evidence["reason"] = "tail stalled or growing above threshold"
+            return Verdict("inconsistent", evidence)
+        evidence["reason"] = "tail stalled or growing above threshold after an earlier decrease"
+        return Verdict("inconclusive", evidence)
     if nonincreasing and tail_ratio <= VERDICT_DECAY:
         evidence["reason"] = f"tail decayed by factor {tail_ratio:.3g} <= {VERDICT_DECAY}"
         return Verdict("consistent", evidence)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NumericError, UnsupportedError, ValidationError
 from .linalg import dagger, eigh, operator_norm
-from .triple import DiagonalRepresentation, FiniteSpectralTriple
+from .triple import FiniteSpectralTriple, operators
 
 # Entries of D below cutoff * ||D|| are treated as structural zeros.
 COUPLING_CUTOFF = 1e-12
@@ -48,10 +48,10 @@ def _diagonal_form(t: FiniteSpectralTriple) -> tuple[np.ndarray, np.ndarray]:
     """
     if not t.algebra.is_commutative:
         raise UnsupportedError("spectral distance is implemented for commutative algebras only")
-    if isinstance(t.rep, DiagonalRepresentation):
-        return t.rep.coord_points, t.dirac
+    if t.rep.spectrum_map is not None:
+        return t.rep.spectrum_map, t.dirac
     m = t.algebra.n_points
-    probe = t.rep.apply_coordinates(np.arange(1, m + 1, dtype=complex))
+    probe = operators(t.rep, np.arange(1, m + 1, dtype=complex))
     dec = eigh(probe)
     labels = np.rint(dec.eigenvalues).astype(int) - 1
     if np.any(np.abs(dec.eigenvalues - (labels + 1)) > 1e-6) or labels.min() < 0 or labels.max() >= m:

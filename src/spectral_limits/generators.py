@@ -32,10 +32,10 @@ from .algebra import (
 from .errors import ValidationError
 from .linalg import dagger
 from .triple import (
-    DenseRepresentation,
-    DiagonalRepresentation,
     FiniteSpectralTriple,
     TripleMorphism,
+    dense_representation,
+    diagonal_representation,
 )
 from .inductive import InductiveSystem
 
@@ -175,7 +175,6 @@ def cantor_system(seq: GapSequence, levels: int, with_grading: bool = True) -> I
             dirac[2 * n + 1, 2 * n] = w
             grading[2 * n, 2 * n + 1] = 1.0
             grading[2 * n + 1, 2 * n] = 1.0
-        algebra = FiniteCStarAlgebra((1,) * (j + 1))
         meta = {
             "kind": "cantor",
             "level": j,
@@ -184,8 +183,7 @@ def cantor_system(seq: GapSequence, levels: int, with_grading: bool = True) -> I
         }
         triples.append(
             FiniteSpectralTriple(
-                algebra,
-                DiagonalRepresentation(coord_points, j + 1),
+                diagonal_representation(FiniteCStarAlgebra((1,) * (j + 1)), coord_points),
                 dirac,
                 grading=grading if with_grading else None,
                 meta=meta,
@@ -360,10 +358,7 @@ def _ci_system_commutative(chain: AfChain, levels: int) -> InductiveSystem:
         meta = {"kind": "christensen-ivan", "level": j}
         triples.append(
             FiniteSpectralTriple(
-                chain.algebras[j],
-                DiagonalRepresentation(np.arange(sizes[j]), sizes[j]),
-                diracs[j],
-                meta=meta,
+                diagonal_representation(chain.algebras[j], np.arange(sizes[j])), diracs[j], meta=meta
             )
         )
     links = [
@@ -417,10 +412,10 @@ def _ci_system_gns(chain: AfChain, levels: int) -> InductiveSystem:
         for e in chain.algebras[j].basis():
             top_elem = chain.composed_inclusion(j, levels).apply(e)
             mats.append(dagger(q_j) @ space.representation_matrix(top_elem) @ q_j)
-        rep = DenseRepresentation(np.array(mats))
+        rep = dense_representation(chain.algebras[j], np.array(mats))
         dirac = np.diag(diag_values[:d_j])
         meta = {"kind": "christensen-ivan", "level": j}
-        triples.append(FiniteSpectralTriple(chain.algebras[j], rep, dirac, meta=meta))
+        triples.append(FiniteSpectralTriple(rep, dirac, meta=meta))
     links = []
     for j in range(levels):
         iso = np.zeros((dims[j + 1], dims[j]))

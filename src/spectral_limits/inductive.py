@@ -47,11 +47,7 @@ class InductiveSystem:
             )
         for j, link in enumerate(self.links):
             if link.source is not self.triples[j] or link.target is not self.triples[j + 1]:
-                if (
-                    link.source.hilbert_dim != self.triples[j].hilbert_dim
-                    or link.target.hilbert_dim != self.triples[j + 1].hilbert_dim
-                ):
-                    raise ValidationError(f"link {j} does not connect triples {j} -> {j + 1}")
+                raise ValidationError(f"link {j} does not connect triples {j} -> {j + 1}")
 
     @property
     def top_level(self) -> int:

@@ -11,8 +11,9 @@ float64 for float64 data and for complex128 data whose imaginary parts are
 all +0.0, else complex128; ``spectral-limits/system-v2`` files hold
 complex128 data only.  The decoder also reads the row-major nested lists of
 {"re": float, "im": float} objects of ``spectral-limits/system-v1`` files
-and of hand-written ``st2 --element`` blocks.  Diagonal representations are
-written compactly as their coordinate-to-point map.  Dumps are
+and of hand-written ``st2 --element`` blocks.  A representation is written
+as its coordinate-to-point map when it is a spectrum map ("diagonal"), else
+as one matrix per algebra basis element ("dense").  Dumps are
 deterministic (sorted keys, fixed separators), so identical inputs produce
 byte-identical files.
 """
@@ -40,10 +41,10 @@ from .generators import (
 from .inductive import InductiveSystem
 from .linalg import exactly_real
 from .triple import (
-    DenseRepresentation,
-    DiagonalRepresentation,
     FiniteSpectralTriple,
     TripleMorphism,
+    dense_representation,
+    diagonal_representation,
 )
 
 SYSTEM_FORMAT = "spectral-limits/system-v3"
@@ -128,7 +129,7 @@ def algebra_to_json(a: FiniteCStarAlgebra) -> dict:
 
 
 def algebra_from_json(obj) -> FiniteCStarAlgebra:
-    return FiniteCStarAlgebra(tuple(int(n) for n in obj["block_dims"]))
+    return FiniteCStarAlgebra(tuple(integers(obj["block_dims"], "algebra 'block_dims'")))
 
 
 def hom_to_json(phi: StarHomomorphism) -> dict:
@@ -148,23 +149,24 @@ def hom_from_json(obj) -> StarHomomorphism:
     target = algebra_from_json(obj["target"])
     enc = obj["encoding"]
     if enc["kind"] == "spectrum_map":
-        return StarHomomorphism(source, target, spectrum_map=np.asarray(enc["map"], dtype=int))
+        return StarHomomorphism(source, target, spectrum_map=integers(enc["map"], "spectrum 'map'"))
     if enc["kind"] == "explicit_linear":
         return StarHomomorphism(source, target, matrix=matrix_from_json(enc["matrix"]))
     raise ValidationError(f"unknown homomorphism encoding {enc.get('kind')!r}")
 
 
-def _rep_to_json(rep) -> dict:
-    if isinstance(rep, DiagonalRepresentation):
-        return {"kind": "diagonal", "coord_points": [int(v) for v in rep.coord_points]}
-    return {"kind": "dense", "matrices": [matrix_to_json(m) for m in rep.tensor]}
+def _rep_to_json(rep: StarHomomorphism) -> dict:
+    if rep.spectrum_map is not None:
+        return {"kind": "diagonal", "coord_points": [int(v) for v in rep.spectrum_map]}
+    n = rep.target.block_dims[0]
+    return {"kind": "dense", "matrices": [matrix_to_json(m) for m in rep.matrix.T.reshape(-1, n, n)]}
 
 
-def _rep_from_json(obj, algebra: FiniteCStarAlgebra):
+def _rep_from_json(obj, algebra: FiniteCStarAlgebra) -> StarHomomorphism:
     if obj["kind"] == "diagonal":
-        return DiagonalRepresentation(np.asarray(obj["coord_points"], dtype=int), algebra.n_points)
+        return diagonal_representation(algebra, integers(obj["coord_points"], "representation 'coord_points'"))
     if obj["kind"] == "dense":
-        return DenseRepresentation(np.array([matrix_from_json(m) for m in obj["matrices"]]))
+        return dense_representation(algebra, np.array([matrix_from_json(m) for m in obj["matrices"]]))
     raise ValidationError(f"unknown representation encoding {obj.get('kind')!r}")
 
 
@@ -181,12 +183,9 @@ def triple_to_json(t: FiniteSpectralTriple) -> dict:
 
 
 def triple_from_json(obj) -> FiniteSpectralTriple:
-    algebra = algebra_from_json(obj["algebra"])
-    rep = _rep_from_json(obj["representation"], algebra)
+    rep = _rep_from_json(obj["representation"], algebra_from_json(obj["algebra"]))
     grading = matrix_from_json(obj["grading"]) if "grading" in obj else None
-    return FiniteSpectralTriple(
-        algebra, rep, matrix_from_json(obj["dirac"]), grading=grading, meta=obj.get("meta", {})
-    )
+    return FiniteSpectralTriple(rep, matrix_from_json(obj["dirac"]), grading=grading, meta=obj.get("meta", {}))
 
 
 def morphism_to_json(m: TripleMorphism) -> dict:
@@ -280,6 +279,13 @@ def finite_numbers(values, what: str) -> list[float]:
         if all(math.isfinite(v) for v in floats):
             return floats
     raise ValidationError(f"{what} must be a list of finite numbers, got {values!r}")
+
+
+def integers(values, what: str) -> list[int]:
+    """A JSON list of integers; ``what`` names it in the error."""
+    if isinstance(values, list) and all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+        return values
+    raise ValidationError(f"{what} must be a list of integers, got {values!r}")
 
 
 def _check_generator_size(dims, matrices_per_level: int) -> None:

@@ -1,20 +1,20 @@
 """Finite spectral triples and their isometric morphisms.
 
-A triple bundles a finite C*-algebra, a faithful unital representation on a
-finite-dimensional Hilbert space, a Hermitian Dirac operator and an optional
-grading.  Representations come in two encodings: dense (one matrix per
-algebra basis element) and diagonal (a coordinate-to-point map, for
-commutative algebras acting by multiplication operators).  The diagonal
-encoding is what keeps deep inductive systems tractable: a dense tensor for
-a 1024-point algebra on a 1024-dimensional space would need order 10^9
-entries per level.  Either encoding is a *-homomorphism (``hom``): a
-diagonal one is the spectrum map of its coordinates into C^N, a
-homomorphism by construction, and a dense one an explicit map into M_N.
+A triple bundles a faithful unital representation of a finite C*-algebra on
+a finite-dimensional Hilbert space, a Hermitian Dirac operator and an
+optional grading.  The representation is a *-homomorphism
+(``StarHomomorphism``) whose source is the triple's algebra, in either of
+its encodings: a spectrum map into C^N (``diagonal_representation``: a
+commutative algebra acting by multiplication operators, coordinate r
+carrying one point) or an explicit map into M_N (``dense_representation``:
+one matrix per algebra basis element).  The spectrum map is what keeps deep
+inductive systems tractable: an explicit map for a 1024-point algebra on a
+1024-dimensional space would need order 10^9 entries per level.
 
 In finite dimension the compact-resolvent and bounded-commutator conditions
 hold automatically; validation therefore checks the representation through
-``hom_validate`` (exact residuals for a dense one, range and fibre counts
-for a diagonal one), Hermiticity, the grading when there is one, and
+``hom_validate`` (exact residuals for an explicit map, fibre counts for a
+spectrum map), Hermiticity, the grading when there is one, and
 morphism identities, and records that the two analytic conditions are
 trivial at this level.
 """
@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Union
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .algebra import (
     StarHomomorphism,
     VALIDATION_TOL,
     chunks,
+    hom_compose,
     hom_validate,
 )
 from .errors import ValidationError
@@ -48,96 +48,61 @@ from .linalg import (
 )
 
 
-class DenseRepresentation:
-    """Representation stored as one dense matrix per algebra basis element."""
-
-    def __init__(self, matrices):
-        tensor = np.asarray(matrices, dtype=complex)
-        if tensor.ndim != 3 or tensor.shape[1] != tensor.shape[2]:
-            raise ValidationError("dense representation needs a (basis, N, N) tensor")
-        self.tensor = tensor
-
-    @property
-    def n_basis(self) -> int:
-        return self.tensor.shape[0]
-
-    @property
-    def hilbert_dim(self) -> int:
-        return self.tensor.shape[1]
-
-    def hom(self, algebra: FiniteCStarAlgebra) -> StarHomomorphism:
-        """The representation as an explicit map of ``algebra`` into M_N."""
-        n = self.hilbert_dim
-        return StarHomomorphism(
-            algebra, FiniteCStarAlgebra((n,)), matrix=self.tensor.reshape(self.n_basis, n * n).T
-        )
-
-    def apply_coordinates(self, coords: np.ndarray) -> np.ndarray:
-        """Matrices of the elements with the given coordinates (last axis)."""
-        c = np.asarray(coords, dtype=complex)
-        n = self.hilbert_dim
-        return (c @ self.tensor.reshape(self.n_basis, n * n)).reshape(c.shape[:-1] + (n, n))
+def diagonal_representation(algebra: FiniteCStarAlgebra, coord_points) -> StarHomomorphism:
+    """Commutative ``algebra`` acting diagonally, coordinate r carrying point
+    ``coord_points[r]``: the spectrum map ``coord_points`` into C^N."""
+    cp = np.asarray(coord_points, dtype=int).ravel()
+    if cp.size < 1:
+        raise ValidationError("diagonal representation needs at least one coordinate")
+    return StarHomomorphism(algebra, FiniteCStarAlgebra((1,) * cp.size), spectrum_map=cp)
 
 
-class DiagonalRepresentation:
-    """Commutative algebra acting diagonally: coordinate r carries point p(r)."""
-
-    def __init__(self, coord_points, n_points: int):
-        cp = np.asarray(coord_points, dtype=int).ravel()
-        if cp.size < 1:
-            raise ValidationError("diagonal representation needs at least one coordinate")
-        if cp.min() < 0 or cp.max() >= int(n_points):
-            raise ValidationError("coordinate-to-point map out of range")
-        self.coord_points = cp
-        self._n_points = int(n_points)
-
-    @property
-    def n_basis(self) -> int:
-        return self._n_points
-
-    @property
-    def hilbert_dim(self) -> int:
-        return self.coord_points.shape[0]
-
-    def hom(self, algebra: FiniteCStarAlgebra) -> StarHomomorphism:
-        """The representation as the spectrum map ``coord_points`` into C^N."""
-        return StarHomomorphism(
-            algebra, FiniteCStarAlgebra((1,) * self.hilbert_dim), spectrum_map=self.coord_points
-        )
-
-    def apply_coordinates(self, coords: np.ndarray) -> np.ndarray:
-        """Matrices of the elements with the given coordinates (last axis)."""
-        values = np.asarray(coords, dtype=complex)[..., self.coord_points]
-        out = np.zeros(values.shape + (values.shape[-1],), dtype=complex)
-        diag = np.arange(values.shape[-1])
-        out[..., diag, diag] = values
-        return out
+def dense_representation(algebra: FiniteCStarAlgebra, matrices) -> StarHomomorphism:
+    """The explicit map into M_N sending basis element i to ``matrices[i]``."""
+    tensor = np.asarray(matrices, dtype=complex)
+    if tensor.ndim != 3 or tensor.shape[1] != tensor.shape[2]:
+        raise ValidationError("dense representation needs a (basis, N, N) tensor")
+    b, n, _ = tensor.shape
+    return StarHomomorphism(algebra, FiniteCStarAlgebra((n,)), matrix=tensor.reshape(b, n * n).T)
 
 
-Representation = Union[DenseRepresentation, DiagonalRepresentation]
+def operators(rep: StarHomomorphism, coords) -> np.ndarray:
+    """Matrices of the images under ``rep`` of the elements with the given
+    coordinates (last axis): diagonal for a target C^N, the image blocks
+    for a target M_N."""
+    c = np.asarray(coords, dtype=complex)
+    values = c[..., rep.spectrum_map] if rep.spectrum_map is not None else c @ rep.matrix.T
+    if not rep.target.is_commutative:
+        n = rep.target.block_dims[0]
+        return values.reshape(c.shape[:-1] + (n, n))
+    out = np.zeros(values.shape + (values.shape[-1],), dtype=complex)
+    diag = np.arange(values.shape[-1])
+    out[..., diag, diag] = values
+    return out
 
 
 @dataclass(frozen=True)
 class FiniteSpectralTriple:
-    """Algebra, representation, Dirac operator and optional grading.
+    """Representation, Dirac operator and optional grading.
 
-    ``dirac`` and ``grading`` are stored as float64 when their imaginary
-    parts are exactly +0.0, else as complex128 (``linalg.exactly_real``).
+    ``rep`` is a spectrum map into C^N or an explicit map into one block
+    M_N; its source is the triple's algebra.  ``dirac`` and ``grading`` are
+    stored as float64 when their imaginary parts are exactly +0.0, else as
+    complex128 (``linalg.exactly_real``).
     """
 
-    algebra: FiniteCStarAlgebra
-    rep: Representation
+    rep: StarHomomorphism
     dirac: np.ndarray
     grading: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.rep.spectrum_map is None and len(self.rep.target.block_dims) != 1:
+            raise ValidationError("an explicit representation must map into one block M_N")
         d = exactly_real(as_matrix(self.dirac, "dirac"))
-        n = self.rep.hilbert_dim
+        n = self.hilbert_dim
         if d.shape != (n, n):
             raise ValidationError(f"dirac shape {d.shape} does not match Hilbert dimension {n}")
-        if self.rep.n_basis != self.algebra.element_dim:
-            raise ValidationError("representation basis size does not match the algebra")
         object.__setattr__(self, "dirac", d)
         if self.grading is not None:
             g = exactly_real(as_matrix(self.grading, "grading"))
@@ -146,8 +111,14 @@ class FiniteSpectralTriple:
             object.__setattr__(self, "grading", g)
 
     @property
+    def algebra(self) -> FiniteCStarAlgebra:
+        return self.rep.source
+
+    @property
     def hilbert_dim(self) -> int:
-        return self.rep.hilbert_dim
+        if self.rep.spectrum_map is not None:
+            return len(self.rep.spectrum_map)
+        return self.rep.target.block_dims[0]
 
     @cached_property
     def dirac_is_hermitian(self) -> bool:
@@ -157,7 +128,7 @@ class FiniteSpectralTriple:
     def represent(self, a: AlgebraElement) -> np.ndarray:
         if a.algebra.block_dims != self.algebra.block_dims:
             raise ValidationError("element does not belong to the triple's algebra")
-        return self.rep.apply_coordinates(a.coordinates)
+        return operators(self.rep, a.coordinates)
 
 
 @dataclass(frozen=True)
@@ -189,13 +160,12 @@ def validate_triple(t: FiniteSpectralTriple) -> ResidualReport:
     when a grading gamma is present, gamma - gamma* and gamma^2 - 1.
 
     The representation is checked as a *-homomorphism by ``hom_validate``:
-    a diagonal one is a spectrum map, so only its range and fibre counts
-    are checked; a dense one is an explicit map into M_N with exact
-    residuals.  The Dirac and grading residuals are Frobenius norms, which
+    only the fibre counts of a spectrum map, exact residuals of an explicit
+    map.  The Dirac and grading residuals are Frobenius norms, which
     bound the operator norms.  The report notes that the compact-resolvent
     and bounded-commutator conditions are automatic in finite dimension.
     """
-    rep = hom_validate(t.rep.hom(t.algebra)).entries
+    rep = hom_validate(t.rep).entries
     entries = {k: rep[k] for k in ("unitality", "multiplicativity", "star_preservation")}
     entries["dirac_hermiticity"] = frobenius(t.dirac - dagger(t.dirac)) / max(1.0, frobenius(t.dirac))
     entries["faithfulness_margin"] = rep["injectivity_margin"]
@@ -237,25 +207,19 @@ def _labelled_residual(x: np.ndarray, row_labels: np.ndarray, col_labels: np.nda
 def _intertwining_residual(m: TripleMorphism) -> float:
     """max over the algebra basis of ||I pi1(e) - pi2(phi(e)) I||.
 
-    Diagonal representations linked by a spectrum map reduce to a labelled
-    residual of I; other encodings stack the residual of every basis
-    element and take exact operator norms.
+    When pi1 and pi2 o phi are both spectrum maps this is a labelled
+    residual of I; otherwise the residual of every basis element is
+    stacked and exact operator norms are taken.
     """
-    src, tgt, phi, iso = m.source, m.target, m.phi, m.iso
-    if (
-        isinstance(src.rep, DiagonalRepresentation)
-        and isinstance(tgt.rep, DiagonalRepresentation)
-        and phi.spectrum_map is not None
-    ):
-        return _labelled_residual(
-            iso, phi.spectrum_map[tgt.rep.coord_points], src.rep.coord_points
-        )
-    images = phi.as_matrix().T
+    src, iso = m.source, m.iso
+    pulled = hom_compose(m.target.rep, m.phi)
+    if src.rep.spectrum_map is not None and pulled.spectrum_map is not None:
+        return _labelled_residual(iso, pulled.spectrum_map, src.rep.spectrum_map)
     basis = np.eye(src.algebra.element_dim)
     worst = 0.0
-    for rows in chunks(basis.shape[0], iso.size + tgt.hilbert_dim**2):
-        lhs = iso @ src.rep.apply_coordinates(basis[rows])
-        rhs = tgt.rep.apply_coordinates(images[rows]) @ iso
+    for rows in chunks(basis.shape[0], iso.size + m.target.hilbert_dim**2):
+        lhs = iso @ operators(src.rep, basis[rows])
+        rhs = operators(pulled, basis[rows]) @ iso
         worst = max(worst, float(np.linalg.norm(lhs - rhs, ord=2, axis=(-2, -1)).max()))
     return worst
 
@@ -309,16 +273,16 @@ def commutator_norm(t: FiniteSpectralTriple, a: AlgebraElement) -> float:
     """
     if a.algebra.block_dims != t.algebra.block_dims:
         raise ValidationError("element does not belong to the triple's algebra")
-    diagonal = isinstance(t.rep, DiagonalRepresentation)
+    diagonal = t.rep.spectrum_map is not None
     if diagonal:
-        f = np.asarray(a.coordinates, dtype=complex)[t.rep.coord_points]
+        f = np.asarray(a.coordinates, dtype=complex)[t.rep.spectrum_map]
         norm = _cut_norm(t.dirac, f) if t.dirac_is_hermitian else None
     if not diagonal or norm is None:
         with np.errstate(over="ignore", invalid="ignore"):
             if diagonal:
                 c = t.dirac * f[None, :] - f[:, None] * t.dirac
             else:
-                c = commutator(t.dirac, t.rep.apply_coordinates(a.coordinates))
+                c = commutator(t.dirac, operators(t.rep, a.coordinates))
         norm = operator_norm(c) if np.isfinite(c).all() else math.inf
     if not math.isfinite(norm):
         raise ValidationError("||[D, pi(a)]|| exceeds the float range")

@@ -214,6 +214,25 @@ class TestHomomorphisms:
         with pytest.raises(ValidationError):
             hom_compose(phi1, phi2)
 
+    def test_compose_spectrum_map_after_explicit_gathers_rows(self):
+        # 256 -> 512 points explicitly, then a pullback to 1024 points: the
+        # composite's rows are gathered, bit for bit the product with the
+        # 0/1 matrix of the pullback, which is never built.
+        rng = np.random.default_rng(6)
+        a0, a1, a2 = (FiniteCStarAlgebra((1,) * n) for n in (256, 512, 1024))
+        first = StarHomomorphism(a0, a1, matrix=rng.normal(size=(512, 256)) + 1j * rng.normal(size=(512, 256)))
+        second = StarHomomorphism(a1, a2, spectrum_map=rng.integers(0, 512, size=1024))
+        tracemalloc.start()
+        try:
+            comp = hom_compose(second, first)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense = second.as_matrix()
+        assert peak < dense.nbytes
+        assert np.array_equal(comp.matrix, dense @ first.matrix)
+        assert (comp.source, comp.target) == (a0, a2)
+
     def test_exactly_one_encoding(self):
         a = FiniteCStarAlgebra((1,))
         with pytest.raises(ValidationError):

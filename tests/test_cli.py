@@ -2,6 +2,7 @@
 
 import base64
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -13,13 +14,13 @@ import numpy as np
 import pytest
 
 from spectral_limits import (
-    DiagonalRepresentation,
     FiniteCStarAlgebra,
     FiniteSpectralTriple,
     InductiveSystem,
     StarHomomorphism,
     TripleMorphism,
     cantor_system,
+    diagonal_representation,
     gap_series,
     load_system,
     middle_thirds,
@@ -140,6 +141,28 @@ MALFORMED_GENERATORS = {
     "grading-list": {"type": "cantor", "levels": 2, "grading": []},
 }
 
+_CI_REPORT_SIZES = [1, 2, 3, 6, 12, 24, 48, 96]
+# SHA-256 of the ``build`` output of three configs: Cantor J=18, binary CI
+# J=8 (alpha_j = j) and CI J=7 on the point chain 1, 2, 3, 6, ..., 96
+# (alpha_j = (-1)^j, point k of level i+1 over point k size_i // size_{i+1}).
+GOLDEN_BUILDS = {
+    "cantor-18": (
+        {"type": "cantor", "gaps": "middle-thirds", "levels": 18},
+        "a6cb72adc472b81a5d1ddb6d29c2c6e2026b8960b6cf9a2b2b2cd6f945ef4c7f",
+    ),
+    "ci-binary-8": (
+        {"type": "christensen-ivan", "chain": "binary", "weights": "uniform",
+         "alphas": [float(j) for j in range(1, 9)], "levels": 8},
+        "fbd534f3a1a959e821366a0b7a47c0e9aa5dbd2923782ea18c1f6ca014b18a03",
+    ),
+    "ci-chain-7": (
+        {"type": "christensen-ivan",
+         "chain": {"branching": [[k * a // b for k in range(b)] for a, b in zip(_CI_REPORT_SIZES, _CI_REPORT_SIZES[1:])]},
+         "weights": "uniform", "alphas": [float((-1) ** j) for j in range(1, 8)], "levels": 7},
+        "61df00a946df78a4f71b3cd277537054fd33472cfd8038f2a251ed0cb9c560be",
+    ),
+}
+
 
 class TestBuild:
     def test_cantor_dims(self, cantor_file):
@@ -173,6 +196,15 @@ class TestBuild:
         assert main(["build", "--config", str(tmp_path / "cfg.json"), "--out", str(again)]) == 0
         assert again.read_bytes() == open(cantor_file, "rb").read()
         assert json.loads(again.read_text())["format"] == "spectral-limits/system-v3"
+
+    @pytest.mark.parametrize("name", GOLDEN_BUILDS.keys())
+    def test_build_bytes_pinned(self, tmp_path, name):
+        # Pins the generators and the writer bit for bit: two builds agreeing
+        # with each other would not catch a change of either.
+        cfg, digest = GOLDEN_BUILDS[name]
+        out = tmp_path / "system.json"
+        assert main(["build", "--config", write_json(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_ci_wide_file_is_float64(self, tmp_path):
         # The binary CI J=8 system (dim 256) is real: every matrix object
@@ -279,6 +311,13 @@ MALFORMED_SYSTEMS = {
     "extra-link": _extra_link,
     "block-dims-str": _set(["triples", 0, "algebra", "block_dims"], "ab"),
     "coord-points-str": _set(["triples", 0, "representation", "coord_points"], "x"),
+    # Integer fields take JSON integers only: no strings, bools or floats.
+    "block-dims-digit-str": _set(["triples", 0, "algebra", "block_dims"], "1"),
+    "block-dims-bool": _set(["triples", 0, "algebra", "block_dims"], [True]),
+    "block-dims-float": _set(["triples", 0, "algebra", "block_dims"], [1.9]),
+    "coord-points-float": _set(["triples", 1, "representation", "coord_points"], [0.2, 0.9, 1.7, 1.1]),
+    "map-float": _set(["links", 0, "phi", "encoding", "map"], [0.4, 0.0]),
+    "map-bool": _set(["links", 0, "phi", "encoding", "map"], [False, False]),
     "ragged-dirac": _set(["triples", 0, "dirac"], [[ZERO, ZERO], [ZERO]]),
     "re-str": _set(["triples", 0, "dirac"], [[{"re": "x", "im": 0.0}, ZERO], [ZERO, ZERO]]),
     "provenance-list": _set(["provenance"], []),
@@ -403,6 +442,37 @@ class TestSt1:
         verdicts = json.loads(open(str(out) + ".json").read())
         assert verdicts["probes"][0]["classification"] == "inconsistent"
 
+    @pytest.mark.parametrize(
+        "levels, classification",
+        [(12, "inconclusive"), (15, "inconclusive"), (20, "inconclusive"), (31, "inconclusive"),
+         (36, "inconclusive"), (63, "inconclusive"), (10, "consistent"), (16, "consistent"),
+         (18, "consistent"), (64, "consistent")],
+    )
+    def test_cantor_plateau_not_inconsistent_exit0(self, tmp_path, levels, classification):
+        # Gaps of one subdivision depth have equal lengths, so the tail is
+        # flat above the threshold at some depths; the series fell before
+        # the plateau and tends to 0, so it is no stall.
+        cfg = write_json(tmp_path / "cantor.json", {"type": "cantor", "gaps": "middle-thirds", "levels": levels})
+        out = tmp_path / "st1"
+        assert main(["st1", "--config", cfg, "--lambda", "i", "--out", str(out)]) == 0
+        probe = json.loads(open(str(out) + ".json").read())["probes"][0]
+        assert probe["classification"] == classification
+        if classification == "inconclusive":
+            assert probe["evidence"]["tail_nondecreasing"]
+            assert probe["evidence"]["reason"] == "tail stalled or growing above threshold after an earlier decrease"
+
+    @pytest.mark.parametrize("alphas, classification", [([1.0] * 7, "inconsistent"), (list(range(1, 8)), "consistent")])
+    def test_ci_stall_inconsistent_growth_consistent(self, tmp_path, alphas, classification):
+        cfg = write_json(
+            tmp_path / "ci.json",
+            {"type": "christensen-ivan", "chain": "binary", "weights": "uniform", "alphas": alphas, "levels": 7},
+        )
+        out = tmp_path / "st1"
+        argv = ["st1", "--config", cfg, "--lambda", "i", "--lambda", "2i", "--lambda", "1+i", "--out", str(out)]
+        assert main(argv) == (1 if classification == "inconsistent" else 0)
+        probes = json.loads(open(str(out) + ".json").read())["probes"]
+        assert [p["classification"] for p in probes] == [classification] * 3
+
     def test_ci_growing_alphas_consistent(self, tmp_path):
         cfg = write_json(
             tmp_path / "ci_grow.json",
@@ -518,8 +588,8 @@ def _planted_miss_system(n: int = 8):
     e /= np.linalg.norm(e)
     dirac = 5.0 * (np.eye(n) - np.outer(u, u.conj())) - 4.9 * np.outer(e, e.conj())
     algebra = FiniteCStarAlgebra((1,))
-    t0 = FiniteSpectralTriple(algebra, DiagonalRepresentation(np.zeros(1, dtype=int), 1), np.zeros((1, 1)))
-    t1 = FiniteSpectralTriple(algebra, DiagonalRepresentation(np.zeros(n, dtype=int), 1), dirac)
+    t0 = FiniteSpectralTriple(diagonal_representation(algebra, np.zeros(1, dtype=int)), np.zeros((1, 1)))
+    t1 = FiniteSpectralTriple(diagonal_representation(algebra, np.zeros(n, dtype=int)), dirac)
     link = TripleMorphism(t0, t1, StarHomomorphism.identity(algebra), u[:, np.newaxis])
     return InductiveSystem((t0, t1), (link,))
 
@@ -766,16 +836,10 @@ class TestDistance:
     def test_disconnected_prints_infinite(self, tmp_path, capsys):
         import numpy as np
 
-        from spectral_limits import (
-            DiagonalRepresentation,
-            FiniteCStarAlgebra,
-            FiniteSpectralTriple,
-            InductiveSystem,
-        )
+        from spectral_limits import FiniteCStarAlgebra, FiniteSpectralTriple, InductiveSystem
 
         t = FiniteSpectralTriple(
-            FiniteCStarAlgebra((1, 1)),
-            DiagonalRepresentation(np.array([0, 1]), 2),
+            diagonal_representation(FiniteCStarAlgebra((1, 1)), np.array([0, 1])),
             np.zeros((2, 2)),
         )
         sysf = tmp_path / "disc.json"

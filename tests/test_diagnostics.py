@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from spectral_limits import (
     CommutatorSeries,
-    DiagonalRepresentation,
     FiniteCStarAlgebra,
     FiniteSpectralTriple,
     GapSeries,
@@ -25,6 +24,7 @@ from spectral_limits import (
     commutative_af_chain,
     commutator_series,
     default_st2_probe,
+    diagonal_representation,
     function_gap,
     gap_series,
     middle_thirds,
@@ -73,7 +73,7 @@ def growing_commutator_system(levels: int, base: float = 2.0) -> InductiveSystem
             dirac[2 * n, 2 * n + 1] = w
             dirac[2 * n + 1, 2 * n] = w
         triples.append(
-            FiniteSpectralTriple(algebra, DiagonalRepresentation(cp, 2), dirac)
+            FiniteSpectralTriple(diagonal_representation(algebra, cp), dirac)
         )
     links = []
     for k in range(levels):
@@ -95,9 +95,9 @@ def _spread_system(n: int) -> InductiveSystem:
     rotation W_0 = U* I V_0 a vector with every entry of modulus n^(-1/2).
     """
     algebra = FiniteCStarAlgebra((1,))
-    t0 = FiniteSpectralTriple(algebra, DiagonalRepresentation(np.zeros(1, dtype=int), 1), np.zeros((1, 1)))
+    t0 = FiniteSpectralTriple(diagonal_representation(algebra, np.zeros(1, dtype=int)), np.zeros((1, 1)))
     t1 = FiniteSpectralTriple(
-        algebra, DiagonalRepresentation(np.zeros(n, dtype=int), 1), np.diag(np.arange(1.0, n + 1))
+        diagonal_representation(algebra, np.zeros(n, dtype=int)), np.diag(np.arange(1.0, n + 1))
     )
     iso = np.full((n, 1), n**-0.5, dtype=complex)
     return InductiveSystem((t0, t1), (TripleMorphism(t0, t1, StarHomomorphism.identity(algebra), iso),))
@@ -435,6 +435,14 @@ class TestVerdicts:
         r = realize(ci_system(chain, 8))
         verdict = st1_verdict(gap_series(r, lam=1j))
         assert verdict.classification == "inconsistent"
+
+    def test_flat_tail_inconsistent_only_without_earlier_decrease(self):
+        flat = GapSeries("resolvent", 7, tuple((j, 0.5) for j in range(7)) + ((7, 0.0),), lam=1j)
+        assert st1_verdict(flat).classification == "inconsistent"
+        fell = GapSeries("resolvent", 7, ((0, 0.9),) + flat.entries[1:], lam=1j)
+        verdict = st1_verdict(fell)
+        assert verdict.classification == "inconclusive"
+        assert verdict.evidence["tail_nondecreasing"] and verdict.evidence["last_value"] == 0.5
 
     def test_single_entry_inconclusive(self):
         series = GapSeries("resolvent", 6, ((1, 0.5),), lam=1j)

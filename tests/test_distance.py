@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from spectral_limits import (
-    DiagonalRepresentation,
     NumericError,
     FiniteCStarAlgebra,
     FiniteSpectralTriple,
@@ -21,6 +20,8 @@ from spectral_limits import (
     cantor_system,
     connes_distance,
     connes_distance_with_path,
+    dense_representation,
+    diagonal_representation,
     middle_thirds,
     random_gap_sequence,
     system_from_generator_config,
@@ -46,7 +47,7 @@ def decoupled_instances():
 def row_coupled(a, b):
     """One coordinate of point 0 coupled to two coordinates of point 1."""
     d = np.array([[0, a, b], [a, 0, 0], [b, 0, 0]], dtype=complex)
-    return FiniteSpectralTriple(FiniteCStarAlgebra((1, 1)), DiagonalRepresentation(np.array([0, 1, 1]), 2), d)
+    return FiniteSpectralTriple(diagonal_representation(FiniteCStarAlgebra((1, 1)), np.array([0, 1, 1])), d)
 
 
 def connes_distance_lp(t: FiniteSpectralTriple, x: int, y: int) -> float:
@@ -183,8 +184,7 @@ class TestBasics:
 class TestEdgeCases:
     def test_disconnected_components_infinite(self):
         t = FiniteSpectralTriple(
-            FiniteCStarAlgebra((1, 1)),
-            DiagonalRepresentation(np.array([0, 1]), 2),
+            diagonal_representation(FiniteCStarAlgebra((1, 1)), np.array([0, 1])),
             np.zeros((2, 2)),
         )
         value, path = connes_distance_with_path(t, 0, 1)
@@ -199,10 +199,8 @@ class TestEdgeCases:
     def test_noncommutative_unsupported(self):
         units = np.zeros((4, 2, 2), dtype=complex)
         units[0, 0, 0] = units[1, 0, 1] = units[2, 1, 0] = units[3, 1, 1] = 1.0
-        from spectral_limits import DenseRepresentation
-
         t = FiniteSpectralTriple(
-            FiniteCStarAlgebra((2,)), DenseRepresentation(units), np.zeros((2, 2))
+            dense_representation(FiniteCStarAlgebra((2,)), units), np.zeros((2, 2))
         )
         with pytest.raises(UnsupportedError):
             connes_distance(t, 0, 1)
@@ -210,8 +208,7 @@ class TestEdgeCases:
     def test_lp_oracle_requires_decoupled(self):
         d = np.array([[0, 2.0, 3.0], [2.0, 0, 0], [3.0, 0, 0]], dtype=complex)
         t = FiniteSpectralTriple(
-            FiniteCStarAlgebra((1, 1)),
-            DiagonalRepresentation(np.array([0, 1, 1]), 2),
+            diagonal_representation(FiniteCStarAlgebra((1, 1)), np.array([0, 1, 1])),
             d,
         )
         with pytest.raises(ValidationError):
@@ -238,7 +235,7 @@ class TestCoupledFallback:
         d[0, 2] = d[2, 0] = 2.0  # point 0 - point 1 again (coupled via coord 0)
         d[2, 3] = d[3, 2] = 1.5  # point 1 - point 2
         cp = np.array([0, 1, 1, 2])
-        t = FiniteSpectralTriple(FiniteCStarAlgebra((1, 1, 1)), DiagonalRepresentation(cp, 3), d)
+        t = FiniteSpectralTriple(diagonal_representation(FiniteCStarAlgebra((1, 1, 1)), cp), d)
         value = connes_distance(t, 0, 2)
 
         # Grid-search oracle over f = (0, s, u) with the commutator norm
@@ -318,7 +315,7 @@ class TestBarrierSolve:
         t = ci_level(alphas, level, sizes)
         value, f, gap = barrier_solve(t, 0, 1)
         assert f[1] == 0.0 and f[0] == value
-        fd = f[t.rep.coord_points]
+        fd = f[t.rep.spectrum_map]
         assert np.linalg.norm(t.dirac * (fd[None, :] - fd[:, None]), 2) <= 1.0
         assert 0.0 <= gap <= 1e-10 * max(1.0, value)
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from spectral_limits import (
-    DiagonalRepresentation,
     FiniteCStarAlgebra,
     FiniteSpectralTriple,
     InductiveSystem,
@@ -18,6 +17,7 @@ from spectral_limits import (
     ci_system,
     commutative_af_chain,
     commutator,
+    diagonal_representation,
     hom_compose,
     load_system,
     middle_thirds,
@@ -77,6 +77,27 @@ class TestSystemValidate:
     def test_link_count_mismatch(self):
         with pytest.raises(ValidationError):
             InductiveSystem(CANTOR5.triples, CANTOR5.links[:-2])
+
+    def test_links_must_touch_the_chain_triples(self):
+        # Triple 1 replaced by a copy with Dirac operator 5 D_1: the old links
+        # still end at the old triple 1, whose Dirac operator they
+        # intertwine, so a check of each link against its own endpoints
+        # passes although the chain's Dirac operators are not intertwined.
+        system = cantor_system(middle_thirds(3), 3)
+        t1 = system.triples[1]
+        scaled = FiniteSpectralTriple(t1.rep, 5.0 * t1.dirac, grading=t1.grading, meta=t1.meta)
+        triples = (system.triples[0], scaled) + system.triples[2:]
+        with pytest.raises(ValidationError, match="link 0 does not connect triples 0 -> 1"):
+            InductiveSystem(triples, system.links)
+        links = (
+            TripleMorphism(triples[0], scaled, system.links[0].phi, system.links[0].iso),
+            TripleMorphism(scaled, triples[2], system.links[1].phi, system.links[1].iso),
+            system.links[2],
+        )
+        report = system_validate(InductiveSystem(triples, links))
+        assert report.failing_link == 0
+        assert "dirac_intertwining" in report.link_reports[0].failures
+        assert "dirac_intertwining" in report.link_reports[1].failures
 
 
 class TestEmbed:
@@ -155,8 +176,8 @@ def _complex_pair_system() -> InductiveSystem:
     )
     q = np.eye(4) - u @ dagger(u) - v @ dagger(v)
     algebra = FiniteCStarAlgebra((1,))
-    t0 = FiniteSpectralTriple(algebra, DiagonalRepresentation(np.zeros(1, dtype=int), 1), np.zeros((1, 1)))
-    t1 = FiniteSpectralTriple(algebra, DiagonalRepresentation(np.zeros(4, dtype=int), 1), q @ b @ q)
+    t0 = FiniteSpectralTriple(diagonal_representation(algebra, np.zeros(1, dtype=int)), np.zeros((1, 1)))
+    t1 = FiniteSpectralTriple(diagonal_representation(algebra, np.zeros(4, dtype=int)), q @ b @ q)
     return InductiveSystem((t0, t1), (TripleMorphism(t0, t1, StarHomomorphism.identity(algebra), u),))
 
 
@@ -175,8 +196,8 @@ def _random_complex_system(seed: int = 11, dims=(2, 3, 5, 6)) -> InductiveSystem
         return a + dagger(a)
 
     def triple(dirac):
-        rep = DiagonalRepresentation(np.zeros(dirac.shape[0], dtype=int), 1)
-        return FiniteSpectralTriple(algebra, rep, 0.5 * (dirac + dagger(dirac)))
+        rep = diagonal_representation(algebra, np.zeros(dirac.shape[0], dtype=int))
+        return FiniteSpectralTriple(rep, 0.5 * (dirac + dagger(dirac)))
 
     triples, links = [triple(hermitian(dims[0]))], []
     for n in dims[1:]:

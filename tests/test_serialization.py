@@ -63,8 +63,8 @@ def stored_arrays(system):
         yield t.dirac
         if t.grading is not None:
             yield t.grading
-        if hasattr(t.rep, "tensor"):
-            yield t.rep.tensor
+        if t.rep.matrix is not None:
+            yield t.rep.matrix
     for link in system.links:
         yield link.iso
         if link.phi.spectrum_map is None:

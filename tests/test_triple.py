@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from spectral_limits import triple as triple_module
 from spectral_limits import (
     AfChain,
-    DenseRepresentation,
     TripleMorphism,
     binary_branching,
     commutative_af_chain,
-    DiagonalRepresentation,
     FiniteCStarAlgebra,
     FiniteSpectralTriple,
     StarHomomorphism,
@@ -24,6 +22,8 @@ from spectral_limits import (
     ci_system,
     commutator,
     commutator_norm,
+    dense_representation,
+    diagonal_representation,
     middle_thirds,
     operator_norm,
     random_commutative_system,
@@ -46,6 +46,25 @@ def intertwining_oracle(m):
     )
 
 
+def reference_operators(rep, coords):
+    """pi of each coordinate row, formed apart from ``triple.operators``: the
+    diagonal of the point values, or the sum of the basis images."""
+    coords = np.asarray(coords, dtype=complex)
+    if rep.spectrum_map is not None:
+        return np.stack([np.diag(c[rep.spectrum_map]) for c in coords])
+    n = rep.target.block_dims[0]
+    return np.einsum("ri,ijk->rjk", coords, rep.matrix.T.reshape(-1, n, n))
+
+
+def reference_intertwining(m):
+    """max over the source basis of ||I pi1(e) - pi2(phi(e)) I||, with phi
+    applied as a matrix and pi by ``reference_operators``."""
+    basis = np.eye(m.source.algebra.element_dim)
+    lhs = m.iso @ reference_operators(m.source.rep, basis)
+    rhs = reference_operators(m.target.rep, m.phi.as_matrix().T) @ m.iso
+    return float(np.linalg.norm(lhs - rhs, ord=2, axis=(-2, -1)).max())
+
+
 def m2_system():
     c1, m2 = FiniteCStarAlgebra((1,)), FiniteCStarAlgebra((2,))
     inc = StarHomomorphism(c1, m2, matrix=np.array([[1], [0], [0], [1]], dtype=complex))
@@ -61,16 +80,14 @@ class TestValidateTriple:
 
     def test_trivial_triple(self):
         t = FiniteSpectralTriple(
-            FiniteCStarAlgebra((1,)),
-            DiagonalRepresentation(np.array([0]), 1),
+            diagonal_representation(FiniteCStarAlgebra((1,)), np.array([0])),
             np.zeros((1, 1)),
         )
         assert validate_triple(t).passed
 
     def test_non_hermitian_dirac_fails_named(self):
         t = FiniteSpectralTriple(
-            FiniteCStarAlgebra((1, 1)),
-            DiagonalRepresentation(np.array([0, 1]), 2),
+            diagonal_representation(FiniteCStarAlgebra((1, 1)), np.array([0, 1])),
             np.array([[0.0, 1.0], [0.0, 0.0]]),
         )
         report = validate_triple(t)
@@ -79,8 +96,7 @@ class TestValidateTriple:
 
     def test_unfaithful_diagonal_rep_fails(self):
         t = FiniteSpectralTriple(
-            FiniteCStarAlgebra((1, 1)),
-            DiagonalRepresentation(np.array([0, 0]), 2),
+            diagonal_representation(FiniteCStarAlgebra((1, 1)), np.array([0, 0])),
             np.zeros((2, 2)),
         )
         report = validate_triple(t)
@@ -92,9 +108,9 @@ class TestValidateTriple:
         # multiplicativity; the residual equals the brute-force maximum over
         # all basis pairs.
         t = m2_system().triples[1]
-        tensor = t.rep.tensor.copy()
+        tensor = triple_module.operators(t.rep, np.eye(t.algebra.element_dim))
         tensor[1, 0, 3] += 0.25
-        bad = FiniteSpectralTriple(t.algebra, DenseRepresentation(tensor), t.dirac)
+        bad = FiniteSpectralTriple(dense_representation(t.algebra, tensor), t.dirac)
         report = validate_triple(bad)
         basis = list(t.algebra.basis())
         oracle = max(
@@ -112,7 +128,7 @@ class TestValidateTriple:
         # the 1024 coordinates is built, only the n x n Dirac residual.
         n = 1024
         t = FiniteSpectralTriple(
-            FiniteCStarAlgebra((1,) * n), DiagonalRepresentation(np.arange(n)[::-1], n), np.zeros((n, n))
+            diagonal_representation(FiniteCStarAlgebra((1,) * n), np.arange(n)[::-1]), np.zeros((n, n))
         )
         tracemalloc.start()
         try:
@@ -131,11 +147,32 @@ class TestValidateTriple:
         ]
         assert report.passed and report.worst == 0.0
 
+    @pytest.mark.parametrize("blocks", [(1, 1), (2, 1)])
+    def test_explicit_representation_needs_one_block(self, blocks):
+        target = FiniteCStarAlgebra(blocks)
+        n = sum(blocks)
+        rep = StarHomomorphism(FiniteCStarAlgebra((1,)), target, matrix=target.unit().coordinates[:, None])
+        with pytest.raises(ValidationError, match="one block M_N"):
+            FiniteSpectralTriple(rep, np.zeros((n, n)))
+
+    def test_operators_match_reference(self):
+        rng = np.random.default_rng(4)
+        coords = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        diagonal = diagonal_representation(FiniteCStarAlgebra((1,) * 4), [2, 0, 3, 3, 1])
+        want = np.zeros((3, 5, 5), dtype=complex)
+        want[:, np.arange(5), np.arange(5)] = coords[:, [2, 0, 3, 3, 1]]
+        assert np.array_equal(triple_module.operators(diagonal, coords), want)
+        tensor = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+        dense = dense_representation(FiniteCStarAlgebra((2,)), tensor)
+        got = triple_module.operators(dense, coords)
+        assert np.array_equal(got, (coords @ tensor.reshape(4, 9)).reshape(3, 3, 3))
+        one = triple_module.operators(dense, coords[0])
+        assert np.array_equal(one, (coords[0] @ tensor.reshape(4, 9)).reshape(3, 3))
+
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValidationError):
             FiniteSpectralTriple(
-                FiniteCStarAlgebra((1,)),
-                DiagonalRepresentation(np.array([0, 0]), 1),
+                diagonal_representation(FiniteCStarAlgebra((1,)), np.array([0, 0])),
                 np.zeros((3, 3)),
             )
 
@@ -206,6 +243,27 @@ class TestValidateMorphism:
             got = validate_morphism(bad).entries["algebra_intertwining"]
             assert got == pytest.approx(intertwining_oracle(bad), rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("target", ["diagonal", "dense"])
+    def test_mixed_encodings_match_reference(self, target):
+        # An explicit phi between diagonal representations, and a diagonal
+        # source linked to a dense target, take the stacked route.
+        rng = np.random.default_rng(5)
+        for link in random_commutative_system(np.random.default_rng(8), max_dim=16).links:
+            tgt = link.target
+            if target == "dense":
+                fibres = [np.diag((tgt.rep.spectrum_map == i).astype(complex)) for i in range(tgt.algebra.n_points)]
+                tgt = FiniteSpectralTriple(dense_representation(tgt.algebra, fibres), tgt.dirac)
+                phi = link.phi
+            else:
+                phi = StarHomomorphism(link.phi.source, link.phi.target, matrix=link.phi.as_matrix())
+            iso = link.iso + 0.2 * rng.normal(size=link.iso.shape) * (rng.random(link.iso.shape) < 0.3)
+            m = TripleMorphism(link.source, tgt, phi, iso)
+            assert triple_module._intertwining_residual(m) == pytest.approx(
+                reference_intertwining(m), rel=1e-12, abs=1e-14
+            )
+            exact = TripleMorphism(link.source, tgt, phi, link.iso)
+            assert triple_module._intertwining_residual(exact) <= 1e-12
+
     def test_corrupted_isometry_fails(self):
         link = CANTOR.links[1]
         bad_iso = link.iso.copy()
@@ -269,19 +327,19 @@ class TestCommutatorNorm:
         cases = []
         for _ in range(8):
             for t in random_commutative_system(rng, max_dim=32).triples:
-                assert isinstance(t.rep, DiagonalRepresentation)
+                assert t.rep.spectrum_map is not None
                 basis = np.eye(t.algebra.element_dim)
                 dense = FiniteSpectralTriple(
-                    t.algebra, DenseRepresentation(t.rep.apply_coordinates(basis)), t.dirac
+                    dense_representation(t.algebra, triple_module.operators(t.rep, basis)), t.dirac
                 )
                 n = t.algebra.n_points
                 a = t.algebra.from_point_values(rng.normal(size=n) + 1j * rng.normal(size=n))
                 cases.append((t, dense, a, commutator_norm(dense, a)))
 
-        def materialized(self, coords):
+        def materialized(rep, coords):
             raise AssertionError("commutator_norm materialized a diagonal pi(a)")
 
-        monkeypatch.setattr(DiagonalRepresentation, "apply_coordinates", materialized)
+        monkeypatch.setattr(triple_module, "operators", materialized)
         for t, dense, a, want in cases:
             assert abs(commutator_norm(t, a) - want) <= 1e-12 * max(1.0, want)
 
@@ -339,7 +397,7 @@ def dense_oracle(t, a):
 def diagonal_triple(dirac, coord_points):
     n_points = max(coord_points) + 1
     return FiniteSpectralTriple(
-        FiniteCStarAlgebra((1,) * n_points), DiagonalRepresentation(coord_points, n_points), dirac
+        diagonal_representation(FiniteCStarAlgebra((1,) * n_points), coord_points), dirac
     )
 
 
@@ -462,8 +520,7 @@ class TestCutBlockNorm:
 class TestGrading:
     def test_identity_grading_zero_dirac(self):
         t = FiniteSpectralTriple(
-            FiniteCStarAlgebra((1,)),
-            DiagonalRepresentation(np.array([0]), 1),
+            diagonal_representation(FiniteCStarAlgebra((1,)), np.array([0])),
             np.zeros((1, 1)),
             grading=np.eye(1),
         )
@@ -501,8 +558,7 @@ class TestGrading:
     )
     def test_bad_grading_fails(self, grading, failing):
         t = FiniteSpectralTriple(
-            FiniteCStarAlgebra((1,)),
-            DiagonalRepresentation(np.array([0, 0]), 1),
+            diagonal_representation(FiniteCStarAlgebra((1,)), np.array([0, 0])),
             np.array([[0.0, 3.0], [3.0, 0.0]]),
             grading=grading,
         )
