@@ -48,7 +48,9 @@ class FiniteCStarAlgebra:
     def __post_init__(self):
         if len(self.block_dims) < 1:
             raise ValidationError("algebra needs at least one block")
-        if any(int(n) < 1 for n in self.block_dims):
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in self.block_dims):
+            raise ValidationError(f"block dimensions must be integers, got {self.block_dims!r}")
+        if any(n < 1 for n in self.block_dims):
             raise ValidationError("block dimensions must be positive")
         object.__setattr__(self, "block_dims", tuple(int(n) for n in self.block_dims))
         object.__setattr__(self, "element_dim", sum(n * n for n in self.block_dims))
@@ -228,7 +230,10 @@ class StarHomomorphism:
         if self.spectrum_map is not None:
             if not (self.source.is_commutative and self.target.is_commutative):
                 raise ValidationError("spectrum maps require commutative source and target")
-            m = np.asarray(self.spectrum_map, dtype=int).ravel()
+            m = np.asarray(self.spectrum_map)
+            if m.dtype.kind not in "iu":
+                raise ValidationError(f"spectrum map must have an integer dtype, got {m.dtype}")
+            m = m.astype(int, copy=False).ravel()
             if m.shape[0] != self.target.n_points:
                 raise ValidationError("spectrum map must assign a source point to every target point")
             if m.size and (m.min() < 0 or m.max() >= self.source.n_points):

@@ -51,7 +51,6 @@ from .serialization import (
     finite_numbers,
     load_system,
     matrix_from_json,
-    parse_generator_config,
     read_json,
     save_system,
     system_from_generator_config,
@@ -184,7 +183,7 @@ GAP_CSV_HEADER = "kind,j,lambda_re,lambda_im,f_name,gap,analytic_bound,eigen_gap
 
 
 def cmd_build(args) -> int:
-    system = parse_generator_config(read_json(args.config))()
+    system = system_from_generator_config(read_json(args.config))
     save_system(system, args.out)
     summary = _system_summary(system)
     print(f"wrote {args.out}: {summary['generator']} system, levels 0..{summary['levels']}, dims {summary['hilbert_dims']}")

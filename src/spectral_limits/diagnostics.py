@@ -129,7 +129,11 @@ def _embedded_gap(r: Realization, j: int, inner: np.ndarray, outer: np.ndarray, 
 def _probe_gap(r: Realization, j: int, g: Callable[[np.ndarray], np.ndarray], probe: str) -> float:
     # The level's values first: a probe whose resolvent overflows there is
     # named for that before the ambient spectrum's rounding check refuses it.
+    # At j = J that check has run on the ambient spectrum itself, and the gap
+    # is 0 (I_{J,J} = 1), so W_J is never formed.
     inner = g(r.level_decomposition(j).eigenvalues)
+    if j == r.level:
+        return 0.0
     return _embedded_gap(r, j, inner, g(r.ambient_decomposition().eigenvalues), probe)
 
 

@@ -10,8 +10,10 @@ coupled instances are solved as the semidefinite program
 max f(x) - f(y) subject to -I <= i[D, diag(f)] <= I, by log-barrier Newton
 steps with a certified optimality gap.
 
-Points in different components of the interaction graph are at infinite
-distance, returned as ``math.inf``.
+One Dijkstra search from x over the interaction graph answers every graph
+question: a point it does not reach lies in another component, at infinite
+distance (returned as ``math.inf``); a decoupled instance reads its value and
+geodesic from the search; a coupled one is solved on the points reached.
 """
 
 from __future__ import annotations
@@ -44,10 +46,9 @@ def _diagonal_form(t: FiniteSpectralTriple) -> tuple[np.ndarray, np.ndarray]:
 
     Commutative representations consist of commuting projections summing to
     the identity, hence are simultaneously diagonalizable; the Dirac
-    operator is conjugated into the same basis.
+    operator is conjugated into the same basis.  The algebra must be
+    commutative, which ``_check_points`` checks.
     """
-    if not t.algebra.is_commutative:
-        raise UnsupportedError("spectral distance is implemented for commutative algebras only")
     if t.rep.spectrum_map is not None:
         return t.rep.spectrum_map, t.dirac
     m = t.algebra.n_points
@@ -90,23 +91,12 @@ def _interaction(
     return edges, decoupled
 
 
-def _components(n_points: int, edges) -> np.ndarray:
-    parent = list(range(n_points))
+def _shortest_paths(n_points: int, edges: dict, x: int) -> tuple[dict[int, float], dict[int, int]]:
+    """Dijkstra from x to the end of x's component: (dist, prev) over the reached points.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return np.array([find(p) for p in range(n_points)])
-
-
-def _dijkstra(n_points: int, edges: dict, x: int, y: int):
+    Weights are positive, so a settled point's distance and predecessor chain
+    never change afterwards, and the search need not stop at any target.
+    """
     adj: dict[int, list[tuple[int, float]]] = {p: [] for p in range(n_points)}
     for (u, v), w in edges.items():
         adj[u].append((v, w))
@@ -114,26 +104,17 @@ def _dijkstra(n_points: int, edges: dict, x: int, y: int):
     dist = {x: 0.0}
     prev: dict[int, int] = {}
     heap = [(0.0, x)]
-    done = set()
     while heap:
         d, p = heapq.heappop(heap)
-        if p in done:
+        if d > dist[p]:  # a stale entry: p was settled at dist[p]
             continue
-        done.add(p)
-        if p == y:
-            break
         for q, w in adj[p]:
             nd = d + w
             if q not in dist or nd < dist[q] - 1e-15:
                 dist[q] = nd
                 prev[q] = p
                 heapq.heappush(heap, (nd, q))
-    if y not in done:
-        return math.inf, None
-    path = [y]
-    while path[-1] != x:
-        path.append(prev[path[-1]])
-    return dist[y], path[::-1]
+    return dist, prev
 
 
 def _check_points(t: FiniteSpectralTriple, x: int, y: int) -> tuple[int, int]:
@@ -151,20 +132,25 @@ def connes_distance_with_path(t: FiniteSpectralTriple, x: int, y: int):
 
     Returns (value, path) where path is a point-index list or None when the
     distance is infinite or the instance is coupled; a coupled value comes
-    from the barrier solve, a feasible lower bound within SDP_GAP_TOL
-    relative of the distance.
+    from the barrier solve on the points that the search from x reached, a
+    feasible lower bound within SDP_GAP_TOL relative of the distance.
     """
     x, y = _check_points(t, x, y)
     if x == y:
         return 0.0, [x]
     coord_points, dirac = _diagonal_form(t)
     edges, decoupled = _interaction(coord_points, dirac)
-    comp = _components(t.algebra.n_points, edges)
-    if comp[x] != comp[y]:
+    dist, prev = _shortest_paths(t.algebra.n_points, edges, x)
+    if y not in dist:
         return math.inf, None
     if decoupled:
-        return _dijkstra(t.algebra.n_points, edges, x, y)
-    return _barrier_distance(coord_points, dirac, comp, x, y)[0], None
+        path = [y]
+        while path[-1] != x:
+            path.append(prev[path[-1]])
+        return dist[y], path[::-1]
+    reached = np.zeros(t.algebra.n_points, dtype=bool)
+    reached[list(dist)] = True
+    return _barrier_distance(coord_points, dirac, reached, x, y)[0], None
 
 
 def connes_distance(t: FiniteSpectralTriple, x: int, y: int) -> float:
@@ -172,7 +158,7 @@ def connes_distance(t: FiniteSpectralTriple, x: int, y: int) -> float:
     return connes_distance_with_path(t, x, y)[0]
 
 
-def _barrier_distance(coord_points, dirac, comp, x: int, y: int) -> tuple[float, np.ndarray, float]:
+def _barrier_distance(coord_points, dirac, reached, x: int, y: int) -> tuple[float, np.ndarray, float]:
     """Log-barrier solve of max f_x over ||[D, diag(f)]|| <= 1 with f_y = 0.
 
     M(f) = i[D, diag(f)] = sum_k f_k B_k is Hermitian, so the constraint is
@@ -184,10 +170,12 @@ def _barrier_distance(coord_points, dirac, comp, x: int, y: int) -> tuple[float,
     approximate centre the optimum exceeds f_x by at most
     (nu + (lam + sqrt(nu)) lam / (1 - lam)) / t (Nesterov, Introductory
     Lectures on Convex Optimization, section 4.2); t grows 50-fold until that
-    gap is at most SDP_GAP_TOL * f_x.  Returns (value, f, gap): f is feasible
-    on all points, value = f_x and the distance lies in [value, value + gap].
+    gap is at most SDP_GAP_TOL * f_x.  The solve runs on the coordinates of
+    the points marked in the boolean mask ``reached``, x's component.
+    Returns (value, f, gap): f is feasible on all points, value = f_x and the
+    distance lies in [value, value + gap].
     """
-    coords = np.flatnonzero(comp[coord_points] == comp[x])
+    coords = np.flatnonzero(reached[coord_points])
     owners = coord_points[coords]
     var_points = np.unique(owners[owners != y])
     n, nvar = coords.size, var_points.size
@@ -225,7 +213,7 @@ def _barrier_distance(coord_points, dirac, comp, x: int, y: int) -> tuple[float,
         t *= 50.0
     else:
         raise NumericError(f"barrier distance did not converge in {SDP_MAX_STEPS} Newton steps")
-    f_points = np.zeros(len(comp))
+    f_points = np.zeros(len(reached))
     f_points[var_points] = f
     fd = f_points[coord_points]
     # Rescale into the feasible set should rounding leave ||[D, diag(f)]|| above 1.

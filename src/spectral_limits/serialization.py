@@ -24,7 +24,7 @@ import base64
 import binascii
 import json
 import math
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -55,10 +55,10 @@ REAL_DTYPE = np.dtype("<f8")
 COMPLEX_DTYPE = np.dtype("<c16")
 # Layout of every JSON document written: sorted keys, one-space indent.
 JSON_STYLE = {"sort_keys": True, "indent": 1, "separators": (",", ": ")}
-# Largest dense matrix data a generator config may ask for, in bytes.  Binary
-# CI at J=12 (dim 4096, the largest workload the roadmap targets) needs about
-# 0.54 GB and passes; J=13 needs about 2.1 GB and is rejected.
-MAX_GENERATOR_BYTES = 2**30
+# Largest dense float64 matrix data a generator config may ask for, in bytes.
+# Binary CI at J=12 (dim 4096, the largest workload the roadmap targets) needs
+# about 268 MB and passes; J=13 needs about 1.07 GB and is rejected.
+MAX_GENERATOR_BYTES = 2**29
 
 
 def complex_to_json(z: complex) -> dict:
@@ -217,6 +217,14 @@ def system_from_json(obj) -> InductiveSystem:
         isinstance(t, dict) and isinstance(t.get("meta", {}), dict) for t in triples_doc
     ):
         raise ValidationError("'provenance' and every triple's 'meta' must be objects")
+    # The analytic gap bounds of st1 and report read these fields.
+    kind = provenance.get("kind")
+    if kind == "cantor":
+        lengths = finite_numbers(provenance.get("lengths"), "provenance 'lengths'")
+        if not all(v > 0.0 for v in lengths):
+            raise ValidationError(f"provenance 'lengths' must be positive, got {lengths!r}")
+    elif kind == "christensen-ivan":
+        finite_numbers(provenance.get("alphas"), "provenance 'alphas'")
     try:
         triples = tuple(triple_from_json(t) for t in triples_doc)
         links = tuple(
@@ -293,12 +301,13 @@ def _check_generator_size(dims, matrices_per_level: int) -> None:
 
     ``dims`` yields the Hilbert dimension n_j of each level; a level holds
     ``matrices_per_level`` n_j x n_j matrices (Dirac operator, grading) and a
-    link one n_{j+1} x n_j isometry.  Entries are counted at 16 bytes (complex
-    width), twice what the float64 generators allocate.  Stops at the first level over the cap.
+    link one n_{j+1} x n_j isometry.  Entries are counted at 8 bytes, the
+    float64 width the generators allocate.  Stops at the first level over the
+    cap.
     """
     total, previous = 0, 0
     for n in dims:
-        total += COMPLEX_DTYPE.itemsize * (matrices_per_level * n * n + previous * n)
+        total += REAL_DTYPE.itemsize * (matrices_per_level * n * n + previous * n)
         if total > MAX_GENERATOR_BYTES:
             raise ValidationError(
                 f"generator config needs more than {MAX_GENERATOR_BYTES} bytes of dense matrices"
@@ -306,13 +315,21 @@ def _check_generator_size(dims, matrices_per_level: int) -> None:
         previous = n
 
 
-def parse_generator_config(cfg) -> Callable[[], InductiveSystem]:
-    """Check a generator config and return the call that builds its system.
+def system_from_generator_config(cfg) -> InductiveSystem:
+    """Build a system from a generator config.
+
+    Cantor: {"type": "cantor", "gaps": "middle-thirds" | [[x0+, x0-], [l, r], ...],
+    "levels": J, "grading": bool}.  The first explicit interval is the outer
+    interval [min, max]; the remaining ones are the removed gaps in
+    nonincreasing-length order.
+
+    Christensen-Ivan: {"type": "christensen-ivan", "chain": "binary" |
+    {"branching": [[...], ...]}, "weights": "uniform" | [w...],
+    "alphas": [a...], "levels": J}.
 
     Malformed fields, and a system whose dense matrices would exceed
-    MAX_GENERATOR_BYTES, raise ValidationError here, before any generator
-    runs; the returned call raises what the generators themselves reject.
-    The config format is described in ``system_from_generator_config``.
+    MAX_GENERATOR_BYTES, raise ValidationError before any generator runs;
+    the generators raise it for the data they reject.
     """
     if not isinstance(cfg, dict) or "type" not in cfg:
         raise ValidationError("generator config must be an object with a 'type' field")
@@ -332,15 +349,8 @@ def parse_generator_config(cfg) -> Callable[[], InductiveSystem]:
         if not isinstance(with_grading, bool):
             raise ValidationError(f"generator config 'grading' must be true or false, got {with_grading!r}")
         _check_generator_size((2 * (j + 1) for j in range(levels + 1)), 1 + with_grading)
-
-        def generate_cantor() -> InductiveSystem:
-            if gaps == "middle-thirds":
-                seq = middle_thirds(levels)
-            else:
-                seq = GapSequence(*gaps[0], tuple(gaps[1:]))
-            return cantor_system(seq, levels, with_grading=with_grading)
-
-        return generate_cantor
+        seq = middle_thirds(levels) if gaps == "middle-thirds" else GapSequence(*gaps[0], tuple(gaps[1:]))
+        return cantor_system(seq, levels, with_grading=with_grading)
     if kind == "christensen-ivan":
         chain_cfg = cfg.get("chain", "binary")
         if chain_cfg == "binary":
@@ -364,27 +374,8 @@ def parse_generator_config(cfg) -> Callable[[], InductiveSystem]:
         weights = None if weights_cfg == "uniform" else np.array(finite_numbers(weights_cfg, "generator config 'weights'"))
         alphas = finite_numbers(cfg.get("alphas"), "generator config 'alphas'")
         _check_generator_size(dims, 1)
-
-        def generate_ci() -> InductiveSystem:
-            maps = binary_branching(levels) if branching is None else branching
-            n_top = len(maps[-1]) if maps else 1
-            w = np.full(n_top, 1.0 / n_top) if weights is None else weights
-            return ci_system(commutative_af_chain(maps, w, alphas), levels)
-
-        return generate_ci
+        maps = binary_branching(levels) if branching is None else branching
+        n_top = len(maps[-1]) if maps else 1
+        w = np.full(n_top, 1.0 / n_top) if weights is None else weights
+        return ci_system(commutative_af_chain(maps, w, alphas), levels)
     raise ValidationError(f"unknown generator type {kind!r}")
-
-
-def system_from_generator_config(cfg: dict) -> InductiveSystem:
-    """Build a system from a generator config.
-
-    Cantor: {"type": "cantor", "gaps": "middle-thirds" | [[x0+, x0-], [l, r], ...],
-    "levels": J, "grading": bool}.  The first explicit interval is the outer
-    interval [min, max]; the remaining ones are the removed gaps in
-    nonincreasing-length order.
-
-    Christensen-Ivan: {"type": "christensen-ivan", "chain": "binary" |
-    {"branching": [[...], ...]}, "weights": "uniform" | [w...],
-    "alphas": [a...], "levels": J}.
-    """
-    return parse_generator_config(cfg)()

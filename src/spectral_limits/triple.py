@@ -50,8 +50,9 @@ from .linalg import (
 
 def diagonal_representation(algebra: FiniteCStarAlgebra, coord_points) -> StarHomomorphism:
     """Commutative ``algebra`` acting diagonally, coordinate r carrying point
-    ``coord_points[r]``: the spectrum map ``coord_points`` into C^N."""
-    cp = np.asarray(coord_points, dtype=int).ravel()
+    ``coord_points[r]``: the spectrum map ``coord_points`` into C^N, whose
+    integer dtype ``StarHomomorphism`` checks."""
+    cp = np.asarray(coord_points).ravel()
     if cp.size < 1:
         raise ValidationError("diagonal representation needs at least one coordinate")
     return StarHomomorphism(algebra, FiniteCStarAlgebra((1,) * cp.size), spectrum_map=cp)

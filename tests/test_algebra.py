@@ -43,6 +43,16 @@ class TestAlgebraAndElements:
         with pytest.raises(ValidationError):
             FiniteCStarAlgebra((2, 0))
 
+    @pytest.mark.parametrize("dims", [(2.5,), (True,), ("3",), (1, np.float64(2.0))])
+    def test_non_integral_block_dims_rejected(self, dims):
+        # These used to be truncated to (2,), (1,), (3,) and (1, 2).
+        with pytest.raises(ValidationError, match="block dimensions must be integers"):
+            FiniteCStarAlgebra(dims)
+
+    def test_numpy_integer_block_dims_accepted(self):
+        a = FiniteCStarAlgebra((np.int64(2), np.uint8(1)))
+        assert a.block_dims == (2, 1) and all(type(n) is int for n in a.block_dims)
+
     def test_dimensions(self):
         a = FiniteCStarAlgebra((2, 1, 3))
         assert a.element_dim == 4 + 1 + 9
@@ -239,6 +249,18 @@ class TestHomomorphisms:
             StarHomomorphism(a, a, spectrum_map=np.array([0]), matrix=np.eye(1))
         with pytest.raises(ValidationError):
             StarHomomorphism(a, a)
+
+    @pytest.mark.parametrize("values", [[0.7, 1.9], [True, False], ["1", "0"]])
+    def test_non_integral_spectrum_map_rejected(self, values):
+        # These used to be truncated to [0, 1], [1, 0] and [1, 0].
+        a = FiniteCStarAlgebra((1, 1))
+        with pytest.raises(ValidationError, match="integer dtype"):
+            StarHomomorphism(a, a, spectrum_map=values)
+
+    def test_unsigned_spectrum_map_accepted(self):
+        a = FiniteCStarAlgebra((1, 1))
+        phi = StarHomomorphism(a, a, spectrum_map=np.array([1, 0], dtype=np.uint8))
+        assert phi.spectrum_map.tolist() == [1, 0]
 
 
 class TestStates:

@@ -338,6 +338,22 @@ MALFORMED_SYSTEMS = {
     "data-wrong-shape": _set(["triples", 1, "dirac", "shape"], [4, 3]),
     "data-12-bytes-per-entry": _set(["triples", 1, "dirac", "data"], base64.b64encode(bytes(12 * 16)).decode()),
     "matrix-extra-key": _set(["triples", 1, "dirac", "dtype"], "complex64"),
+    # The analytic gap bounds read the generator's lengths or alphas.
+    "lengths-str": _set(["provenance", "lengths"], ["x", 1 / 3, 1 / 9]),
+    "lengths-zero": _set(["provenance", "lengths"], [0, 1 / 3, 1 / 9]),
+    "lengths-negative": _set(["provenance", "lengths"], [1.0, -1 / 3, 1 / 9]),
+    "lengths-int": _set(["provenance", "lengths"], 5),
+    "lengths-missing": _set(["provenance"], {"kind": "cantor"}),
+    "alphas-str": _set(["provenance"], {"kind": "christensen-ivan", "alphas": ["a", 2.0]}),
+    "alphas-null": _set(["provenance"], {"kind": "christensen-ivan", "alphas": None}),
+}
+# Every other command that reads a system file, with FILE in place of its path
+# (REPORT: a report config whose system.path is FILE).
+SYSTEM_READERS = {
+    "st1": ["st1", "--system", "FILE", "--lambda", "i", "--lambda", "1+i"],
+    "st2": ["st2", "--system", "FILE"],
+    "distance": ["distance", "--system", "FILE", "--level", "1", "--x", "0", "--y", "1"],
+    "report": ["report", "--config", "REPORT"],
 }
 
 
@@ -358,6 +374,26 @@ class TestMalformedSystemFiles:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("mutate", MALFORMED_SYSTEMS.values(), ids=MALFORMED_SYSTEMS.keys())
+    @pytest.mark.parametrize("argv", SYSTEM_READERS.values(), ids=SYSTEM_READERS.keys())
+    def test_every_reader_exit2_without_traceback(self, tmp_path, capsys, cantor2_doc, argv, mutate):
+        mutate(cantor2_doc)
+        path = write_json(tmp_path / "bad_sys.json", cantor2_doc)
+        report = write_json(tmp_path / "report.json", {"system": {"path": path}, "lambdas": ["i", "1+i"]})
+        capsys.readouterr()
+        assert main([{"FILE": path, "REPORT": report}.get(a, a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("name", [n for n in MALFORMED_SYSTEMS if n.startswith(("lengths", "alphas"))])
+    def test_provenance_errors_name_the_field(self, tmp_path, capsys, cantor2_doc, name):
+        MALFORMED_SYSTEMS[name](cantor2_doc)
+        path = write_json(tmp_path / "bad_sys.json", cantor2_doc)
+        capsys.readouterr()
+        assert main(["st1", "--system", path, "--lambda", "i"]) == 2
+        assert f"provenance '{name.split('-')[0]}'" in capsys.readouterr().err
 
 
 # Argv of each command that reads a JSON file, with FILE in place of its path.

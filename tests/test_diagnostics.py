@@ -256,6 +256,14 @@ class TestGapSeries:
         series = gap_series(R6, lam=2j)
         assert series.entries[-1] == (6, pytest.approx(0.0, abs=1e-14))
 
+    def test_no_rotation_formed_at_the_top_level(self):
+        # The gap at j = J is 0 without W_J, the n x n identity.
+        r = realize(CANTOR6)
+        resolvent = gap_series(r, lam=1j)
+        function = gap_series(r, f_name="gaussian")
+        assert resolvent.entries[-1] == (6, 0.0) and function.entries[-1] == (6, 0.0)
+        assert sorted(r._rotations) == list(range(6))
+
     def test_bound_for_real_part_probe_uses_truncated_sup(self):
         lam = 1 + 1j
         series = gap_series(R6, lam=lam)

@@ -50,6 +50,20 @@ def row_coupled(a, b):
     return FiniteSpectralTriple(diagonal_representation(FiniteCStarAlgebra((1, 1)), np.array([0, 1, 1])), d)
 
 
+def component(n_points: int, edges, x: int) -> set[int]:
+    """Points joined to x by edges, found by a stack walk."""
+    adj = {p: set() for p in range(n_points)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen, stack = {x}, [x]
+    while stack:
+        for q in adj[stack.pop()] - seen:
+            seen.add(q)
+            stack.append(q)
+    return seen
+
+
 def connes_distance_lp(t: FiniteSpectralTriple, x: int, y: int) -> float:
     """Vertex-enumeration LP oracle over the difference-bound polytope.
 
@@ -65,13 +79,13 @@ def connes_distance_lp(t: FiniteSpectralTriple, x: int, y: int) -> float:
     edges, decoupled = distance._interaction(coord_points, dirac)
     if not decoupled:
         raise ValidationError("LP oracle requires decoupled (pairwise) constraints")
-    comp = distance._components(t.algebra.n_points, edges)
-    if comp[x] != comp[y]:
+    reached = component(t.algebra.n_points, edges, x)
+    if y not in reached:
         return math.inf
 
-    points = sorted(np.nonzero(comp == comp[x])[0].tolist())
+    points = sorted(reached)
     index = {p: i for i, p in enumerate(points)}
-    elist = [(index[u], index[v], w) for (u, v), w in sorted(edges.items()) if comp[u] == comp[x]]
+    elist = [(index[u], index[v], w) for (u, v), w in sorted(edges.items()) if u in reached]
     m = len(points)
     xi, yi = index[x], index[y]
     if m < 2:
@@ -225,6 +239,25 @@ class TestCoupledFallback:
         value = connes_distance(row_coupled(a, b), 0, 1)
         assert value == pytest.approx(1.0 / math.sqrt(a * a + b * b), abs=1e-10)
 
+    def test_coupled_instance_with_two_components(self):
+        # row_coupled(2, 3) on points 0, 1 beside a pair 2 - 3 joined with
+        # weight 1/4: the instance is coupled, and the search from 0 reaches
+        # only points 0 and 1, so the solve runs on that component alone.
+        a, b, c = 2.0, 3.0, 4.0
+        d = np.zeros((5, 5))
+        d[0, 1] = d[1, 0] = a
+        d[0, 2] = d[2, 0] = b
+        d[3, 4] = d[4, 3] = c
+        t = FiniteSpectralTriple(
+            diagonal_representation(FiniteCStarAlgebra((1, 1, 1, 1)), np.array([0, 1, 1, 2, 3])), d
+        )
+        assert not distance._interaction(t.rep.spectrum_map, d)[1]
+        assert connes_distance(t, 0, 1) == pytest.approx(connes_distance(row_coupled(a, b), 0, 1), rel=1e-12)
+        assert connes_distance(t, 2, 3) == pytest.approx(1.0 / c, rel=1e-10)
+        for x, y in [(0, 2), (1, 3), (3, 0)]:
+            value, path = connes_distance_with_path(t, x, y)
+            assert math.isinf(value) and path is None
+
     def test_coupled_three_points(self):
         # Chain 0 - 1 - 2 with an extra coupled coordinate on the middle
         # point; value checked against a dense grid search lower bound and
@@ -280,8 +313,9 @@ def barrier_solve(t, x, y):
     """The coupled-route solve called directly, also on decoupled instances."""
     coord_points, dirac = distance._diagonal_form(t)
     edges, _ = distance._interaction(coord_points, dirac)
-    comp = distance._components(t.algebra.n_points, edges)
-    return distance._barrier_distance(coord_points, dirac, comp, x, y)
+    reached = np.zeros(t.algebra.n_points, dtype=bool)
+    reached[list(component(t.algebra.n_points, edges, x))] = True
+    return distance._barrier_distance(coord_points, dirac, reached, x, y)
 
 
 class TestBarrierSolve:

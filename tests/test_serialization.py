@@ -24,6 +24,7 @@ from spectral_limits import (
     system_from_json,
     system_to_json,
 )
+from spectral_limits import serialization
 from spectral_limits.serialization import (
     algebra_from_json,
     algebra_to_json,
@@ -34,7 +35,6 @@ from spectral_limits.serialization import (
     hom_to_json,
     matrix_from_json,
     matrix_to_json,
-    parse_generator_config,
 )
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -300,13 +300,16 @@ class TestGeneratorConfigs:
         # A level without points used to divide by zero in the uniform weights.
         cfg = {"type": "christensen-ivan", "chain": {"branching": maps}, "alphas": [1.0, 2.0], "levels": 0}
         with pytest.raises(ValidationError, match="non-empty integer lists"):
-            parse_generator_config(cfg)
+            system_from_generator_config(cfg)
 
     def test_size_limit_between_binary_ci_12_and_13(self):
-        cfg = {"type": "christensen-ivan", "chain": "binary", "alphas": [1.0] * 13, "levels": 12}
-        assert callable(parse_generator_config(cfg))  # about 0.54 GB: accepted, nothing built
-        with pytest.raises(ValidationError, match="bytes"):
-            parse_generator_config(dict(cfg, levels=13))  # about 2.1 GB
+        # The guard alone, on the binary dims: nothing is built.
+        serialization._check_generator_size([2**j for j in range(13)], 1)  # about 268 MB: accepted
+        with pytest.raises(ValidationError, match=f"more than {2**29} bytes"):
+            serialization._check_generator_size([2**j for j in range(14)], 1)  # about 1.07 GB
+        cfg = {"type": "christensen-ivan", "chain": "binary", "alphas": [1.0] * 13, "levels": 13}
+        with pytest.raises(ValidationError, match=f"more than {2**29} bytes"):
+            system_from_generator_config(cfg)  # refused before any generator runs
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValidationError):

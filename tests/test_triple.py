@@ -169,6 +169,12 @@ class TestValidateTriple:
         one = triple_module.operators(dense, coords[0])
         assert np.array_equal(one, (coords[0] @ tensor.reshape(4, 9)).reshape(3, 3))
 
+    @pytest.mark.parametrize("coord_points", [[0.7, 1.9], [True, False], ["1", "0"]])
+    def test_non_integral_coord_points_rejected(self, coord_points):
+        # These used to be truncated to [0, 1], [1, 0] and [1, 0].
+        with pytest.raises(ValidationError, match="integer dtype"):
+            diagonal_representation(FiniteCStarAlgebra((1, 1)), coord_points)
+
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValidationError):
             FiniteSpectralTriple(
