@@ -125,8 +125,11 @@ def _load_system_arg(args) -> InductiveSystem:
 
 def _write_or_print(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -250,7 +250,6 @@ class CommutatorSeries:
     """||[D_k, pi_k(phi_{j,k}(a))]|| for k = j..J, nondecreasing."""
 
     base_level: int
-    element: AlgebraElement
     entries: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
@@ -289,7 +288,7 @@ def commutator_series(system: InductiveSystem, j: int, a: AlgebraElement) -> Com
         entries.append((k, commutator_norm(system.triples[k], current)))
         if k < top:
             current = system.links[k].phi.apply(current)
-    return CommutatorSeries(j, a, tuple(entries))
+    return CommutatorSeries(j, tuple(entries))
 
 
 @dataclass(frozen=True)

@@ -2,18 +2,18 @@
 
 d(x, y) = sup{ |f(x) - f(y)| : f real, ||[D, pi(f)]|| <= 1 }.
 
-When every Hilbert-space coordinate is coupled by the Dirac operator to at
-most one coordinate carrying a different point (gapwise triples), the norm
-constraint decouples into pairwise difference bounds and the supremum is the
-shortest-path distance in the weighted constraint graph.  Genuinely
-coupled instances are solved as the semidefinite program
+When every Hilbert-space coordinate of x's component is coupled by the Dirac
+operator to at most one coordinate carrying a different point (gapwise
+triples), the norm constraint decouples into pairwise difference bounds and
+the supremum is the shortest-path distance in the weighted constraint graph.
+Genuinely coupled components are solved as the semidefinite program
 max f(x) - f(y) subject to -I <= i[D, diag(f)] <= I, by log-barrier Newton
 steps with a certified optimality gap.
 
 One Dijkstra search from x over the interaction graph answers every graph
 question: a point it does not reach lies in another component, at infinite
-distance (returned as ``math.inf``); a decoupled instance reads its value and
-geodesic from the search; a coupled one is solved on the points reached.
+distance (returned as ``math.inf``); a decoupled component reads its value
+and geodesic from the search; a coupled one is solved on the points reached.
 """
 
 from __future__ import annotations
@@ -63,12 +63,12 @@ def _diagonal_form(t: FiniteSpectralTriple) -> tuple[np.ndarray, np.ndarray]:
 
 def _interaction(
     coord_points: np.ndarray, dirac: np.ndarray
-) -> tuple[dict[tuple[int, int], float], bool]:
-    """Cross-point couplings as {(u, v): weight} plus a decoupling flag.
+) -> tuple[dict[tuple[int, int], float], np.ndarray]:
+    """Cross-point couplings as {(u, v): weight} plus the coupled coordinates.
 
     The weight of a point pair is min over coordinate pairs of 1 / |D_rs|;
-    the instance is decoupled when no coordinate is coupled to two others
-    across point fibers.
+    the mask marks each coordinate that is coupled to two or more others
+    across point fibers.  A component with no marked coordinate is decoupled.
     """
     n = dirac.shape[0]
     cutoff = COUPLING_CUTOFF * max(1.0, float(np.max(np.abs(dirac))))
@@ -87,8 +87,7 @@ def _interaction(
         w = 1.0 / abs(dirac[r, s])
         if key not in edges or w < edges[key]:
             edges[key] = w
-    decoupled = bool(np.all(degree <= 1))
-    return edges, decoupled
+    return edges, degree > 1
 
 
 def _shortest_paths(n_points: int, edges: dict, x: int) -> tuple[dict[int, float], dict[int, int]]:
@@ -128,10 +127,10 @@ def _check_points(t: FiniteSpectralTriple, x: int, y: int) -> tuple[int, int]:
 
 
 def connes_distance_with_path(t: FiniteSpectralTriple, x: int, y: int):
-    """Distance together with a certifying geodesic (decoupled instances).
+    """Distance together with a certifying geodesic (decoupled components).
 
     Returns (value, path) where path is a point-index list or None when the
-    distance is infinite or the instance is coupled; a coupled value comes
+    distance is infinite or x's component is coupled; a coupled value comes
     from the barrier solve on the points that the search from x reached, a
     feasible lower bound within SDP_GAP_TOL relative of the distance.
     """
@@ -139,17 +138,19 @@ def connes_distance_with_path(t: FiniteSpectralTriple, x: int, y: int):
     if x == y:
         return 0.0, [x]
     coord_points, dirac = _diagonal_form(t)
-    edges, decoupled = _interaction(coord_points, dirac)
+    edges, coupled = _interaction(coord_points, dirac)
     dist, prev = _shortest_paths(t.algebra.n_points, edges, x)
     if y not in dist:
         return math.inf, None
-    if decoupled:
+    reached = np.zeros(t.algebra.n_points, dtype=bool)
+    reached[list(dist)] = True
+    # [D, diag f] is block diagonal over the components, so only the
+    # coordinates of x's component decide its route.
+    if not coupled[reached[coord_points]].any():
         path = [y]
         while path[-1] != x:
             path.append(prev[path[-1]])
         return dist[y], path[::-1]
-    reached = np.zeros(t.algebra.n_points, dtype=bool)
-    reached[list(dist)] = True
     return _barrier_distance(coord_points, dirac, reached, x, y)[0], None
 
 

@@ -251,10 +251,16 @@ def dumps(obj: dict) -> str:
 
 
 def save_system(s: InductiveSystem, path: str) -> None:
-    """Write the bytes of ``dumps(system_to_json(s)) + "\\n"``, streamed to the file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(system_to_json(s), fh, **JSON_STYLE)
-        fh.write("\n")
+    """Write the bytes of ``dumps(system_to_json(s)) + "\\n"``, streamed to the file.
+
+    A file that cannot be written raises ValidationError naming the path.
+    """
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(system_to_json(s), fh, **JSON_STYLE)
+            fh.write("\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def read_json(path: str):

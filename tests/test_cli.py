@@ -28,6 +28,7 @@ from spectral_limits import (
     save_system,
     st1_verdict,
 )
+from spectral_limits import distance
 from spectral_limits.cli import main, parse_complex, parse_levels
 from spectral_limits.errors import ValidationError
 from spectral_limits.linalg import lanczos_start
@@ -142,9 +143,11 @@ MALFORMED_GENERATORS = {
 }
 
 _CI_REPORT_SIZES = [1, 2, 3, 6, 12, 24, 48, 96]
-# SHA-256 of the ``build`` output of three configs: Cantor J=18, binary CI
-# J=8 (alpha_j = j) and CI J=7 on the point chain 1, 2, 3, 6, ..., 96
-# (alpha_j = (-1)^j, point k of level i+1 over point k size_i // size_{i+1}).
+# SHA-256 of the ``build`` output of six configs: Cantor J=18, binary CI
+# J=8 (alpha_j = j), CI J=7 on the point chain 1, 2, 3, 6, ..., 96
+# (alpha_j = (-1)^j, point k of level i+1 over point k size_i // size_{i+1}),
+# ungraded Cantor J=80, the README's explicit-gaps Cantor config and a CI
+# chain with fibres of sizes 1 and 3 under non-uniform weights.
 GOLDEN_BUILDS = {
     "cantor-18": (
         {"type": "cantor", "gaps": "middle-thirds", "levels": 18},
@@ -160,6 +163,19 @@ GOLDEN_BUILDS = {
          "chain": {"branching": [[k * a // b for k in range(b)] for a, b in zip(_CI_REPORT_SIZES, _CI_REPORT_SIZES[1:])]},
          "weights": "uniform", "alphas": [float((-1) ** j) for j in range(1, 8)], "levels": 7},
         "61df00a946df78a4f71b3cd277537054fd33472cfd8038f2a251ed0cb9c560be",
+    ),
+    "cantor-80-ungraded": (
+        {"type": "cantor", "gaps": "middle-thirds", "levels": 80, "grading": False},
+        "2b5092cbce1bc8e775d8db169faba7e7cdbbd80f177fbf0a16732fe8b69026a7",
+    ),
+    "cantor-explicit-gaps": (
+        {"type": "cantor", "gaps": [[0.0, 1.0], [0.4, 0.7], [0.1, 0.3]], "levels": 2},
+        "b54c02e5e653592878ea0ad52034ecd1b1d5f468342e212b523e10a134a4d5c7",
+    ),
+    "ci-fibres-1-3": (
+        {"type": "christensen-ivan", "chain": {"branching": [[0, 0], [0, 1, 1, 1]]},
+         "weights": [0.1, 0.2, 0.3, 0.4], "alphas": [1.5, -2.0], "levels": 2},
+        "6b17917824ea6b64f1e987466dd09b9a16791f0fe90cc8f118d6a6eaa75f7185",
     ),
 }
 
@@ -436,6 +452,34 @@ class TestUnreadableJsonInputs:
         cfg = write_json(tmp_path / "report.json", {"system": {"path": str(system)}})
         assert main(["report", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot read JSON from {system}: ")
+
+
+class TestUnwritableOutputs:
+    @pytest.mark.parametrize(
+        "argv, suffix",
+        [
+            (["build", "--config", "CFG", "--out", "OUT"], ""),
+            (["st1", "--system", "SYS", "--lambda", "i", "--out", "OUT"], ".csv"),
+            (["st2", "--system", "SYS", "--out", "OUT"], ".csv"),
+            (["report", "--config", "RUN", "--out", "OUT"], ""),
+        ],
+        ids=["build", "st1", "st2", "report"],
+    )
+    def test_exit2_naming_the_file(self, tmp_path, capsys, cantor_file, argv, suffix):
+        # An output in a missing directory is named as an unreadable input is.
+        out = tmp_path / "missing_dir" / "x"
+        paths = {
+            "CFG": str(tmp_path / "cfg.json"),
+            "SYS": cantor_file,
+            "RUN": write_json(tmp_path / "run.json", {"system": {"path": cantor_file}}),
+            "OUT": str(out),
+        }
+        capsys.readouterr()
+        assert main([paths.get(a, a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}{suffix}: ")
+        assert "No such file or directory" in captured.err and "Traceback" not in captured.err
 
 
 class TestSt1:
@@ -920,6 +964,18 @@ class TestCoupledDistance:
         value = float(capsys.readouterr().out.splitlines()[0].rsplit("=", 1)[1])
         if level == 4:
             assert 1.2075 <= value <= 1.2975
+
+
+class TestNumericFailure:
+    def test_unconverged_barrier_exit1(self, tmp_path, capsys, monkeypatch):
+        # Alternating binary CI J=3 couples level 3; one Newton step cannot
+        # certify the distance.
+        monkeypatch.setattr(distance, "SDP_MAX_STEPS", 1)
+        cfg = write_json(tmp_path / "ci3.json", dict(CI2, alphas=[-1.0, 1.0, -1.0], levels=3))
+        assert main(["distance", "--config", cfg, "--level", "3", "--x", "0", "--y", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: numeric failure: barrier distance did not converge in 1 Newton steps\n"
 
 
 class TestDistanceSizeLimit:

@@ -12,12 +12,16 @@ import numpy as np
 import pytest
 
 from spectral_limits import (
+    AfChain,
     NumericError,
     FiniteCStarAlgebra,
     FiniteSpectralTriple,
+    StarHomomorphism,
+    State,
     UnsupportedError,
     ValidationError,
     cantor_system,
+    ci_system,
     connes_distance,
     connes_distance_with_path,
     dense_representation,
@@ -76,8 +80,8 @@ def connes_distance_lp(t: FiniteSpectralTriple, x: int, y: int) -> float:
     if x == y:
         return 0.0
     coord_points, dirac = distance._diagonal_form(t)
-    edges, decoupled = distance._interaction(coord_points, dirac)
-    if not decoupled:
+    edges, coupled = distance._interaction(coord_points, dirac)
+    if coupled.any():
         raise ValidationError("LP oracle requires decoupled (pairwise) constraints")
     reached = component(t.algebra.n_points, edges, x)
     if y not in reached:
@@ -229,6 +233,23 @@ class TestEdgeCases:
             connes_distance_lp(t, 0, 1)
 
 
+class TestExplicitRepresentation:
+    def test_gns_level_is_diagonalized(self):
+        # The GNS chain C < C^2 < M_2 with density diag(0.3, 0.7): level 1
+        # holds C^2 as dense matrices in the GNS basis, so the distance first
+        # diagonalizes it.  D_1 weighs the unit's orthocomplement with
+        # alpha_1 = 2, which gives 1 / (alpha_1 sqrt(w_0 w_1)).
+        c1, c2, m2 = FiniteCStarAlgebra((1,)), FiniteCStarAlgebra((1, 1)), FiniteCStarAlgebra((2,))
+        i1 = StarHomomorphism(c1, c2, matrix=np.array([[1], [1]], dtype=complex))
+        i2 = StarHomomorphism(c2, m2, matrix=np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex))
+        state = State(m2, m2.element([np.diag([0.3, 0.7])]))
+        t = ci_system(AfChain((c1, c2, m2), (i1, i2), state, (2.0, 3.0)), 2).triples[1]
+        assert t.rep.spectrum_map is None
+        assert connes_distance_with_path(t, 0, 1) == (1.0910894511799625, [0, 1])
+        assert connes_distance_with_path(t, 1, 0) == (1.0910894511799625, [1, 0])
+        assert connes_distance(t, 0, 1) == pytest.approx(1.0 / (2.0 * math.sqrt(0.3 * 0.7)), rel=1e-14)
+
+
 class TestCoupledFallback:
     def test_row_coupled_instance(self):
         # One coordinate of point 0 coupled to two coordinates of point 1:
@@ -243,6 +264,8 @@ class TestCoupledFallback:
         # row_coupled(2, 3) on points 0, 1 beside a pair 2 - 3 joined with
         # weight 1/4: the instance is coupled, and the search from 0 reaches
         # only points 0 and 1, so the solve runs on that component alone.
+        # The pair's component is decoupled: the search gives its exact
+        # value and geodesic.
         a, b, c = 2.0, 3.0, 4.0
         d = np.zeros((5, 5))
         d[0, 1] = d[1, 0] = a
@@ -251,9 +274,10 @@ class TestCoupledFallback:
         t = FiniteSpectralTriple(
             diagonal_representation(FiniteCStarAlgebra((1, 1, 1, 1)), np.array([0, 1, 1, 2, 3])), d
         )
-        assert not distance._interaction(t.rep.spectrum_map, d)[1]
+        assert distance._interaction(t.rep.spectrum_map, d)[1].any()
         assert connes_distance(t, 0, 1) == pytest.approx(connes_distance(row_coupled(a, b), 0, 1), rel=1e-12)
-        assert connes_distance(t, 2, 3) == pytest.approx(1.0 / c, rel=1e-10)
+        assert connes_distance_with_path(t, 2, 3) == (0.25, [2, 3])
+        assert connes_distance_with_path(t, 3, 2) == (0.25, [3, 2])
         for x, y in [(0, 2), (1, 3), (3, 0)]:
             value, path = connes_distance_with_path(t, x, y)
             assert math.isinf(value) and path is None
