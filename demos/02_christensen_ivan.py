@@ -1,8 +1,9 @@
 """Christensen-Ivan systems over AF chains
 ==========================================
 
-Two constructions: a commutative binary chain (built in point coordinates)
-and the noncommutative chain C in M_2 through the dense GNS route.  Both
+One recursion builds both chains: a commutative binary chain (in point
+coordinates) and the noncommutative chain C in M_2 (each level in the
+orthonormal coordinates of its own GNS space, with dense links).  Both
 produce Dirac operators assembled from conditional-projection increments.
 
 To run:
@@ -49,7 +50,8 @@ def main():
     nc_chain = AfChain((c1, m2), (inc,), tau, (5.0,))
     nc_system = ci_system(nc_chain, 1)
     print("\nC in M_2, alpha = 5:")
-    print("spec(D_1):", np.round(eigh(nc_system.triples[1].dirac).eigenvalues, 9))
+    # Adding 0.0 turns a rounded -0.0 into 0.0.
+    print("spec(D_1):", np.round(eigh(nc_system.triples[1].dirac).eigenvalues, 9) + 0.0)
 
     # The GNS inner product on matrix units under the trace state.
     space = gns(m2, tau)

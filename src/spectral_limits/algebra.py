@@ -41,9 +41,12 @@ class FiniteCStarAlgebra:
     """
 
     block_dims: tuple[int, ...]
-    # Number of coordinates, sum of n^2 over the blocks; every element
-    # construction reads it, so it is computed once here.
+    # Number of coordinates, sum of n^2 over the blocks, and the other shape
+    # facts below: every element construction and homomorphism reads them,
+    # so they are computed once here.
     element_dim: int = field(init=False, repr=False, compare=False)
+    is_commutative: bool = field(init=False, repr=False, compare=False)
+    _offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.block_dims) < 1:
@@ -52,12 +55,14 @@ class FiniteCStarAlgebra:
             raise ValidationError(f"block dimensions must be integers, got {self.block_dims!r}")
         if any(n < 1 for n in self.block_dims):
             raise ValidationError("block dimensions must be positive")
-        object.__setattr__(self, "block_dims", tuple(int(n) for n in self.block_dims))
-        object.__setattr__(self, "element_dim", sum(n * n for n in self.block_dims))
-
-    @property
-    def is_commutative(self) -> bool:
-        return all(n == 1 for n in self.block_dims)
+        dims = tuple(int(n) for n in self.block_dims)
+        offsets = [0]
+        for n in dims:
+            offsets.append(offsets[-1] + n * n)
+        object.__setattr__(self, "block_dims", dims)
+        object.__setattr__(self, "element_dim", offsets[-1])
+        object.__setattr__(self, "is_commutative", all(n == 1 for n in dims))
+        object.__setattr__(self, "_offsets", tuple(offsets))
 
     @property
     def n_points(self) -> int:
@@ -65,8 +70,8 @@ class FiniteCStarAlgebra:
             raise ValidationError("point set is defined only for commutative algebras")
         return len(self.block_dims)
 
-    def block_offsets(self) -> list[int]:
-        return [0] + np.cumsum([n * n for n in self.block_dims]).tolist()
+    def block_offsets(self) -> tuple[int, ...]:
+        return self._offsets
 
     @cached_property
     def _block_index(self) -> tuple[np.ndarray, ...]:
@@ -439,7 +444,9 @@ class GnsSpace:
 
     ``gram[a, b] = tau(a* b)`` on the canonical matrix-unit basis; the
     cyclic vector is the unit.  ``chol`` ( lower-triangular, gram = L L* )
-    converts element coordinates to orthonormal ones via x -> L* x.
+    converts element coordinates to orthonormal ones via x -> L* x.  Per
+    block, gram is 1 (x) rho^T and L is 1 (x) c, so left multiplication,
+    a (x) 1, has the same matrix in both coordinates.
     """
 
     algebra: FiniteCStarAlgebra
@@ -457,24 +464,12 @@ class GnsSpace:
         except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by State
             raise ValidationError("gram matrix not positive definite (state not faithful)") from exc
 
-    @cached_property
-    def _chol_h(self) -> np.ndarray:
-        return dagger(self.chol)
-
-    @cached_property
-    def _chol_h_inv(self) -> np.ndarray:
-        return np.linalg.solve(self._chol_h, np.eye(self.dimension, dtype=complex))
-
     def left_mult_matrix(self, a: AlgebraElement) -> np.ndarray:
         """Matrix of left multiplication by ``a`` on element coordinates."""
         if a.algebra.block_dims != self.algebra.block_dims:
             raise ValidationError("element does not belong to the GNS algebra")
         # Column j holds the coordinates of a e_j.
         return self.algebra.multiply(a.coordinates, np.eye(self.dimension, dtype=complex)).T
-
-    def representation_matrix(self, a: AlgebraElement) -> np.ndarray:
-        """Left multiplication by ``a`` in orthonormal coordinates."""
-        return self._chol_h @ self.left_mult_matrix(a) @ self._chol_h_inv
 
 
 def gns(algebra: FiniteCStarAlgebra, state: State) -> GnsSpace:

@@ -129,10 +129,11 @@ def _check_points(t: FiniteSpectralTriple, x: int, y: int) -> tuple[int, int]:
 def connes_distance_with_path(t: FiniteSpectralTriple, x: int, y: int):
     """Distance together with a certifying geodesic (decoupled components).
 
-    Returns (value, path) where path is a point-index list or None when the
-    distance is infinite or x's component is coupled; a coupled value comes
-    from the barrier solve on the points that the search from x reached, a
-    feasible lower bound within SDP_GAP_TOL relative of the distance.
+    Returns (value, path): value is a Python float on every route, and path
+    is a point-index list or None when the distance is infinite or x's
+    component is coupled.  A coupled value comes from the barrier solve on
+    the points that the search from x reached, a feasible lower bound within
+    SDP_GAP_TOL relative of the distance.
     """
     x, y = _check_points(t, x, y)
     if x == y:
@@ -150,7 +151,7 @@ def connes_distance_with_path(t: FiniteSpectralTriple, x: int, y: int):
         path = [y]
         while path[-1] != x:
             path.append(prev[path[-1]])
-        return dist[y], path[::-1]
+        return float(dist[y]), path[::-1]
     return _barrier_distance(coord_points, dirac, reached, x, y)[0], None
 
 

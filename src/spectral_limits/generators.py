@@ -4,19 +4,21 @@ Cantor systems: a gap sequence (removed open intervals with nonincreasing
 lengths) induces level algebras C(Lambda_j), pair Hilbert spaces over the
 gap endpoints, gapwise-swap Dirac operators 1/l_n and pullback connecting
 maps.  Christensen-Ivan systems: an increasing chain of finite-dimensional
-C*-algebras with a faithful state; levels live inside the GNS space of the
-top algebra, with Dirac increments alpha_i between consecutive conditional
-projections.
+C*-algebras with a faithful state; level j is the GNS space of the state
+restricted to A_j, in its own orthonormal coordinates, and one recursion
+D_{j+1} = L_j D_j L_j* + alpha_j (1 - L_j L_j*) over the links builds the
+Dirac operators.
 
 A Cantor level is built by array indexing: one sort of all plus points,
 filtered to the level's, and one ``searchsorted`` give theta_j of its
 endpoints and of the next level's plus points, and one fancy-index
 assignment writes each swap matrix.
-Commutative chains are built in point coordinates (diagonal multiplication
-representations, sparse inclusion isometries, fibre pairs from one mask),
-which keeps deep binary chains cheap; noncommutative chains go through the
-dense GNS route and are capped at small dimensions.  Every Dirac operator,
-grading and link is allocated in float64, since all of them are real.
+Chains of spectrum maps are built in point coordinates (diagonal
+multiplication representations, one-nonzero-per-row links, fibre pairs from
+one mask), which keeps deep binary chains cheap; other chains take Cholesky
+coordinates of each Gram matrix, dense left multiplication and dense links,
+and are capped at small dimensions.  Cantor and point-coordinate matrices
+are allocated in float64, since all of them are real.
 ``theta`` and ``theta_index`` evaluate theta_j point by point, as the paper
 defines it.
 """
@@ -48,7 +50,9 @@ from .inductive import InductiveSystem
 # Slack for the nonincreasing-length check (adjacent lengths may differ by
 # rounding when generated at equal nominal depth).
 LENGTH_ORDER_SLACK = 1e-12
-# Dense GNS construction cap (top-algebra element dimension).
+# Cap on the element dimension N of the top algebra of a chain with explicit
+# inclusions: its dense representation holds one N x N matrix per basis
+# element, N^3 entries.
 DENSE_GNS_CAP = 128
 
 
@@ -281,6 +285,16 @@ def binary_branching(levels: int) -> list[np.ndarray]:
     return [np.arange(2 ** (i + 1)) // 2 for i in range(levels)]
 
 
+def _pull_back(inc: StarHomomorphism, rho: np.ndarray) -> np.ndarray:
+    """Density of tau o inc from the density ``rho`` of tau."""
+    if inc.spectrum_map is not None:
+        out = np.zeros(inc.source.n_points, dtype=rho.dtype)
+        np.add.at(out, inc.spectrum_map, rho)
+        return out
+    # tau(phi(a)) = <rho, M a> = <M* rho, a> for the coordinate matrix M of phi.
+    return dagger(inc.matrix) @ rho
+
+
 def _restrict_state(chain: AfChain, level: int) -> State:
     """Pull the top state back to the level algebra along the inclusions."""
     if level == chain.top_level:
@@ -288,60 +302,85 @@ def _restrict_state(chain: AfChain, level: int) -> State:
     algebra = chain.algebras[level]
     inc = chain.composed_inclusion(level, chain.top_level)
     if inc.spectrum_map is not None:
-        w = np.zeros(algebra.n_points)
-        np.add.at(w, inc.spectrum_map, chain.state.weights)
-        return State.from_weights(algebra, w)
-    # tau(phi(a)) = <rho, M a> = <M* rho, a> for the coordinate matrix M of phi.
-    rho = dagger(inc.matrix) @ chain.state.density.coordinates
-    return State(algebra, AlgebraElement(algebra, rho))
+        return State.from_weights(algebra, _pull_back(inc, chain.state.weights))
+    return State(algebra, AlgebraElement(algebra, _pull_back(inc, chain.state.density.coordinates)))
 
 
-def _ci_system_commutative(chain: AfChain, levels: int) -> InductiveSystem:
-    sigmas = [inc.spectrum_map for inc in chain.inclusions[:levels]]
-    sizes = [a.n_points for a in chain.algebras[: levels + 1]]
-    weights = [None] * (levels + 1)
-    weights[levels] = _restrict_state(chain, levels).weights
+def ci_system(chain: AfChain, levels: int) -> InductiveSystem:
+    """Christensen-Ivan system truncated at the given level.
+
+    Level j is the GNS space of (A_j, tau_j), tau_j the restricted state, in
+    orthonormal coordinates C_j* x (gram = C_j C_j*), with A_j acting by left
+    multiplication.  The link L_j maps eta_j(x) to eta_{j+1}(iota(x)), and
+    D_{j+1} = L_j D_j L_j* + alpha_j (1 - L_j L_j*), so D_k agrees with D_j
+    on the range of the composed links for k >= j.
+    """
+    if levels < 0:
+        raise ValidationError("levels must be nonnegative")
+    if levels > chain.top_level:
+        raise ValidationError(f"chain has top level {chain.top_level}, requested {levels}")
+    points = chain.is_commutative
+    algebras, incs = chain.algebras[: levels + 1], chain.inclusions[:levels]
+    if not points and algebras[-1].element_dim > DENSE_GNS_CAP:
+        raise ValidationError(
+            f"dense GNS construction capped at element dimension {DENSE_GNS_CAP}; "
+            "use a commutative chain (spectrum maps) for larger systems"
+        )
+    top = _restrict_state(chain, levels)
+    rhos = [None] * levels + [top.weights if points else top.density.coordinates]
     for j in range(levels, 0, -1):
-        w = np.zeros(sizes[j - 1])
-        np.add.at(w, sigmas[j - 1], weights[j])
-        weights[j - 1] = w
+        rhos[j - 1] = _pull_back(incs[j - 1], rhos[j])
+    if not points:
+        # A non-injective inclusion leaves a density that is not faithful.
+        spaces = [gns(a, State(a, AlgebraElement(a, rho))) for a, rho in zip(algebras, rhos)]
 
-    # Each link has one nonzero per row: point q of level j+1 maps to
-    # sigma(q) with weight a_q = sqrt(w_{j+1}(q) / w_j(sigma(q))).  So
-    # L D L* is a gather of D scaled by a on both sides, and L L* is
-    # a_q a_q' on pairs of points in the same fibre, 0 elsewhere: the
-    # update alpha (1 - L L*) touches the fibre blocks only.  Every entry
-    # gets the bits of the dense form L D L* + alpha (1 - L L*).
     isometries, diracs = [], [np.zeros((1, 1))]
-    for j in range(levels):
-        sigma, alpha = sigmas[j], chain.alphas[j]
-        a = np.sqrt(weights[j + 1] / weights[j][sigma])
-        iso = np.zeros((sizes[j + 1], sizes[j]))
-        iso[np.arange(sizes[j + 1]), sigma] = a
+    for j, inc in enumerate(incs):
+        alpha = chain.alphas[j]
+        if points:
+            # Point coordinates are the GNS coordinates of a commutative level.
+            # Each link has one nonzero per row: point q of level j+1 maps to
+            # sigma(q) with weight a_q = sqrt(w_{j+1}(q) / w_j(sigma(q))).  So
+            # L D L* is a gather of D scaled by a on both sides, and L L* is
+            # a_q a_q' on pairs of points in the same fibre, 0 elsewhere: the
+            # update alpha (1 - L L*) touches the fibre blocks only.  Every
+            # entry gets the bits of the dense form L D L* + alpha (1 - L L*).
+            sigma = inc.spectrum_map
+            a = np.sqrt(rhos[j + 1] / rhos[j][sigma])
+            iso = np.zeros((sigma.size, rhos[j].size))
+            iso[np.arange(sigma.size), sigma] = a
+            d = diracs[j][np.ix_(sigma, sigma)]
+            d *= a[:, None]
+            d *= a[None, :]
+            rows, cols = np.nonzero(sigma[:, None] == sigma[None, :])
+            fibres = d[rows, cols] + alpha * ((rows == cols) - a[rows] * a[cols])
+            # Off the fibres the dense form adds alpha * 0.0, which turns a
+            # -0.0 into +0.0 when alpha > 0.
+            d += alpha * 0.0
+            d[rows, cols] = fibres
+        else:
+            # L = C_{j+1}* M C_j^{-*}, whose adjoint C_j^{-1} M* C_{j+1} is one
+            # solve.  Adding 0.0 turns the -0.0 imaginary parts that the
+            # adjoint leaves into +0.0, so a real link is stored as float64.
+            iso = dagger(np.linalg.solve(spaces[j].chol, dagger(inc.as_matrix()) @ spaces[j + 1].chol)) + 0.0
+            d = iso @ diracs[j] @ dagger(iso) + alpha * (np.eye(len(iso)) - iso @ dagger(iso))
         isometries.append(iso)
-        d = diracs[j][np.ix_(sigma, sigma)]
-        d *= a[:, None]
-        d *= a[None, :]
-        rows, cols = np.nonzero(sigma[:, None] == sigma[None, :])
-        fibres = d[rows, cols] + alpha * ((rows == cols) - a[rows] * a[cols])
-        # Off the fibres the dense form adds alpha * 0.0, which turns a -0.0
-        # into +0.0 when alpha > 0.
-        d += alpha * 0.0
-        d[rows, cols] = fibres
-        d = d + d.T
+        d = d + dagger(d)
         d *= 0.5
         diracs.append(d)
 
     triples = []
-    for j in range(levels + 1):
+    for j, algebra in enumerate(algebras):
+        if points:
+            rep = diagonal_representation(algebra, np.arange(algebra.n_points))
+        else:
+            # Left multiplication is a (x) 1 on each block, which commutes with
+            # C_j = 1 (x) c: it is the same matrix in orthonormal coordinates.
+            rep = dense_representation(algebra, [spaces[j].left_mult_matrix(e) for e in algebra.basis()])
         meta = {"kind": "christensen-ivan", "level": j}
-        triples.append(
-            FiniteSpectralTriple(
-                diagonal_representation(chain.algebras[j], np.arange(sizes[j])), diracs[j], meta=meta
-            )
-        )
+        triples.append(FiniteSpectralTriple(rep, diracs[j], meta=meta))
     links = [
-        TripleMorphism(triples[j], triples[j + 1], chain.inclusions[j], isometries[j])
+        TripleMorphism(triples[j], triples[j + 1], incs[j], isometries[j])
         for j in range(levels)
     ]
     provenance = {
@@ -349,74 +388,6 @@ def _ci_system_commutative(chain: AfChain, levels: int) -> InductiveSystem:
         "alphas": [float(a) for a in chain.alphas[:levels]],
     }
     return InductiveSystem(tuple(triples), tuple(links), provenance)
-
-
-def _ci_system_gns(chain: AfChain, levels: int) -> InductiveSystem:
-    top_algebra = chain.algebras[levels]
-    if top_algebra.element_dim > DENSE_GNS_CAP:
-        raise ValidationError(
-            f"dense GNS construction capped at element dimension {DENSE_GNS_CAP}; "
-            "use a commutative chain (spectrum maps) for larger systems"
-        )
-    state = _restrict_state(chain, levels)
-    space = gns(top_algebra, state)
-    n = space.dimension
-
-    # Nested orthonormal bases of eta(A_j) inside the top GNS space.
-    dims = [chain.algebras[j].element_dim for j in range(levels + 1)]
-    incs = [chain.composed_inclusion(j, levels) for j in range(levels + 1)]
-    q_cols = np.zeros((n, 0), dtype=complex)
-    for j in range(levels + 1):
-        w = space._chol_h @ incs[j].as_matrix()
-        resid = w - q_cols @ (dagger(q_cols) @ w)
-        u, s, _ = np.linalg.svd(resid, full_matrices=False)
-        rank = int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 1.0)))
-        expected = dims[j] - q_cols.shape[1]
-        if rank != expected:
-            raise ValidationError(
-                f"level {j} subspace has numerical rank {rank}, expected {expected} "
-                "(inclusion not injective or state not separating)"
-            )
-        q_cols = np.hstack([q_cols, u[:, :rank]])
-
-    diag_values = np.zeros(n)
-    for j in range(1, levels + 1):
-        diag_values[dims[j - 1] : dims[j]] = chain.alphas[j - 1]
-
-    triples = []
-    for j in range(levels + 1):
-        d_j = dims[j]
-        q_j = q_cols[:, :d_j]
-        mats = [dagger(q_j) @ space.representation_matrix(incs[j].apply(e)) @ q_j for e in chain.algebras[j].basis()]
-        rep = dense_representation(chain.algebras[j], np.array(mats))
-        dirac = np.diag(diag_values[:d_j])
-        meta = {"kind": "christensen-ivan", "level": j}
-        triples.append(FiniteSpectralTriple(rep, dirac, meta=meta))
-    links = []
-    for j in range(levels):
-        iso = np.eye(dims[j + 1], dims[j])
-        links.append(TripleMorphism(triples[j], triples[j + 1], chain.inclusions[j], iso))
-    provenance = {
-        "kind": "christensen-ivan",
-        "alphas": [float(a) for a in chain.alphas[:levels]],
-    }
-    return InductiveSystem(tuple(triples), tuple(links), provenance)
-
-
-def ci_system(chain: AfChain, levels: int) -> InductiveSystem:
-    """Christensen-Ivan system truncated at the given level.
-
-    Level j is eta(A_j) with left multiplication; the Dirac operator is the
-    alpha-weighted sum of conditional-projection increments, restricted to
-    the level subspace (so D_k agrees with D_j on eta(A_j) for k >= j).
-    """
-    if levels < 0:
-        raise ValidationError("levels must be nonnegative")
-    if levels > chain.top_level:
-        raise ValidationError(f"chain has top level {chain.top_level}, requested {levels}")
-    if chain.is_commutative:
-        return _ci_system_commutative(chain, levels)
-    return _ci_system_gns(chain, levels)
 
 
 def random_gap_sequence(rng: np.random.Generator, levels: int) -> GapSequence:

@@ -58,6 +58,14 @@ class TestAlgebraAndElements:
         assert a.element_dim == 4 + 1 + 9
         assert not a.is_commutative
         assert FiniteCStarAlgebra((1, 1)).is_commutative
+        assert a.block_offsets() == (0, 4, 5, 14)
+        assert FiniteCStarAlgebra((1, 1)).n_points == 2
+        with pytest.raises(ValidationError):
+            a.n_points
+
+    def test_cached_shape_facts_stay_out_of_equality(self):
+        a, b = FiniteCStarAlgebra((2, 1)), FiniteCStarAlgebra((np.int64(2), 1))
+        assert a == b and hash(a) == hash(b) and repr(a) == "FiniteCStarAlgebra(block_dims=(2, 1))"
 
     def test_coordinates_round_trip(self):
         a = FiniteCStarAlgebra((2, 1))

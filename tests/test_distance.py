@@ -54,6 +54,18 @@ def row_coupled(a, b):
     return FiniteSpectralTriple(diagonal_representation(FiniteCStarAlgebra((1, 1)), np.array([0, 1, 1])), d)
 
 
+def two_components():
+    """row_coupled(2, 3) on points 0, 1 beside a pair 2 - 3 joined with
+    weight 1/4: coupled on one component, decoupled on the other."""
+    d = np.zeros((5, 5))
+    d[0, 1] = d[1, 0] = 2.0
+    d[0, 2] = d[2, 0] = 3.0
+    d[3, 4] = d[4, 3] = 4.0
+    return FiniteSpectralTriple(
+        diagonal_representation(FiniteCStarAlgebra((1, 1, 1, 1)), np.array([0, 1, 1, 2, 3])), d
+    )
+
+
 def component(n_points: int, edges, x: int) -> set[int]:
     """Points joined to x by edges, found by a stack walk."""
     adj = {p: set() for p in range(n_points)}
@@ -236,17 +248,19 @@ class TestEdgeCases:
 class TestExplicitRepresentation:
     def test_gns_level_is_diagonalized(self):
         # The GNS chain C < C^2 < M_2 with density diag(0.3, 0.7): level 1
-        # holds C^2 as dense matrices in the GNS basis, so the distance first
-        # diagonalizes it.  D_1 weighs the unit's orthocomplement with
-        # alpha_1 = 2, which gives 1 / (alpha_1 sqrt(w_0 w_1)).
+        # holds C^2 as dense left multiplication in its GNS coordinates, so
+        # the distance first diagonalizes it.  D_1 weighs the unit's
+        # orthocomplement with alpha_1 = 2, which gives
+        # 1 / (alpha_1 sqrt(w_0 w_1)).
         c1, c2, m2 = FiniteCStarAlgebra((1,)), FiniteCStarAlgebra((1, 1)), FiniteCStarAlgebra((2,))
         i1 = StarHomomorphism(c1, c2, matrix=np.array([[1], [1]], dtype=complex))
         i2 = StarHomomorphism(c2, m2, matrix=np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex))
         state = State(m2, m2.element([np.diag([0.3, 0.7])]))
         t = ci_system(AfChain((c1, c2, m2), (i1, i2), state, (2.0, 3.0)), 2).triples[1]
         assert t.rep.spectrum_map is None
-        assert connes_distance_with_path(t, 0, 1) == (1.0910894511799625, [0, 1])
-        assert connes_distance_with_path(t, 1, 0) == (1.0910894511799625, [1, 0])
+        assert connes_distance_with_path(t, 0, 1) == (1.0910894511799618, [0, 1])
+        assert connes_distance_with_path(t, 1, 0) == (1.0910894511799618, [1, 0])
+        assert 1.0910894511799618 == 1.0 / (2.0 * math.sqrt(0.21))
         assert connes_distance(t, 0, 1) == pytest.approx(1.0 / (2.0 * math.sqrt(0.3 * 0.7)), rel=1e-14)
 
 
@@ -261,26 +275,21 @@ class TestCoupledFallback:
         assert value == pytest.approx(1.0 / math.sqrt(a * a + b * b), abs=1e-10)
 
     def test_coupled_instance_with_two_components(self):
-        # row_coupled(2, 3) on points 0, 1 beside a pair 2 - 3 joined with
-        # weight 1/4: the instance is coupled, and the search from 0 reaches
-        # only points 0 and 1, so the solve runs on that component alone.
-        # The pair's component is decoupled: the search gives its exact
-        # value and geodesic.
-        a, b, c = 2.0, 3.0, 4.0
-        d = np.zeros((5, 5))
-        d[0, 1] = d[1, 0] = a
-        d[0, 2] = d[2, 0] = b
-        d[3, 4] = d[4, 3] = c
-        t = FiniteSpectralTriple(
-            diagonal_representation(FiniteCStarAlgebra((1, 1, 1, 1)), np.array([0, 1, 1, 2, 3])), d
-        )
-        assert distance._interaction(t.rep.spectrum_map, d)[1].any()
-        assert connes_distance(t, 0, 1) == pytest.approx(connes_distance(row_coupled(a, b), 0, 1), rel=1e-12)
+        # The search from 0 reaches only points 0 and 1, so the solve runs
+        # on that component alone.  The pair's component is decoupled: the
+        # search gives its exact value and geodesic.
+        t = two_components()
+        assert distance._interaction(t.rep.spectrum_map, t.dirac)[1].any()
+        assert connes_distance(t, 0, 1) == pytest.approx(connes_distance(row_coupled(2.0, 3.0), 0, 1), rel=1e-12)
         assert connes_distance_with_path(t, 2, 3) == (0.25, [2, 3])
         assert connes_distance_with_path(t, 3, 2) == (0.25, [3, 2])
         for x, y in [(0, 2), (1, 3), (3, 0)]:
             value, path = connes_distance_with_path(t, x, y)
             assert math.isinf(value) and path is None
+
+    @pytest.mark.parametrize("x, y", [(1, 1), (2, 3), (0, 1), (0, 2)], ids=["same", "decoupled", "coupled", "infinite"])
+    def test_value_is_python_float_on_every_route(self, x, y):
+        assert type(connes_distance_with_path(two_components(), x, y)[0]) is float
 
     def test_coupled_three_points(self):
         # Chain 0 - 1 - 2 with an extra coupled coordinate on the middle

@@ -10,21 +10,55 @@ from spectral_limits import (
     StarHomomorphism,
     State,
     ValidationError,
+    analytic_gap_bound,
     binary_branching,
     cantor_system,
     ci_system,
     commutative_af_chain,
     eigh,
+    gap_series,
+    gns,
     middle_thirds,
     operator_norm,
     random_af_chain,
     random_gap_sequence,
+    realize,
     system_validate,
     theta,
 )
-from spectral_limits.generators import _restrict_state
+from spectral_limits.generators import DENSE_GNS_CAP, _restrict_state
 from spectral_limits.linalg import dagger
 from test_inductive import chain
+
+
+def tensor_chain(levels, rng):
+    """C < M_2 < M_4 < ... < M_{2^levels} by a -> a (x) 1_2, with a random
+    faithful complex density on top and alpha_j = j."""
+    algebras = [FiniteCStarAlgebra((2**k,)) for k in range(levels + 1)]
+    incs = []
+    for small, big in zip(algebras, algebras[1:]):
+        n = small.block_dims[0]
+        units = np.eye(n * n).reshape(n * n, n, n)
+        cols = [np.kron(e, np.eye(2)).ravel() for e in units]
+        incs.append(StarHomomorphism(small, big, matrix=np.array(cols, dtype=complex).T))
+    top = algebras[-1].block_dims[0]
+    raw = rng.normal(size=(top, top)) + 1j * rng.normal(size=(top, top))
+    rho = raw @ raw.conj().T + 0.1 * np.eye(top)
+    state = State(algebras[-1], algebras[-1].element([rho / np.trace(rho).real]))
+    return AfChain(tuple(algebras), tuple(incs), state, tuple(float(j) for j in range(1, levels + 1)))
+
+
+def doubled_chain(rng):
+    """C -> M_2 -> M_2 + M_2 (a -> (a, a)) with a complex, non-uniform state."""
+    c1, m2, m22 = FiniteCStarAlgebra((1,)), FiniteCStarAlgebra((2,)), FiniteCStarAlgebra((2, 2))
+    scalars = StarHomomorphism(c1, m2, matrix=np.array([[1], [0], [0], [1]], dtype=complex))
+    diagonal = StarHomomorphism(m2, m22, matrix=np.vstack([np.eye(4), np.eye(4)]))
+    blocks = []
+    for share in (0.35, 0.65):
+        raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        rho = raw @ raw.conj().T + 0.1 * np.eye(2)
+        blocks.append(rho / np.trace(rho).real * share)
+    return AfChain((c1, m2, m22), (scalars, diagonal), State(m22, m22.element(blocks)), (1.0, 2.0)), blocks
 
 
 class TestMiddleThirds:
@@ -155,6 +189,8 @@ class TestCiSystem:
         dec = eigh(system.triples[1].dirac)
         assert np.allclose(dec.eigenvalues, [0.0, 5.0, 5.0, 5.0], atol=1e-10)
         assert system_validate(system).passed
+        # A real state gives a real link, stored as float64.
+        assert system.links[0].iso.dtype == np.float64
 
     def test_dirac_restriction_consistency(self):
         # D_k restricted to the level-j subspace equals D_j.
@@ -213,16 +249,7 @@ class TestCiSystem:
         # C -> M_2 -> M_2 + M_2 (a -> (a, a)) with a non-uniform top state,
         # restricted below the top: the density rho_j of the restriction
         # satisfies rho_j[l, k] = tau(phi(e_kl)) block by block.
-        rng = np.random.default_rng(6)
-        c1, m2, m22 = FiniteCStarAlgebra((1,)), FiniteCStarAlgebra((2,)), FiniteCStarAlgebra((2, 2))
-        scalars = StarHomomorphism(c1, m2, matrix=np.array([[1], [0], [0], [1]], dtype=complex))
-        diagonal = StarHomomorphism(m2, m22, matrix=np.vstack([np.eye(4), np.eye(4)]))
-        blocks = []
-        for share in (0.35, 0.65):
-            raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            rho = raw @ raw.conj().T + 0.1 * np.eye(2)
-            blocks.append(rho / np.trace(rho).real * share)
-        chain = AfChain((c1, m2, m22), (scalars, diagonal), State(m22, m22.element(blocks)), (1.0, 2.0))
+        chain, blocks = doubled_chain(np.random.default_rng(6))
 
         def oracle(level):
             algebra = chain.algebras[level]
@@ -248,6 +275,74 @@ class TestCiSystem:
         chain = commutative_af_chain(binary_branching(2), np.full(4, 1 / 4), [1, 2])
         with pytest.raises(ValidationError):
             ci_system(chain, 3)
+
+
+class TestGnsLevels:
+    """Chains with explicit inclusions: level j in the orthonormal
+    coordinates C_j* x of its own GNS space (gram = C_j C_j*)."""
+
+    CHAINS = {
+        "tensor-M8": lambda: tensor_chain(3, np.random.default_rng(11)),
+        "doubled": lambda: doubled_chain(np.random.default_rng(6))[0],
+    }
+
+    @pytest.fixture(params=sorted(CHAINS), scope="class")
+    def built(self, request):
+        chain = self.CHAINS[request.param]()
+        return chain, ci_system(chain, chain.top_level)
+
+    def test_representation_is_left_multiplication(self, built):
+        chain, system = built
+        for j, t in enumerate(system.triples):
+            space = gns(t.algebra, _restrict_state(chain, j))
+            for e in t.algebra.basis():
+                assert t.represent(e).tobytes() == space.left_mult_matrix(e).tobytes()
+
+    def test_links_are_isometries_between_gns_coordinates(self, built):
+        chain, system = built
+        rng = np.random.default_rng(3)
+        for j, link in enumerate(system.links):
+            lower = gns(chain.algebras[j], _restrict_state(chain, j)).chol
+            upper = gns(chain.algebras[j + 1], _restrict_state(chain, j + 1)).chol
+            l = link.iso
+            assert np.abs(dagger(l) @ l - np.eye(l.shape[1])).max() <= 1e-12
+            x = rng.normal(size=(l.shape[1], 3)) + 1j * rng.normal(size=(l.shape[1], 3))
+            got = l @ (dagger(lower) @ x)
+            want = dagger(upper) @ (chain.inclusions[j].matrix @ x)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_spectrum_is_alphas_on_increments(self, built):
+        chain, system = built
+        dims = [a.element_dim for a in chain.algebras]
+        oracle = [0.0] + [a for i, a in enumerate(chain.alphas, 1) for _ in range(dims[i] - dims[i - 1])]
+        eigenvalues = eigh(system.triples[-1].dirac).eigenvalues
+        assert np.abs(eigenvalues - np.sort(oracle)).max() <= 1e-12
+
+    def test_resolvent_gaps_equal_analytic_bound(self, built):
+        _, system = built
+        series = gap_series(realize(system), lam=1j)
+        for j, value in series.entries[:-1]:
+            assert abs(value - analytic_gap_bound(system, j, 1j)) <= 1e-12
+
+    def test_small_chain_validates(self):
+        assert system_validate(ci_system(doubled_chain(np.random.default_rng(6))[0], 2)).passed
+
+    def test_dense_cap_refuses_m16(self):
+        chain = tensor_chain(4, np.random.default_rng(0))
+        assert chain.algebras[-1].element_dim > DENSE_GNS_CAP
+        with pytest.raises(ValidationError, match="capped"):
+            ci_system(chain, 4)
+        assert ci_system(chain, 3).triples[-1].hilbert_dim == 64
+
+    def test_non_injective_inclusion_rejected(self):
+        # C -> C^2 -> C, a -> a_0: the state pulled back to C^2 has density
+        # (1, 0), which is not faithful.
+        c1, c2 = FiniteCStarAlgebra((1,)), FiniteCStarAlgebra((1, 1))
+        up = StarHomomorphism(c1, c2, matrix=np.array([[1], [1]], dtype=complex))
+        first = StarHomomorphism(c2, c1, matrix=np.array([[1, 0]], dtype=complex))
+        chain = AfChain((c1, c2, c1), (up, first), State.from_weights(c1, [1.0]), (1.0, 2.0))
+        with pytest.raises(ValidationError, match="not faithful"):
+            ci_system(chain, 2)
 
 
 class TestChainValidation:
