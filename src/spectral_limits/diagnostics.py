@@ -80,10 +80,9 @@ DEFAULT_LAMBDAS = (1j, 2j, 1 + 1j)
 
 
 def _check_level(r: Realization, j: int) -> int:
-    j = int(j)
-    if not (0 <= j <= r.level):
-        raise ValidationError(f"level j must lie in [0, {r.level}], got {j}")
-    return j
+    if not isinstance(j, (int, np.integer)) or isinstance(j, bool) or not 0 <= j <= r.level:
+        raise ValidationError(f"level j must be an integer in [0, {r.level}], got {j!r}")
+    return int(j)
 
 
 def _check_nonreal(lam: complex) -> complex:
@@ -223,9 +222,7 @@ def gap_series(
     """Series of gaps over j for one probe (resolvent lam or named function)."""
     if (lam is None) == (f_name is None):
         raise ValidationError("give exactly one of lam / f_name")
-    levels = list(range(r.level + 1)) if j_range is None else sorted(set(int(j) for j in j_range))
-    for j in levels:
-        _check_level(r, j)
+    levels = list(range(r.level + 1)) if j_range is None else sorted({_check_level(r, j) for j in j_range})
     if lam is not None:
         lam = _check_nonreal(lam)
         g = partial(resolvent_values, lam=lam)

@@ -35,10 +35,10 @@ COUPLING_CUTOFF = 1e-12
 SDP_GAP_TOL = 1e-10
 # Newton steps allowed in one solve; coupled CI levels take 35-45.
 SDP_MAX_STEPS = 200
-# Cap on the bytes of the nvar x n x n complex stack B_k, checked before it is
-# built: binary CI level 7 (n = 128, 33 MB, 5 s, 170 MB peak) passes, level 8
-# (267 MB) does not.
-SDP_MAX_STACK_BYTES = 2**27
+# Cap on the bytes of the n x n matrices one Newton step holds, checked before
+# the solve allocates any: binary CI level 9 (n = 512, 40 MiB) passes, level
+# 10 (160 MiB) does not.
+SDP_MAX_BYTES = 2**27
 
 
 def _diagonal_form(t: FiniteSpectralTriple) -> tuple[np.ndarray, np.ndarray]:
@@ -61,58 +61,49 @@ def _diagonal_form(t: FiniteSpectralTriple) -> tuple[np.ndarray, np.ndarray]:
     return labels, d_diag
 
 
-def _interaction(
-    coord_points: np.ndarray, dirac: np.ndarray
-) -> tuple[dict[tuple[int, int], float], np.ndarray]:
-    """Cross-point couplings as {(u, v): weight} plus the coupled coordinates.
+def _interaction(coord_points: np.ndarray, dirac: np.ndarray):
+    """Cross-point couplings as arrays ((u, v, w), coupled).
 
-    The weight of a point pair is min over coordinate pairs of 1 / |D_rs|;
-    the mask marks each coordinate that is coupled to two or more others
-    across point fibers.  A component with no marked coordinate is decoupled.
+    One entry per coordinate pair r < s with |D_rs| above the cutoff and
+    points u < v, of weight w = 1 / |D_rs|, so a point pair recurs once per
+    coordinate pair joining it.  The mask marks each coordinate coupled to
+    two or more others across point fibers.  A component with no marked
+    coordinate is decoupled.
     """
-    n = dirac.shape[0]
     cutoff = COUPLING_CUTOFF * max(1.0, float(np.max(np.abs(dirac))))
-    edges: dict[tuple[int, int], float] = {}
-    degree = np.zeros(n, dtype=int)
     rows, cols = np.nonzero(np.abs(dirac) > cutoff)
-    for r, s in zip(rows, cols):
-        if r >= s:
-            continue
-        u, v = int(coord_points[r]), int(coord_points[s])
-        if u == v:
-            continue
-        degree[r] += 1
-        degree[s] += 1
-        key = (min(u, v), max(u, v))
-        w = 1.0 / abs(dirac[r, s])
-        if key not in edges or w < edges[key]:
-            edges[key] = w
-    return edges, degree > 1
+    u, v = coord_points[rows], coord_points[cols]
+    cross = (rows < cols) & (u != v)
+    rows, cols, u, v = rows[cross], cols[cross], u[cross], v[cross]
+    n = dirac.shape[0]
+    degree = np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)
+    return (np.minimum(u, v), np.maximum(u, v), 1.0 / np.abs(dirac[rows, cols])), degree > 1
 
 
-def _shortest_paths(n_points: int, edges: dict, x: int) -> tuple[dict[int, float], dict[int, int]]:
-    """Dijkstra from x to the end of x's component: (dist, prev) over the reached points.
+def _shortest_paths(n_points: int, edges, x: int) -> tuple[np.ndarray, dict[int, int]]:
+    """Dijkstra from x to the end of x's component: (dist, prev), dist inf off it.
 
-    Weights are positive, so a settled point's distance and predecessor chain
-    never change afterwards, and the search need not stop at any target.
+    A point pair's edge weight is the least w among its couplings.  Weights
+    are positive, so a settled point's distance and predecessor chain never
+    change afterwards, and the search need not stop at any target.
     """
-    adj: dict[int, list[tuple[int, float]]] = {p: [] for p in range(n_points)}
-    for (u, v), w in edges.items():
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    dist = {x: 0.0}
+    u, v, w = edges
+    weight = np.full((n_points, n_points), np.inf)
+    np.minimum.at(weight, (u, v), w)
+    np.minimum.at(weight, (v, u), w)
+    dist = np.full(n_points, np.inf)
+    dist[x] = 0.0
     prev: dict[int, int] = {}
     heap = [(0.0, x)]
     while heap:
         d, p = heapq.heappop(heap)
         if d > dist[p]:  # a stale entry: p was settled at dist[p]
             continue
-        for q, w in adj[p]:
-            nd = d + w
-            if q not in dist or nd < dist[q] - 1e-15:
-                dist[q] = nd
-                prev[q] = p
-                heapq.heappush(heap, (nd, q))
+        near = d + weight[p]
+        for q in np.flatnonzero(near < dist - 1e-15).tolist():
+            dist[q] = near[q]
+            prev[q] = p
+            heapq.heappush(heap, (near[q], q))
     return dist, prev
 
 
@@ -120,10 +111,10 @@ def _check_points(t: FiniteSpectralTriple, x: int, y: int) -> tuple[int, int]:
     if not t.algebra.is_commutative:
         raise UnsupportedError("spectral distance is implemented for commutative algebras only")
     m = t.algebra.n_points
-    x, y = int(x), int(y)
-    if not (0 <= x < m and 0 <= y < m):
-        raise ValidationError(f"point indices must lie in [0, {m})")
-    return x, y
+    for p in (x, y):
+        if not isinstance(p, (int, np.integer)) or isinstance(p, bool) or not 0 <= p < m:
+            raise ValidationError(f"point indices must be integers in [0, {m}), got {p!r}")
+    return int(x), int(y)
 
 
 def connes_distance_with_path(t: FiniteSpectralTriple, x: int, y: int):
@@ -141,10 +132,9 @@ def connes_distance_with_path(t: FiniteSpectralTriple, x: int, y: int):
     coord_points, dirac = _diagonal_form(t)
     edges, coupled = _interaction(coord_points, dirac)
     dist, prev = _shortest_paths(t.algebra.n_points, edges, x)
-    if y not in dist:
+    if math.isinf(dist[y]):
         return math.inf, None
-    reached = np.zeros(t.algebra.n_points, dtype=bool)
-    reached[list(dist)] = True
+    reached = np.isfinite(dist)
     # [D, diag f] is block diagonal over the components, so only the
     # coordinates of x's component decide its route.
     if not coupled[reached[coord_points]].any():
@@ -163,17 +153,21 @@ def connes_distance(t: FiniteSpectralTriple, x: int, y: int) -> float:
 def _barrier_distance(coord_points, dirac, reached, x: int, y: int) -> tuple[float, np.ndarray, float]:
     """Log-barrier solve of max f_x over ||[D, diag(f)]|| <= 1 with f_y = 0.
 
-    M(f) = i[D, diag(f)] = sum_k f_k B_k is Hermitian, so the constraint is
-    -I <= M(f) <= I, with barrier -sum_a log(1 - w_a^2) over the eigenvalues
-    w of M(f) (parameter nu = 2n on n coordinates); one eigendecomposition
-    M = V diag(w) V* per Newton step gives gradient and Hessian through
-    V* B_k V.  From the feasible f = 0, Newton steps on -t f_x + barrier are
-    damped by 1 / (1 + lam) while the decrement lam exceeds 1/2.  At such an
-    approximate centre the optimum exceeds f_x by at most
-    (nu + (lam + sqrt(nu)) lam / (1 - lam)) / t (Nesterov, Introductory
-    Lectures on Convex Optimization, section 4.2); t grows 50-fold until that
-    gap is at most SDP_GAP_TOL * f_x.  The solve runs on the coordinates of
-    the points marked in the boolean mask ``reached``, x's component.
+    M(f) = i[D, diag(f)] = sum_k f_k B_k with B_k = i[D, P_k], P_k the
+    projection onto point k's coordinates, is Hermitian, so the constraint is
+    -I <= M(f) <= I, with barrier -log det(1 - M^2) (parameter nu = 2n on n
+    coordinates).  Over S = (1 - M)^-1 and S = -(1 + M)^-1, both from one
+    eigendecomposition of M per Newton step, its gradient sums tr(S B_k) =
+    -2 Im tr(P_k SD) and its Hessian tr(S B_k S B_l), which is -2 Re of
+    (SD)o(SD)^T - S o conj(DSD) summed over the coordinates of k and l:
+    O(n^3) time and O(n^2) memory per step.  From the feasible f = 0, Newton
+    steps on -t f_x + barrier are damped by 1 / (1 + lam) while the
+    decrement lam exceeds 1/2.  At such an approximate centre the optimum
+    exceeds f_x by at most (nu + (lam + sqrt(nu)) lam / (1 - lam)) / t
+    (Nesterov, Introductory Lectures on Convex Optimization, section 4.2);
+    t grows 50-fold until that gap is at most SDP_GAP_TOL * f_x.  The solve
+    runs on the coordinates of the points marked in the boolean mask
+    ``reached``, x's component.
     Returns (value, f, gap): f is feasible on all points, value = f_x and the
     distance lies in [value, value + gap].
     """
@@ -181,27 +175,35 @@ def _barrier_distance(coord_points, dirac, reached, x: int, y: int) -> tuple[flo
     owners = coord_points[coords]
     var_points = np.unique(owners[owners != y])
     n, nvar = coords.size, var_points.size
-    if 16 * nvar * n * n > SDP_MAX_STACK_BYTES:
+    # A Newton step holds about ten n x n complex matrices at once: D, M,
+    # eigh's vectors and workspace, S, SD, DSD and their Hadamard products.
+    need = 10 * 16 * n * n
+    if need > SDP_MAX_BYTES:
         raise ValidationError(
-            f"coupled distance instance too large: {nvar} free points on {n} coordinates "
-            f"need {16 * nvar * n * n} bytes of constraint matrices (limit {SDP_MAX_STACK_BYTES})"
+            f"coupled distance instance too large: a Newton step on {n} coordinates "
+            f"needs {need} bytes of n x n matrices (limit {SDP_MAX_BYTES})"
         )
     member = (owners[None, :] == var_points[:, None]).astype(float)
-    # B_k[r, s] = i D_rs (1_k(s) - 1_k(r)) on the component's coordinates.
-    basis = 1j * dirac[np.ix_(coords, coords)] * (member[:, None, :] - member[:, :, None])
+    d_c = dirac[np.ix_(coords, coords)]
     c = (var_points == x).astype(float)
     f = np.zeros(nvar)
     t, nu = 1.0, 2.0 * n
     for _ in range(SDP_MAX_STEPS):
+        fd = f @ member
         try:
-            w, v = np.linalg.eigh(np.tensordot(f, basis, 1))
+            w, v = np.linalg.eigh(1j * d_c * (fd[None, :] - fd[:, None]))
             if np.max(np.abs(w)) >= 1.0:
                 raise NumericError("barrier iterate left the feasible set")
-            rotated = (v.conj().T @ basis @ v).reshape(nvar, n * n)
-            d1, d2 = 1.0 / (1.0 - w), 1.0 / (1.0 + w)
-            grad = rotated[:, :: n + 1].real @ (d1 - d2) - t * c
-            weight = (np.outer(d1, d1) + np.outer(d2, d2)).ravel()
-            step = -np.linalg.solve(((rotated * weight) @ rotated.conj().T).real, grad)
+            grad, x_sum = -t * c, 0.0
+            for d in (1.0 / (1.0 - w), -1.0 / (1.0 + w)):
+                s = (v * d) @ v.conj().T
+                a = s @ d_c
+                grad = grad - 2.0 * (member @ a.diagonal().imag)
+                x_sum = x_sum + (a * a.T - s * (d_c @ a).conj())
+            # -Hessian^-1 grad.  The real part is taken after the products: a
+            # real matrix product maps BLAS code that no other command path
+            # touches, about 0.2 MB more peak RSS per `distance` process.
+            step = np.linalg.solve(2.0 * (member @ x_sum @ member.T).real, grad)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"barrier Newton step failed: {exc}") from exc
         lam = math.sqrt(max(-float(grad @ step), 0.0))

@@ -979,19 +979,27 @@ class TestNumericFailure:
 
 
 class TestDistanceSizeLimit:
-    def test_large_coupled_instance_exit2(self, tmp_path, capsys):
+    CI8 = {
+        "type": "christensen-ivan",
+        "chain": "binary",
+        "weights": "uniform",
+        "alphas": [(-1.0) ** j for j in range(1, 9)],
+        "levels": 8,
+    }
+
+    def test_large_coupled_instance_solved(self, tmp_path, capsys):
         # Binary CI at J=8 with alternating alphas couples all 256 top-level
-        # points; the barrier's constraint matrices would need 267 MB.
-        cfg = write_json(
-            tmp_path / "ci8.json",
-            {
-                "type": "christensen-ivan",
-                "chain": "binary",
-                "weights": "uniform",
-                "alphas": [(-1.0) ** j for j in range(1, 9)],
-                "levels": 8,
-            },
-        )
+        # points; a Newton step holds a few 256 x 256 matrices.
+        cfg = write_json(tmp_path / "ci8.json", self.CI8)
+        rc = main(["distance", "--config", cfg, "--level", "8", "--x", "0", "--y", "1"])
+        assert rc == 0
+        value = float(capsys.readouterr().out.splitlines()[0].rsplit("=", 1)[1])
+        assert value == pytest.approx(1.22534332970791, abs=1e-9)
+
+    def test_large_coupled_instance_exit2(self, tmp_path, capsys, monkeypatch):
+        # A cap below level 8's need refuses the solve before it allocates.
+        monkeypatch.setattr(distance, "SDP_MAX_BYTES", 2**20)
+        cfg = write_json(tmp_path / "ci8.json", self.CI8)
         rc = main(["distance", "--config", cfg, "--level", "8", "--x", "0", "--y", "1"])
         assert rc == 2
         captured = capsys.readouterr()

@@ -134,6 +134,16 @@ class TestResolventGap:
         with pytest.raises(ValidationError):
             resolvent_gap(R6, 9, 1j)
 
+    @pytest.mark.parametrize("j", [1.9, 1.0, True, "1"])
+    def test_non_integral_level_rejected(self, j):
+        # 1.9 used to be truncated to level 1.
+        for gap in (resolvent_gap, resolvent_gap_eigen):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                gap(R6, j, 1j)
+
+    def test_numpy_integer_level_accepted(self):
+        assert resolvent_gap(R6, np.int64(2), 1j) == resolvent_gap(R6, 2, 1j)
+
     def test_huge_gap_is_finite(self):
         # D_0 = 0 on the binary CI system and D_2 has eigenvalues 0, 1 and 2,
         # so the level-0 gap of f = 1e300 (1 + x^2)^(-1) is f(1) = 5e299.
@@ -293,6 +303,18 @@ class TestGapSeries:
     def test_unknown_function_rejected(self):
         with pytest.raises(ValidationError):
             gap_series(R6, f_name="sine")
+
+    def test_non_integral_j_range_rejected(self):
+        # [0.5, 1.5] used to run levels (0, 1).
+        with pytest.raises(ValidationError, match="must be an integer"):
+            gap_series(R6, lam=1j, j_range=[0.5, 1.5])
+        with pytest.raises(ValidationError, match="must be an integer"):
+            gap_series(R6, lam=1j, j_range=[0, False])
+
+    def test_j_range_sorted_and_deduplicated(self):
+        series = gap_series(R6, lam=1j, j_range=[np.int64(3), 1, 3])
+        assert [j for j, _ in series.entries] == [1, 3]
+        assert all(type(j) is int for j, _ in series.entries)
 
     def test_nonzero_ambient_entry_rejected(self):
         with pytest.raises(ValidationError):

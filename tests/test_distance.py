@@ -66,6 +66,16 @@ def two_components():
     )
 
 
+def interaction_edges(coord_points, dirac) -> dict[tuple[int, int], float]:
+    """{(u, v): weight} from ``distance._interaction``, taking the least
+    weight of each point pair here rather than in the shortest-path search."""
+    edges: dict[tuple[int, int], float] = {}
+    for u, v, w in zip(*distance._interaction(coord_points, dirac)[0]):
+        key = (int(u), int(v))
+        edges[key] = min(edges.get(key, math.inf), float(w))
+    return edges
+
+
 def component(n_points: int, edges, x: int) -> set[int]:
     """Points joined to x by edges, found by a stack walk."""
     adj = {p: set() for p in range(n_points)}
@@ -92,9 +102,9 @@ def connes_distance_lp(t: FiniteSpectralTriple, x: int, y: int) -> float:
     if x == y:
         return 0.0
     coord_points, dirac = distance._diagonal_form(t)
-    edges, coupled = distance._interaction(coord_points, dirac)
-    if coupled.any():
+    if distance._interaction(coord_points, dirac)[1].any():
         raise ValidationError("LP oracle requires decoupled (pairwise) constraints")
+    edges = interaction_edges(coord_points, dirac)
     reached = component(t.algebra.n_points, edges, x)
     if y not in reached:
         return math.inf
@@ -226,6 +236,18 @@ class TestEdgeCases:
         with pytest.raises(ValidationError):
             connes_distance(CANTOR.triples[1], 0, 7)
 
+    @pytest.mark.parametrize("x, y", [(1.7, 0), (0, 1.0), (True, 0), (0, np.float64(1.0)), ("1", 0)])
+    def test_non_integral_point_rejected(self, x, y):
+        # 1.7 used to be truncated to 1, answering d(1, 0).
+        with pytest.raises(ValidationError, match="must be integers"):
+            connes_distance(CANTOR.triples[2], x, y)
+
+    def test_numpy_integer_points_accepted(self):
+        t = CANTOR.triples[2]
+        value, path = connes_distance_with_path(t, np.int64(2), np.int32(0))
+        assert (value, path) == connes_distance_with_path(t, 2, 0) == (0.1111111111111111, [2, 0])
+        assert all(type(p) is int for p in path)
+
     def test_noncommutative_unsupported(self):
         units = np.zeros((4, 2, 2), dtype=complex)
         units[0, 0, 0] = units[1, 0, 1] = units[2, 1, 0] = units[3, 1, 1] = 1.0
@@ -342,12 +364,45 @@ class TestKelleyRegression:
         assert value == pytest.approx(1.333333332781743, abs=1e-9)
 
 
+class TestPinnedCoupledValues:
+    """Coupled values pinned to the solve that formed every constraint matrix
+    B_k = i[D, P_k]; the n x n form must agree within 1e-12 relative."""
+
+    @pytest.mark.parametrize(
+        "level, expected", [(3, 1.3333333333301585), (5, 1.2493900951056724), (7, 1.2307692307691667)]
+    )
+    def test_binary_ci_alternating_alphas(self, level, expected):
+        t = ci_level([(-1.0) ** j for j in range(1, level + 1)], level)
+        start = time.perf_counter()
+        value = connes_distance(t, 0, 1)
+        elapsed = time.perf_counter() - start
+        assert value == pytest.approx(expected, rel=1e-12)
+        if level == 7:
+            # n = 128: the constraint-matrix stack took 8.3 s single-threaded.
+            assert elapsed < 4.0
+
+    def test_random_complex_hermitian_dirac(self):
+        rng = np.random.default_rng(7)
+        h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        t = FiniteSpectralTriple(
+            diagonal_representation(FiniteCStarAlgebra((1, 1, 1)), np.array([0, 1, 2, 0, 1, 2])), (h + h.conj().T) / 2
+        )
+        for (x, y), expected in {
+            (0, 1): 0.4064783423054577,
+            (0, 2): 0.5249183720720655,
+            (1, 2): 0.4221447688618622,
+            (2, 0): 0.5249183720720656,
+        }.items():
+            value, path = connes_distance_with_path(t, x, y)
+            assert path is None
+            assert value == pytest.approx(expected, rel=1e-12)
+
+
 def barrier_solve(t, x, y):
     """The coupled-route solve called directly, also on decoupled instances."""
     coord_points, dirac = distance._diagonal_form(t)
-    edges, _ = distance._interaction(coord_points, dirac)
     reached = np.zeros(t.algebra.n_points, dtype=bool)
-    reached[list(component(t.algebra.n_points, edges, x))] = True
+    reached[list(component(t.algebra.n_points, interaction_edges(coord_points, dirac), x))] = True
     return distance._barrier_distance(coord_points, dirac, reached, x, y)
 
 
@@ -375,8 +430,9 @@ class TestBarrierSolve:
             ([-1.0, 1.0, -1.0], 3, [1, 2, 3, 6]),
             ([(-1.0) ** j for j in range(1, 6)], 4, None),
             ([(-1.0) ** j for j in range(1, 6)], 5, None),
+            ([(-1.0) ** j for j in range(1, 8)], 7, None),
         ],
-        ids=["binary-3", "ci-report-3", "binary-4", "binary-5"],
+        ids=["binary-3", "ci-report-3", "binary-4", "binary-5", "binary-7"],
     )
     def test_certificate(self, alphas, level, sizes):
         t = ci_level(alphas, level, sizes)
