@@ -3,11 +3,11 @@
 An algebra is a direct sum of full matrix blocks, elements are flat
 coordinate vectors (the point values in the commutative case),
 *-homomorphisms come either as spectrum maps (pullbacks between finite point
-sets, commutative case) or as explicit linear maps on coordinates, and a
-state holds its density as one algebra element, so tau(a) is the inner
-product of two coordinate vectors.  The GNS space of a faithful state is
-presented in the element basis with an explicit Gram matrix plus a cached
-Cholesky factor for orthonormal coordinates.
+sets, commutative case) or as explicit linear maps on coordinates, checked
+on the matrix-unit relations of each block, and a state holds its density
+as one algebra element, so tau(a) is the inner product of two coordinate
+vectors.  The GNS space of a faithful state is presented in the element
+basis with a Gram matrix and a Cholesky factor for orthonormal coordinates.
 """
 
 from __future__ import annotations
@@ -125,14 +125,6 @@ class FiniteCStarAlgebra:
         for idx in self._block_index:
             perm[idx] = idx.transpose(0, 2, 1)
         return perm
-
-    def product_table(self) -> np.ndarray:
-        """table[a, c] is the index of the matrix unit e_a e_c, or -1 when it is zero."""
-        table = np.full((self.element_dim, self.element_dim), -1)
-        for idx in self._block_index:
-            # e_kl e_lq = e_kq inside one block; every other product vanishes.
-            table[idx[:, :, :, None], idx[:, None, :, :]] = idx[:, :, None, :]
-        return table
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
         if self.is_commutative:
@@ -330,18 +322,25 @@ def map_residuals(
     """Unitality, multiplicativity and *-preservation of a linear map.
 
     ``images[a]`` holds the target coordinates of the image of the a-th
-    matrix unit of ``source``.  Each residual is the exact maximum of the
-    target norm over the whole basis (over all basis pairs for
-    multiplicativity), computed on whole arrays.
+    matrix unit of ``source``.  Multiplicativity is checked on the relations
+    pi(e_k1) pi(e_1l) = pi(e_kl) and pi(e_1k) pi(e_k1) = pi(e_11) in each
+    block: with unitality and *-preservation they make the pi(e_kk)
+    projections summing to 1, hence orthogonal, so every product of matrix
+    units follows.  Each residual is an exact maximum of the target norm.
     """
     unit = target.norms(source.unit().coordinates @ images - target.unit().coordinates)
     star = target.norms(images[source.star_permutation()] - target.adjoint(images)).max()
-    table = source.product_table()
+    relations = []
+    for idx in source._block_index:
+        n = idx.shape[1]
+        # e_rm e_mc = e_rc for (r, m, c) = (k, 1, l), all k, l, and (1, k, 1), k >= 2; 0-based below.
+        r, m, c = np.array([(k, 0, l) for k in range(n) for l in range(n)] + [(0, k, 0) for k in range(1, n)]).T
+        relations.append(np.stack([idx[:, r, m], idx[:, m, c], idx[:, r, c]]).reshape(3, -1))
+    left, right, prod = np.concatenate(relations, axis=1)
     mult = 0.0
-    for rows in chunks(images.shape[0], images.size):
-        lhs = np.where(table[rows, :, None] >= 0, images[table[rows]], 0.0)
-        rhs = target.multiply(images[rows, None, :], images[None, :, :])
-        mult = max(mult, target.norms(lhs - rhs).max())
+    for rows in chunks(prod.size, images.shape[1]):
+        rhs = target.multiply(images[left[rows]], images[right[rows]])
+        mult = max(mult, target.norms(images[prod[rows]] - rhs).max())
     return {
         "unitality": float(unit),
         "multiplicativity": float(mult),
@@ -361,19 +360,19 @@ def hom_validate(phi: StarHomomorphism) -> ResidualReport:
     A spectrum map is a unital *-homomorphism by construction (its range is
     checked when it is made), so its three axiom residuals are exactly 0.0
     and no matrix is built; an explicit map is checked by ``map_residuals``.
-    The injectivity margin is the smallest singular value of the coordinate
-    matrix; it is reported (not thresholded), and a zero margin fails the
-    report since Definition-style morphisms require injective maps.
+    The injectivity margin is the smallest coordinate norm of an image
+    pi(e^b_11): a *-homomorphism's kernel is a sum of blocks, so this is its
+    smallest singular value (the root of the smallest fibre count for a
+    spectrum map).  It is reported (not thresholded), and a zero margin
+    fails the report since Definition-style morphisms require injective maps.
     """
     if phi.spectrum_map is not None:
         entries = dict.fromkeys(("unitality", "multiplicativity", "star_preservation"), 0.0)
-        # The coordinate matrix has orthogonal columns of squared norm equal
-        # to the fibre sizes.
         counts = np.bincount(phi.spectrum_map, minlength=phi.source.n_points)
         margin = float(np.sqrt(counts.min()))
     else:
         entries = map_residuals(phi.source, phi.target, phi.matrix.T)
-        margin = float(np.linalg.svd(phi.matrix, compute_uv=False)[-1])
+        margin = float(np.linalg.norm(phi.matrix[:, list(phi.source.block_offsets()[:-1])], axis=0).min())
     entries["injectivity_margin"] = margin
     entries["injectivity_defect"] = 0.0 if margin > VALIDATION_TOL else 1.0
     return ResidualReport(entries, VALIDATION_TOL, informational=("injectivity_margin",))

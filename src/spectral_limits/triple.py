@@ -13,10 +13,10 @@ inductive systems tractable: an explicit map for a 1024-point algebra on a
 
 In finite dimension the compact-resolvent and bounded-commutator conditions
 hold automatically; validation therefore checks the representation through
-``hom_validate`` (exact residuals for an explicit map, fibre counts for a
-spectrum map), Hermiticity, the grading when there is one, and
-morphism identities, and records that the two analytic conditions are
-trivial at this level.
+``hom_validate`` (exact residuals on the matrix-unit relations for an
+explicit map, fibre counts for a spectrum map), Hermiticity, the grading
+when there is one, and morphism identities, and records that the two
+analytic conditions are trivial at this level.
 """
 
 from __future__ import annotations
@@ -161,8 +161,8 @@ def validate_triple(t: FiniteSpectralTriple) -> ResidualReport:
     when a grading gamma is present, gamma - gamma* and gamma^2 - 1.
 
     The representation is checked as a *-homomorphism by ``hom_validate``:
-    only the fibre counts of a spectrum map, exact residuals of an explicit
-    map.  The Dirac and grading residuals are Frobenius norms, which
+    only the fibre counts of a spectrum map, the matrix-unit relations of an
+    explicit map.  The Dirac and grading residuals are Frobenius norms, which
     bound the operator norms.  The report notes that the compact-resolvent
     and bounded-commutator conditions are automatic in finite dimension.
     """

@@ -1,5 +1,6 @@
 """Algebras, homomorphisms, states and the GNS construction."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -19,8 +20,9 @@ from spectral_limits.algebra import map_residuals
 from spectral_limits.linalg import dagger
 
 
-def pairwise_oracle(source, target, images):
-    """map_residuals by brute force: element arithmetic on every basis pair."""
+def pairwise_oracle(source, target, images, pairs=None):
+    """map_residuals by brute force: element arithmetic on the given pairs of
+    basis indices, every basis pair by default."""
 
     def apply(a):
         return target.from_coordinates(a.coordinates @ images)
@@ -29,11 +31,23 @@ def pairwise_oracle(source, target, images):
         return max(operator_norm(b) for b in x.blocks)
 
     basis = list(source.basis())
+    if pairs is None:
+        pairs = [(a, c) for a in range(len(basis)) for c in range(len(basis))]
     return {
         "unitality": norm(apply(source.unit()) - target.unit()),
-        "multiplicativity": max(norm(apply(a * c) - apply(a) * apply(c)) for a in basis for c in basis),
+        "multiplicativity": max(norm(apply(basis[a] * basis[c]) - apply(basis[a]) * apply(basis[c])) for a, c in pairs),
         "star_preservation": max(norm(apply(a.star()) - apply(a).star()) for a in basis),
     }
+
+
+def relation_pairs(algebra):
+    """Basis index pairs of the matrix-unit relations: (e_k1, e_1l) for all
+    k, l and (e_1k, e_k1) for k >= 2 in every block."""
+    pairs = []
+    for o, n in zip(algebra.block_offsets(), algebra.block_dims):
+        pairs += [(o + k * n, o + l) for k in range(n) for l in range(n)]
+        pairs += [(o + k, o + k * n) for k in range(1, n)]
+    return pairs
 
 
 class TestAlgebraAndElements:
@@ -97,14 +111,6 @@ class TestAlgebraAndElements:
         assert np.array_equal(a.unit().coordinates, np.concatenate([np.eye(n).ravel() for n in (2, 1, 3)]))
         with pytest.raises(ValidationError):
             a.from_coordinates(np.full(14, np.nan))
-
-    def test_product_table_matches_element_products(self):
-        a = FiniteCStarAlgebra((2, 1, 2))
-        table = a.product_table()
-        for i, ei in enumerate(a.basis()):
-            for j, ej in enumerate(a.basis()):
-                expected = a.zero() if table[i, j] < 0 else a.basis_element(table[i, j])
-                assert np.array_equal((ei * ej).coordinates, expected.coordinates)
 
     def test_point_values(self):
         a = FiniteCStarAlgebra((1, 1, 1))
@@ -183,8 +189,10 @@ class TestHomomorphisms:
         [((1, 1, 1), (1, 1, 1, 1)), ((1, 1), (2, 1)), ((2, 1), (1, 1, 1)), ((2, 1), (2, 2, 1))],
     )
     def test_residuals_match_pairwise_oracle(self, source_dims, target_dims):
-        # Exact whole-array residuals equal the brute-force maximum over all
-        # basis pairs, for arbitrary (non-homomorphic) linear maps.
+        # Exact whole-array residuals equal the brute-force maximum over the
+        # matrix-unit relations, for arbitrary (non-homomorphic) linear maps.
+        # The relations are a subset of all basis pairs, so multiplicativity
+        # never exceeds the all-pairs maximum (up to rounding).
         source, target = FiniteCStarAlgebra(source_dims), FiniteCStarAlgebra(target_dims)
         rng = np.random.default_rng(sum(source_dims) * 10 + sum(target_dims))
         for _ in range(3):
@@ -192,19 +200,68 @@ class TestHomomorphisms:
             images = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             images[rng.random(shape) < 0.5] = 0.0
             got = map_residuals(source, target, images)
-            want = pairwise_oracle(source, target, images)
+            want = pairwise_oracle(source, target, images, relation_pairs(source))
             for key, value in want.items():
                 assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-12), key
+            all_pairs = pairwise_oracle(source, target, images)["multiplicativity"]
+            assert got["multiplicativity"] <= all_pairs * (1 + 1e-12)
 
     def test_pullback_indicator_residuals_exact(self):
         # A coordinate matrix whose rows are not indicators: e_0 and e_1 both
-        # map to 1 at the first point, so e_0 e_1 = 0 maps to 0 but the
-        # product of the images is 1 there.
+        # map to 1 at the first point.  Each image is idempotent, so the
+        # relations e_k e_k = e_k hold, but the images of the units sum to
+        # (2, 0) instead of 1, and unitality fails.
         src, tgt = FiniteCStarAlgebra((1, 1)), FiniteCStarAlgebra((1, 1))
         phi = StarHomomorphism(src, tgt, matrix=np.array([[1, 1], [0, 0]], dtype=complex))
         report = hom_validate(phi)
-        assert report.entries["multiplicativity"] == 1.0
+        assert report.entries["multiplicativity"] == 0.0
         assert report.entries["star_preservation"] == 0.0
+        assert report.entries["unitality"] == 1.0
+        assert report.failures == ("unitality",)
+
+    @pytest.mark.parametrize(
+        "source_dims, target_dims, matrix",
+        [((1, 1, 1), (1, 1), [[1, 0, 0], [0, 1, 0]]), ((1, 1, 1), (1,), [[1, 0, 0]])],
+    )
+    def test_wide_explicit_map_fails_injectivity(self, source_dims, target_dims, matrix):
+        # Fewer target than source coordinates: a unital *-homomorphism that
+        # kills the last point.  min(rows, cols) singular values alone never
+        # see that kernel; the image of e_11 of the killed block is zero.
+        phi = StarHomomorphism(FiniteCStarAlgebra(source_dims), FiniteCStarAlgebra(target_dims), matrix=matrix)
+        report = hom_validate(phi)
+        assert report.entries["injectivity_margin"] == 0.0
+        assert report.failures == ("injectivity_defect",)
+
+    def test_explicit_form_of_spectrum_map_matches_bit_for_bit(self):
+        # Same entries for both encodings: exact zeros for the axioms, and the
+        # square root of the smallest fibre count as the margin.
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            src = FiniteCStarAlgebra((1,) * int(rng.integers(1, 7)))
+            tgt = FiniteCStarAlgebra((1,) * int(rng.integers(1, 13)))
+            phi = StarHomomorphism(src, tgt, spectrum_map=rng.integers(0, src.n_points, size=tgt.n_points))
+            explicit = hom_validate(StarHomomorphism(src, tgt, matrix=phi.as_matrix())).entries
+            want = hom_validate(phi).entries
+            assert {k: v.hex() for k, v in explicit.items()} == {k: v.hex() for k, v in want.items()}
+
+    def test_explicit_pullback_validation_is_linear(self):
+        # 512 -> 1024 points as an explicit map: the relations are 512
+        # products of 1024 coordinates, where all pairs were 512^2.
+        src, tgt = FiniteCStarAlgebra((1,) * 512), FiniteCStarAlgebra((1,) * 1024)
+        pullback = StarHomomorphism(src, tgt, spectrum_map=np.arange(1024) // 2)
+        phi = StarHomomorphism(src, tgt, matrix=pullback.as_matrix())
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            report = hom_validate(phi)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak <= 40 * 2**20
+        assert report.passed and report.worst == 0.0
+        assert report.entries["injectivity_margin"] == np.sqrt(2.0)
 
     def test_spectrum_map_validation_builds_no_matrix(self):
         # 1024 -> 2048 points: the dense complex image matrix would take 32 MB.

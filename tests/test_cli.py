@@ -20,6 +20,7 @@ from spectral_limits import (
     StarHomomorphism,
     TripleMorphism,
     cantor_system,
+    dense_representation,
     diagonal_representation,
     gap_series,
     load_system,
@@ -296,6 +297,17 @@ class TestValidate:
         assert main(["validate", "--system", str(bad)]) == 1
         out = capsys.readouterr().out
         assert out.startswith("FAIL triple 2: FAIL(grading_involution)")
+
+    def test_wide_dense_representation_exit1(self, tmp_path, capsys):
+        # C^3 on C by evaluation at point 0 (D = 0): not faithful, since
+        # the other two points act as 0.
+        rep = dense_representation(FiniteCStarAlgebra((1, 1, 1)), [[[1]], [[0]], [[0]]])
+        path = tmp_path / "wide.json"
+        save_system(InductiveSystem((FiniteSpectralTriple(rep, np.zeros((1, 1))),), ()), str(path))
+        assert main(["validate", "--system", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("FAIL triple 0: FAIL(faithfulness_defect)")
+        assert "Traceback" not in captured.err
 
     def test_truncated_exit2(self, tmp_path, cantor_file):
         text = open(cantor_file).read()

@@ -10,18 +10,32 @@ in magnitude; a RuntimeWarning fails them, since tier-1 turns it into an
 error.  The argv examples give ``st1`` random flags and values, and the
 generator examples run ``build``, ``validate``, ``st2`` and ``report`` on
 small, partly malformed generator configs with random flags of each
-command.
+command.  The representation examples give explicit maps into M_N, some
+of them not faithful or moved off a *-homomorphism, and compare the
+verdict with an all-pairs oracle.
 """
 
 import argparse
 import json
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from spectral_limits import cantor_system, middle_thirds, system_to_json
+from spectral_limits import (
+    FiniteCStarAlgebra,
+    FiniteSpectralTriple,
+    InductiveSystem,
+    cantor_system,
+    dense_representation,
+    hom_validate,
+    middle_thirds,
+    save_system,
+    system_to_json,
+)
+from spectral_limits.algebra import VALIDATION_TOL
 from spectral_limits.cli import build_parser, main
 from spectral_limits.serialization import dumps, matrix_from_json, matrix_to_json
 
@@ -391,3 +405,68 @@ def test_generator_config_and_argv_exit_code(tmp_path, capsys, data):
         except SystemExit as exc:
             code = exc.code
         _assert_clean_exit(code, capsys)
+
+
+def _representation_images(blocks, u) -> np.ndarray:
+    """Images U (e_kl (x) 1_m) U* in M_N of the matrix units of +_b M_{n_b},
+    one (N, N) matrix per unit, for (n_b, m_b) in ``blocks``."""
+    size = u.shape[0]
+    images, offset = [], 0
+    for n, m in blocks:
+        for unit in np.eye(n * n).reshape(n * n, n, n):
+            x = np.zeros((size, size), dtype=complex)
+            x[offset : offset + n * m, offset : offset + n * m] = np.kron(unit, np.eye(m))
+            images.append(u @ x @ u.conj().T)
+        offset += n * m
+    return np.array(images)
+
+
+def _all_pairs_oracle_passes(dims, images) -> bool:
+    """The homomorphism verdict from every product of two matrix units and
+    the smallest singular value of the coordinate matrix, taken as 0 when it
+    has fewer rows than columns."""
+    units = [(b, k, l) for b, n in enumerate(dims) for k in range(n) for l in range(n)]
+    index = {unit: i for i, unit in enumerate(units)}
+    size = images.shape[-1]
+    expected = np.zeros((len(units), len(units), size, size), dtype=complex)
+    for a, (b, k, l) in enumerate(units):
+        for c, (b2, l2, q) in enumerate(units):
+            if (b, l) == (b2, l2):
+                expected[a, c] = images[index[b, k, q]]
+    norm = lambda x: np.linalg.norm(x, ord=2, axis=(-2, -1))  # noqa: E731
+    unit = sum(images[index[b, k, k]] for b, k, l in units if k == l) - np.eye(size)
+    star = np.array([images[index[b, l, k]] - images[index[b, k, l]].conj().T for b, k, l in units])
+    residuals = [norm(unit), norm(images[:, None] @ images[None, :] - expected).max(), norm(star).max()]
+    matrix = images.reshape(len(units), -1).T
+    margin = np.linalg.svd(matrix, compute_uv=False)[-1] if matrix.shape[0] >= matrix.shape[1] else 0.0
+    return max(residuals) <= VALIDATION_TOL and margin > VALIDATION_TOL
+
+
+# Representations a -> U (+_b a_b (x) 1_{m_b}) U* into M_N with at most three
+# blocks of size at most 3 and a random unitary U: m_b = 0 drops a block (not
+# faithful), and moving one image coordinate breaks unitality or the star.
+@FUZZ_SETTINGS
+@given(
+    blocks=st.lists(st.tuples(st.integers(1, 3), st.integers(0, 2)), min_size=1, max_size=3).filter(
+        lambda blocks: any(m for _, m in blocks)
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    move=st.none() | st.tuples(st.integers(0, 10**6), st.floats(1e-6, 1.0), st.sampled_from([1, -1, 1j, -1j])),
+)
+def test_explicit_representation_matches_all_pairs_oracle(tmp_path, capsys, blocks, seed, move):
+    dims = tuple(n for n, _ in blocks)
+    size = sum(n * m for n, m in blocks)
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))[0]
+    images = _representation_images(blocks, u)
+    if move is not None:
+        where, amount, phase = move
+        images.reshape(-1)[where % images.size] += amount * phase
+    rep = dense_representation(FiniteCStarAlgebra(dims), images)
+    passed = _all_pairs_oracle_passes(dims, images)
+    assert hom_validate(rep).passed == passed
+    path = tmp_path / "representation.json"
+    save_system(InductiveSystem((FiniteSpectralTriple(rep, np.zeros((size, size))),), ()), str(path))
+    code = main(["validate", "--system", str(path)])
+    _assert_clean_exit(code, capsys)
+    assert code == (0 if passed else 1)

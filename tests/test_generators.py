@@ -1,5 +1,7 @@
 """Cantor and Christensen-Ivan generators, gap sequences, chains."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from spectral_limits import (
     eigh,
     gap_series,
     gns,
+    hom_validate,
     middle_thirds,
     operator_norm,
     random_af_chain,
@@ -326,6 +329,26 @@ class TestGnsLevels:
 
     def test_small_chain_validates(self):
         assert system_validate(ci_system(doubled_chain(np.random.default_rng(6))[0], 2)).passed
+
+    def test_tensor_chain_validates_in_relation_time(self):
+        # Multiplicativity on the matrix-unit relations: 71 products for
+        # the M_8 representation on its 64-dimensional GNS space, where all
+        # basis pairs took 4096.
+        system = ci_system(tensor_chain(3, np.random.default_rng(11)), 3)
+        start = time.perf_counter()
+        report = system_validate(system)
+        assert time.perf_counter() - start < 1.0
+        assert report.summary() == "pass: 4 triples, 3 links, worst residual 1.00e-15"
+
+    def test_planted_inclusion_defect_found(self):
+        chain = tensor_chain(3, np.random.default_rng(11))
+        top = chain.inclusions[-1]
+        matrix = top.matrix.copy()
+        matrix[5, 3] += 1e-3
+        report = hom_validate(StarHomomorphism(top.source, top.target, matrix=matrix))
+        assert not report.passed
+        for key in ("multiplicativity", "star_preservation"):
+            assert 0.9e-3 <= report.entries[key] <= 1.1e-3, key
 
     def test_dense_cap_refuses_m16(self):
         chain = tensor_chain(4, np.random.default_rng(0))

@@ -103,6 +103,15 @@ class TestValidateTriple:
         assert not report.passed
         assert "faithfulness_defect" in report.failures
 
+    def test_wide_dense_rep_fails_faithfulness(self):
+        # C^3 on C by evaluation at point 0: a unital *-homomorphism whose
+        # kernel is the other two points, so the image of their units is 0.
+        rep = dense_representation(FiniteCStarAlgebra((1, 1, 1)), [[[1]], [[0]], [[0]]])
+        t = FiniteSpectralTriple(rep, np.zeros((1, 1)))
+        report = validate_triple(t)
+        assert report.entries["faithfulness_margin"] == 0.0
+        assert report.failures == ("faithfulness_defect",)
+
     def test_dense_rep_residuals_exact(self):
         # Corrupting one basis matrix of the M_2 representation breaks
         # multiplicativity; the residual equals the brute-force maximum over
