@@ -16,7 +16,9 @@ hold automatically; validation therefore checks the representation through
 ``hom_validate`` (exact residuals on the matrix-unit relations for an
 explicit map, fibre counts for a spectrum map), Hermiticity, the grading
 when there is one, and morphism identities, and records that the two
-analytic conditions are trivial at this level.
+analytic conditions are trivial at this level.  A morphism's algebra
+intertwining is ||I - E(I)|| for every encoding, E the average over the
+source unitaries; it bounds the defect of every element.
 """
 
 from __future__ import annotations
@@ -182,51 +184,49 @@ def validate_triple(t: FiniteSpectralTriple) -> ResidualReport:
     return ResidualReport(entries, VALIDATION_TOL, notes=notes, informational=("faithfulness_margin",))
 
 
-def _labelled_residual(x: np.ndarray, row_labels: np.ndarray, col_labels: np.ndarray) -> float:
-    """max_i ||x D1(i) - D2(i) x||, D1(i) / D2(i) the indicators of label i on columns / rows.
-
-    Only entries with differing labels contribute.  The stack's Frobenius
-    norm, a sound bound, is returned when within ``VALIDATION_TOL``;
-    otherwise exact norms are taken at the labels those entries touch, where
-    the residual splits into x[row == i, col != i] and x[row != i,
-    col == i], which share no rows or columns.
-    """
-    mism = (row_labels[:, None] != col_labels[None, :]) & (x != 0)
-    screen = float(np.sqrt(2.0 * np.sum(np.abs(x[mism]) ** 2)))
-    if screen <= VALIDATION_TOL:
-        return screen
-    rows, cols = np.nonzero(mism)
-    worst = 0.0
-    for i in np.unique(np.concatenate([row_labels[rows], col_labels[cols]])):
-        r, c = row_labels == i, col_labels == i
-        for block in (x[r][:, ~c], x[~r][:, c]):
-            if block.size:
-                worst = max(worst, operator_norm(block))
-    return worst
+def _trimmed_norm(block: np.ndarray) -> float:
+    """Operator norm of ``block`` on its nonzero rows and columns, 0.0 when it has none."""
+    block = block[np.ix_(block.any(axis=1), block.any(axis=0))]
+    return operator_norm(block) if block.size else 0.0
 
 
 def _intertwining_residual(m: TripleMorphism) -> float:
-    """max over the algebra basis of ||I pi1(e) - pi2(phi(e)) I||.
+    """||I - E(I)||, E(I) = sum_b (1/n_b) sum_kl rho(e^b_kl) I pi(e^b_lk) the
+    average of rho(u) I pi(u)* over the source unitaries; pi = pi1, rho = pi2 o phi.
 
-    When pi1 and pi2 o phi are both spectrum maps this is a labelled
-    residual of I; otherwise the residual of every basis element is
-    stacked and exact operator norms are taken.
+    For unital *-homomorphisms pi and rho (``validate_triple``, ``phi_axioms``),
+    e_pq e_kl = delta_qk e_pl gives rho(e_pq) E(I) = (1/n_b) sum_l rho(e_pl) I
+    pi(e_lq) = E(I) pi(e_pq), and units of other blocks give 0, so E(I)
+    intertwines; if I does, E(I) = sum_b (1/n_b) sum_kl rho(e_kk) I = rho(1) I = I.
+    So I - E(I) = 0 exactly when I intertwines, and with Y = I - E(I),
+    ||I pi(a) - rho(a) I|| = ||Y pi(a) - rho(a) Y|| <= 2 ||a|| ||Y|| for all a.
+
+    Diagonal pi and rho make I - E(I) the Hadamard product of I and
+    1 - rho(e_{sigma1[c]})[r, r] (I off the matching labels for a spectrum
+    map); otherwise the products are summed over chunks of the basis.
     """
     src, iso = m.source, m.iso
     pulled = hom_compose(m.target.rep, m.phi)
-    if src.rep.spectrum_map is not None and pulled.spectrum_map is not None:
-        return _labelled_residual(iso, pulled.spectrum_map, src.rep.spectrum_map)
-    basis = np.eye(src.algebra.element_dim)
-    worst = 0.0
-    for rows in chunks(basis.shape[0], iso.size + m.target.hilbert_dim**2):
-        lhs = iso @ operators(src.rep, basis[rows])
-        rhs = operators(pulled, basis[rows]) @ iso
-        worst = max(worst, float(np.linalg.norm(lhs - rhs, ord=2, axis=(-2, -1)).max()))
-    return worst
+    sigma = src.rep.spectrum_map
+    if sigma is not None and pulled.spectrum_map is not None:
+        return _trimmed_norm(np.where(pulled.spectrum_map[:, None] == sigma[None, :], 0.0, iso))
+    if sigma is not None and pulled.target.is_commutative:
+        return _trimmed_norm(iso * (1.0 - pulled.matrix[:, sigma]))
+    a = src.algebra
+    basis = np.eye(a.element_dim)
+    weights = np.repeat(1.0 / np.array(a.block_dims), np.square(a.block_dims))
+    average = np.zeros(iso.shape, dtype=complex)
+    # pi1(e), rho(e) and two N2 x N1 products per element: (N1 + N2)^2 entries.
+    for rows in chunks(a.element_dim, sum(iso.shape) ** 2):
+        left = operators(pulled, basis[rows] * weights[rows, None]) @ iso
+        right = operators(src.rep, basis[a.star_permutation()[rows]])
+        average += np.tensordot(left, right, axes=([0, 2], [0, 1]))
+    return _trimmed_norm(iso - average)
 
 
 def validate_morphism(m: TripleMorphism) -> ResidualReport:
-    """Residuals for isometry, intertwining identities and injectivity."""
+    """Residuals for isometry, intertwining identities and injectivity;
+    ``algebra_intertwining`` is ||I - E(I)|| (``_intertwining_residual``)."""
     iso_res = frobenius(dagger(m.iso) @ m.iso - np.eye(m.source.hilbert_dim))
     dirac_res = operator_norm(m.iso @ m.source.dirac - m.target.dirac @ m.iso)
     rep_res = _intertwining_residual(m)
@@ -255,13 +255,12 @@ def _cut_norm(dirac: np.ndarray, f: np.ndarray) -> float | None:
     other = f[cut]
     if not (other == other[0]).all():
         return None
-    block = dirac[np.ix_(cut, ~cut)]
-    block = block[np.ix_(block.any(axis=1), block.any(axis=0))]
-    if not block.size:
+    norm = _trimmed_norm(dirac[np.ix_(cut, ~cut)])
+    if not norm:
         return 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         d = float(abs(other[0] - f[0]))
-    return d * operator_norm(block)
+    return d * norm
 
 
 def commutator_norm(t: FiniteSpectralTriple, a: AlgebraElement) -> float:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +308,52 @@ class TestValidate:
         assert main(["validate", "--system", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out.startswith("FAIL triple 0: FAIL(faithfulness_defect)")
+        assert "Traceback" not in captured.err
+
+    def test_explicit_top_phi_matches_spectrum_map(self, tmp_path, capsys):
+        # Binary CI J=8 with the top link's phi written as explicit_linear:
+        # the same line as the spectrum-map file, and no stack of per-element
+        # residuals (the basis-stacked route peaked at 27 MiB).  An iso entry
+        # between points of different labels, or a moved row of the explicit
+        # phi (still a surjective pullback), fails the algebra intertwining.
+        cfg = write_json(tmp_path / "cfg.json", dict(CI2, alphas=[float(j) for j in range(1, 9)], levels=8))
+        path = tmp_path / "ci8.json"
+        assert main(["build", "--config", cfg, "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["validate", "--system", str(path)]) == 0
+        want = capsys.readouterr().out
+        assert want.startswith("pass: 9 triples, 8 links")
+        link = load_system(str(path)).links[-1]
+        doc = json.loads(path.read_text())
+        phi = link.phi.as_matrix().real
+        doc["links"][-1]["phi"]["encoding"] = {"kind": "explicit_linear", "matrix": matrix_to_json(phi)}
+        explicit = write_json(tmp_path / "explicit.json", doc)
+        tracemalloc.start()
+        try:
+            assert main(["validate", "--system", explicit]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out == want
+        assert peak <= 8 * 2**20
+        labels = link.phi.spectrum_map[link.target.rep.spectrum_map]
+        col = int(np.flatnonzero(link.source.rep.spectrum_map != labels[0])[0])
+        iso = link.iso.copy()
+        iso[0, col] = 0.25
+        doc["links"][-1]["iso"] = matrix_to_json(iso)
+        assert main(["validate", "--system", write_json(tmp_path / "iso.json", doc)]) == 1
+        captured = capsys.readouterr()
+        failures = captured.out.split("FAIL(", 1)[1].split(")", 1)[0].split(",")
+        assert captured.out.startswith("FAIL link 7: FAIL(") and "algebra_intertwining" in failures
+        assert "Traceback" not in captured.err
+        doc["links"][-1]["iso"] = matrix_to_json(link.iso)
+        moved = phi.copy()
+        moved[2] = np.eye(phi.shape[1])[link.phi.spectrum_map[2] + 1]
+        doc["links"][-1]["phi"]["encoding"]["matrix"] = matrix_to_json(moved)
+        assert main(["validate", "--system", write_json(tmp_path / "moved.json", doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("FAIL link 7: FAIL(algebra_intertwining): ")
+        assert "algebra_intertwining=7.07e-01" in captured.out
         assert "Traceback" not in captured.err
 
     def test_truncated_exit2(self, tmp_path, cantor_file):

@@ -12,10 +12,13 @@ generator examples run ``build``, ``validate``, ``st2`` and ``report`` on
 small, partly malformed generator configs with random flags of each
 command.  The representation examples give explicit maps into M_N, some
 of them not faithful or moved off a *-homomorphism, and compare the
-verdict with an all-pairs oracle.
+verdict with an all-pairs oracle.  The intertwining examples perturb the
+isometry (and sometimes the explicit phi) of a link and check that the
+algebra-intertwining residual bounds the defect of random elements.
 """
 
 import argparse
+import functools
 import json
 
 import numpy as np
@@ -28,16 +31,22 @@ from spectral_limits import (
     FiniteCStarAlgebra,
     FiniteSpectralTriple,
     InductiveSystem,
+    StarHomomorphism,
+    TripleMorphism,
     cantor_system,
+    ci_system,
     dense_representation,
     hom_validate,
     middle_thirds,
+    random_commutative_system,
     save_system,
     system_to_json,
+    validate_morphism,
 )
 from spectral_limits.algebra import VALIDATION_TOL
 from spectral_limits.cli import build_parser, main
 from spectral_limits.serialization import dumps, matrix_from_json, matrix_to_json
+from test_generators import doubled_chain, tensor_chain
 
 
 def _base_doc() -> dict:
@@ -470,3 +479,62 @@ def test_explicit_representation_matches_all_pairs_oracle(tmp_path, capsys, bloc
     code = main(["validate", "--system", str(path)])
     _assert_clean_exit(code, capsys)
     assert code == (0 if passed else 1)
+
+
+@functools.cache
+def _gns_links():
+    return (
+        ci_system(tensor_chain(3, np.random.default_rng(11)), 3).links
+        + ci_system(doubled_chain(np.random.default_rng(6))[0], 2).links
+    )
+
+
+def _rotated(t: FiniteSpectralTriple, u) -> FiniteSpectralTriple:
+    """The diagonal triple t carried by the unitary u into a dense representation."""
+    fibres = [u @ np.diag((t.rep.spectrum_map == i).astype(complex)) @ u.conj().T for i in range(t.algebra.n_points)]
+    return FiniteSpectralTriple(dense_representation(t.algebra, fibres), u @ t.dirac @ u.conj().T)
+
+
+# Links of random commutative systems (phi as a spectrum map or an explicit
+# matrix, target diagonal or rotated to a dense representation) and of the
+# M_8 tensor chain and the doubled chain, with a perturbed isometry and
+# sometimes one moved entry of an explicit phi.  Whenever phi and both
+# representations pass ``hom_validate``, ||I pi1(a) - pi2(phi(a)) I|| <=
+# 2 ||a|| ||I - E(I)|| for random elements a.
+@FUZZ_SETTINGS
+@given(
+    system=st.none() | st.integers(0, 2**32 - 1),
+    pick=st.integers(0, 10**6),
+    explicit=st.booleans(),
+    dense=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-9, 1.0),
+    move=st.none() | st.tuples(st.integers(0, 10**6), st.floats(1e-9, 1.0)),
+)
+def test_intertwining_residual_bounds_every_element(system, pick, explicit, dense, seed, scale, move):
+    rng = np.random.default_rng(seed)
+    if system is None:
+        links = _gns_links()
+    else:
+        links = random_commutative_system(np.random.default_rng(system), max_dim=12).links
+    link = links[pick % len(links)]
+    source, target, phi, iso = link.source, link.target, link.phi, link.iso.astype(complex)
+    if system is not None and dense:
+        size = target.hilbert_dim
+        u = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))[0]
+        target, iso = _rotated(target, u), u @ iso
+    if explicit or phi.spectrum_map is None:
+        matrix = phi.as_matrix().copy()
+        if move is not None:
+            matrix.reshape(-1)[move[0] % matrix.size] += move[1]
+        phi = StarHomomorphism(phi.source, phi.target, matrix=matrix)
+    mask = rng.random(iso.shape) < 0.3
+    iso = iso + scale * mask * (rng.normal(size=iso.shape) + 1j * rng.normal(size=iso.shape))
+    if not all(hom_validate(h).passed for h in (phi, source.rep, target.rep)):
+        return
+    residual = validate_morphism(TripleMorphism(source, target, phi, iso)).entries["algebra_intertwining"]
+    algebra = source.algebra
+    for coords in rng.normal(size=(4, algebra.element_dim)) + 1j * rng.normal(size=(4, algebra.element_dim)):
+        a = algebra.from_coordinates(coords)
+        defect = np.linalg.norm(iso @ source.represent(a) - target.represent(phi.apply(a)) @ iso, ord=2)
+        assert defect <= 2 * a.norm() * residual * (1 + 1e-9) + 1e-12

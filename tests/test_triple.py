@@ -1,5 +1,6 @@
 """Spectral triples, morphisms, commutator seminorms and gradings."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -32,6 +33,7 @@ from spectral_limits import (
     validate_morphism,
     validate_triple,
 )
+from test_generators import doubled_chain, tensor_chain
 from test_inductive import chain
 
 SEQ = middle_thirds(6)
@@ -63,6 +65,22 @@ def reference_intertwining(m):
     lhs = m.iso @ reference_operators(m.source.rep, basis)
     rhs = reference_operators(m.target.rep, m.phi.as_matrix().T) @ m.iso
     return float(np.linalg.norm(lhs - rhs, ord=2, axis=(-2, -1)).max())
+
+
+def reference_twirl(m):
+    """||I - E(I)|| with E(I) = sum over the matrix units e^b_kl of
+    pi2(phi(e_kl)) I pi1(e_lk) / n_b, one unit at a time, the images formed
+    by ``reference_operators`` and phi applied as a matrix."""
+    algebra = m.source.algebra
+    pi = reference_operators(m.source.rep, np.eye(algebra.element_dim))
+    rho = reference_operators(m.target.rep, m.phi.as_matrix().T)
+    average = sum(
+        rho[o + k * n + l] @ m.iso @ pi[o + l * n + k] / n
+        for o, n in zip(algebra.block_offsets(), algebra.block_dims)
+        for k in range(n)
+        for l in range(n)
+    )
+    return float(np.linalg.norm(m.iso - average, ord=2))
 
 
 def m2_system():
@@ -242,6 +260,36 @@ class TestValidateMorphism:
         assert report.entries["algebra_intertwining"] == pytest.approx(np.sqrt(0.5), abs=1e-12)
         assert validate_morphism(link).passed
 
+    def test_explicit_phi_between_diagonal_reps_is_hadamard(self):
+        # Binary CI J=9, top link (256 -> 512 points) with phi as an
+        # explicit 512 x 256 matrix: I - E(I) is a Hadamard product, so no
+        # per-element operator is formed.  The basis-stacked route took
+        # about 8 s and a 24 MiB peak here.
+        alphas = [float(j) for j in range(1, 10)]
+        system = ci_system(commutative_af_chain(binary_branching(9), np.full(512, 1 / 512), alphas), 9)
+        link = system.links[-1]
+        phi = StarHomomorphism(link.phi.source, link.phi.target, matrix=link.phi.as_matrix())
+        explicit = TripleMorphism(link.source, link.target, phi, link.iso)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            report = validate_morphism(explicit)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak <= 16 * 2**20
+        assert report.entries == validate_morphism(link).entries
+        assert report.entries["algebra_intertwining"] == 0.0
+        iso = link.iso.copy()
+        iso[0, 200] = 0.25
+        planted = [validate_morphism(TripleMorphism(link.source, link.target, f, iso)) for f in (link.phi, phi)]
+        assert "algebra_intertwining" in planted[1].failures
+        assert planted[1].failures == planted[0].failures
+        assert planted[1].entries["algebra_intertwining"] == pytest.approx(0.25, rel=1e-15)
+        assert planted[1].entries == pytest.approx(planted[0].entries, rel=1e-15)
+
     @pytest.mark.parametrize("corrupt", ["diagonal", "dense"])
     def test_intertwining_matches_oracle(self, corrupt):
         rng = np.random.default_rng(17)
@@ -258,26 +306,41 @@ class TestValidateMorphism:
             got = validate_morphism(bad).entries["algebra_intertwining"]
             assert got == pytest.approx(intertwining_oracle(bad), rel=1e-12, abs=1e-12)
 
-    @pytest.mark.parametrize("target", ["diagonal", "dense"])
+    @pytest.mark.parametrize("target", ["diagonal", "dense", "gns"])
     def test_mixed_encodings_match_reference(self, target):
-        # An explicit phi between diagonal representations, and a diagonal
-        # source linked to a dense target, take the stacked route.
+        # An explicit phi between diagonal representations, a diagonal
+        # source linked to a dense target, and the links of GNS chains
+        # (sources up to M_4, targets up to M_8 and M_2 + M_2).  The residual
+        # is the reference twirl; it is at least half the maximum over the
+        # basis and, for a commutative source of d points, at most sqrt(d)
+        # times it.
         rng = np.random.default_rng(5)
-        for link in random_commutative_system(np.random.default_rng(8), max_dim=16).links:
-            tgt = link.target
+        if target == "gns":
+            links = (
+                ci_system(tensor_chain(3, np.random.default_rng(11)), 3).links
+                + ci_system(doubled_chain(np.random.default_rng(6))[0], 2).links
+                + m2_system().links
+            )
+        else:
+            systems = [random_commutative_system(np.random.default_rng(seed), max_dim=16) for seed in (8, 11, 13)]
+            links = [link for system in systems for link in system.links]
+        for link in links:
+            tgt, phi = link.target, link.phi
             if target == "dense":
                 fibres = [np.diag((tgt.rep.spectrum_map == i).astype(complex)) for i in range(tgt.algebra.n_points)]
                 tgt = FiniteSpectralTriple(dense_representation(tgt.algebra, fibres), tgt.dirac)
-                phi = link.phi
-            else:
+            elif target == "diagonal":
                 phi = StarHomomorphism(link.phi.source, link.phi.target, matrix=link.phi.as_matrix())
             iso = link.iso + 0.2 * rng.normal(size=link.iso.shape) * (rng.random(link.iso.shape) < 0.3)
             m = TripleMorphism(link.source, tgt, phi, iso)
-            assert triple_module._intertwining_residual(m) == pytest.approx(
-                reference_intertwining(m), rel=1e-12, abs=1e-14
-            )
+            got = validate_morphism(m).entries["algebra_intertwining"]
+            assert got == pytest.approx(reference_twirl(m), rel=1e-12, abs=1e-14)
+            reference = reference_intertwining(m)
+            assert reference <= 2 * got * (1 + 1e-12) + 1e-14
+            if link.source.algebra.is_commutative:
+                assert got <= np.sqrt(link.source.algebra.element_dim) * reference * (1 + 1e-12) + 1e-14
             exact = TripleMorphism(link.source, tgt, phi, link.iso)
-            assert triple_module._intertwining_residual(exact) <= 1e-12
+            assert validate_morphism(exact).entries["algebra_intertwining"] <= 1e-12
 
     def test_corrupted_isometry_fails(self):
         link = CANTOR.links[1]
