@@ -46,8 +46,9 @@ from .errors import (
 )
 from .inductive import InductiveSystem, realize, system_validate
 from .serialization import (
+    _open_output,
+    _write_json,
     complex_to_json,
-    dumps,
     finite_numbers,
     load_system,
     matrix_from_json,
@@ -55,6 +56,7 @@ from .serialization import (
     save_system,
     system_from_generator_config,
 )
+from .serialization import dumps  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -123,21 +125,13 @@ def _load_system_arg(args) -> InductiveSystem:
     raise ValidationError("give --system FILE or --config FILE")
 
 
-def _write_or_print(text: str, path: str | None) -> None:
-    if path:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValidationError(f"cannot write {path}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_csv_and_json(csv_text: str, doc: dict, prefix: str | None) -> None:
-    """Write ``prefix``.csv and ``prefix``.json, or both to stdout without a prefix."""
-    _write_or_print(csv_text, prefix and prefix + ".csv")
-    _write_or_print(dumps(doc) + "\n", prefix and prefix + ".json")
+def _emit_csv_and_json(lines, doc: dict, prefix: str | None) -> None:
+    """Write ``prefix``.csv and ``prefix``.json, or both to stdout without a
+    prefix, each as it is produced: the CSV one line of ``lines`` at a time."""
+    with _open_output(prefix and prefix + ".csv") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+    _write_json(doc, prefix and prefix + ".json")
     if prefix:
         print(f"wrote {prefix}.csv and {prefix}.json")
 
@@ -160,14 +154,14 @@ def _system_summary(system: InductiveSystem) -> dict:
     }
 
 
-def _gap_rows(series: GapSeries, cross: dict | None) -> list[list[str]]:
-    rows = []
+def _gap_lines(series: GapSeries, cross: dict | None):
+    """The CSV lines of one gap series; ``cross`` holds the eigen-route deltas."""
     for idx, (j, gap) in enumerate(series.entries):
         bound = None
         if series.analytic_bounds is not None:
             bound = series.analytic_bounds[idx]
         delta = None if cross is None else cross.get(j)
-        rows.append(
+        yield ",".join(
             [
                 series.kind,
                 str(j),
@@ -179,10 +173,17 @@ def _gap_rows(series: GapSeries, cross: dict | None) -> list[list[str]]:
                 _fmt(delta),
             ]
         )
-    return rows
 
 
 GAP_CSV_HEADER = "kind,j,lambda_re,lambda_im,f_name,gap,analytic_bound,eigen_gap_delta"
+
+
+def _st1_lines(resolvent, function):
+    yield GAP_CSV_HEADER
+    for series, cross, _ in resolvent:
+        yield from _gap_lines(series, cross)
+    for series in function:
+        yield from _gap_lines(series, None)
 
 
 def cmd_build(args) -> int:
@@ -244,15 +245,6 @@ def cmd_st1(args) -> int:
     functions = _check_functions(args.function or [])
     resolvent, function = _st1_probes(r, lambdas, functions, levels, args.threshold, args.window)
 
-    lines = [GAP_CSV_HEADER]
-    for series, cross, _ in resolvent:
-        for row in _gap_rows(series, cross):
-            lines.append(",".join(row))
-    for series in function:
-        for row in _gap_rows(series, None):
-            lines.append(",".join(row))
-    csv_text = "\n".join(lines) + "\n"
-
     probes = []
     for (_, cross, verdict), lam in zip(resolvent, lambdas):
         probes.append(
@@ -270,7 +262,7 @@ def cmd_st1(args) -> int:
         "probes": probes,
         "version": __version__,
     }
-    _emit_csv_and_json(csv_text, verdict_doc, args.out)
+    _emit_csv_and_json(_st1_lines(resolvent, function), verdict_doc, args.out)
     _warn_route_deltas(resolvent)
     if any(p["classification"] == "inconsistent" for p in probes):
         return EXIT_MATH
@@ -278,6 +270,13 @@ def cmd_st1(args) -> int:
 
 
 ST2_CSV_HEADER = "kind,base_level,element,k,norm"
+
+
+def _st2_lines(named):
+    yield ST2_CSV_HEADER
+    for name, series in named:
+        for k, v in series.entries:
+            yield f"commutator,{series.base_level},{name},{k},{_fmt(v)}"
 
 
 def _element_from_doc(doc, system: InductiveSystem) -> tuple[str, int, AlgebraElement]:
@@ -326,11 +325,6 @@ def cmd_st2(args) -> int:
         _check_positive("--bound", args.bound, allow_zero=True)
     system = _load_system_arg(args)
     named = _st2_series(args, system)
-    lines = [ST2_CSV_HEADER]
-    for name, series in named:
-        for k, v in series.entries:
-            lines.append(",".join(["commutator", str(series.base_level), name, str(k), _fmt(v)]))
-    csv_text = "\n".join(lines) + "\n"
     verdict = st2_verdict([s for _, s in named], bound=args.bound)
     verdict_doc = {
         "kind": "st2",
@@ -341,7 +335,7 @@ def cmd_st2(args) -> int:
         "series_names": [name for name, _ in named],
         "version": __version__,
     }
-    _emit_csv_and_json(csv_text, verdict_doc, args.out)
+    _emit_csv_and_json(_st2_lines(named), verdict_doc, args.out)
     return EXIT_MATH if verdict.classification == "inconsistent" else EXIT_OK
 
 
@@ -400,6 +394,10 @@ def _report_levels(levels, top: int) -> list[int]:
     return list(range(levels[0], levels[1] + 1))
 
 
+def _series_doc(s: CommutatorSeries) -> dict:
+    return {"base_level": s.base_level, "entries": [{"k": k, "norm": v} for k, v in s.entries]}
+
+
 def cmd_report(args) -> int:
     cfg = read_json(args.config)
     if not isinstance(cfg, dict) or "system" not in cfg:
@@ -451,10 +449,8 @@ def cmd_report(args) -> int:
             "failing_link": validation.failing_link,
         },
         "gap_series": gap_docs,
-        "commutator_series": [
-            {"base_level": s.base_level, "entries": [{"k": k, "norm": v} for k, v in s.entries]}
-            for s in st2_probe
-        ],
+        # Encoded one series at a time by _series_doc.
+        "commutator_series": st2_probe,
         "st2": {
             "classification": st2.classification,
             "evidence": st2.evidence,
@@ -463,7 +459,7 @@ def cmd_report(args) -> int:
         "version": __version__,
         "config": cfg,
     }
-    _write_or_print(dumps(doc) + "\n", args.out)
+    _write_json(doc, args.out, default=_series_doc)
     _warn_route_deltas(resolvent)
     failed = (
         not validation.passed

@@ -15,7 +15,15 @@ when every link intertwines them, D_J commutes with P_j, the gap is
 ||R_lam(D_J)(1 - P_j)||, and that is the largest |R_lam| over the
 increment spectra of the levels above j.
 Commutator series track ||[D_k, pi_k(phi_{j,k}(a))]|| over k >= j, which
-is nondecreasing for valid systems.
+is nondecreasing for valid systems.  The default ST2 probe tracks every
+basis element of the probed levels.  When every representation and link is
+a spectrum map and every D_k is exactly Hermitian, the pullback of a level-j
+basis element to level k is the indicator of a fibre of the level-k
+coordinate labels composed down to level j, and its norm is that of the cut
+block D_k[S, S^c], so one pass per level pair gives every fibre
+(``triple._cut_norms``).  Dense representations and inexactly Hermitian
+Dirac operators keep one ``commutator_series`` per element, which is the
+oracle of the fibre route in the tests.
 
 Verdicts are explicitly heuristic: a finite truncation can only report
 trends, never prove a limit statement, and every verdict carries that
@@ -47,7 +55,7 @@ from .linalg import (
     times_pow2,
     unscaled,
 )
-from .triple import commutator_norm
+from .triple import commutator_norm, _cut_norms
 
 # Verdict heuristics: absolute smallness threshold and tail window length
 # (``st1 --threshold`` and ``--window`` set them), the decay factor a
@@ -362,7 +370,8 @@ def st2_verdict(series_set: Sequence[CommutatorSeries], bound: float | None = No
     Consistent when every series stabilizes over its last ``VERDICT_WINDOW``
     entries (or stays below a caller-set bound); a series still strictly
     growing at the end of the probed range (and above the bound, if any) is
-    inconsistent.
+    inconsistent.  A series with fewer than two entries that is not below the
+    bound carries no trend, so it makes the verdict inconclusive.
     """
     if not series_set:
         raise ValidationError("empty commutator series collection")
@@ -379,7 +388,7 @@ def st2_verdict(series_set: Sequence[CommutatorSeries], bound: float | None = No
         scale = max(1.0, max(values, default=0.0))
         stabilized = len(values) >= 2 and (values[-1] - values[0]) <= STALL_TOL * scale
         below_bound = bound is not None and s.sup <= bound
-        if len(values) < 2 and bound is None:
+        if len(values) < 2 and not below_bound:
             evidence["reason"] = f"series {idx} has fewer than two entries"
             return Verdict("inconclusive", evidence)
         if not (stabilized or below_bound):
@@ -392,17 +401,54 @@ def st2_verdict(series_set: Sequence[CommutatorSeries], bound: float | None = No
     return Verdict("inconsistent", evidence)
 
 
+def _fibre_norms(system: InductiveSystem, levels: Sequence[int]) -> dict[tuple[int, int], list[float]]:
+    """||[D_k, pi_k(phi_{j,k}(e_i))]|| over the points i of each level j in
+    ``levels``, keyed by (j, k) for every k >= j, when every representation
+    and link is a spectrum map and every D_k is exactly Hermitian.
+
+    pi_k(phi_{j,k}(e_i)) is the indicator of the fibre over point i of the
+    level-k coordinate labels composed down to level j, one gather per link,
+    so one ``_cut_norms`` pass per level k gives every fibre of every pair.
+    """
+    triples, links = system.triples, system.links
+    probed, low = set(levels), min(levels)
+    out = {}
+    for k in range(low, system.top_level + 1):
+        labels = triples[k].rep.spectrum_map
+        partitions = {}
+        for j in range(k, low - 1, -1):
+            if j < k:
+                labels = links[j].phi.spectrum_map[labels]
+            if j in probed:
+                partitions[j] = (labels, triples[j].algebra.element_dim)
+        norms = _cut_norms(triples[k].dirac, list(partitions.values()))
+        out.update({(j, k): v.tolist() for j, v in zip(partitions, norms)})
+    return out
+
+
 def default_st2_probe(system: InductiveSystem, levels: Sequence[int] | None = None) -> list[CommutatorSeries]:
     """One commutator series per basis generator of each probed level.
 
     By default the levels below the top are probed, so every series has at
-    least two entries and carries trend information.
+    least two entries and carries trend information.  The series come in
+    order of ``levels``, then of basis index.  When every representation and
+    link is a spectrum map and every D_k is exactly Hermitian, the norms come
+    from ``_fibre_norms``; otherwise each series is a ``commutator_series``.
     """
-    if levels is None:
-        levels = range(system.top_level) if system.top_level > 0 else [0]
-    out = []
+    top = system.top_level
+    levels = list(range(top) if top > 0 else [0]) if levels is None else list(levels)
     for j in levels:
-        algebra = system.triples[j].algebra
-        for i in range(algebra.element_dim):
-            out.append(commutator_series(system, j, algebra.basis_element(i)))
-    return out
+        if not 0 <= j <= top:
+            raise ValidationError(f"need 0 <= j <= {top}")
+    maps = [t.rep.spectrum_map for t in system.triples] + [m.phi.spectrum_map for m in system.links]
+    if levels and all(s is not None for s in maps) and all(t.dirac_is_hermitian for t in system.triples):
+        norms = _fibre_norms(system, levels)
+
+        def series(j, i):
+            return CommutatorSeries(j, tuple((k, norms[j, k][i]) for k in range(j, top + 1)))
+    else:
+
+        def series(j, i):
+            return commutator_series(system, j, system.triples[j].algebra.basis_element(i))
+
+    return [series(j, i) for j in levels for i in range(system.triples[j].algebra.element_dim)]

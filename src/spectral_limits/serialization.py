@@ -24,7 +24,9 @@ import base64
 import binascii
 import json
 import math
-from typing import Any
+import sys
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -250,17 +252,34 @@ def dumps(obj: dict) -> str:
     return json.dumps(obj, **JSON_STYLE)
 
 
-def save_system(s: InductiveSystem, path: str) -> None:
-    """Write the bytes of ``dumps(system_to_json(s)) + "\\n"``, streamed to the file.
-
-    A file that cannot be written raises ValidationError naming the path.
-    """
+@contextmanager
+def _open_output(path: str | None) -> Iterator[TextIO]:
+    """The UTF-8 text file ``path`` opened for writing, or stdout when it is
+    empty or None.  A file that cannot be written raises ValidationError
+    naming the path."""
+    if not path:
+        yield sys.stdout
+        return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(system_to_json(s), fh, **JSON_STYLE)
-            fh.write("\n")
+            yield fh
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_json(obj, path: str | None, default: Callable | None = None) -> None:
+    """Write the bytes of ``dumps(obj) + "\\n"`` to ``_open_output(path)`` as
+    they are encoded; ``default`` turns the objects JSON cannot encode into
+    ones it can, one at a time."""
+    with _open_output(path) as fh:
+        json.dump(obj, fh, default=default, **JSON_STYLE)
+        fh.write("\n")
+
+
+def save_system(s: InductiveSystem, path: str) -> None:
+    """Write ``system_to_json(s)`` to the file ``path`` with ``_write_json``;
+    a file that cannot be written raises ValidationError naming the path."""
+    _write_json(system_to_json(s), path)
 
 
 def read_json(path: str):

@@ -21,12 +21,14 @@ from spectral_limits import (
     StarHomomorphism,
     TripleMorphism,
     cantor_system,
+    default_st2_probe,
     dense_representation,
     diagonal_representation,
     gap_series,
     load_system,
     middle_thirds,
     realize,
+    resolvent_gap_eigen,
     save_system,
     st1_verdict,
 )
@@ -34,7 +36,7 @@ from spectral_limits import distance
 from spectral_limits.cli import main, parse_complex, parse_levels
 from spectral_limits.errors import ValidationError
 from spectral_limits.linalg import lanczos_start
-from spectral_limits.serialization import matrix_from_json, matrix_to_json
+from spectral_limits.serialization import dumps, matrix_from_json, matrix_to_json
 
 from test_diagnostics import growing_commutator_system
 
@@ -541,6 +543,98 @@ class TestUnwritableOutputs:
         assert "No such file or directory" in captured.err and "Traceback" not in captured.err
 
 
+def _fmt(x):
+    return "" if x is None else f"{float(x):.17g}"
+
+
+class TestStreamedOutputs:
+    """Outputs are written as they are encoded; their bytes are the joined
+    CSV rows and ``dumps(doc) + "\\n"``, to a file or to stdout alike."""
+
+    @staticmethod
+    def run_both(argv, out, capsys):
+        """(exit code, stdout) without ``--out``, then the code with it."""
+        capsys.readouterr()
+        code = main(argv)
+        stdout = capsys.readouterr().out
+        assert main(argv + ["--out", str(out)]) == code
+        return code, stdout
+
+    @staticmethod
+    def assert_canonical(text):
+        assert text == dumps(json.loads(text)) + "\n"
+
+    def test_st1(self, cantor_file, tmp_path, capsys):
+        argv = ["st1", "--system", cantor_file, "--lambda", "i", "--lambda", "1+i", "--function", "gaussian"]
+        code, stdout = self.run_both(argv, tmp_path / "s", capsys)
+        assert code == 0
+        r = realize(load_system(cantor_file))
+        rows = ["kind,j,lambda_re,lambda_im,f_name,gap,analytic_bound,eigen_gap_delta"]
+        for lam in (1j, 1 + 1j):
+            series = gap_series(r, lam=lam)
+            for (j, gap), bound in zip(series.entries, series.analytic_bounds):
+                delta = abs(gap - resolvent_gap_eigen(r, j, lam))
+                rows.append(f"resolvent,{j},{_fmt(lam.real)},{_fmt(lam.imag)},,{_fmt(gap)},{_fmt(bound)},{_fmt(delta)}")
+        rows += [f"function,{j},,,gaussian,{_fmt(gap)},," for j, gap in gap_series(r, f_name="gaussian").entries]
+        csv_text, json_text = (tmp_path / "s.csv").read_text(), (tmp_path / "s.json").read_text()
+        assert csv_text == "\n".join(rows) + "\n"
+        self.assert_canonical(json_text)
+        assert stdout == csv_text + json_text
+
+    def test_st2(self, cantor_file, tmp_path, capsys):
+        code, stdout = self.run_both(["st2", "--system", cantor_file], tmp_path / "s", capsys)
+        assert code == 0
+        probe = default_st2_probe(load_system(cantor_file))
+        rows = ["kind,base_level,element,k,norm"] + [
+            f"commutator,{s.base_level},basis{i}@{s.base_level},{k},{_fmt(v)}"
+            for i, s in enumerate(probe)
+            for k, v in s.entries
+        ]
+        csv_text, json_text = (tmp_path / "s.csv").read_text(), (tmp_path / "s.json").read_text()
+        assert csv_text == "\n".join(rows) + "\n"
+        self.assert_canonical(json_text)
+        assert json.loads(json_text)["series_names"] == [f"basis{i}@{s.base_level}" for i, s in enumerate(probe)]
+        assert stdout == csv_text + json_text
+
+    def test_report(self, cantor_file, tmp_path, capsys):
+        run = write_json(tmp_path / "run.json", {"system": {"path": cantor_file}, "lambdas": ["i"]})
+        code, stdout = self.run_both(["report", "--config", run], tmp_path / "r.json", capsys)
+        assert code == 0
+        text = (tmp_path / "r.json").read_text()
+        self.assert_canonical(text)
+        assert stdout == text
+        probe = default_st2_probe(load_system(cantor_file))
+        assert json.loads(text)["commutator_series"] == [
+            {"base_level": s.base_level, "entries": [{"k": k, "norm": v} for k, v in s.entries]} for s in probe
+        ]
+
+    @pytest.mark.parametrize("command", ["st1", "st2"])
+    def test_unwritable_json_after_csv_exit2(self, cantor_file, tmp_path, capsys, command):
+        out = tmp_path / "x"
+        Path(f"{out}.json").mkdir()
+        capsys.readouterr()
+        assert main([command, "--system", cantor_file, "--levels", "0..2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith(f"error: cannot write {out}.json: ")
+
+    def test_report_memory_ceiling(self, tmp_path, capsys):
+        # Middle-thirds Cantor J=40, lambda = i: 820 commutator series.  Holding
+        # every entry as a dict and the whole encoded report peaks at 13 MiB.
+        run = write_json(
+            tmp_path / "run.json",
+            {"system": {"type": "cantor", "gaps": "middle-thirds", "levels": 40}, "lambdas": ["i"]},
+        )
+        tracemalloc.start()
+        try:
+            assert main(["report", "--config", run, "--out", str(tmp_path / "r.json")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(json.loads((tmp_path / "r.json").read_text())["commutator_series"]) == 820
+        assert peak <= 8 * 2**20
+
+
 class TestSt1:
     def test_cantor_consistent_with_crosscheck(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "c8.json", {"type": "cantor", "gaps": "middle-thirds", "levels": 8})
@@ -877,6 +971,20 @@ class TestSt2:
         assert rc == 2
         assert "--bound" in capsys.readouterr().err
         assert not (tmp_path / "b.csv").exists()
+
+    @pytest.mark.parametrize(
+        "extra, classification",
+        [([], "inconclusive"), (["--bound", "0.1"], "inconclusive"), (["--bound", "1e6"], "consistent")],
+        ids=["no-bound", "bound-below-norms", "bound-above-norms"],
+    )
+    def test_one_entry_series_with_bound(self, cantor_file, tmp_path, extra, classification):
+        # Top-level series have one entry each (norms 3^k up to 729): no trend,
+        # so a bound they exceed leaves them inconclusive rather than growing.
+        out = tmp_path / "top"
+        assert main(["st2", "--system", cantor_file, "--levels", "6..6", "--out", str(out)] + extra) == 0
+        doc = json.loads(Path(f"{out}.json").read_text())
+        assert doc["classification"] == classification
+        assert len(doc["series_names"]) == 7 and "growing_series" not in doc["evidence"]
 
     def test_zero_bound_accepted(self, cantor_file, tmp_path):
         rc = main(["st2", "--system", cantor_file, "--levels", "0..1", "--bound", "0", "--out", str(tmp_path / "z")])

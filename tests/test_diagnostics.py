@@ -1,7 +1,10 @@
 """Gap series, eigenprojection oracle, commutator series, verdicts."""
 
+import dataclasses
 import re
+import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,8 +49,11 @@ from spectral_limits.linalg import (
     resolvent_from_decomposition,
     resolvent_values,
 )
-from spectral_limits.serialization import system_from_generator_config
+from spectral_limits.serialization import load_system, system_from_generator_config
 from test_inductive import CANTOR5, CI3, chain
+from test_triple import ci_config
+
+DATA = Path(__file__).resolve().parent / "data"
 
 SEQ = middle_thirds(6)
 CANTOR6 = cantor_system(SEQ, 6)
@@ -466,6 +472,156 @@ class TestCommutatorSeries:
     def test_decreasing_series_rejected(self):
         with pytest.raises(ValidationError):
             CommutatorSeries(0, ((0, 2.0), (1, 1.0)))
+
+
+def series_loop(system, levels=None):
+    """The default probe as one ``commutator_series`` per basis element: the oracle."""
+    if levels is None:
+        levels = range(system.top_level) if system.top_level > 0 else [0]
+    return [
+        commutator_series(system, j, system.triples[j].algebra.basis_element(i))
+        for j in levels
+        for i in range(system.triples[j].algebra.element_dim)
+    ]
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """Number of ``diagnostics.commutator_norm`` calls, one counter per test."""
+    calls = [0]
+    norm = diagnostics.commutator_norm
+
+    def counting(*args):
+        calls[0] += 1
+        return norm(*args)
+
+    monkeypatch.setattr(diagnostics, "commutator_norm", counting)
+    return calls
+
+
+def _with_top_dirac(system, dirac):
+    """``system`` with D_J replaced by ``dirac``."""
+    *triples, top = system.triples
+    top = dataclasses.replace(top, dirac=dirac)
+    *links, last = system.links
+    return InductiveSystem((*triples, top), (*links, dataclasses.replace(last, target=top)))
+
+
+CANTOR18 = system_from_generator_config({"type": "cantor", "gaps": "middle-thirds", "levels": 18})
+POINT_CHAIN_CI = system_from_generator_config(
+    ci_config([float((-1) ** j) for j in range(1, 8)], [1, 2, 3, 6, 12, 24, 48, 96])
+)
+BINARY_CI6 = system_from_generator_config(ci_config([float(j) for j in range(1, 7)]))
+
+
+class TestFibreProbe:
+    """The default probe takes one cut pass per level pair on spectrum-map
+    systems; the per-element ``commutator_series`` loop is its oracle."""
+
+    @staticmethod
+    def assert_matches(probe, oracle, rel):
+        assert [s.base_level for s in probe] == [s.base_level for s in oracle]
+        for got, want in zip(probe, oracle):
+            assert got.levels == want.levels
+            for g, w in zip(got.values, want.values):
+                assert type(g) is float
+                if rel == 0.0:
+                    assert g == w
+                else:
+                    assert abs(g - w) <= rel * w
+
+    @pytest.mark.parametrize("system", [CANTOR6, CANTOR18], ids=["cantor-6", "cantor-18"])
+    @pytest.mark.parametrize("top_only", [None, False, True], ids=["default", "level-0", "top-level"])
+    def test_cantor_bit_equal(self, system, top_only, norm_calls):
+        levels = None if top_only is None else [system.top_level if top_only else 0]
+        probe = default_st2_probe(system, levels)
+        assert norm_calls[0] == 0
+        self.assert_matches(probe, series_loop(system, levels), 0.0)
+
+    @pytest.mark.parametrize(
+        "system", [BINARY_CI6, POINT_CHAIN_CI, CI3], ids=["binary-ci-6", "point-chain-ci-7", "ci-3"]
+    )
+    @pytest.mark.parametrize("top_only", [None, False, True], ids=["default", "level-0", "top-level"])
+    def test_ci_within_rounding(self, system, top_only, norm_calls):
+        levels = None if top_only is None else [system.top_level if top_only else 0]
+        probe = default_st2_probe(system, levels)
+        assert norm_calls[0] == 0
+        self.assert_matches(probe, series_loop(system, levels), 1e-14)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_systems_within_rounding(self, seed):
+        system = random_commutative_system(np.random.default_rng(seed), max_dim=48)
+        for levels in (None, [0], [system.top_level], range(system.top_level + 1)):
+            self.assert_matches(default_st2_probe(system, levels), series_loop(system, levels), 1e-14)
+
+    def test_empty_and_out_of_range_levels(self):
+        assert default_st2_probe(CANTOR6, []) == []
+        with pytest.raises(ValidationError, match="need 0 <= j <= 6"):
+            default_st2_probe(CANTOR6, [7])
+
+    def test_dense_representation_falls_back(self, norm_calls):
+        system = load_system(str(DATA / "ci_dense_v2.json"))
+        assert system.triples[-1].rep.spectrum_map is None
+        probe = default_st2_probe(system)
+        assert norm_calls[0] > 0
+        self.assert_matches(probe, series_loop(system), 0.0)
+
+    def test_inexactly_hermitian_dirac_falls_back(self, norm_calls):
+        d = BINARY_CI6.triples[-1].dirac.copy()
+        # Off-symmetric by 1e-17 at the smallest entry above the diagonal (2^-6).
+        rows, cols = np.triu_indices(len(d), 1)
+        k = np.argmin(np.abs(d[rows, cols]))
+        d[rows[k], cols[k]] += 1e-17
+        system = _with_top_dirac(BINARY_CI6, d)
+        assert not system.triples[-1].dirac_is_hermitian
+        probe = default_st2_probe(system)
+        assert norm_calls[0] > 0
+        self.assert_matches(probe, series_loop(system), 0.0)
+
+    def test_norm_beyond_float_range_raises(self):
+        # Entries 1e8 scaled by 1e300: each point's 2 x 2 cut block has norm 2e308.
+        d = np.full((4, 4), 1e8) * 1e300
+        t = FiniteSpectralTriple(diagonal_representation(FiniteCStarAlgebra((1, 1)), [0, 0, 1, 1]), d)
+        system = InductiveSystem((t,), ())
+        for probe in (default_st2_probe, series_loop):
+            with pytest.raises(ValidationError, match=re.escape("||[D, pi(a)]|| exceeds the float range")):
+                probe(system)
+
+    def test_growing_system_stays_inconsistent(self, norm_calls):
+        system = growing_commutator_system(6)
+        probe = default_st2_probe(system)
+        assert norm_calls[0] == 0
+        self.assert_matches(probe, series_loop(system), 0.0)
+        assert st2_verdict(probe).classification == "inconsistent"
+
+
+class TestFibreProbeCeilings:
+    def test_cantor18_work(self, norm_calls, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        calls = [0]
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert len(default_st2_probe(CANTOR18)) == 171
+        # The per-element loop makes 1,311 norm calls and 1,292 eigvalsh calls.
+        assert norm_calls[0] == 0
+        assert calls[0] <= 400
+
+    def test_binary_ci10_memory(self):
+        system = system_from_generator_config(ci_config([float(j) for j in range(1, 11)]))
+        tracemalloc.start()
+        try:
+            probe = default_st2_probe(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(probe) == 1023
+        # Chunks of at most CHUNK_ENTRIES row and Gram entries; an unchunked
+        # stack of every fibre's rows peaks at 33 MiB here.
+        assert peak <= 12 * 2**20
 
 
 class TestVerdicts:

@@ -1,5 +1,6 @@
 """Spectral triples, morphisms, commutator seminorms and gradings."""
 
+import re
 import time
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectral_limits import algebra as algebra_module
 from spectral_limits import triple as triple_module
 from spectral_limits import (
     AfChain,
@@ -497,6 +499,21 @@ def norm_shapes(monkeypatch):
     return shapes
 
 
+@pytest.fixture
+def gram_shapes(monkeypatch):
+    """Shapes of the Gram stacks the cut route hands to ``eigvalsh``."""
+    shapes = []
+    side_grams = triple_module._side_grams
+
+    def recording(*args):
+        grams = side_grams(*args)
+        shapes.append(grams.shape)
+        return grams
+
+    monkeypatch.setattr(triple_module, "_side_grams", recording)
+    return shapes
+
+
 class TestCutBlockNorm:
     """Two-valued diagonal elements take the cut block D[S, S^c]; the dense commutator is the oracle."""
 
@@ -523,7 +540,7 @@ class TestCutBlockNorm:
         assert value == 0.0 and type(value) is float
         assert norm_shapes == []
 
-    def test_complex_two_values(self, norm_shapes):
+    def test_complex_two_values(self, norm_shapes, gram_shapes):
         rng = np.random.default_rng(2)
         d = random_hermitian(rng, 7)
         t = diagonal_triple(d, [0, 1, 1, 0, 2, 1, 2])
@@ -534,12 +551,13 @@ class TestCutBlockNorm:
         want = dense_oracle(t, a)
         assert abs(closed_form - want) <= 1e-13 * want
         assert abs(commutator_norm(t, a) - want) <= 1e-13 * want
-        assert norm_shapes == [(3, 4)]
+        # The 3 x 4 cut block, on its short side: no dense commutator.
+        assert norm_shapes == [] and gram_shapes == [(1, 3, 3)]
 
-    def test_zero_rows_and_columns_dropped(self, norm_shapes):
+    def test_zero_rows_and_columns_of_the_cut_block(self, norm_shapes, gram_shapes):
         # Point 0 on coordinates 0..2, point 1 (the cut S) on 3..6; only 4 and 6
         # couple to 1 and 2, so B = D[S, S^c] is 4 x 3 with two zero rows and
-        # one zero column.
+        # one zero column, which leave its norm unchanged.
         d = np.diag(np.arange(7.0)).astype(complex)
         for i, j, v in ((1, 4, 2.0 - 1.0j), (2, 4, 0.5j), (2, 6, -3.0), (0, 2, 1.0), (4, 5, 7.0)):
             d[i, j], d[j, i] = v, np.conj(v)
@@ -547,7 +565,7 @@ class TestCutBlockNorm:
         a = t.algebra.from_point_values([0.25, -2.0])
         want = dense_oracle(t, a)
         assert abs(commutator_norm(t, a) - want) <= 1e-13 * want
-        assert norm_shapes == [(2, 2)]
+        assert norm_shapes == [] and gram_shapes == [(1, 3, 3)]
 
     def test_cut_with_no_coupling_is_zero(self, norm_shapes):
         t = diagonal_triple(np.diag([1.0, 2.0, 3.0]).astype(complex), [0, 1, 1])
@@ -593,6 +611,38 @@ class TestCutBlockNorm:
         # The oracle's entries D_ij f_j - f_i D_ij cancel when f_i ~ f_j.
         slack = 4 * np.finfo(float).eps * max(map(abs, values)) * np.linalg.norm(d)
         assert abs(commutator_norm(t, a) - want) <= 1e-13 * want + slack
+
+
+    @pytest.mark.parametrize("complex_dirac", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_fibre_of_a_partition(self, monkeypatch, complex_dirac, seed):
+        # Chunks of 64 row and Gram entries split the size groups across chunks.
+        monkeypatch.setattr(algebra_module, "CHUNK_ENTRIES", 64)
+        rng = np.random.default_rng(seed)
+        n, count = int(rng.integers(2, 12)), int(rng.integers(1, 8))
+        d = random_hermitian(rng, n)
+        d = d if complex_dirac else d.real
+        # Labels of count or more lie outside every measured fibre.
+        labels = rng.integers(0, count + 2, size=n)
+        labels[: n // 2] = rng.integers(0, 2)  # often one fibre larger than half
+        partitions = [(labels, count), (np.zeros(n, dtype=np.intp), 1), (np.arange(n), n)]
+        for (lab, c), norms in zip(partitions, triple_module._cut_norms(d, partitions)):
+            assert norms.shape == (c,)
+            for i in range(c):
+                s = lab == i
+                if s.all() or not s.any():
+                    assert norms[i] == 0.0
+                else:
+                    want = operator_norm(d[np.ix_(s, ~s)])
+                    assert abs(norms[i] - want) <= 1e-13 * want
+
+    def test_float_range_raises_in_every_fibre_pass(self):
+        d = np.full((4, 4), 1e308)
+        with pytest.raises(ValidationError, match=re.escape("||[D, pi(a)]|| exceeds the float range")):
+            triple_module._cut_norms(d, [(np.array([0, 0, 1, 1]), 2)])
+        # A lone coordinate's row norm, 2e308, overflows too.
+        with pytest.raises(ValidationError, match="float range"):
+            triple_module._cut_norms(np.full((5, 5), 1e308), [(np.array([0, 1, 1, 1, 1]), 1)])
 
 
 class TestGrading:
