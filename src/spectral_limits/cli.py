@@ -20,25 +20,10 @@ import math
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from . import __version__
+from . import __version__, _deferred
 from .algebra import AlgebraElement
-from .diagnostics import (
-    DEFAULT_LAMBDAS,
-    FUNCTION_PROBES,
-    GAP_DELTA_TOL,
-    VERDICT_THRESHOLD,
-    VERDICT_WINDOW,
-    CommutatorSeries,
-    GapSeries,
-    commutator_series,
-    default_st2_probe,
-    gap_series,
-    resolvent_gap_eigen,
-    st1_verdict,
-    st2_verdict,
-)
-from .distance import connes_distance_with_path
 from .errors import (
     NumericError,
     UnsupportedError,
@@ -57,6 +42,26 @@ from .serialization import (
     system_from_generator_config,
 )
 from .serialization import dumps  # noqa: F401  (wrapped by name in perfbench/tracing.py)
+
+if TYPE_CHECKING:
+    from .diagnostics import CommutatorSeries, GapSeries
+
+# The diagnostics and distance functions the commands call, through these
+# names so that a command imports only the modules it runs
+# (perfbench/tracing.py wraps them by these names).
+gap_series = _deferred("gap_series")
+resolvent_gap_eigen = _deferred("resolvent_gap_eigen")
+default_st2_probe = _deferred("default_st2_probe")
+st1_verdict = _deferred("st1_verdict")
+st2_verdict = _deferred("st2_verdict")
+connes_distance_with_path = _deferred("connes_distance_with_path")
+
+# diagnostics.FUNCTION_PROBES names (sorted), VERDICT_THRESHOLD and
+# VERDICT_WINDOW, spelled out so that the parser does not import diagnostics;
+# tests/test_cli.py pins them to the originals.
+FUNCTION_NAMES = ["gaussian", "one_over_one_plus_x2", "x_over_one_plus_x2"]
+VERDICT_THRESHOLD = 1e-3
+VERDICT_WINDOW = 5
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -137,12 +142,12 @@ def _emit_csv_and_json(lines, doc: dict, prefix: str | None) -> None:
 
 
 def _check_functions(names) -> list[str]:
-    """Check a list of probe-function names against ``FUNCTION_PROBES``."""
+    """Check a list of probe-function names against ``FUNCTION_NAMES``."""
     if not isinstance(names, list):
         raise ValidationError(f"probe functions must be a list of names, got {names!r}")
     for name in names:
-        if not isinstance(name, str) or name not in FUNCTION_PROBES:
-            raise ValidationError(f"unknown probe function {name!r}; known: {sorted(FUNCTION_PROBES)}")
+        if not isinstance(name, str) or name not in FUNCTION_NAMES:
+            raise ValidationError(f"unknown probe function {name!r}; known: {FUNCTION_NAMES}")
     return names
 
 
@@ -224,6 +229,8 @@ def _st1_probes(r, lambdas, functions, levels, threshold, window):
 def _warn_route_deltas(resolvent) -> None:
     """One ``warning:`` line on stderr per resolvent probe whose routes differ
     by more than ``GAP_DELTA_TOL`` at some level."""
+    from .diagnostics import GAP_DELTA_TOL
+
     for series, cross, _ in resolvent:
         j = max(cross, key=cross.get)
         if cross[j] > GAP_DELTA_TOL:
@@ -238,6 +245,8 @@ def cmd_st1(args) -> int:
     if args.window < 2:
         raise ValidationError(f"--window must be at least 2, got {args.window}")
     _check_positive("--threshold", args.threshold)
+    from .diagnostics import DEFAULT_LAMBDAS
+
     lambdas = parse_lambdas(args.lam) if args.lam else list(DEFAULT_LAMBDAS)
     system = _load_system_arg(args)
     r = realize(system)
@@ -300,6 +309,8 @@ def _element_from_doc(doc, system: InductiveSystem) -> tuple[str, int, AlgebraEl
 
 def _st2_series(args, system: InductiveSystem) -> list[tuple[str, CommutatorSeries]]:
     if args.element:
+        from .diagnostics import commutator_series
+
         out = []
         for spec_item in args.element:
             if os.path.exists(spec_item):
@@ -399,6 +410,8 @@ def _series_doc(s: CommutatorSeries) -> dict:
 
 
 def cmd_report(args) -> int:
+    from .diagnostics import DEFAULT_LAMBDAS
+
     cfg = read_json(args.config)
     if not isinstance(cfg, dict) or "system" not in cfg:
         raise ValidationError("report config must contain a 'system' entry")
@@ -491,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system")
     p.add_argument("--config")
     p.add_argument("--lambda", dest="lam", action="append", help="non-real probe, e.g. 'i' or '1+2i' (repeatable)")
-    p.add_argument("--function", action="append", help=f"named probe function (repeatable); known: {sorted(FUNCTION_PROBES)}")
+    p.add_argument("--function", action="append", help=f"named probe function (repeatable); known: {FUNCTION_NAMES}")
     p.add_argument("--levels", help="level range a..b")
     p.add_argument("--out", help="output prefix (.csv and .json are appended)")
     p.add_argument("--threshold", type=float, default=VERDICT_THRESHOLD)

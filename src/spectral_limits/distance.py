@@ -173,7 +173,8 @@ def _barrier_distance(coord_points, dirac, reached, x: int, y: int) -> tuple[flo
     """
     coords = np.flatnonzero(reached[coord_points])
     owners = coord_points[coords]
-    var_points = np.unique(owners[owners != y])
+    # The sorted points of x's component other than y; np.unique would import numpy.ma.
+    var_points = np.flatnonzero(np.bincount(owners[owners != y]))
     n, nvar = coords.size, var_points.size
     # A Newton step holds about ten n x n complex matrices at once: D, M,
     # eigh's vectors and workspace, S, SD, DSD and their Hadamard products.

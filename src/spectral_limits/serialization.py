@@ -30,16 +30,9 @@ from typing import Any, Callable, Iterator, TextIO
 
 import numpy as np
 
+from . import _deferred
 from .algebra import FiniteCStarAlgebra, StarHomomorphism
 from .errors import ValidationError
-from .generators import (
-    GapSequence,
-    binary_branching,
-    cantor_system,
-    ci_system,
-    commutative_af_chain,
-    middle_thirds,
-)
 from .inductive import InductiveSystem
 from .linalg import exactly_real
 from .triple import (
@@ -61,6 +54,15 @@ JSON_STYLE = {"sort_keys": True, "indent": 1, "separators": (",", ": ")}
 # Binary CI at J=12 (dim 4096, the largest workload the roadmap targets) needs
 # about 268 MB and passes; J=13 needs about 1.07 GB and is rejected.
 MAX_GENERATOR_BYTES = 2**29
+
+# The generators that system_from_generator_config runs, called through these
+# names so that reading a system file does not import the generators module
+# (perfbench/tracing.py wraps them by these names).
+middle_thirds = _deferred("middle_thirds")
+cantor_system = _deferred("cantor_system")
+binary_branching = _deferred("binary_branching")
+commutative_af_chain = _deferred("commutative_af_chain")
+ci_system = _deferred("ci_system")
 
 
 def complex_to_json(z: complex) -> dict:
@@ -374,7 +376,12 @@ def system_from_generator_config(cfg) -> InductiveSystem:
         if not isinstance(with_grading, bool):
             raise ValidationError(f"generator config 'grading' must be true or false, got {with_grading!r}")
         _check_generator_size((2 * (j + 1) for j in range(levels + 1)), 1 + with_grading)
-        seq = middle_thirds(levels) if gaps == "middle-thirds" else GapSequence(*gaps[0], tuple(gaps[1:]))
+        if gaps == "middle-thirds":
+            seq = middle_thirds(levels)
+        else:
+            from .generators import GapSequence
+
+            seq = GapSequence(*gaps[0], tuple(gaps[1:]))
         return cantor_system(seq, levels, with_grading=with_grading)
     if kind == "christensen-ivan":
         chain_cfg = cfg.get("chain", "binary")

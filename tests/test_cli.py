@@ -4,9 +4,6 @@ import base64
 import copy
 import hashlib
 import json
-import os
-import subprocess
-import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -32,16 +29,15 @@ from spectral_limits import (
     save_system,
     st1_verdict,
 )
-from spectral_limits import distance
-from spectral_limits.cli import main, parse_complex, parse_levels
+from spectral_limits import cli, distance
+from spectral_limits.cli import build_parser, main, parse_complex, parse_levels
+from spectral_limits.diagnostics import FUNCTION_PROBES, VERDICT_THRESHOLD, VERDICT_WINDOW
 from spectral_limits.errors import ValidationError
 from spectral_limits.linalg import lanczos_start
 from spectral_limits.serialization import dumps, matrix_from_json, matrix_to_json
 
 from test_diagnostics import growing_commutator_system
-
-ROOT = Path(__file__).resolve().parents[1]
-
+from test_exports import run_python
 
 # Binary Christensen-Ivan system with two levels; D_0 = 0.
 CI2 = {"type": "christensen-ivan", "chain": "binary", "weights": "uniform", "alphas": [1.0, 2.0], "levels": 2}
@@ -914,10 +910,83 @@ class TestSt1CrossCheck:
             f"rc = main(['st1', '--system', {cantor_file!r}, '--out', {cantor_file + '.st1'!r}]); "
             "print(rc, 'numpy.random' in sys.modules)"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-        assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+        assert run_python(code) == "0 False"
+
+
+# The modules every command loads: cli, errors and those that read and
+# validate a system.
+VALIDATE_MODULES = {"cli", "errors", "linalg", "algebra", "triple", "inductive", "serialization"}
+# Each command, its exit code on the binary CI J=2 input below and the modules
+# it loads besides VALIDATE_MODULES.
+COMMAND_MODULES = [
+    (["validate", "--system", "system"], 0, set()),
+    # Alternating alphas stall the ST1 tail: st1 and report exit 1.
+    (["st1", "--system", "system", "--out", "out"], 1, {"diagnostics"}),
+    (["st2", "--system", "system", "--out", "out"], 0, {"diagnostics"}),
+    (["distance", "--system", "system", "--level", "2", "--x", "0", "--y", "1"], 0, {"distance"}),
+    (["build", "--config", "config", "--out", "out"], 0, {"generators"}),
+    (["report", "--config", "run", "--out", "out"], 1, {"diagnostics", "generators"}),
+    (["validate", "--config", "config"], 0, {"generators"}),
+    (["st2", "--config", "config", "--out", "out"], 0, {"diagnostics", "generators"}),
+    (["distance", "--config", "config", "--level", "2", "--x", "0", "--y", "1"], 0, {"distance", "generators"}),
+]
+
+
+class TestModuleSets:
+    """Each command imports only the modules it runs (in a fresh interpreter)."""
+
+    @pytest.fixture()
+    def inputs(self, tmp_path):
+        # Binary CI J=2 with alternating alphas: level 2 is coupled, so its
+        # distances take the barrier solve.
+        ci = {"type": "christensen-ivan", "chain": "binary", "weights": "uniform", "alphas": [-1.0, 1.0], "levels": 2}
+        config = write_json(tmp_path / "ci2.json", ci)
+        system = str(tmp_path / "ci2sys.json")
+        assert main(["build", "--config", config, "--out", system]) == 0
+        run = write_json(tmp_path / "run.json", {"system": ci, "lambdas": ["i"]})
+        return {"config": config, "system": system, "run": run, "out": str(tmp_path / "out")}
+
+    @pytest.mark.parametrize(
+        "args, rc, extra", COMMAND_MODULES, ids=[f"{a[0]}-{a[1][2:]}" for a, _, _ in COMMAND_MODULES]
+    )
+    def test_command_loads_only_its_modules(self, inputs, args, rc, extra):
+        argv = [inputs.get(a, a) for a in args]
+        code = (
+            "import sys; from spectral_limits.cli import main; "
+            f"rc = main({argv!r}); "
+            "print(rc, sorted(m.split('.')[1] for m in sys.modules if m.startswith('spectral_limits.')))"
+        )
+        assert run_python(code) == f"{rc} {sorted(VALIDATE_MODULES | extra)}"
+
+    def test_coupled_distance_leaves_numpy_ma_unloaded(self, inputs):
+        # numpy.ma (imported by np.unique in numpy 2.4) costs about 1.3 MB of
+        # resident memory and 30 ms at import.
+        code = (
+            "import sys; from spectral_limits.cli import main; "
+            f"rc = main(['distance', '--system', {inputs['system']!r}, '--level', '2', '--x', '0', '--y', '1']); "
+            "print(rc, 'numpy.ma' in sys.modules)"
+        )
+        assert run_python(code) == "0 False"
+
+
+class TestParserDefaults:
+    """The parser spells out diagnostics' probe names and verdict defaults."""
+
+    def test_pinned_to_diagnostics(self):
+        assert cli.FUNCTION_NAMES == sorted(FUNCTION_PROBES)
+        args = build_parser().parse_args(["st1"])
+        assert (args.threshold, args.window) == (VERDICT_THRESHOLD, VERDICT_WINDOW)
+
+    def test_st1_help_lists_probe_functions(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["st1", "--help"])
+        assert f"known: {sorted(FUNCTION_PROBES)}" in " ".join(capsys.readouterr().out.split())
+
+    def test_st1_defaults_match_explicit_values(self, cantor_file, tmp_path, capsys):
+        assert main(["st1", "--system", cantor_file, "--out", str(tmp_path / "d")]) == 0
+        explicit = ["--threshold", repr(VERDICT_THRESHOLD), "--window", str(VERDICT_WINDOW)]
+        assert main(["st1", "--system", cantor_file, "--out", str(tmp_path / "e")] + explicit) == 0
+        assert (tmp_path / "d.json").read_bytes() == (tmp_path / "e.json").read_bytes()
 
 
 class TestSt2:

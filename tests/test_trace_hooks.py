@@ -2,21 +2,34 @@
 
 ``perfbench/tracing.py`` looks up names such as ``algebra.operator_norm``,
 ``triple.as_matrix`` and ``inductive.eigh`` with ``getattr``; a refactor
-that drops one of them would break ``perfbench/run.py --trace 1``.
+that drops one of them would break ``perfbench/run.py --trace 1``, and a
+command that stops calling through one would leave its metric at 0.
 """
 
+import contextlib
+import io
+import json
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_install_and_restore(monkeypatch):
+@pytest.fixture()
+def tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     for name in ("tracing", "workloads"):
         monkeypatch.delitem(sys.modules, name, raising=False)
     import tracing
 
+    yield tracing
+    for name in ("tracing", "workloads"):
+        sys.modules.pop(name, None)
+
+
+def test_install_and_restore(tracing):
     from spectral_limits import inductive, triple
 
     originals = (triple.hom_validate, inductive.eigh, inductive.Realization.level_decomposition)
@@ -27,5 +40,36 @@ def test_install_and_restore(monkeypatch):
     finally:
         tracer.restore()
     assert (triple.hom_validate, inductive.eigh, inductive.Realization.level_decomposition) == originals
-    for name in ("tracing", "workloads"):
-        sys.modules.pop(name, None)
+
+
+def test_commands_call_through_wrapped_names(tracing, tmp_path):
+    from spectral_limits import cli
+
+    cantor = tmp_path / "cantor.json"
+    cantor.write_text(json.dumps({"type": "cantor", "gaps": "middle-thirds", "levels": 4}))
+    # Alternating alphas couple level 2, so the distance takes the barrier solve.
+    ci = tmp_path / "ci.json"
+    ci.write_text(
+        json.dumps({"type": "christensen-ivan", "chain": "binary", "weights": "uniform", "alphas": [-1.0, 1.0], "levels": 2})
+    )
+    system = str(tmp_path / "system.json")
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["build", "--config", str(cantor), "--out", system]) == 0
+            assert cli.main(["st1", "--system", system, "--out", str(tmp_path / "st1")]) == 0
+            assert cli.main(["st2", "--system", system, "--out", str(tmp_path / "st2")]) == 0
+            assert cli.main(["distance", "--config", str(ci), "--level", "2", "--x", "0", "--y", "1"]) == 0
+    finally:
+        tracer.restore()
+    names = [
+        "generators.system",
+        "serialization.load",
+        "diagnostics.gap_series",
+        "diagnostics.eigen_route",
+        "diagnostics.st2_probe",
+        "diagnostics.verdict",
+        "distance.connes",
+    ]
+    assert [name for name in names if tracer.calls[name] == 0] == []
