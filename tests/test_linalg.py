@@ -17,6 +17,7 @@ from spectral_limits import (
     operator_norm,
     resolvent,
 )
+from spectral_limits import linalg
 from spectral_limits.linalg import (
     GRAM_SCALE_EXP,
     adjoint_matvec,
@@ -188,15 +189,14 @@ def lanczos_gram_norm(m):
     closure q -> A*(A q) of its short side A, from ``lanczos_start``.
 
     A is first scaled by a power of two, as the direct ST1 route scales its
-    probe values; None when Lanczos does not stop.
+    probe values.
     """
     a = as_matrix(m)
     if a.shape[1] > a.shape[0]:
         a = dagger(a)
     e = scale_exponent(float(abs(a).max()))
     a = times_pow2(a, -e)
-    top = lanczos_operator_norm(lambda q: adjoint_matvec(a, matvec(a, q)), lanczos_start(a.shape[1]))
-    return None if top is None else unscaled(top, e)
+    return unscaled(lanczos_operator_norm(lambda q: adjoint_matvec(a, matvec(a, q)), lanczos_start(a.shape[1])), e)
 
 
 class TestLanczosNorm:
@@ -206,7 +206,6 @@ class TestLanczosNorm:
     def assert_matches_oracle(m):
         want = operator_norm(m)
         got = lanczos_gram_norm(m)
-        assert got is not None
         assert abs(got - want) <= 1e-13 * want
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (7, 3), (3, 7), (40, 40), (65, 50)])
@@ -214,6 +213,16 @@ class TestLanczosNorm:
         rng = np.random.default_rng(sum(shape))
         for _ in range(5):
             self.assert_matches_oracle(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (7, 3), (3, 7), (40, 40), (65, 50)])
+    def test_seeded_random_full_space(self, shape, monkeypatch):
+        # With no early stop the basis fills the space: the Ritz matrix of
+        # the last step is as large as the Gram operator's side.
+        ritz_sizes = []
+        monkeypatch.setattr(linalg, "LANCZOS_TOL", 0.0)
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, eigh=np.linalg.eigh: ritz_sizes.append(len(a)) or eigh(a))
+        self.test_seeded_random(shape)
+        assert max(ritz_sizes) == min(shape)
 
     @pytest.mark.parametrize("rank", [1, 2, 5])
     def test_rank_deficient(self, rank):

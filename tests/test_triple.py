@@ -96,7 +96,6 @@ class TestValidateTriple:
         report = validate_triple(CANTOR.triples[0])
         assert report.passed
         assert report.worst <= 1e-14
-        assert any("ST1" in note or "compact" in note for note in report.notes)
 
     def test_trivial_triple(self):
         t = FiniteSpectralTriple(
