@@ -23,6 +23,11 @@ import sys
 from dataclasses import asdict
 from typing import TYPE_CHECKING
 
+# An idle OpenBLAS worker spins for about 2^28 cycles before it sleeps; 4 (the
+# minimum) makes it sleep at once.  OpenBLAS reads this when numpy loads, so it
+# is set before the first import below that loads numpy.  A user's value wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from . import __version__, _deferred
 from .algebra import AlgebraElement
 from .errors import (

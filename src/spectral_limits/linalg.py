@@ -269,7 +269,9 @@ def resolvent_values(eigenvalues: np.ndarray, lam: complex) -> np.ndarray:
     ``REAL_RESOLVENT_MARGIN`` s of the spectrum raises ``SingularityError``
     (near-spectrum real points are rejected rather than regularized).  A
     ``lam`` so close that 1/|lambda_n - lam| overflows, or within
-    ``EIGENVALUE_ROUNDING`` s, raises ``ValidationError`` naming the probe.
+    ``EIGENVALUE_ROUNDING`` s, raises ``ValidationError`` naming the probe, and
+    so does a ``lam`` so large that the complex division overflows (as at
+    1e308+1e308i, where it would return 0).
     """
     lam = complex(lam)
     denom = eigenvalues - lam
@@ -289,7 +291,13 @@ def resolvent_values(eigenvalues: np.ndarray, lam: complex) -> np.ndarray:
             f"probe lambda={lam} lies {closest!r} from the spectrum, within its rounding "
             f"margin {EIGENVALUE_ROUNDING * scale:.1e}, so its resolvent is meaningless"
         )
-    return 1.0 / denom
+    try:
+        with np.errstate(over="raise"):
+            return 1.0 / denom
+    except FloatingPointError:
+        raise ValidationError(
+            f"probe lambda={lam} is too large: 1/(lambda_n - lambda) overflows in complex division"
+        ) from None
 
 
 def function_values(eigenvalues: np.ndarray, f: Callable[[float], float]) -> np.ndarray:

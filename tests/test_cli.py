@@ -840,6 +840,11 @@ def _planted_link_file(tmp_path) -> str:
     return str(sysf)
 
 
+# Resolvent probes that exit 2: each probe, the reason in its message and the
+# probe as the message prints it.
+UNUSABLE_PROBES = [("1e-320j", "non-finite", "1e-320j"), ("1e308+1e308i", "too large", "(1e+308+1e+308j)")]
+
+
 def _assert_one_warning_per_lambda(err: str, lambdas) -> None:
     warnings = err.splitlines()
     assert len(warnings) == len(lambdas)
@@ -882,16 +887,26 @@ class TestSt1CrossCheck:
         caught = delta > 1e-9 and err.startswith("warning: ") and "j=0" in err
         assert found or caught, (delta, err)
 
-    def test_underflowing_probe_exit2(self, tmp_path, capsys):
-        # D_0 = 0, so the level-0 resolvent at 1e-320i overflows.
+    # D_0 = 0, so the level-0 resolvent at 1e-320i overflows; at 1e308+1e308i
+    # numpy's complex division overflows and would give gap 0 at every level.
+    @pytest.mark.parametrize("lam, reason, shown", UNUSABLE_PROBES, ids=["underflowing", "huge"])
+    def test_unusable_probe_exit2(self, tmp_path, capsys, lam, reason, shown):
         cfg = write_json(
             tmp_path / "ci2.json",
             {"type": "christensen-ivan", "chain": "binary", "weights": "uniform", "alphas": [1.0, 2.0], "levels": 2},
         )
-        assert main(["st1", "--config", cfg, "--lambda", "1e-320j", "--out", str(tmp_path / "u")]) == 2
+        assert main(["st1", "--config", cfg, "--lambda", lam, "--out", str(tmp_path / "u")]) == 2
         err = capsys.readouterr().err
-        assert "non-finite" in err and "Traceback" not in err
-        assert "RuntimeWarning" not in err and "lambda=1e-320j" in err
+        assert reason in err and "Traceback" not in err
+        assert "RuntimeWarning" not in err and f"lambda={shown}" in err
+
+    @pytest.mark.parametrize("lam", ["1e308i", "1e308+1i"])
+    def test_large_probe_kept(self, tmp_path, capsys, lam):
+        cfg = write_json(tmp_path / "ci2.json", CI2)
+        assert main(["st1", "--config", cfg, "--lambda", lam, "--out", str(tmp_path / "u")]) == 0
+        assert capsys.readouterr().err == ""
+        gaps = [line.split(",")[5] for line in (tmp_path / "u.csv").read_text().splitlines()[1:]]
+        assert gaps == ["9.9999999999999991e-309", "9.9999999999999991e-309", "0"]
 
     def test_probe_within_eigenvalue_rounding_exit2(self, tmp_path, capsys):
         # eigh returns D_2's zero eigenvalue as about -3e-16, so at 1e-300i the
@@ -940,6 +955,36 @@ class TestSt1Ceilings:
         cfg = write_json(tmp_path / "cantor.json", {"type": "cantor", "gaps": "middle-thirds", "levels": 18})
         assert main(["st1", "--config", cfg, "--function", "gaussian", "--out", str(tmp_path / "st1")]) == 0
         assert calls == {"eigh": 19, "qr": 18, "lanczos_operator_norm": 72, "operator_norm": 0}
+
+    def test_blas_workers_idle(self, tmp_path):
+        # Small st1 runs give the BLAS worker threads nothing to do, so they
+        # must not spin: at most 2 clock ticks of CPU over all non-main
+        # threads (an OpenBLAS worker left to spin used 6 here on 2 vCPUs).
+        cantor = write_json(tmp_path / "cantor.json", {"type": "cantor", "gaps": "middle-thirds", "levels": 5})
+        ci = write_json(
+            tmp_path / "ci.json",
+            {"type": "christensen-ivan", "chain": "binary", "weights": "uniform", "alphas": [1, 2, 3, 4], "levels": 4},
+        )
+        runs = [["st1", "--config", cfg, "--out", str(tmp_path / name)] for cfg, name in ((cantor, "c"), (ci, "b"))]
+        code = f"""
+import os
+os.environ.pop("OPENBLAS_THREAD_TIMEOUT", None)
+from spectral_limits.cli import main
+for argv in {runs!r}:
+    assert main(argv) == 0
+task = "/proc/self/task"
+ticks = []
+for tid in os.listdir(task) if os.path.isdir(task) else []:
+    if int(tid) != os.getpid():
+        with open(os.path.join(task, tid, "stat")) as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+        ticks.append(int(fields[11]) + int(fields[12]))  # utime + stime
+print(ticks)
+"""
+        ticks = json.loads(run_python(code))
+        if not ticks:
+            pytest.skip("no /proc/self/task, or no thread besides the main one")
+        assert sum(ticks) <= 2, ticks
 
 
 # The modules every command loads: cli, errors and those that read and
@@ -996,6 +1041,45 @@ class TestModuleSets:
             "print(rc, 'numpy.ma' in sys.modules)"
         )
         assert run_python(code) == "0 False"
+
+
+# Run in a fresh interpreter: records OPENBLAS_THREAD_TIMEOUT at the moment
+# numpy is first imported, after setting the variable to PRESET (None: unset).
+TIMEOUT_AT_NUMPY_IMPORT = """
+import os, sys
+
+class Hook:
+    seen = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not self.seen:
+            self.seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        return None
+
+os.environ.pop("OPENBLAS_THREAD_TIMEOUT", None)
+if PRESET is not None:
+    os.environ["OPENBLAS_THREAD_TIMEOUT"] = PRESET
+sys.meta_path.insert(0, Hook())
+import MODULE
+print(Hook.seen, os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+"""
+
+
+class TestBlasThreadTimeout:
+    """The CLI makes idle OpenBLAS workers sleep at once, before numpy loads."""
+
+    @pytest.mark.parametrize(
+        "module, preset, expected",
+        [
+            ("spectral_limits.cli", None, "['4'] 4"),
+            ("spectral_limits.cli", "20", "['20'] 20"),
+            ("spectral_limits.algebra", None, "[None] None"),
+        ],
+        ids=["cli-default", "cli-preset-kept", "library-untouched"],
+    )
+    def test_set_before_numpy_loads(self, module, preset, expected):
+        code = TIMEOUT_AT_NUMPY_IMPORT.replace("PRESET", repr(preset)).replace("MODULE", module)
+        assert run_python(code) == expected
 
 
 class TestParserDefaults:
@@ -1332,13 +1416,14 @@ class TestReport:
         err = capsys.readouterr().err
         assert "system.path" in err and "Traceback" not in err
 
-    def test_underflowing_probe_exit2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("lam, reason, shown", UNUSABLE_PROBES, ids=["underflowing", "huge"])
+    def test_unusable_probe_exit2(self, tmp_path, capsys, lam, reason, shown):
         system = {"type": "christensen-ivan", "chain": "binary", "weights": "uniform", "alphas": [1.0, 2.0], "levels": 2}
-        cfg = write_json(tmp_path / "run_tiny.json", {"system": system, "lambdas": ["1e-320j"]})
+        cfg = write_json(tmp_path / "run_tiny.json", {"system": system, "lambdas": [lam]})
         assert main(["report", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
-        assert "non-finite" in err and "Traceback" not in err
-        assert "RuntimeWarning" not in err and "lambda=1e-320j" in err
+        assert reason in err and "Traceback" not in err
+        assert "RuntimeWarning" not in err and f"lambda={shown}" in err
         assert not (tmp_path / "r.json").exists()
 
     def test_system_by_path(self, tmp_path, cantor_file, capsys):

@@ -310,7 +310,7 @@ small_values = st.recursive(
     max_leaves=4,
 )
 REPORT_FIELDS = {
-    "lambdas": st.lists(st.sampled_from(["i", "2i", "1+i", "0", "1", "nan", "1e-320j", "inf"]) | argv_text, max_size=3),
+    "lambdas": st.lists(st.sampled_from(["i", "2i", "1+i", "0", "1", "nan", "1e-320j", "1e308+1e308i", "inf"]) | argv_text, max_size=3),
     "functions": st.lists(st.sampled_from(["gaussian", "exp", ""]) | argv_text, max_size=2),
     "levels": st.lists(st.integers(-1, 3), max_size=3),
 }
