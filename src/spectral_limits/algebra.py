@@ -12,7 +12,6 @@ basis with a Gram matrix and a Cholesky factor for orthonormal coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -31,38 +30,44 @@ FAITHFUL_TOL = 1e-12
 CHUNK_ENTRIES = 2**20
 
 
-@dataclass(frozen=True)
 class FiniteCStarAlgebra:
     """Direct sum of full matrix blocks M_{n_1} + ... + M_{n_s}.
 
     Elements are coordinate vectors: the row-major entries of each block in
     turn.  The coordinate methods below act on the last axis of an array, so
     they apply to one element or to a whole stack of elements at once.
+    Two algebras are equal when their block dimensions are.
     """
 
-    block_dims: tuple[int, ...]
-    # Number of coordinates, sum of n^2 over the blocks, and the other shape
-    # facts below: every element construction and homomorphism reads them,
-    # so they are computed once here.
-    element_dim: int = field(init=False, repr=False, compare=False)
-    is_commutative: bool = field(init=False, repr=False, compare=False)
-    _offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.block_dims) < 1:
+    def __init__(self, block_dims: tuple[int, ...]):
+        if len(block_dims) < 1:
             raise ValidationError("algebra needs at least one block")
-        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in self.block_dims):
-            raise ValidationError(f"block dimensions must be integers, got {self.block_dims!r}")
-        if any(n < 1 for n in self.block_dims):
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in block_dims):
+            raise ValidationError(f"block dimensions must be integers, got {block_dims!r}")
+        if any(n < 1 for n in block_dims):
             raise ValidationError("block dimensions must be positive")
-        dims = tuple(int(n) for n in self.block_dims)
+        dims = tuple(int(n) for n in block_dims)
         offsets = [0]
         for n in dims:
             offsets.append(offsets[-1] + n * n)
-        object.__setattr__(self, "block_dims", dims)
-        object.__setattr__(self, "element_dim", offsets[-1])
-        object.__setattr__(self, "is_commutative", all(n == 1 for n in dims))
-        object.__setattr__(self, "_offsets", tuple(offsets))
+        self.block_dims = dims
+        # Number of coordinates, sum of n^2 over the blocks, and the other
+        # shape facts below: every element construction and homomorphism
+        # reads them, so they are computed once here.
+        self.element_dim = offsets[-1]
+        self.is_commutative = all(n == 1 for n in dims)
+        self._offsets = tuple(offsets)
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteCStarAlgebra):
+            return NotImplemented
+        return self.block_dims == other.block_dims
+
+    def __hash__(self):
+        return hash(self.block_dims)
+
+    def __repr__(self):
+        return f"FiniteCStarAlgebra(block_dims={self.block_dims!r})"
 
     @property
     def n_points(self) -> int:
@@ -150,20 +155,17 @@ class FiniteCStarAlgebra:
         )
 
 
-@dataclass(frozen=True)
 class AlgebraElement:
     """Element of a finite C*-algebra, stored as its flat coordinate vector."""
 
-    algebra: FiniteCStarAlgebra
-    coordinates: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.coordinates, dtype=complex).ravel()
-        if vec.shape[0] != self.algebra.element_dim:
+    def __init__(self, algebra: FiniteCStarAlgebra, coordinates):
+        vec = np.asarray(coordinates, dtype=complex).ravel()
+        if vec.shape[0] != algebra.element_dim:
             raise ValidationError("coordinate vector has wrong length")
         if not np.all(np.isfinite(vec)):
             raise ValidationError("element has non-finite coordinates")
-        object.__setattr__(self, "coordinates", vec)
+        self.algebra = algebra
+        self.coordinates = vec
 
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
@@ -207,7 +209,6 @@ class AlgebraElement:
             raise ValidationError("elements belong to different algebras")
 
 
-@dataclass(frozen=True)
 class StarHomomorphism:
     """Unital *-homomorphism, encoded as a spectrum map or an explicit linear map.
 
@@ -216,34 +217,39 @@ class StarHomomorphism:
     coordinates whose axioms are checked numerically by ``hom_validate``.
     """
 
-    source: FiniteCStarAlgebra
-    target: FiniteCStarAlgebra
-    spectrum_map: np.ndarray | None = None
-    matrix: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.spectrum_map is None) == (self.matrix is None):
+    def __init__(
+        self,
+        source: FiniteCStarAlgebra,
+        target: FiniteCStarAlgebra,
+        spectrum_map: np.ndarray | None = None,
+        matrix: np.ndarray | None = None,
+    ):
+        if (spectrum_map is None) == (matrix is None):
             raise ValidationError("exactly one of spectrum_map / matrix must be given")
-        if self.spectrum_map is not None:
-            if not (self.source.is_commutative and self.target.is_commutative):
+        if spectrum_map is not None:
+            if not (source.is_commutative and target.is_commutative):
                 raise ValidationError("spectrum maps require commutative source and target")
-            m = np.asarray(self.spectrum_map)
+            m = np.asarray(spectrum_map)
             if m.dtype.kind not in "iu":
                 raise ValidationError(f"spectrum map must have an integer dtype, got {m.dtype}")
             m = m.astype(int, copy=False).ravel()
-            if m.shape[0] != self.target.n_points:
+            if m.shape[0] != target.n_points:
                 raise ValidationError("spectrum map must assign a source point to every target point")
-            if m.size and (m.min() < 0 or m.max() >= self.source.n_points):
+            if m.size and (m.min() < 0 or m.max() >= source.n_points):
                 raise ValidationError("spectrum map values out of range")
-            object.__setattr__(self, "spectrum_map", m)
+            spectrum_map = m
         else:
-            m = as_matrix(self.matrix, "homomorphism matrix")
-            if m.shape != (self.target.element_dim, self.source.element_dim):
+            m = as_matrix(matrix, "homomorphism matrix")
+            if m.shape != (target.element_dim, source.element_dim):
                 raise ValidationError(
                     f"homomorphism matrix shape {m.shape} does not match "
-                    f"({self.target.element_dim}, {self.source.element_dim})"
+                    f"({target.element_dim}, {source.element_dim})"
                 )
-            object.__setattr__(self, "matrix", m)
+            matrix = m
+        self.source = source
+        self.target = target
+        self.spectrum_map = spectrum_map
+        self.matrix = matrix
 
     @classmethod
     def identity(cls, algebra: FiniteCStarAlgebra) -> "StarHomomorphism":
@@ -285,13 +291,13 @@ def hom_compose(second: StarHomomorphism, first: StarHomomorphism) -> StarHomomo
     )
 
 
-@dataclass(frozen=True)
 class ResidualReport:
     """Named residuals and an aggregate verdict: each residual passes up to ``VALIDATION_TOL``."""
 
-    entries: dict[str, float]
-    # Residual names excluded from the pass/fail aggregation (reported only).
-    informational: tuple[str, ...] = ()
+    def __init__(self, entries: dict[str, float], informational: tuple[str, ...] = ()):
+        self.entries = entries
+        # Residual names excluded from the pass/fail aggregation (reported only).
+        self.informational = informational
 
     @property
     def passed(self) -> bool:
@@ -376,7 +382,6 @@ def hom_validate(phi: StarHomomorphism) -> ResidualReport:
     return ResidualReport(entries, informational=("injectivity_margin",))
 
 
-@dataclass(frozen=True)
 class State:
     """Faithful state tau(a) = tr(rho a) given by a density element rho.
 
@@ -385,16 +390,13 @@ class State:
     the inner product <rho, a>.
     """
 
-    algebra: FiniteCStarAlgebra
-    density: AlgebraElement
-
-    def __post_init__(self):
-        if self.density.algebra.block_dims != self.algebra.block_dims:
+    def __init__(self, algebra: FiniteCStarAlgebra, density: AlgebraElement):
+        if density.algebra.block_dims != algebra.block_dims:
             raise ValidationError("density does not belong to the state's algebra")
-        x = self.density.coordinates
+        x = density.coordinates
         herm = np.empty_like(x)
         total = 0.0
-        for idx in self.algebra._block_index:
+        for idx in algebra._block_index:
             m = x[idx]
             mh = m.conj().transpose(0, 2, 1)
             scale = np.maximum(1.0, np.linalg.norm(m, axis=(1, 2)))
@@ -407,7 +409,8 @@ class State:
             herm[idx] = h
         if abs(total - 1.0) > 1e-10:
             raise ValidationError(f"state traces sum to {total:g}, expected 1")
-        object.__setattr__(self, "density", AlgebraElement(self.algebra, herm))
+        self.algebra = algebra
+        self.density = AlgebraElement(algebra, herm)
 
     @classmethod
     def from_weights(cls, algebra: FiniteCStarAlgebra, weights) -> "State":
@@ -435,7 +438,6 @@ class State:
         return self.density.coordinates.real
 
 
-@dataclass(frozen=True)
 class GnsSpace:
     """GNS Hilbert space of (A, tau) in the element basis.
 
@@ -446,9 +448,10 @@ class GnsSpace:
     a (x) 1, has the same matrix in both coordinates.
     """
 
-    algebra: FiniteCStarAlgebra
-    state: State
-    gram: np.ndarray
+    def __init__(self, algebra: FiniteCStarAlgebra, state: State, gram: np.ndarray):
+        self.algebra = algebra
+        self.state = state
+        self.gram = gram
 
     @property
     def dimension(self) -> int:

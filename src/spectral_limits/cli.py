@@ -14,13 +14,22 @@ version.
 
 from __future__ import annotations
 
+import gc
+
+# The imports below allocate tens of thousands of long-lived objects, none of
+# them garbage: the collector would pass over them dozens of times while they
+# load and once more at exit.  So it is off while they load, and they are then
+# frozen, out of its reach; it stays on (unless the caller turned it off) for
+# the objects a command makes.
+_collecting = gc.isenabled()
+gc.disable()
+
 import argparse
 import json
 import math
 import os
 import re
 import sys
-from dataclasses import asdict
 from typing import TYPE_CHECKING
 
 # An idle OpenBLAS worker spins for about 2^28 cycles before it sleeps; 4 (the
@@ -49,8 +58,12 @@ from .serialization import (
 )
 from .serialization import dumps  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 
+gc.freeze()
+if _collecting:
+    gc.enable()
+
 if TYPE_CHECKING:
-    from .diagnostics import CommutatorSeries, GapSeries
+    from .diagnostics import CommutatorSeries, GapSeries, Verdict
 
 # The diagnostics and distance functions the commands call, through these
 # names so that a command imports only the modules it runs
@@ -265,7 +278,7 @@ def cmd_st1(args) -> int:
         probes.append(
             {
                 "lambda": complex_to_json(lam),
-                **asdict(verdict),
+                **_verdict_doc(verdict),
                 "max_eigen_gap_delta": max(cross.values(), default=0.0),
             }
         )
@@ -344,7 +357,7 @@ def cmd_st2(args) -> int:
     verdict_doc = {
         "kind": "st2",
         "system": _system_summary(system),
-        **asdict(verdict),
+        **_verdict_doc(verdict),
         "series_names": [name for name, _ in named],
         "version": __version__,
     }
@@ -407,6 +420,10 @@ def _report_levels(levels, top: int) -> list[int]:
     return list(range(levels[0], levels[1] + 1))
 
 
+def _verdict_doc(verdict: Verdict) -> dict:
+    return {"classification": verdict.classification, "evidence": verdict.evidence, "caveat": verdict.caveat}
+
+
 def _series_doc(s: CommutatorSeries) -> dict:
     return {"base_level": s.base_level, "entries": [{"k": k, "norm": v} for k, v in s.entries]}
 
@@ -438,7 +455,7 @@ def cmd_report(args) -> int:
                 "lambda": complex_to_json(lam),
                 "entries": [{"j": j, "gap": v} for j, v in series.entries],
                 "analytic_bounds": list(series.analytic_bounds),
-                **asdict(verdict),
+                **_verdict_doc(verdict),
             }
         )
     for series in function:
@@ -464,7 +481,7 @@ def cmd_report(args) -> int:
         "gap_series": gap_docs,
         # Encoded one series at a time by _series_doc.
         "commutator_series": st2_probe,
-        "st2": asdict(st2),
+        "st2": _verdict_doc(st2),
         "version": __version__,
         "config": cfg,
     }

@@ -33,7 +33,6 @@ caveat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
@@ -88,6 +87,8 @@ DEFAULT_LAMBDAS = (1j, 2j, 1 + 1j)
 
 def _check_nonreal(lam: complex) -> complex:
     lam = complex(lam)
+    if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+        raise ValidationError(f"resolvent probe must be finite, got {lam:g}")
     if lam.imag == 0.0:
         raise ValidationError(f"resolvent probe must be non-real, got {lam:g}")
     return lam
@@ -154,24 +155,30 @@ def function_gap(r: Realization, j: int, f: Callable[[float], float]) -> float:
     return _probe_gap(r, j, partial(function_values, f=f), f"function probe {f!r}")
 
 
-@dataclass(frozen=True)
 class GapSeries:
     """Gap values over levels j, for one resolvent or function probe."""
 
-    kind: str  # "resolvent" | "function"
-    ambient_level: int
-    entries: tuple[tuple[int, float], ...]
-    lam: complex | None = None
-    f_name: str | None = None
-    analytic_bounds: tuple[float | None, ...] | None = None
-
-    def __post_init__(self):
-        for _, v in self.entries:
+    def __init__(
+        self,
+        kind: str,
+        ambient_level: int,
+        entries: tuple[tuple[int, float], ...],
+        lam: complex | None = None,
+        f_name: str | None = None,
+        analytic_bounds: tuple[float | None, ...] | None = None,
+    ):
+        for _, v in entries:
             if not (np.isfinite(v) and v >= 0.0):
                 raise ValidationError("gap values must be finite and nonnegative")
-        for j, v in self.entries:
-            if j == self.ambient_level and v > 1e-12:
+        for j, v in entries:
+            if j == ambient_level and v > 1e-12:
                 raise ValidationError("gap at the ambient level must vanish (P_J = 1)")
+        self.kind = kind  # "resolvent" | "function"
+        self.ambient_level = ambient_level
+        self.entries = entries
+        self.lam = lam
+        self.f_name = f_name
+        self.analytic_bounds = analytic_bounds
 
     @property
     def levels(self) -> tuple[int, ...]:
@@ -198,12 +205,20 @@ def _ci_bound(alphas: Sequence[float], j: int, lam: complex) -> float | None:
 
 
 def analytic_gap_bound(system: InductiveSystem, j: int, lam: complex) -> float | None:
-    """Closed-form gap bound for recognized generated systems, else None."""
+    """Closed-form gap bound for recognized generated systems, else None.
+
+    A probe so large that its distance to a spectral point overflows raises
+    ``ValidationError``.
+    """
+    lam = _check_nonreal(lam)
     kind = system.provenance.get("kind")
-    if kind == "cantor":
-        return _cantor_bound(system.provenance["lengths"], j, lam)
-    if kind == "christensen-ivan":
-        return _ci_bound(system.provenance["alphas"], j, lam)
+    try:
+        if kind == "cantor":
+            return _cantor_bound(system.provenance["lengths"], j, lam)
+        if kind == "christensen-ivan":
+            return _ci_bound(system.provenance["alphas"], j, lam)
+    except OverflowError:
+        raise ValidationError(f"probe lambda={lam} is too large: its distance to the spectrum overflows") from None
     return None
 
 
@@ -231,15 +246,11 @@ def gap_series(
     return GapSeries("resolvent", r.level, entries, lam=lam, analytic_bounds=bounds)
 
 
-@dataclass(frozen=True)
 class CommutatorSeries:
     """||[D_k, pi_k(phi_{j,k}(a))]|| for k = j..J, nondecreasing."""
 
-    base_level: int
-    entries: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        values = [v for _, v in self.entries]
+    def __init__(self, base_level: int, entries: tuple[tuple[int, float], ...]):
+        values = [v for _, v in entries]
         scale = max(1.0, max(values, default=0.0))
         for a, b in zip(values, values[1:]):
             if b < a - MONOTONE_TOL * scale:
@@ -247,6 +258,8 @@ class CommutatorSeries:
                     "commutator series decreased along k; pullbacks by isometries "
                     "can only contract norms, so the system data is inconsistent"
                 )
+        self.base_level = base_level
+        self.entries = entries
 
     @property
     def levels(self) -> tuple[int, ...]:
@@ -275,13 +288,13 @@ def commutator_series(system: InductiveSystem, j: int, a: AlgebraElement) -> Com
     return CommutatorSeries(j, tuple(entries))
 
 
-@dataclass(frozen=True)
 class Verdict:
     """Heuristic classification with trend evidence; always carries the caveat."""
 
-    classification: str  # "consistent" | "inconsistent" | "inconclusive"
-    evidence: dict
-    caveat: str = CAVEAT
+    def __init__(self, classification: str, evidence: dict, caveat: str = CAVEAT):
+        self.classification = classification  # "consistent" | "inconsistent" | "inconclusive"
+        self.evidence = evidence
+        self.caveat = caveat
 
 
 def _nondecreasing(values: list[float]) -> bool:
@@ -302,8 +315,13 @@ def st1_verdict(
     ``threshold`` is inconsistent when the whole interior series is
     nondecreasing too; after an earlier decrease it may be a plateau (the
     Cantor gaps of one subdivision depth have equal lengths), so it is
-    inconclusive.  Anything else is inconclusive.
+    inconclusive.  Anything else is inconclusive.  ``threshold`` must be
+    finite and positive, and ``window`` an integer of at least 2.
     """
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise ValidationError(f"threshold must be finite and > 0, got {threshold!r}")
+    if not isinstance(window, (int, np.integer)) or isinstance(window, bool) or window < 2:
+        raise ValidationError(f"window must be an integer >= 2, got {window!r}")
     if not series.entries:
         raise ValidationError("empty gap series")
     interior = [(j, v) for j, v in series.entries if j != series.ambient_level]
@@ -350,8 +368,11 @@ def st2_verdict(series_set: Sequence[CommutatorSeries], bound: float | None = No
     entries (or stays below a caller-set bound); a series still strictly
     growing at the end of the probed range (and above the bound, if any) is
     inconsistent.  A series with fewer than two entries that is not below the
-    bound carries no trend, so it makes the verdict inconclusive.
+    bound carries no trend, so it makes the verdict inconclusive.  A
+    ``bound`` must be finite and nonnegative.
     """
+    if bound is not None and not (math.isfinite(bound) and bound >= 0.0):
+        raise ValidationError(f"bound must be finite and >= 0, got {bound!r}")
     if not series_set:
         raise ValidationError("empty commutator series collection")
     sups = [float(s.sup) for s in series_set]

@@ -25,8 +25,6 @@ defines it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import (
@@ -56,7 +54,13 @@ LENGTH_ORDER_SLACK = 1e-12
 DENSE_GNS_CAP = 128
 
 
-@dataclass(frozen=True)
+def _check_levels(levels) -> int:
+    """``levels`` as an ``int``, when it is an integer (not a bool) >= 0."""
+    if not isinstance(levels, (int, np.integer)) or isinstance(levels, bool) or levels < 0:
+        raise ValidationError(f"levels must be an integer >= 0, got {levels!r}")
+    return int(levels)
+
+
 class GapSequence:
     """A Cantor-set presentation: outer interval plus removed open gaps.
 
@@ -67,29 +71,28 @@ class GapSequence:
     lengths, and every formula used downstream holds verbatim for ties.
     """
 
-    x0_plus: float
-    x0_minus: float
-    gaps: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if not (self.x0_plus < self.x0_minus):
+    def __init__(self, x0_plus: float, x0_minus: float, gaps: tuple[tuple[float, float], ...]):
+        if not (x0_plus < x0_minus):
             raise ValidationError("outer interval must have positive length")
-        lengths = [self.x0_minus - self.x0_plus]
-        endpoints = [self.x0_plus, self.x0_minus]
-        for left, right in self.gaps:
-            if not (self.x0_plus < left < right < self.x0_minus):
+        lengths = [x0_minus - x0_plus]
+        endpoints = [x0_plus, x0_minus]
+        for left, right in gaps:
+            if not (x0_plus < left < right < x0_minus):
                 raise ValidationError("gap must lie strictly inside the outer interval")
             lengths.append(right - left)
             endpoints.extend([left, right])
         for a, b in zip(lengths, lengths[1:]):
             if b > a * (1.0 + LENGTH_ORDER_SLACK) + LENGTH_ORDER_SLACK:
                 raise ValidationError("gap lengths must be nonincreasing")
-        ordered = sorted(self.gaps)
+        ordered = sorted(gaps)
         for (l1, r1), (l2, r2) in zip(ordered, ordered[1:]):
             if l2 < r1:
                 raise ValidationError("gaps must be pairwise disjoint")
         if len(set(endpoints)) != len(endpoints):
             raise ValidationError("gap endpoints must be pairwise distinct (no isolated points)")
+        self.x0_plus = x0_plus
+        self.x0_minus = x0_minus
+        self.gaps = gaps
 
     @property
     def n_gaps(self) -> int:
@@ -118,8 +121,7 @@ def middle_thirds(levels: int) -> GapSequence:
     endpoint; endpoints are computed from exact triadic integers so that
     repeated evaluations agree bitwise.
     """
-    if levels < 0:
-        raise ValidationError("levels must be nonnegative")
+    levels = _check_levels(levels)
     gaps: list[tuple[float, float]] = []
     kept = [0]  # numerators p of kept intervals [p, p+1] / 3^depth
     depth = 0
@@ -160,8 +162,7 @@ def cantor_system(seq: GapSequence, levels: int, with_grading: bool = True) -> I
     endpoint pair with weight 1/l_n, so ||D_j|| = 1/l_j, and the optional
     grading is the unweighted swap.
     """
-    if levels < 0:
-        raise ValidationError("levels must be nonnegative")
+    levels = _check_levels(levels)
     if seq.n_gaps < levels:
         raise ValidationError(f"gap sequence has {seq.n_gaps} gaps, need {levels}")
     lengths = seq.lengths
@@ -201,7 +202,6 @@ def cantor_system(seq: GapSequence, levels: int, with_grading: bool = True) -> I
     return InductiveSystem(tuple(triples), tuple(links), provenance)
 
 
-@dataclass(frozen=True)
 class AfChain:
     """Increasing chain A_0 = C <= A_1 <= ... with a faithful state on top.
 
@@ -210,31 +210,35 @@ class AfChain:
     implies it on every subalgebra.
     """
 
-    algebras: tuple[FiniteCStarAlgebra, ...]
-    inclusions: tuple[StarHomomorphism, ...]
-    state: State
-    alphas: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.algebras) < 1:
+    def __init__(
+        self,
+        algebras: tuple[FiniteCStarAlgebra, ...],
+        inclusions: tuple[StarHomomorphism, ...],
+        state: State,
+        alphas: tuple[float, ...],
+    ):
+        if len(algebras) < 1:
             raise ValidationError("chain needs at least one algebra")
-        if self.algebras[0].block_dims != (1,):
+        if algebras[0].block_dims != (1,):
             raise ValidationError("chain must start at the scalars A_0 = C")
-        if len(self.inclusions) != len(self.algebras) - 1:
+        if len(inclusions) != len(algebras) - 1:
             raise ValidationError("chain needs one inclusion per adjacent pair")
-        for j, inc in enumerate(self.inclusions):
-            if inc.source.block_dims != self.algebras[j].block_dims:
+        for j, inc in enumerate(inclusions):
+            if inc.source.block_dims != algebras[j].block_dims:
                 raise ValidationError(f"inclusion {j} source mismatch")
-            if inc.target.block_dims != self.algebras[j + 1].block_dims:
+            if inc.target.block_dims != algebras[j + 1].block_dims:
                 raise ValidationError(f"inclusion {j} target mismatch")
-        if self.state.algebra.block_dims != self.algebras[-1].block_dims:
+        if state.algebra.block_dims != algebras[-1].block_dims:
             raise ValidationError("state must live on the top algebra of the chain")
-        alphas = tuple(float(a) for a in self.alphas)
-        if len(alphas) < len(self.algebras) - 1:
+        alphas = tuple(float(a) for a in alphas)
+        if len(alphas) < len(algebras) - 1:
             raise ValidationError("need one alpha per chain step")
         if any(a == 0.0 for a in alphas):
             raise ValidationError("alpha values must be nonzero")
-        object.__setattr__(self, "alphas", alphas)
+        self.algebras = algebras
+        self.inclusions = inclusions
+        self.state = state
+        self.alphas = alphas
 
     @property
     def top_level(self) -> int:
@@ -282,6 +286,7 @@ def commutative_af_chain(branching, weights, alphas) -> AfChain:
 
 
 def binary_branching(levels: int) -> list[np.ndarray]:
+    levels = _check_levels(levels)
     return [np.arange(2 ** (i + 1)) // 2 for i in range(levels)]
 
 
@@ -315,8 +320,7 @@ def ci_system(chain: AfChain, levels: int) -> InductiveSystem:
     D_{j+1} = L_j D_j L_j* + alpha_j (1 - L_j L_j*), so D_k agrees with D_j
     on the range of the composed links for k >= j.
     """
-    if levels < 0:
-        raise ValidationError("levels must be nonnegative")
+    levels = _check_levels(levels)
     if levels > chain.top_level:
         raise ValidationError(f"chain has top level {chain.top_level}, requested {levels}")
     points = chain.is_commutative

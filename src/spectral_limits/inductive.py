@@ -10,7 +10,6 @@ I_{j,J} is needed, the links are applied in turn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ResidualReport
@@ -29,25 +28,28 @@ from .triple import (
 )
 
 
-@dataclass(frozen=True)
 class InductiveSystem:
     """Finite chain T_0 -> T_1 -> ... -> T_J with adjacent morphisms."""
 
-    triples: tuple[FiniteSpectralTriple, ...]
-    links: tuple[TripleMorphism, ...]
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if len(self.triples) < 1:
+    def __init__(
+        self,
+        triples: tuple[FiniteSpectralTriple, ...],
+        links: tuple[TripleMorphism, ...],
+        provenance: dict | None = None,
+    ):
+        if len(triples) < 1:
             raise ValidationError("inductive system needs at least one triple")
-        if len(self.links) != len(self.triples) - 1:
+        if len(links) != len(triples) - 1:
             raise ValidationError(
-                f"expected {len(self.triples) - 1} links for {len(self.triples)} triples, "
-                f"got {len(self.links)}"
+                f"expected {len(triples) - 1} links for {len(triples)} triples, "
+                f"got {len(links)}"
             )
-        for j, link in enumerate(self.links):
-            if link.source is not self.triples[j] or link.target is not self.triples[j + 1]:
+        for j, link in enumerate(links):
+            if link.source is not triples[j] or link.target is not triples[j + 1]:
                 raise ValidationError(f"link {j} does not connect triples {j} -> {j + 1}")
+        self.triples = triples
+        self.links = links
+        self.provenance = {} if provenance is None else provenance
 
     @property
     def top_level(self) -> int:
@@ -69,12 +71,18 @@ def system_validate(system: InductiveSystem) -> "SystemReport":
     return SystemReport(triple_reports, link_reports, failing_triple, failing_link)
 
 
-@dataclass(frozen=True)
 class SystemReport:
-    triple_reports: tuple[ResidualReport, ...]
-    link_reports: tuple[ResidualReport, ...]
-    failing_triple: int | None
-    failing_link: int | None
+    def __init__(
+        self,
+        triple_reports: tuple[ResidualReport, ...],
+        link_reports: tuple[ResidualReport, ...],
+        failing_triple: int | None,
+        failing_link: int | None,
+    ):
+        self.triple_reports = triple_reports
+        self.link_reports = link_reports
+        self.failing_triple = failing_triple
+        self.failing_link = failing_link
 
     @property
     def passed(self) -> bool:

@@ -22,7 +22,6 @@ callers may evaluate independent ones concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -105,7 +104,6 @@ def check_hermitian(h) -> np.ndarray:
     return 0.5 * (a + dagger(a))
 
 
-@dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigendecomposition of a Hermitian operator.
 
@@ -113,8 +111,9 @@ class SpectralDecomposition:
     orthonormal eigenvectors as columns.
     """
 
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
+    def __init__(self, eigenvalues: np.ndarray, vectors: np.ndarray):
+        self.eigenvalues = eigenvalues
+        self.vectors = vectors
 
     @property
     def dim(self) -> int:

@@ -24,7 +24,6 @@ source unitaries; it bounds the defect of every element.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -85,7 +84,6 @@ def operators(rep: StarHomomorphism, coords) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class FiniteSpectralTriple:
     """Representation, Dirac operator and optional grading.
 
@@ -95,24 +93,27 @@ class FiniteSpectralTriple:
     complex128 (``linalg.exactly_real``).
     """
 
-    rep: StarHomomorphism
-    dirac: np.ndarray
-    grading: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.rep.spectrum_map is None and len(self.rep.target.block_dims) != 1:
+    def __init__(
+        self,
+        rep: StarHomomorphism,
+        dirac: np.ndarray,
+        grading: np.ndarray | None = None,
+        meta: dict | None = None,
+    ):
+        if rep.spectrum_map is None and len(rep.target.block_dims) != 1:
             raise ValidationError("an explicit representation must map into one block M_N")
-        d = exactly_real(as_matrix(self.dirac, "dirac"))
+        self.rep = rep
+        d = exactly_real(as_matrix(dirac, "dirac"))
         n = self.hilbert_dim
         if d.shape != (n, n):
             raise ValidationError(f"dirac shape {d.shape} does not match Hilbert dimension {n}")
-        object.__setattr__(self, "dirac", d)
-        if self.grading is not None:
-            g = exactly_real(as_matrix(self.grading, "grading"))
-            if g.shape != (n, n):
+        if grading is not None:
+            grading = exactly_real(as_matrix(grading, "grading"))
+            if grading.shape != (n, n):
                 raise ValidationError("grading shape does not match Hilbert dimension")
-            object.__setattr__(self, "grading", g)
+        self.dirac = d
+        self.grading = grading
+        self.meta = {} if meta is None else meta
 
     @property
     def algebra(self) -> FiniteCStarAlgebra:
@@ -135,28 +136,27 @@ class FiniteSpectralTriple:
         return operators(self.rep, a.coordinates)
 
 
-@dataclass(frozen=True)
 class TripleMorphism:
     """Pair (phi, I): *-homomorphism plus intertwining isometry; ``iso`` is
     stored as float64 when its imaginary parts are exactly +0.0."""
 
-    source: FiniteSpectralTriple
-    target: FiniteSpectralTriple
-    phi: StarHomomorphism
-    iso: np.ndarray
-
-    def __post_init__(self):
-        m = exactly_real(as_matrix(self.iso, "isometry"))
-        if m.shape != (self.target.hilbert_dim, self.source.hilbert_dim):
+    def __init__(
+        self, source: FiniteSpectralTriple, target: FiniteSpectralTriple, phi: StarHomomorphism, iso: np.ndarray
+    ):
+        m = exactly_real(as_matrix(iso, "isometry"))
+        if m.shape != (target.hilbert_dim, source.hilbert_dim):
             raise ValidationError(
                 f"isometry shape {m.shape} does not match Hilbert dimensions "
-                f"({self.target.hilbert_dim}, {self.source.hilbert_dim})"
+                f"({target.hilbert_dim}, {source.hilbert_dim})"
             )
-        if self.phi.source.block_dims != self.source.algebra.block_dims:
+        if phi.source.block_dims != source.algebra.block_dims:
             raise ValidationError("phi source does not match the source triple")
-        if self.phi.target.block_dims != self.target.algebra.block_dims:
+        if phi.target.block_dims != target.algebra.block_dims:
             raise ValidationError("phi target does not match the target triple")
-        object.__setattr__(self, "iso", m)
+        self.source = source
+        self.target = target
+        self.phi = phi
+        self.iso = m
 
 
 def validate_triple(t: FiniteSpectralTriple) -> ResidualReport:

@@ -1028,9 +1028,10 @@ class TestModuleSets:
         code = (
             "import sys; from spectral_limits.cli import main; "
             f"rc = main({argv!r}); "
-            "print(rc, sorted(m.split('.')[1] for m in sys.modules if m.startswith('spectral_limits.')))"
+            "print(rc, 'dataclasses' in sys.modules, "
+            "sorted(m.split('.')[1] for m in sys.modules if m.startswith('spectral_limits.')))"
         )
-        assert run_python(code) == f"{rc} {sorted(VALIDATE_MODULES | extra)}"
+        assert run_python(code) == f"{rc} False {sorted(VALIDATE_MODULES | extra)}"
 
     def test_coupled_distance_leaves_numpy_ma_unloaded(self, inputs):
         # numpy.ma (imported by np.unique in numpy 2.4) costs about 1.3 MB of
@@ -1080,6 +1081,42 @@ class TestBlasThreadTimeout:
     def test_set_before_numpy_loads(self, module, preset, expected):
         code = TIMEOUT_AT_NUMPY_IMPORT.replace("PRESET", repr(preset)).replace("MODULE", module)
         assert run_python(code) == expected
+
+
+# Run in a fresh interpreter, after gc.disable() when DISABLE: the passes of
+# each generation during the import of MODULE, whether it froze anything, and
+# whether the collector is on afterwards.
+GC_AROUND_IMPORT = """
+import gc
+if DISABLE:
+    gc.disable()
+before = [s["collections"] for s in gc.get_stats()]
+import MODULE
+after = [s["collections"] for s in gc.get_stats()]
+print([a - b for a, b in zip(after, before)], gc.get_freeze_count() > 0, gc.isenabled())
+"""
+
+
+class TestStartupCollector:
+    """The CLI's import runs no collection and freezes what it loaded, with
+    the caller's collector state kept; a library import leaves gc alone."""
+
+    @pytest.fixture()
+    def bytecode(self, tmp_path):
+        # Bytecode cached under tmp_path by a first import.  Without it,
+        # compiling cli.py makes one pass before the module's first line runs.
+        env = {"PYTHONDONTWRITEBYTECODE": None, "PYTHONPYCACHEPREFIX": str(tmp_path)}
+        run_python("import spectral_limits.cli; print()", **env)
+        return env
+
+    @pytest.mark.parametrize("disable", [False, True], ids=["enabled", "caller-disabled"])
+    def test_cli_import(self, bytecode, disable):
+        code = GC_AROUND_IMPORT.replace("DISABLE", repr(disable)).replace("MODULE", "spectral_limits.cli")
+        assert run_python(code, **bytecode) == f"[0, 0, 0] True {not disable}"
+
+    def test_library_import_freezes_nothing(self):
+        code = GC_AROUND_IMPORT.replace("DISABLE", "False").replace("MODULE", "spectral_limits.algebra")
+        assert run_python(code).endswith("] False True")
 
 
 class TestParserDefaults:

@@ -25,11 +25,17 @@ MODULES = [
 ]
 
 
-def run_python(code: str) -> str:
+def run_python(code: str, **env_vars: str | None) -> str:
     """Run ``code`` in a fresh interpreter with the package's source on the
-    path; return the last line it printed."""
+    path and ``env_vars`` in its environment (None unsets one); return the
+    last line it printed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for name, value in env_vars.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]

@@ -1,6 +1,7 @@
 """Cantor and Christensen-Ivan generators, gap sequences, chains."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -88,8 +89,26 @@ class TestMiddleThirds:
     def test_validates(self):
         middle_thirds(0)
         middle_thirds(31)
+        assert middle_thirds(np.int64(2)).gaps == middle_thirds(2).gaps
         with pytest.raises(ValidationError):
             middle_thirds(-1)
+
+
+# Every generator that takes a number of levels, called with ``levels``.
+LEVELS_CALLS = {
+    "middle_thirds": middle_thirds,
+    "cantor_system": lambda levels: cantor_system(middle_thirds(3), levels),
+    "binary_branching": binary_branching,
+    "ci_system": lambda levels: ci_system(commutative_af_chain(binary_branching(3), np.full(8, 1 / 8), [1, 2, 3]), levels),
+}
+
+
+@pytest.mark.parametrize("call", LEVELS_CALLS.values(), ids=LEVELS_CALLS)
+@pytest.mark.parametrize("levels", [True, 2.5, "2", -1], ids=["bool", "float", "str", "negative"])
+def test_levels_must_be_a_nonnegative_integer(call, levels):
+    # True used to run as level 1, and 2.5 raised a raw TypeError.
+    with pytest.raises(ValidationError, match=re.escape(f"levels must be an integer >= 0, got {levels!r}")):
+        call(levels)
 
 
 class TestGapSequenceInvariants:
