@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_matrix, dagger
+from .linalg import as_matrix, dagger, scale_exponent, times_pow2
 from .linalg import operator_norm  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 
 # Default residual tolerance of every validation: homomorphisms here, triples,
@@ -417,8 +417,12 @@ class State:
         w = np.asarray(weights, dtype=float).ravel()
         if not algebra.is_commutative or w.shape[0] != algebra.n_points:
             raise ValidationError("from_weights needs a commutative algebra and one weight per point")
+        if not np.all(np.isfinite(w)):
+            raise ValidationError("state weights must be finite")
         if np.any(w <= 0):
             raise ValidationError("state is not faithful: weights must be strictly positive")
+        # Dividing by a power of two is exact, and keeps the sum finite.
+        w = times_pow2(w, -scale_exponent(float(w.max())))
         return cls(algebra, AlgebraElement(algebra, w / w.sum()))
 
     @classmethod

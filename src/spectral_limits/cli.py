@@ -93,30 +93,18 @@ def parse_complex(text: str) -> complex:
     t = t.replace("i", "j")
     t = re.sub(r"(?<![\d.])j", "1j", t)
     try:
-        z = complex(t)
+        return complex(t)
     except ValueError as exc:
         raise ValidationError(f"cannot parse complex number {text!r}") from exc
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValidationError(f"complex number {text!r} has a non-finite part")
-    return z
 
 
 def parse_lambdas(texts) -> list[complex]:
     """Parse a list of non-real resolvent probes written as in ``parse_complex``."""
+    from .diagnostics import _check_nonreal
+
     if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
         raise ValidationError(f"resolvent probes must be a list of strings, got {texts!r}")
-    lambdas = [parse_complex(t) for t in texts]
-    for lam in lambdas:
-        if lam.imag == 0.0:
-            raise ValidationError(f"resolvent probe {lam:g} is real; probes must be non-real")
-    return lambdas
-
-
-def _check_positive(name: str, value: float, allow_zero: bool = False) -> None:
-    """Reject a non-finite or negative number, and zero unless ``allow_zero``."""
-    if not math.isfinite(value) or value < 0.0 or (value == 0.0 and not allow_zero):
-        bound = ">= 0" if allow_zero else "> 0"
-        raise ValidationError(f"{name} must be finite and {bound}, got {value!r}")
+    return [_check_nonreal(parse_complex(t)) for t in texts]
 
 
 def parse_levels(text: str, top: int) -> list[int]:
@@ -261,11 +249,10 @@ def _warn_route_deltas(resolvent) -> None:
 
 
 def cmd_st1(args) -> int:
-    if args.window < 2:
-        raise ValidationError(f"--window must be at least 2, got {args.window}")
-    _check_positive("--threshold", args.threshold)
-    from .diagnostics import DEFAULT_LAMBDAS
+    from .diagnostics import DEFAULT_LAMBDAS, _check_positive, _check_window
 
+    _check_window("--window", args.window)
+    _check_positive("--threshold", args.threshold)
     lambdas = parse_lambdas(args.lam) if args.lam else list(DEFAULT_LAMBDAS)
     system = _load_system_arg(args)
     r = realize(system)
@@ -350,6 +337,8 @@ def _st2_series(args, system: InductiveSystem) -> list[tuple[str, CommutatorSeri
 
 def cmd_st2(args) -> int:
     if args.bound is not None:
+        from .diagnostics import _check_positive
+
         _check_positive("--bound", args.bound, allow_zero=True)
     system = _load_system_arg(args)
     named = _st2_series(args, system)
@@ -385,9 +374,7 @@ def _resolve_point(triple, text: str) -> int:
 
 def cmd_distance(args) -> int:
     system = _load_system_arg(args)
-    j = int(args.level)
-    if not (0 <= j <= system.top_level):
-        raise ValidationError(f"level {j} outside the system range")
+    j = system.check_level(args.level)
     triple = system.triples[j]
     x = _resolve_point(triple, args.x)
     y = _resolve_point(triple, args.y)

@@ -90,8 +90,23 @@ def _check_nonreal(lam: complex) -> complex:
     if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
         raise ValidationError(f"resolvent probe must be finite, got {lam:g}")
     if lam.imag == 0.0:
-        raise ValidationError(f"resolvent probe must be non-real, got {lam:g}")
+        raise ValidationError(f"resolvent probe {lam:g} is real; probes must be non-real")
     return lam
+
+
+def _check_positive(name: str, value: float, allow_zero: bool = False) -> None:
+    """Reject a non-finite or negative number, and zero unless ``allow_zero``."""
+    if not math.isfinite(value) or value < 0.0 or (value == 0.0 and not allow_zero):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise ValidationError(f"{name} must be finite and {bound}, got {value!r}")
+
+
+def _check_window(name: str, window) -> None:
+    """Reject a verdict window that is not an integer (a bool is not) or is below 2."""
+    if not isinstance(window, (int, np.integer)) or isinstance(window, bool):
+        raise ValidationError(f"{name} must be an integer, got {window!r}")
+    if window < 2:
+        raise ValidationError(f"{name} must be at least 2, got {window!r}")
 
 
 def _embedded_gap(r: Realization, j: int, inner: np.ndarray, outer: np.ndarray, probe: str) -> float:
@@ -210,7 +225,7 @@ def analytic_gap_bound(system: InductiveSystem, j: int, lam: complex) -> float |
     A probe so large that its distance to a spectral point overflows raises
     ``ValidationError``.
     """
-    lam = _check_nonreal(lam)
+    j, lam = system.check_level(j), _check_nonreal(lam)
     kind = system.provenance.get("kind")
     try:
         if kind == "cantor":
@@ -318,10 +333,8 @@ def st1_verdict(
     inconclusive.  Anything else is inconclusive.  ``threshold`` must be
     finite and positive, and ``window`` an integer of at least 2.
     """
-    if not (math.isfinite(threshold) and threshold > 0.0):
-        raise ValidationError(f"threshold must be finite and > 0, got {threshold!r}")
-    if not isinstance(window, (int, np.integer)) or isinstance(window, bool) or window < 2:
-        raise ValidationError(f"window must be an integer >= 2, got {window!r}")
+    _check_positive("threshold", threshold)
+    _check_window("window", window)
     if not series.entries:
         raise ValidationError("empty gap series")
     interior = [(j, v) for j, v in series.entries if j != series.ambient_level]
@@ -371,8 +384,8 @@ def st2_verdict(series_set: Sequence[CommutatorSeries], bound: float | None = No
     bound carries no trend, so it makes the verdict inconclusive.  A
     ``bound`` must be finite and nonnegative.
     """
-    if bound is not None and not (math.isfinite(bound) and bound >= 0.0):
-        raise ValidationError(f"bound must be finite and >= 0, got {bound!r}")
+    if bound is not None:
+        _check_positive("bound", bound, allow_zero=True)
     if not series_set:
         raise ValidationError("empty commutator series collection")
     sups = [float(s.sup) for s in series_set]

@@ -25,6 +25,8 @@ defines it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .algebra import (
@@ -69,6 +71,7 @@ class GapSequence:
     (x_{n,-}, x_{n,+}).  Lengths must be nonincreasing: the strictly
     decreasing requirement would exclude standard examples with repeated
     lengths, and every formula used downstream holds verbatim for ties.
+    Each length l and its reciprocal, the Dirac weight 1/l, must be finite.
     """
 
     def __init__(self, x0_plus: float, x0_minus: float, gaps: tuple[tuple[float, float], ...]):
@@ -81,6 +84,11 @@ class GapSequence:
                 raise ValidationError("gap must lie strictly inside the outer interval")
             lengths.append(right - left)
             endpoints.extend([left, right])
+        for (left, right), length in zip(((x0_plus, x0_minus), *gaps), lengths):
+            if not (math.isfinite(length) and math.isfinite(1.0 / length)):
+                raise ValidationError(
+                    f"gap ({left!r}, {right!r}) has length {length!r}; a gap length and its reciprocal must be finite"
+                )
         for a, b in zip(lengths, lengths[1:]):
             if b > a * (1.0 + LENGTH_ORDER_SLACK) + LENGTH_ORDER_SLACK:
                 raise ValidationError("gap lengths must be nonincreasing")
@@ -142,6 +150,7 @@ def theta(seq: GapSequence, j: int, x: float) -> float:
 
 
 def theta_index(seq: GapSequence, j: int, x: float) -> int:
+    j = _check_levels(j)
     if j > seq.n_gaps:
         raise ValidationError(f"level {j} exceeds available gaps ({seq.n_gaps})")
     best = None
@@ -396,6 +405,7 @@ def ci_system(chain: AfChain, levels: int) -> InductiveSystem:
 
 def random_gap_sequence(rng: np.random.Generator, levels: int) -> GapSequence:
     """Random Cantor-style gap data with distinct, well-separated lengths."""
+    levels = _check_levels(levels)
     intervals = [(0.0, 1.0)]
     gaps: list[tuple[float, float]] = []
     while len(gaps) < max(levels, 1):
@@ -420,6 +430,7 @@ def random_af_chain(
     alpha_kind: str = "random",
 ) -> AfChain:
     """Random commutative chain with separated alpha magnitudes."""
+    levels = _check_levels(levels)
     sizes = [1]
     branching = []
     for _ in range(levels):

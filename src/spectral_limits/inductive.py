@@ -168,8 +168,11 @@ class Realization:
         acts there as B_k, so the increments above level j together carry
         the spectrum of D_J on the range of 1 - P_j.
         """
-        if not (1 <= k <= self.level):
-            raise ValidationError(f"increment level must lie in [1, {self.level}], got {k}")
+        # Only a number equal to an integer in [1, J] is in the range; the
+        # level rule then refuses a bool or a float.
+        if k not in range(1, self.level + 1):
+            raise ValidationError(f"increment level must lie in [1, {self.level}], got {k!r}")
+        k = self.system.check_level(k)
         if k not in self._increments:
             iso = self.system.links[k - 1].iso
             c = np.linalg.qr(iso, mode="complete")[0][:, iso.shape[1] :]

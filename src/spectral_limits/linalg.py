@@ -78,7 +78,17 @@ def exactly_real(a: np.ndarray) -> np.ndarray:
 
 
 def frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, "fro"))
+    """Frobenius norm; inf only when the norm itself exceeds the float range.
+
+    An ordinary matrix takes one pass.  When its sum of squares overflows,
+    the matrix is scaled by a power of two as in ``operator_norm``.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(m, "fro"))
+    if math.isfinite(norm):
+        return norm
+    e = scale_exponent(float(np.max(np.abs(m))))
+    return unscaled(float(np.linalg.norm(times_pow2(m, -e), "fro")), e)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -264,6 +274,7 @@ def lanczos_operator_norm(gram: Callable[[np.ndarray], np.ndarray], start: np.nd
 def resolvent_values(eigenvalues: np.ndarray, lam: complex) -> np.ndarray:
     """1/(lambda_n - lam) for each eigenvalue lambda_n: the resolvent in its eigenbasis.
 
+    A ``lam`` with a non-finite part raises ``ValidationError`` naming it.
     With s = max(1, max |lambda_n|), a real ``lam`` within
     ``REAL_RESOLVENT_MARGIN`` s of the spectrum raises ``SingularityError``
     (near-spectrum real points are rejected rather than regularized).  A
@@ -273,6 +284,8 @@ def resolvent_values(eigenvalues: np.ndarray, lam: complex) -> np.ndarray:
     1e308+1e308i, where it would return 0).
     """
     lam = complex(lam)
+    if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+        raise ValidationError(f"probe lambda={lam} is not finite")
     denom = eigenvalues - lam
     closest = float(np.min(np.abs(denom)))
     scale = max(1.0, float(np.max(np.abs(eigenvalues))))

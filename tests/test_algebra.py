@@ -348,6 +348,12 @@ class TestStates:
         assert np.array_equal(tau.density.coordinates, w / w.sum())
         assert np.array_equal(tau.weights, w / w.sum())
 
+    def test_weights_with_overflowing_sum(self):
+        # Divided by a power of two first, the sum 2^1024 stays finite; it used
+        # to overflow with a RuntimeWarning and fail as not faithful.
+        tau = State.from_weights(FiniteCStarAlgebra((1, 1)), [2.0**1022, 3 * 2.0**1022])
+        assert tau.weights.tolist() == [0.25, 0.75]
+
     def test_value_is_blockwise_trace(self):
         rng = np.random.default_rng(4)
         a = FiniteCStarAlgebra((2, 1, 3))

@@ -30,7 +30,7 @@ from spectral_limits import (
     st1_verdict,
 )
 from spectral_limits import cli, distance
-from spectral_limits.cli import build_parser, main, parse_complex, parse_levels
+from spectral_limits.cli import build_parser, main, parse_complex, parse_lambdas, parse_levels
 from spectral_limits.diagnostics import FUNCTION_PROBES, VERDICT_THRESHOLD, VERDICT_WINDOW
 from spectral_limits.errors import ValidationError
 from spectral_limits.linalg import lanczos_start
@@ -68,8 +68,8 @@ class TestParsers:
 
     @pytest.mark.parametrize("text", ["nan+1i", "nan", "1e999i", "-1e999+2i"])
     def test_complex_non_finite_rejected(self, text):
-        with pytest.raises(ValidationError, match="non-finite"):
-            parse_complex(text)
+        with pytest.raises(ValidationError, match="resolvent probe must be finite"):
+            parse_lambdas([text])
 
     def test_levels(self):
         assert parse_levels("0..3", 6) == [0, 1, 2, 3]
@@ -259,6 +259,21 @@ class TestBuild:
         assert time.perf_counter() - start < 1.0
         assert "bytes" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, cfg, rc",
+        [
+            ("build", {**CI2, "weights": [1e308, 1e308], "alphas": [1.0], "levels": 1}, 0),
+            ("build", {"type": "cantor", "gaps": [[0.0, 1e-320]], "levels": 0}, 2),
+            ("validate", {**CI2, "weights": "uniform", "alphas": [1e200, 1.0]}, 1),
+        ],
+        ids=["weight-sum-overflow", "gap-reciprocal-overflow", "frobenius-overflow"],
+    )
+    def test_extreme_numbers_without_warning(self, tmp_path, capsys, command, cfg, rc):
+        # Each printed a numpy RuntimeWarning; the weights also failed as not faithful.
+        argv = [command, "--config", write_json(tmp_path / "extreme.json", cfg)]
+        assert main(argv + (["--out", str(tmp_path / "s.json")] if command == "build" else [])) == rc
+        assert "Warning" not in capsys.readouterr().err
 
     def test_generator_rejection_exit2(self, tmp_path, capsys):
         # A config the generator rejects (a zero alpha, fewer alphas than

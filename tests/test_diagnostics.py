@@ -643,6 +643,7 @@ LEVEL_CALLS = {
     "gap_series": lambda r, j: gap_series(r, lam=1j, j_range=[j]),
     "commutator_series": lambda r, j: commutator_series(r.system, j, r.system.triples[1].algebra.basis_element(0)),
     "default_st2_probe": lambda r, j: default_st2_probe(r.system, [j]),
+    "analytic_gap_bound": lambda r, j: analytic_gap_bound(r.system, j, 1j),
 }
 
 
@@ -732,10 +733,10 @@ class TestVerdicts:
             ({"threshold": math.nan}, "threshold must be finite and > 0, got nan"),
             ({"threshold": math.inf}, "threshold must be finite and > 0, got inf"),
             ({"threshold": 0.0}, "threshold must be finite and > 0, got 0.0"),
-            ({"window": 1}, "window must be an integer >= 2, got 1"),
-            ({"window": -3}, "window must be an integer >= 2, got -3"),
-            ({"window": 2.5}, "window must be an integer >= 2, got 2.5"),
-            ({"window": True}, "window must be an integer >= 2, got True"),
+            ({"window": 1}, "window must be at least 2, got 1"),
+            ({"window": -3}, "window must be at least 2, got -3"),
+            ({"window": 2.5}, "window must be an integer, got 2.5"),
+            ({"window": True}, "window must be an integer, got True"),
         ],
         ids=["threshold-nan", "threshold-inf", "threshold-zero", "window-1", "window-negative", "window-float", "window-bool"],
     )

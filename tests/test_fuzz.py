@@ -14,12 +14,18 @@ command.  The representation examples give explicit maps into M_N, some
 of them not faithful or moved off a *-homomorphism, and compare the
 verdict with an all-pairs oracle.  The intertwining examples perturb the
 isometry (and sometimes the explicit phi) of a link and check that the
-algebra-intertwining residual bounds the defect of random elements.
+algebra-intertwining residual bounds the defect of random elements.  The
+public API sweep passes one bad scalar at a time (NaN, infinities, extreme,
+negative, non-integer and bool values, non-finite or huge probes, small
+integers) to one argument of each public entry point, and checks that the
+argument's rule refuses it with a ``ValidationError`` wherever it should.
 """
 
 import argparse
+import cmath
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -30,21 +36,45 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from spectral_limits import (
     FiniteCStarAlgebra,
     FiniteSpectralTriple,
+    GapSequence,
     InductiveSystem,
+    SpectralLimitsError,
     StarHomomorphism,
+    State,
     TripleMorphism,
+    ValidationError,
+    analytic_gap_bound,
+    binary_branching,
     cantor_system,
     ci_system,
+    commutative_af_chain,
+    commutator_series,
+    connes_distance,
+    connes_distance_with_path,
+    default_st2_probe,
     dense_representation,
+    function_gap,
+    gap_series,
     hom_validate,
     middle_thirds,
+    random_af_chain,
     random_commutative_system,
+    random_gap_sequence,
+    realize,
+    resolvent,
+    resolvent_gap,
+    resolvent_gap_eigen,
     save_system,
+    st1_verdict,
+    st2_verdict,
     system_to_json,
+    theta,
+    theta_index,
     validate_morphism,
 )
 from spectral_limits.algebra import VALIDATION_TOL
 from spectral_limits.cli import build_parser, main
+from spectral_limits.diagnostics import FUNCTION_PROBES
 from spectral_limits.serialization import dumps, matrix_from_json, matrix_to_json
 from test_generators import doubled_chain, tensor_chain
 
@@ -538,3 +568,119 @@ def test_intertwining_residual_bounds_every_element(system, pick, explicit, dens
         a = algebra.from_coordinates(coords)
         defect = np.linalg.norm(iso @ source.represent(a) - target.represent(phi.apply(a)) @ iso, ord=2)
         assert defect <= 2 * a.norm() * residual * (1 + 1e-9) + 1e-12
+
+
+# The scalars of the public API sweep below: numbers that some rule of the
+# library refuses, complex probes, and small integers (the library
+# generators have no size guard, the config path has one, so an integer that
+# sizes an allocation stays small).
+BAD_NUMBERS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-320, -3, 2.5, True]
+BAD_PROBES = [complex(math.nan, 1.0), complex(0.0, math.inf), complex(1e308, 1e308)]
+
+
+# The values each argument's rule refuses.
+def anything(v):
+    return False
+
+
+def not_positive(v):
+    return not (math.isfinite(v) and v > 0)
+
+
+def not_nonnegative(v):
+    return not (math.isfinite(v) and v >= 0)
+
+
+def not_finite(v):
+    return not cmath.isfinite(v)
+
+
+def not_probe(v):
+    return not (cmath.isfinite(v) and complex(v).imag != 0.0)
+
+
+def outside(low, high=math.inf):
+    """Refuses all but the integers (not bools) in [low, high]."""
+    return lambda v: isinstance(v, bool) or not isinstance(v, int) or not low <= v <= high
+
+
+def _sweep_cases():
+    """(label, refused, call) for one argument of each public entry point,
+    first those that take real scalars, then the resolvent probes, which
+    also take complex ones; ``call`` passes its argument there and valid
+    values everywhere else."""
+    seq = middle_thirds(3)
+    cantor = cantor_system(seq, 3)
+    r = realize(cantor)
+    ci = ci_system(commutative_af_chain(binary_branching(2), [0.25] * 4, [1.0, 2.0]), 2)
+    series, probe = gap_series(r, lam=1j), default_st2_probe(cantor)
+    element = cantor.triples[1].algebra.basis_element(0)
+    level = outside(0, 3)
+
+    def ci_chain(weight=0.25, alpha=2.0):
+        return commutative_af_chain(binary_branching(2), [weight, 0.25, 0.25, 0.25], [1.0, alpha])
+
+    scalars = [
+        ("resolvent_gap j", level, lambda v: resolvent_gap(r, v, 1j)),
+        ("resolvent_gap_eigen j", level, lambda v: resolvent_gap_eigen(r, v, 1j)),
+        ("function_gap j", level, lambda v: function_gap(r, v, FUNCTION_PROBES["gaussian"])),
+        ("gap_series j_range", level, lambda v: gap_series(r, lam=1j, j_range=[0, v])),
+        ("gap_series function j_range", level, lambda v: gap_series(r, f_name="gaussian", j_range=[v])),
+        ("analytic_gap_bound cantor j", level, lambda v: analytic_gap_bound(cantor, v, 1j)),
+        ("analytic_gap_bound ci j", outside(0, 2), lambda v: analytic_gap_bound(ci, v, 1j)),
+        ("commutator_series j", level, lambda v: commutator_series(cantor, v, element)),
+        ("default_st2_probe levels", level, lambda v: default_st2_probe(cantor, levels=[v])),
+        ("st1_verdict threshold", not_positive, lambda v: st1_verdict(series, threshold=v)),
+        ("st1_verdict window", outside(2), lambda v: st1_verdict(series, window=v)),
+        ("st2_verdict bound", not_nonnegative, lambda v: st2_verdict(probe, bound=v)),
+        ("Realization.level_decomposition j", level, r.level_decomposition),
+        ("Realization.rotation j", level, r.rotation),
+        ("Realization.increment_spectrum k", outside(1, 3), r.increment_spectrum),
+        ("middle_thirds levels", outside(0), middle_thirds),
+        ("cantor_system levels", level, lambda v: cantor_system(seq, v)),
+        ("binary_branching levels", outside(0), binary_branching),
+        ("ci_system levels", outside(0, 2), lambda v: ci_system(ci_chain(), v)),
+        ("theta j", level, lambda v: theta(seq, v, 0.5)),
+        ("theta x", anything, lambda v: theta(seq, 2, v)),
+        ("theta_index j", level, lambda v: theta_index(seq, v, 0.5)),
+        ("GapSequence x0_plus", not_finite, lambda v: cantor_system(GapSequence(v, 1.0, ()), 0)),
+        # With x0_plus = 0 the outer length is x0_minus, and D_0 has weight 1/length.
+        ("GapSequence x0_minus", not_positive, lambda v: cantor_system(GapSequence(0.0, v, ()), 0)),
+        ("GapSequence gap end", not_finite, lambda v: cantor_system(GapSequence(0.0, 1.0, ((1 / 3, v),)), 1)),
+        ("commutative_af_chain weight", not_positive, lambda v: ci_chain(weight=v)),
+        ("commutative_af_chain alpha", not_finite, lambda v: ci_system(ci_chain(alpha=v), 2)),
+        ("random_gap_sequence levels", outside(0), lambda v: random_gap_sequence(np.random.default_rng(0), v)),
+        ("random_af_chain levels", outside(0), lambda v: random_af_chain(np.random.default_rng(0), v)),
+        ("State.from_weights weight", not_positive, lambda v: State.from_weights(FiniteCStarAlgebra((1, 1)), [v, 1.0])),
+        ("FiniteCStarAlgebra block dim", outside(1), lambda v: FiniteCStarAlgebra((1, v))),
+        ("connes_distance x", outside(0, 2), lambda v: connes_distance(cantor.triples[2], v, 0)),
+        ("connes_distance_with_path y", outside(0, 2), lambda v: connes_distance_with_path(cantor.triples[2], 0, v)),
+    ]
+    probes = [
+        ("resolvent_gap lam", not_probe, lambda v: resolvent_gap(r, 1, v)),
+        ("resolvent_gap_eigen lam", not_probe, lambda v: resolvent_gap_eigen(r, 1, v)),
+        ("gap_series lam", not_probe, lambda v: gap_series(r, lam=v)),
+        ("analytic_gap_bound cantor lam", not_probe, lambda v: analytic_gap_bound(cantor, 1, v)),
+        ("analytic_gap_bound ci lam", not_probe, lambda v: analytic_gap_bound(ci, 0, v)),
+        ("resolvent lam", not_finite, lambda v: resolvent(np.diag([1.0, 2.0]), v)),
+    ]
+    return scalars + probes, probes
+
+
+SWEEP, PROBE_SWEEP = _sweep_cases()
+
+
+# Each example passes one drawn scalar to every entry point that takes its
+# kind.  A call may only return or raise a SpectralLimitsError, and a value
+# that the argument's rule refuses must raise a ValidationError.  A
+# RuntimeWarning fails too, since tier-1 turns it into an error.
+@settings(derandomize=True, deadline=None)
+@given(value=st.sampled_from(BAD_NUMBERS + BAD_PROBES) | st.integers(-3, 8))
+def test_public_api_rules(value):
+    for label, refused, call in PROBE_SWEEP if isinstance(value, complex) else SWEEP:
+        try:
+            call(value)
+        except SpectralLimitsError as exc:
+            assert isinstance(exc, ValidationError) or not refused(value), f"{label}: {exc!r}"
+        else:
+            assert not refused(value), f"{label} accepted {value!r}"

@@ -29,6 +29,7 @@ from spectral_limits import (
     realize,
     system_validate,
     theta,
+    theta_index,
 )
 from spectral_limits.generators import DENSE_GNS_CAP, _restrict_state
 from spectral_limits.linalg import dagger
@@ -100,6 +101,10 @@ LEVELS_CALLS = {
     "cantor_system": lambda levels: cantor_system(middle_thirds(3), levels),
     "binary_branching": binary_branching,
     "ci_system": lambda levels: ci_system(commutative_af_chain(binary_branching(3), np.full(8, 1 / 8), [1, 2, 3]), levels),
+    "theta": lambda levels: theta(middle_thirds(3), levels, 0.5),
+    "theta_index": lambda levels: theta_index(middle_thirds(3), levels, 0.5),
+    "random_gap_sequence": lambda levels: random_gap_sequence(np.random.default_rng(0), levels),
+    "random_af_chain": lambda levels: random_af_chain(np.random.default_rng(0), levels),
 }
 
 
@@ -112,6 +117,12 @@ def test_levels_must_be_a_nonnegative_integer(call, levels):
 
 
 class TestGapSequenceInvariants:
+    @pytest.mark.parametrize("outer", [(0.0, math.inf), (0.0, 1e-320), (-1e308, 1e308)], ids=["inf", "tiny", "overflow"])
+    def test_length_and_reciprocal_finite(self, outer):
+        # D_0 = 0 used to pass for the first, and 1/1e-320 overflowed in cantor_system.
+        with pytest.raises(ValidationError, match=re.escape(f"gap {outer!r} has length")):
+            GapSequence(*outer, ())
+
     def test_increasing_lengths_rejected(self):
         with pytest.raises(ValidationError):
             GapSequence(0.0, 1.0, ((0.4, 0.45), (0.6, 0.8)))

@@ -1,5 +1,6 @@
 """Inductive systems, embeddings, realizations and resolvent identities."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -248,6 +249,24 @@ class TestIncrementSpectra:
         for k in (0, r.level + 1):
             with pytest.raises(ValidationError, match="increment level"):
                 r.increment_spectrum(k)
+
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            (1.5, "increment level must lie in [1, 5], got 1.5"),
+            ("1", "increment level must lie in [1, 5], got '1'"),
+            (1.0, "level j must be an integer in [0, 5], got 1.0"),
+            (True, "level j must be an integer in [0, 5], got True"),
+        ],
+        ids=["float", "str", "integral-float", "bool"],
+    )
+    def test_non_integer_increment_level_rejected(self, k, message):
+        # 1.5 and "1" raised a raw TypeError, and True (1.0 once level 1 was
+        # cached) ran as level 1.
+        r = realize(CANTOR5)
+        r.increment_spectrum(1)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            r.increment_spectrum(k)
 
 
 class TestDtypeRule:
