@@ -242,8 +242,9 @@ class AfChain:
         alphas = tuple(float(a) for a in alphas)
         if len(alphas) < len(algebras) - 1:
             raise ValidationError("need one alpha per chain step")
-        if any(a == 0.0 for a in alphas):
-            raise ValidationError("alpha values must be nonzero")
+        for j, a in enumerate(alphas):
+            if not math.isfinite(a) or a == 0.0:
+                raise ValidationError(f"alpha {j} must be finite and nonzero, got {a!r}")
         self.algebras = algebras
         self.inclusions = inclusions
         self.state = state

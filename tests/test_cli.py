@@ -972,15 +972,17 @@ class TestSt1Ceilings:
         assert calls == {"eigh": 19, "qr": 18, "lanczos_operator_norm": 72, "operator_norm": 0}
 
     def test_blas_workers_idle(self, tmp_path):
-        # Small st1 runs give the BLAS worker threads nothing to do, so they
-        # must not spin: at most 2 clock ticks of CPU over all non-main
-        # threads (an OpenBLAS worker left to spin used 6 here on 2 vCPUs).
+        # Below PARALLEL_DIM st1 runs OpenBLAS on one thread, so its workers
+        # get no work and must not spin: no clock tick of CPU over all
+        # non-main threads (on 2 vCPUs an OpenBLAS worker left to spin used 6,
+        # and threaded BLAS calls on the dim-256 system about 3).
         cantor = write_json(tmp_path / "cantor.json", {"type": "cantor", "gaps": "middle-thirds", "levels": 5})
-        ci = write_json(
-            tmp_path / "ci.json",
-            {"type": "christensen-ivan", "chain": "binary", "weights": "uniform", "alphas": [1, 2, 3, 4], "levels": 4},
-        )
-        runs = [["st1", "--config", cfg, "--out", str(tmp_path / name)] for cfg, name in ((cantor, "c"), (ci, "b"))]
+        configs = {"c": cantor}
+        for name, levels in (("b", 4), ("w", 8)):
+            # "w" is the benchmark's ci-wide system (dim 256).
+            ci = {"type": "christensen-ivan", "chain": "binary", "weights": "uniform", "levels": levels}
+            configs[name] = write_json(tmp_path / f"ci{levels}.json", {**ci, "alphas": list(range(1, levels + 1))})
+        runs = [["st1", "--config", cfg, "--out", str(tmp_path / name)] for name, cfg in configs.items()]
         code = f"""
 import os
 os.environ.pop("OPENBLAS_THREAD_TIMEOUT", None)
@@ -996,10 +998,11 @@ for tid in os.listdir(task) if os.path.isdir(task) else []:
         ticks.append(int(fields[11]) + int(fields[12]))  # utime + stime
 print(ticks)
 """
-        ticks = json.loads(run_python(code))
+        unset = dict.fromkeys(cli.BLAS_THREAD_VARS)
+        ticks = json.loads(run_python(code, **unset))
         if not ticks:
             pytest.skip("no /proc/self/task, or no thread besides the main one")
-        assert sum(ticks) <= 2, ticks
+        assert sum(ticks) == 0, ticks
 
 
 # The modules every command loads: cli, errors and those that read and
@@ -1096,6 +1099,67 @@ class TestBlasThreadTimeout:
     def test_set_before_numpy_loads(self, module, preset, expected):
         code = TIMEOUT_AT_NUMPY_IMPORT.replace("PRESET", repr(preset)).replace("MODULE", module)
         assert run_python(code) == expected
+
+
+# Run in a fresh interpreter: the OpenBLAS thread count, read through the
+# CLI's own lookup, at the start and after validating CONFIG once per entry of
+# PARALLEL_DIMS with cli.PARALLEL_DIM set to it.  With HIDE the lookup is then
+# pointed at a library without OpenBLAS, as if numpy's BLAS were another.
+THREADS_AROUND_VALIDATE = """
+import json
+from numpy.fft import _pocketfft_umath
+from numpy.linalg import _umath_linalg
+from spectral_limits import cli
+
+get = cli._openblas()[0]
+counts = [get()]
+if HIDE:
+    cli._openblas.cache_clear()
+    _umath_linalg.__file__ = _pocketfft_umath.__file__
+for dim in PARALLEL_DIMS:
+    cli.PARALLEL_DIM = dim
+    assert cli.main(["validate", "--config", CONFIG]) == 0
+    counts.append(get())
+print(json.dumps([counts, cli._openblas() is not None]))
+"""
+
+
+class TestBlasThreads:
+    """Below PARALLEL_DIM a command runs OpenBLAS on one thread; at or above it
+    on the threads OpenBLAS started with.  A thread count set in the
+    environment, or a BLAS other than OpenBLAS, leaves the count alone."""
+
+    @pytest.fixture()
+    def run(self, tmp_path):
+        if cli._openblas() is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        # Binary CI J=4: dim 16.
+        config = write_json(tmp_path / "ci4.json", {**CI2, "alphas": [1.0, 2.0, 3.0, 4.0], "levels": 4})
+
+        def run(parallel_dims, hide=False, **env):
+            code = (
+                THREADS_AROUND_VALIDATE.replace("HIDE", repr(hide))
+                .replace("PARALLEL_DIMS", repr(parallel_dims))
+                .replace("CONFIG", repr(config))
+            )
+            counts, found = json.loads(run_python(code, **{**dict.fromkeys(cli.BLAS_THREAD_VARS), **env}))
+            assert found != hide
+            return counts
+
+        return run
+
+    def test_one_thread_below_parallel_dim_start_count_at_it(self, run):
+        start, small, large = run([cli.PARALLEL_DIM, 16])
+        assert (small, large) == (1, start)
+
+    @pytest.mark.parametrize("var", cli.BLAS_THREAD_VARS)
+    def test_environment_count_kept(self, run, var):
+        start, after = run([cli.PARALLEL_DIM], **{var: "2"})
+        assert after == start
+
+    def test_no_openblas_symbol(self, run):
+        start, after = run([cli.PARALLEL_DIM], hide=True)
+        assert after == start
 
 
 # Run in a fresh interpreter, after gc.disable() when DISABLE: the passes of

@@ -648,7 +648,7 @@ def _sweep_cases():
         ("GapSequence x0_minus", not_positive, lambda v: cantor_system(GapSequence(0.0, v, ()), 0)),
         ("GapSequence gap end", not_finite, lambda v: cantor_system(GapSequence(0.0, 1.0, ((1 / 3, v),)), 1)),
         ("commutative_af_chain weight", not_positive, lambda v: ci_chain(weight=v)),
-        ("commutative_af_chain alpha", not_finite, lambda v: ci_system(ci_chain(alpha=v), 2)),
+        ("commutative_af_chain alpha", not_finite, lambda v: ci_chain(alpha=v)),
         ("random_gap_sequence levels", outside(0), lambda v: random_gap_sequence(np.random.default_rng(0), v)),
         ("random_af_chain levels", outside(0), lambda v: random_af_chain(np.random.default_rng(0), v)),
         ("State.from_weights weight", not_positive, lambda v: State.from_weights(FiniteCStarAlgebra((1, 1)), [v, 1.0])),

@@ -416,9 +416,11 @@ class TestChainValidation:
         with pytest.raises(ValidationError):
             commutative_af_chain([np.array([0, 0])], [1.0, 0.0], [1.0])
 
-    def test_zero_alpha_rejected(self):
-        with pytest.raises(ValidationError):
-            commutative_af_chain([np.array([0, 0])], [0.5, 0.5], [0.0])
+    @pytest.mark.parametrize("alpha", [0.0, math.nan, -math.inf])
+    def test_bad_alpha_rejected(self, alpha):
+        # The message names the chain step.
+        with pytest.raises(ValidationError, match=re.escape(f"alpha 1 must be finite and nonzero, got {alpha!r}")):
+            commutative_af_chain(binary_branching(2), [0.25] * 4, [1.0, alpha])
 
     def test_chain_must_start_at_scalars(self):
         a = FiniteCStarAlgebra((1, 1))
