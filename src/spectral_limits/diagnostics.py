@@ -17,13 +17,13 @@ increment spectra of the levels above j.
 Commutator series track ||[D_k, pi_k(phi_{j,k}(a))]|| over k >= j, which
 is nondecreasing for valid systems.  The default ST2 probe tracks every
 basis element of the probed levels.  When every representation and link is
-a spectrum map and every D_k is exactly Hermitian, the pullback of a level-j
-basis element to level k is the indicator of a fibre of the level-k
-coordinate labels composed down to level j, and its norm is that of the cut
-block D_k[S, S^c], so one pass per level pair gives every fibre
-(``triple._cut_norms``).  Dense representations and inexactly Hermitian
-Dirac operators keep one ``commutator_series`` per element, which is the
-oracle of the fibre route in the tests.
+a spectrum map, the pullback of a level-j basis element to level k is the
+indicator of a fibre S of the level-k coordinate labels composed down to
+level j, and its norm is the larger of those of the cut blocks D_k[S, S^c]
+and D_k[S^c, S], so one pass per level pair gives every fibre
+(``triple._cut_norms``).  Dense representations keep one
+``commutator_series`` per element, which is the oracle of the fibre route
+in the tests.
 
 Verdicts are explicitly heuristic: a finite truncation can only report
 trends, never prove a limit statement, and every verdict carries that
@@ -158,10 +158,19 @@ def resolvent_gap(r: Realization, j: int, lam: complex) -> float:
 def resolvent_gap_eigen(r: Realization, j: int, lam: complex) -> float:
     """Eigenprojection route: the largest |R_lam| over the increment spectra
     of levels j+1..J (see ``Realization.increment_spectrum``), 0 at j = J.
+
+    Each level's peak is kept in ``r.increment_peaks``, so the gaps of one
+    probe at every j read each increment spectrum once.  The levels are
+    walked upwards, so a probe that fails on a spectrum fails at the lowest
+    level it is read at.
     """
     j, lam = r.system.check_level(j), _check_nonreal(lam)
-    spectra = (r.increment_spectrum(k) for k in range(j + 1, r.level + 1))
-    return max((float(np.max(np.abs(resolvent_values(s, lam)))) for s in spectra if s.size), default=0.0)
+    peaks, above = r.increment_peaks, range(j + 1, r.level + 1)
+    for k in above:
+        if (k, lam) not in peaks:
+            s = r.increment_spectrum(k)
+            peaks[k, lam] = float(np.max(np.abs(resolvent_values(s, lam)))) if s.size else 0.0
+    return max((peaks[k, lam] for k in above), default=0.0)
 
 
 def function_gap(r: Realization, j: int, f: Callable[[float], float]) -> float:
@@ -417,11 +426,12 @@ def st2_verdict(series_set: Sequence[CommutatorSeries], bound: float | None = No
 def _fibre_norms(system: InductiveSystem, levels: Sequence[int]) -> dict[tuple[int, int], list[float]]:
     """||[D_k, pi_k(phi_{j,k}(e_i))]|| over the points i of each level j in
     ``levels``, keyed by (j, k) for every k >= j, when every representation
-    and link is a spectrum map and every D_k is exactly Hermitian.
+    and link is a spectrum map.
 
     pi_k(phi_{j,k}(e_i)) is the indicator of the fibre over point i of the
     level-k coordinate labels composed down to level j, one gather per link,
-    so one ``_cut_norms`` pass per level k gives every fibre of every pair.
+    so one ``_cut_norms`` pass per level k gives every fibre of every pair,
+    from both cut blocks of each fibre, or one when D_k is exactly Hermitian.
     """
     triples, links = system.triples, system.links
     probed, low = set(levels), min(levels)
@@ -445,13 +455,14 @@ def default_st2_probe(system: InductiveSystem, levels: Sequence[int] | None = No
     By default the levels below the top are probed, so every series has at
     least two entries and carries trend information.  The series come in
     order of ``levels``, then of basis index.  When every representation and
-    link is a spectrum map and every D_k is exactly Hermitian, the norms come
-    from ``_fibre_norms``; otherwise each series is a ``commutator_series``.
+    link is a spectrum map, the norms come from ``_fibre_norms``, whether or
+    not each D_k is exactly Hermitian; otherwise each series is a
+    ``commutator_series``.
     """
     top = system.top_level
     levels = list(range(top) if top > 0 else [0]) if levels is None else [system.check_level(j) for j in levels]
     maps = [t.rep.spectrum_map for t in system.triples] + [m.phi.spectrum_map for m in system.links]
-    if levels and all(s is not None for s in maps) and all(t.dirac_is_hermitian for t in system.triples):
+    if levels and all(s is not None for s in maps):
         norms = _fibre_norms(system, levels)
 
         def series(j, i):

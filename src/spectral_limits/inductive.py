@@ -118,7 +118,9 @@ class Realization:
     Diagnostics read, for every probe, one cached eigendecomposition per
     level, one rotation W_j = U* I_{j,J} V_j per level into the ambient and
     level-j eigenbases U and V_j, and one increment spectrum per level
-    above 0.
+    above 0.  ``increment_peaks`` keeps, per (level k, probe lam), the peak
+    max |R_lam| on the level-k increment spectrum that the eigenprojection
+    route reads, 0.0 for an empty one.
     """
 
     def __init__(self, system: InductiveSystem):
@@ -128,6 +130,7 @@ class Realization:
         self._decompositions: dict[int, SpectralDecomposition] = {}
         self._rotations: dict[int, np.ndarray] = {}
         self._increments: dict[int, np.ndarray] = {}
+        self.increment_peaks: dict[tuple[int, complex], float] = {}
 
     def level_decomposition(self, j: int) -> SpectralDecomposition:
         j = self.system.check_level(j)

@@ -24,7 +24,6 @@ source unitaries; it bounds the defect of every element.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -124,11 +123,6 @@ class FiniteSpectralTriple:
         if self.rep.spectrum_map is not None:
             return len(self.rep.spectrum_map)
         return self.rep.target.block_dims[0]
-
-    @cached_property
-    def dirac_is_hermitian(self) -> bool:
-        """Whether D equals D* exactly, as the cut-block route of ``commutator_norm`` needs."""
-        return bool(np.array_equal(self.dirac, dagger(self.dirac)))
 
     def represent(self, a: AlgebraElement) -> np.ndarray:
         if a.algebra.block_dims != self.algebra.block_dims:
@@ -243,7 +237,8 @@ def validate_morphism(m: TripleMorphism) -> ResidualReport:
 
 def _side_grams(d: np.ndarray, side: np.ndarray, m: int) -> np.ndarray:
     """Gram matrices X X*, one per row of the (fibres, N) mask ``side`` with m
-    entries set, X = D[T, :] with its columns in T zeroed, T the set entries.
+    entries set, X = d[T, :] with its columns in T zeroed, T the set entries;
+    ``d`` is D or the view D^T.
 
     X is freed on return, so it is never held with the copy of the Grams
     that ``eigvalsh`` makes: 16 MiB and 8 MiB for a half-size fibre at
@@ -256,7 +251,7 @@ def _side_grams(d: np.ndarray, side: np.ndarray, m: int) -> np.ndarray:
 
 
 def _cut_norms(dirac: np.ndarray, partitions) -> list[np.ndarray]:
-    """||D[S, S^c]|| for every fibre S of each partition, for an exactly Hermitian D.
+    """max(||D[S, S^c]||, ||D[S^c, S]||) for every fibre S of each partition.
 
     A partition is a pair (labels, count): coordinate r lies in fibre
     labels[r], and fibres 0..count-1 are measured (a coordinate labelled
@@ -264,12 +259,15 @@ def _cut_norms(dirac: np.ndarray, partitions) -> list[np.ndarray]:
     this is ||[D, diag 1_S]||.  D is scaled once by 2^-e, e its
     ``scale_exponent``, which is exact.
 
-    Each fibre is read on its short side T, the smaller of S and S^c: D[T, :]
-    with its columns in T zeroed has the Gram matrix of the block
-    D[S, S^c] on its short side, since D[S^c, S] = D[S, S^c]*.  A fibre that
-    is empty or covers every coordinate gives 0.0 exactly, and a one-row
-    side's 1 x 1 Gram matrix is its squared row norm.  Larger sides are
-    grouped by size (``bincount``) and stacked in chunks of at most
+    Each fibre is read on its short side T, the smaller of S and S^c, whose
+    two cut blocks are those of S.  D[T, :] with its columns in T zeroed has
+    the Gram matrix of D[T, T^c] on its short side, and the same rows of the
+    view D^T, so that no N x N copy is made, that of D[T^c, T]^T; the larger
+    top eigenvalue is kept.  When D equals D* exactly (one ``np.array_equal``
+    per call), D[T^c, T] = D[T, T^c]* and only the first block is read.  A
+    fibre that is empty or covers every coordinate gives 0.0 exactly, and a
+    one-row side's 1 x 1 Gram matrix is its squared row norm.  Larger sides
+    are grouped by size (``bincount``) and stacked in chunks of at most
     CHUNK_ENTRIES row and Gram entries, one batched ``eigvalsh`` per chunk,
     which reads one triangle of each Gram matrix.  Raises ``ValidationError``
     when a norm exceeds the float range.
@@ -279,6 +277,7 @@ def _cut_norms(dirac: np.ndarray, partitions) -> list[np.ndarray]:
     largest = np.abs(dirac).max() if np.iscomplexobj(dirac) else max(dirac.max(), -dirac.min())
     e = scale_exponent(float(largest))
     d = times_pow2(dirac, -e)
+    blocks = (d,) if np.array_equal(dirac, dagger(dirac)) else (d, d.T)
     out = []
     for labels, count in partitions:
         sizes = np.bincount(labels, minlength=count)[:count]
@@ -291,8 +290,11 @@ def _cut_norms(dirac: np.ndarray, partitions) -> list[np.ndarray]:
             for part in chunks(fibres.size, m * (n + m)):
                 ids = fibres[part]
                 # T is the fibre itself, or its complement when that is smaller.
-                grams = _side_grams(d, (labels == ids[:, None]) != (sizes[ids] > m)[:, None], m)
-                squares[ids] = grams[:, 0, 0].real if m == 1 else np.linalg.eigvalsh(grams)[:, -1]
+                side = (labels == ids[:, None]) != (sizes[ids] > m)[:, None]
+                for x in blocks:
+                    grams = _side_grams(x, side, m)
+                    top = grams[:, 0, 0].real if m == 1 else np.linalg.eigvalsh(grams)[:, -1]
+                    squares[ids] = np.maximum(squares[ids], top)
         with np.errstate(over="ignore"):
             norms = np.ldexp(np.sqrt(np.where(squares > 0.0, squares, 0.0)), e)
         if not np.isfinite(norms).all():
@@ -302,11 +304,12 @@ def _cut_norms(dirac: np.ndarray, partitions) -> list[np.ndarray]:
 
 
 def _cut_norm(dirac: np.ndarray, f: np.ndarray) -> float | None:
-    """||[D, diag f]|| for a Hermitian D when f takes at most two values, else None.
+    """||[D, diag f]|| when f takes at most two values, else None.
 
     A constant f commutes with D.  For f = c + d 1_S the commutator is
-    d [[0, -B], [B*, 0]] with B = D[S, S^c], so its norm is |d| ||B||: the
-    one-fibre case of ``_cut_norms``.
+    d [[0, -B], [C, 0]] with B = D[S, S^c] and C = D[S^c, S], so its norm is
+    |d| max(||B||, ||C||): the one-fibre case of ``_cut_norms``.  For a
+    Hermitian D, C = B*.
     """
     cut = f != f[0]
     if not cut.any():
@@ -326,9 +329,10 @@ def _cut_norm(dirac: np.ndarray, f: np.ndarray) -> float | None:
 def commutator_norm(t: FiniteSpectralTriple, a: AlgebraElement) -> float:
     """Operator norm of [D, pi(a)]; a diagonal pi(a) = diag(f) is never formed.
 
-    A diagonal pi(a) with at most two values takes the cut block of
-    ``_cut_norm`` when D is exactly Hermitian; everything else takes the
-    dense commutator.  Raises ``ValidationError`` when the norm exceeds the
+    A diagonal pi(a) with at most two values takes the two cut blocks of
+    ``_cut_norm``, whether or not D is exactly Hermitian; a diagonal pi(a)
+    with three or more values and every explicit pi(a) take the dense
+    commutator.  Raises ``ValidationError`` when the norm exceeds the
     float range.
     """
     if a.algebra.block_dims != t.algebra.block_dims:
@@ -336,7 +340,7 @@ def commutator_norm(t: FiniteSpectralTriple, a: AlgebraElement) -> float:
     diagonal = t.rep.spectrum_map is not None
     if diagonal:
         f = np.asarray(a.coordinates, dtype=complex)[t.rep.spectrum_map]
-        norm = _cut_norm(t.dirac, f) if t.dirac_is_hermitian else None
+        norm = _cut_norm(t.dirac, f)
     if not diagonal or norm is None:
         with np.errstate(over="ignore", invalid="ignore"):
             if diagonal:

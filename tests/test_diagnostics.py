@@ -52,7 +52,7 @@ from spectral_limits.linalg import (
 )
 from spectral_limits.serialization import load_system, system_from_generator_config
 from test_inductive import CANTOR5, CI3, chain
-from test_triple import ci_config
+from test_triple import ci_config, dense_oracle, probe_entries
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -253,6 +253,25 @@ class TestEigenOracle:
                 resolvent_gap_eigen(r, j, lam)
         assert counts["eigvalsh"] == r.level == 6
         assert counts["eigh"] == r.level + 1 == 7
+
+    def test_one_resolvent_evaluation_per_level_and_probe(self, monkeypatch):
+        # The gaps of one probe at every j read each increment's peak once:
+        # 18 levels and 3 probes on Cantor J=18, where evaluating every
+        # increment above j for each j makes 513 evaluations.
+        r = realize(CANTOR18)
+        calls = [0]
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return resolvent_values(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "resolvent_values", counting)
+        lambdas = (1j, 2j, 1 + 1j)
+        gaps = {(j, lam): resolvent_gap_eigen(r, j, lam) for lam in lambdas for j in range(r.level + 1)}
+        assert calls[0] == 54
+        for (j, lam), gap in gaps.items():
+            peaks = [np.max(np.abs(resolvent_values(r.increment_spectrum(k), lam))) for k in range(j + 1, r.level + 1)]
+            assert gap == max(peaks, default=0.0)
 
 
 class TestFunctionGap:
@@ -507,12 +526,14 @@ def norm_calls(monkeypatch):
     return calls
 
 
-def _with_top_dirac(system, dirac):
-    """``system`` with D_J replaced by ``dirac``."""
-    *triples, top = system.triples
-    top = FiniteSpectralTriple(top.rep, dirac, top.grading, top.meta)
-    *links, last = system.links
-    return InductiveSystem((*triples, top), (*links, TripleMorphism(last.source, top, last.phi, last.iso)))
+def one_ulp_from_hermitian(system):
+    """``system`` with one ulp added to D_k[0, 1] on every level k >= 1."""
+    diracs = [t.dirac.copy() for t in system.triples]
+    for d in diracs[1:]:
+        d[0, 1] = np.nextafter(d[0, 1], np.inf)
+    triples = tuple(FiniteSpectralTriple(t.rep, d, t.grading, t.meta) for t, d in zip(system.triples, diracs))
+    links = tuple(TripleMorphism(triples[k], triples[k + 1], m.phi, m.iso) for k, m in enumerate(system.links))
+    return InductiveSystem(triples, links, system.provenance)
 
 
 CANTOR18 = system_from_generator_config({"type": "cantor", "gaps": "middle-thirds", "levels": 18})
@@ -574,18 +595,6 @@ class TestFibreProbe:
         assert norm_calls[0] > 0
         self.assert_matches(probe, series_loop(system), 0.0)
 
-    def test_inexactly_hermitian_dirac_falls_back(self, norm_calls):
-        d = BINARY_CI6.triples[-1].dirac.copy()
-        # Off-symmetric by 1e-17 at the smallest entry above the diagonal (2^-6).
-        rows, cols = np.triu_indices(len(d), 1)
-        k = np.argmin(np.abs(d[rows, cols]))
-        d[rows[k], cols[k]] += 1e-17
-        system = _with_top_dirac(BINARY_CI6, d)
-        assert not system.triples[-1].dirac_is_hermitian
-        probe = default_st2_probe(system)
-        assert norm_calls[0] > 0
-        self.assert_matches(probe, series_loop(system), 0.0)
-
     def test_norm_beyond_float_range_raises(self):
         # Entries 1e8 scaled by 1e300: each point's 2 x 2 cut block has norm 2e308.
         d = np.full((4, 4), 1e8) * 1e300
@@ -617,6 +626,21 @@ class TestFibreProbeCeilings:
         # The per-element loop makes 1,311 norm calls and 1,292 eigvalsh calls.
         assert norm_calls[0] == 0
         assert calls[0] <= 400
+
+    def test_one_ulp_from_hermitian_work(self, norm_calls):
+        # Hermitian only to rounding: the probe still takes one cut pass per
+        # level, reading both cut blocks, not one dense commutator per
+        # element and level.
+        system = one_ulp_from_hermitian(BINARY_CI6)
+        assert not any(np.array_equal(t.dirac, dagger(t.dirac)) for t in system.triples[1:])
+        assert system_validate(system).passed
+        probe = default_st2_probe(system)
+        assert norm_calls[0] == 0
+        got = [v for s in probe for v in s.values]
+        want = [dense_oracle(t, a) for t, a in probe_entries(system, range(system.top_level))]
+        assert len(got) == len(want) == 183
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-14 * w
 
     def test_binary_ci10_memory(self):
         system = system_from_generator_config(ci_config([float(j) for j in range(1, 11)]))

@@ -3,6 +3,7 @@
 import re
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -514,7 +515,7 @@ def gram_shapes(monkeypatch):
 
 
 class TestCutBlockNorm:
-    """Two-valued diagonal elements take the cut block D[S, S^c]; the dense commutator is the oracle."""
+    """Two-valued diagonal elements take the cut blocks D[S, S^c] and D[S^c, S]; the dense commutator is the oracle."""
 
     @pytest.mark.parametrize(
         "config, levels",
@@ -578,15 +579,24 @@ class TestCutBlockNorm:
         assert abs(commutator_norm(t, a) - want) <= 1e-13 * want
         assert norm_shapes[-1] == (6, 6)
 
-    def test_inexactly_hermitian_dirac_takes_the_dense_kernel(self, norm_shapes):
+    def test_inexactly_hermitian_dirac_takes_both_cut_blocks(self, norm_shapes, gram_shapes):
         d = random_hermitian(np.random.default_rng(4), 5)
         d[0, 3] += 1e-3
         t = diagonal_triple(d, [0, 1, 1, 0, 1])
-        assert not t.dirac_is_hermitian
+        assert not np.array_equal(d, d.conj().T)
         a = t.algebra.from_point_values([0.0, 1.0])
         want = dense_oracle(t, a)
         assert abs(commutator_norm(t, a) - want) <= 1e-13 * want
-        assert norm_shapes[-1] == (5, 5)
+        # The short side {0, 3} read in the rows of D and of D^T: no dense commutator.
+        assert norm_shapes == [] and gram_shapes == [(1, 2, 2), (1, 2, 2)]
+        # S = {0}: D[S, S^c] = (1, 0) and D[S^c, S] = (5, 0)^T, so the norm is 5;
+        # a kernel that reads only the short side's rows returns 1.
+        d = np.zeros((3, 3))
+        d[0, 1], d[1, 0] = 1.0, 5.0
+        assert triple_module._cut_norms(d, [(np.array([0, 1, 1]), 1)])[0][0] == 5.0
+        t = diagonal_triple(d, [0, 1, 1])
+        a = t.algebra.from_point_values([1.0, 0.0])
+        assert commutator_norm(t, a) == dense_oracle(t, a) == 5.0
 
     @pytest.mark.parametrize("values", [[0.0, 1.7e308], [-1.7e308, 1.7e308], [1.7e308, 0.0, -1.7e308]])
     def test_norm_beyond_float_range_raises(self, values):
@@ -600,27 +610,38 @@ class TestCutBlockNorm:
         n=st.integers(2, 8),
         seed=st.integers(0, 2**32 - 1),
         values=st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
+        hermitian=st.booleans(),
         data=st.data(),
     )
-    def test_random_hermitian_two_values(self, n, seed, values, data):
-        d = random_hermitian(np.random.default_rng(seed), n)
+    def test_random_hermitian_two_values(self, n, seed, values, hermitian, data):
+        rng = np.random.default_rng(seed)
+        d = random_hermitian(rng, n)
+        if not hermitian:
+            d += rng.normal(size=(n, n))
         t = diagonal_triple(d, data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
         a = t.algebra.from_point_values(values[: t.algebra.n_points])
         want = dense_oracle(t, a)
         # The oracle's entries D_ij f_j - f_i D_ij cancel when f_i ~ f_j.
         slack = 4 * np.finfo(float).eps * max(map(abs, values)) * np.linalg.norm(d)
-        assert abs(commutator_norm(t, a) - want) <= 1e-13 * want + slack
+        with mock.patch.object(triple_module, "operator_norm", wraps=operator_norm) as norm:
+            got = commutator_norm(t, a)
+        assert abs(got - want) <= 1e-13 * want + slack
+        # Two values take the cut blocks, never the dense commutator.
+        assert norm.call_count == 0
 
 
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "non-hermitian"])
     @pytest.mark.parametrize("complex_dirac", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("seed", range(6))
-    def test_every_fibre_of_a_partition(self, monkeypatch, complex_dirac, seed):
+    def test_every_fibre_of_a_partition(self, monkeypatch, complex_dirac, hermitian, seed):
         # Chunks of 64 row and Gram entries split the size groups across chunks.
         monkeypatch.setattr(algebra_module, "CHUNK_ENTRIES", 64)
         rng = np.random.default_rng(seed)
         n, count = int(rng.integers(2, 12)), int(rng.integers(1, 8))
         d = random_hermitian(rng, n)
         d = d if complex_dirac else d.real
+        if not hermitian:
+            d = d + rng.normal(size=(n, n))
         # Labels of count or more lie outside every measured fibre.
         labels = rng.integers(0, count + 2, size=n)
         labels[: n // 2] = rng.integers(0, 2)  # often one fibre larger than half
@@ -632,7 +653,7 @@ class TestCutBlockNorm:
                 if s.all() or not s.any():
                     assert norms[i] == 0.0
                 else:
-                    want = operator_norm(d[np.ix_(s, ~s)])
+                    want = max(operator_norm(d[np.ix_(s, ~s)]), operator_norm(d[np.ix_(~s, s)]))
                     assert abs(norms[i] - want) <= 1e-13 * want
 
     def test_float_range_raises_in_every_fibre_pass(self):
