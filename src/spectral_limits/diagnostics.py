@@ -216,10 +216,11 @@ class GapSeries:
 def _cantor_bound(lengths: Sequence[float], j: int, lam: complex) -> float | None:
     # The closed-form bound <= l_j holds for purely imaginary probes; for
     # probes with a real part it can fail, so the truncated supremum formula
-    # is reported instead.
+    # is reported instead.  The level-n increment has spectrum +-1/l_n, and
+    # the nearer of the two to lam gives that level's term.
     if lam.real == 0.0:
         return float(lengths[j]) if j < len(lengths) else None
-    tail = [1.0 / abs(1.0 / l - lam) for l in lengths[j + 1 :]]
+    tail = [1.0 / min(abs(1.0 / l - lam), abs(1.0 / l + lam)) for l in lengths[j + 1 :]]
     return max(tail) if tail else None
 
 

@@ -35,7 +35,6 @@ from .algebra import (
     StarHomomorphism,
     State,
     gns,
-    hom_compose,
 )
 from .errors import ValidationError
 from .linalg import dagger
@@ -214,8 +213,9 @@ def cantor_system(seq: GapSequence, levels: int, with_grading: bool = True) -> I
 class AfChain:
     """Increasing chain A_0 = C <= A_1 <= ... with a faithful state on top.
 
-    The state lives on the last algebra and is restricted downward along the
-    inclusions when a shorter system is built; faithfulness at the top
+    The state lives on the last algebra and is pulled back along every
+    inclusion, top to 0, whichever level a system is truncated at, so a
+    truncated system is the prefix of the full one; faithfulness at the top
     implies it on every subalgebra.
     """
 
@@ -260,14 +260,6 @@ class AfChain:
             inc.spectrum_map is not None for inc in self.inclusions
         )
 
-    def composed_inclusion(self, j: int, k: int) -> StarHomomorphism:
-        if j == k:
-            return StarHomomorphism.identity(self.algebras[j])
-        out = self.inclusions[j]
-        for step in range(j + 1, k):
-            out = hom_compose(self.inclusions[step], out)
-        return out
-
 
 def commutative_af_chain(branching, weights, alphas) -> AfChain:
     """Chain of diagonal algebras from finite-set surjections.
@@ -310,17 +302,6 @@ def _pull_back(inc: StarHomomorphism, rho: np.ndarray) -> np.ndarray:
     return dagger(inc.matrix) @ rho
 
 
-def _restrict_state(chain: AfChain, level: int) -> State:
-    """Pull the top state back to the level algebra along the inclusions."""
-    if level == chain.top_level:
-        return chain.state
-    algebra = chain.algebras[level]
-    inc = chain.composed_inclusion(level, chain.top_level)
-    if inc.spectrum_map is not None:
-        return State.from_weights(algebra, _pull_back(inc, chain.state.weights))
-    return State(algebra, AlgebraElement(algebra, _pull_back(inc, chain.state.density.coordinates)))
-
-
 def ci_system(chain: AfChain, levels: int) -> InductiveSystem:
     """Christensen-Ivan system truncated at the given level.
 
@@ -328,7 +309,9 @@ def ci_system(chain: AfChain, levels: int) -> InductiveSystem:
     orthonormal coordinates C_j* x (gram = C_j C_j*), with A_j acting by left
     multiplication.  The link L_j maps eta_j(x) to eta_{j+1}(iota(x)), and
     D_{j+1} = L_j D_j L_j* + alpha_j (1 - L_j L_j*), so D_k agrees with D_j
-    on the range of the composed links for k >= j.
+    on the range of the composed links for k >= j.  The top state is pulled
+    back along every inclusion of the chain once, so the system truncated at
+    L is the first L+1 levels of every longer truncation, bit for bit.
     """
     levels = _check_levels(levels)
     if levels > chain.top_level:
@@ -340,10 +323,9 @@ def ci_system(chain: AfChain, levels: int) -> InductiveSystem:
             f"dense GNS construction capped at element dimension {DENSE_GNS_CAP}; "
             "use a commutative chain (spectrum maps) for larger systems"
         )
-    top = _restrict_state(chain, levels)
-    rhos = [None] * levels + [top.weights if points else top.density.coordinates]
-    for j in range(levels, 0, -1):
-        rhos[j - 1] = _pull_back(incs[j - 1], rhos[j])
+    rhos = [chain.state.weights if points else chain.state.density.coordinates]
+    for inc in reversed(chain.inclusions):
+        rhos.insert(0, _pull_back(inc, rhos[0]))
     if not points:
         # A non-injective inclusion leaves a density that is not faithful.
         spaces = [gns(a, State(a, AlgebraElement(a, rho))) for a, rho in zip(algebras, rhos)]

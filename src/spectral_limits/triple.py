@@ -265,11 +265,10 @@ def _cut_norms(dirac: np.ndarray, partitions) -> list[np.ndarray]:
     view D^T, so that no N x N copy is made, that of D[T^c, T]^T; the larger
     top eigenvalue is kept.  When D equals D* exactly (one ``np.array_equal``
     per call), D[T^c, T] = D[T, T^c]* and only the first block is read.  A
-    fibre that is empty or covers every coordinate gives 0.0 exactly, and a
-    one-row side's 1 x 1 Gram matrix is its squared row norm.  Larger sides
-    are grouped by size (``bincount``) and stacked in chunks of at most
-    CHUNK_ENTRIES row and Gram entries, one batched ``eigvalsh`` per chunk,
-    which reads one triangle of each Gram matrix.  Raises ``ValidationError``
+    fibre that is empty or covers every coordinate gives 0.0 exactly.  The
+    other sides are grouped by size (``bincount``) and stacked in chunks of
+    at most CHUNK_ENTRIES row and Gram entries, one batched ``eigvalsh`` per
+    chunk, which reads one triangle of each Gram matrix.  Raises ``ValidationError``
     when a norm exceeds the float range.
     """
     n = dirac.shape[0]
@@ -292,8 +291,7 @@ def _cut_norms(dirac: np.ndarray, partitions) -> list[np.ndarray]:
                 # T is the fibre itself, or its complement when that is smaller.
                 side = (labels == ids[:, None]) != (sizes[ids] > m)[:, None]
                 for x in blocks:
-                    grams = _side_grams(x, side, m)
-                    top = grams[:, 0, 0].real if m == 1 else np.linalg.eigvalsh(grams)[:, -1]
+                    top = np.linalg.eigvalsh(_side_grams(x, side, m))[:, -1]
                     squares[ids] = np.maximum(squares[ids], top)
         with np.errstate(over="ignore"):
             norms = np.ldexp(np.sqrt(np.where(squares > 0.0, squares, 0.0)), e)

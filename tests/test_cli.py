@@ -222,6 +222,22 @@ class TestBuild:
         assert main(["build", "--config", write_json(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_truncated_build_is_prefix_of_longer_build(self, tmp_path):
+        # A branching config with more maps than levels builds the first
+        # levels of the longer system: the top state is pulled back along
+        # every map, not only those up to ``levels``.
+        weights = np.random.default_rng(5).uniform(0.2, 1.0, _CI_REPORT_SIZES[-1])
+        cfg = {**GOLDEN_BUILDS["ci-chain-7"][0], "weights": weights.tolist()}
+        docs = []
+        for levels in (4, 7):
+            out = tmp_path / f"ci{levels}.json"
+            cfg_file = write_json(tmp_path / "cfg.json", {**cfg, "levels": levels})
+            assert main(["build", "--config", cfg_file, "--out", str(out)]) == 0
+            docs.append(json.loads(out.read_text()))
+        short, full = docs
+        assert short["triples"] == full["triples"][:5]
+        assert short["links"] == full["links"][:4]
+
     def test_ci_wide_file_is_float64(self, tmp_path):
         # The binary CI J=8 system (dim 256) is real: every matrix object
         # holds 8 bytes per entry, and the file stays under 1.5 MB (it was

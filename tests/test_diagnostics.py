@@ -314,11 +314,15 @@ class TestGapSeries:
         assert resolvent.entries[-1] == (6, 0.0) and function.entries[-1] == (6, 0.0)
         assert sorted(r._rotations) == list(range(6))
 
-    def test_bound_for_real_part_probe_uses_truncated_sup(self):
-        lam = 1 + 1j
+    @pytest.mark.parametrize("lam", [-1 + 1j, -0.5 + 2j, 1 + 1j, -3 + 0.5j, 2 - 1j])
+    def test_bound_for_real_part_probe_uses_truncated_sup(self, lam):
+        # The level-n increment has spectrum +-1/l_n, so for Re lam < 0 the
+        # term of -1/l_n is the larger one.
         series = gap_series(R6, lam=lam)
         for (j, gap), bound in zip(series.entries[:-1], series.analytic_bounds[:-1]):
             assert gap <= bound + 1e-12
+            eigen = resolvent_gap_eigen(R6, j, lam)
+            assert abs(bound - eigen) <= 1e-14 * eigen
         # and the l_j bound itself fails for this probe at some level
         lengths = SEQ.lengths
         assert any(

@@ -2,12 +2,14 @@
 
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 
 from spectral_limits import (
     AfChain,
+    AlgebraElement,
     FiniteCStarAlgebra,
     GapSequence,
     StarHomomorphism,
@@ -21,6 +23,7 @@ from spectral_limits import (
     eigh,
     gap_series,
     gns,
+    hom_compose,
     hom_validate,
     middle_thirds,
     operator_norm,
@@ -31,7 +34,7 @@ from spectral_limits import (
     theta,
     theta_index,
 )
-from spectral_limits.generators import DENSE_GNS_CAP, _restrict_state
+from spectral_limits.generators import DENSE_GNS_CAP
 from spectral_limits.linalg import dagger
 from test_inductive import chain
 
@@ -64,6 +67,20 @@ def doubled_chain(rng):
         rho = raw @ raw.conj().T + 0.1 * np.eye(2)
         blocks.append(rho / np.trace(rho).real * share)
     return AfChain((c1, m2, m22), (scalars, diagonal), State(m22, m22.element(blocks)), (1.0, 2.0)), blocks
+
+
+def restricted_state(chain, level):
+    """Oracle for the state on A_level of a chain with explicit inclusions:
+    the top density pulled back once through the composite of the
+    inclusions above ``level`` (``hom_compose``), where ``ci_system`` pulls
+    it back one inclusion at a time."""
+    if level == chain.top_level:
+        return chain.state
+    inc = chain.inclusions[level]
+    for step in chain.inclusions[level + 1 :]:
+        inc = hom_compose(step, inc)
+    algebra = chain.algebras[level]
+    return State(algebra, AlgebraElement(algebra, dagger(inc.matrix) @ chain.state.density.coordinates))
 
 
 class TestMiddleThirds:
@@ -281,33 +298,71 @@ class TestCiSystem:
     def test_restricted_noncommutative_state_matches_pullback(self):
         # C -> M_2 -> M_2 + M_2 (a -> (a, a)) with a non-uniform top state,
         # restricted below the top: the density rho_j of the restriction
-        # satisfies rho_j[l, k] = tau(phi(e_kl)) block by block.
+        # satisfies rho_j[l, k] = tau(phi(e_kl)) block by block, phi the
+        # inclusions above level j applied one after another.
         chain, blocks = doubled_chain(np.random.default_rng(6))
 
-        def oracle(level):
+        def definition(level):
             algebra = chain.algebras[level]
-            inc = chain.composed_inclusion(level, chain.top_level)
             densities, offsets = [], algebra.block_offsets()
             for b, n in enumerate(algebra.block_dims):
                 rho = np.zeros((n, n), dtype=complex)
                 for k in range(n):
                     for l in range(n):
                         e = algebra.basis_element(offsets[b] + k * n + l)
-                        rho[l, k] = chain.state.value(inc.apply(e))
+                        for inc in chain.inclusions[level:]:
+                            e = inc.apply(e)
+                        rho[l, k] = chain.state.value(e)
                 densities.append(rho)
             return densities
 
         for level in (0, 1):
-            got = _restrict_state(chain, level).density.blocks
-            for g, want in zip(got, oracle(level)):
+            got = restricted_state(chain, level).density.blocks
+            for g, want in zip(got, definition(level)):
                 assert np.allclose(g, want, rtol=0, atol=1e-15)
-        assert np.allclose(_restrict_state(chain, 1).density.blocks[0], blocks[0] + blocks[1], atol=1e-15)
+        assert np.allclose(restricted_state(chain, 1).density.blocks[0], blocks[0] + blocks[1], atol=1e-15)
         assert system_validate(ci_system(chain, 1)).passed
 
     def test_level_out_of_range(self):
         chain = commutative_af_chain(binary_branching(2), np.full(4, 1 / 4), [1, 2])
         with pytest.raises(ValidationError):
             ci_system(chain, 3)
+
+
+def binary_ci_chain():
+    """Binary CI J=7 with alpha_j = j and random faithful weights."""
+    weights = np.random.default_rng(5).uniform(0.2, 1.0, 128)
+    return commutative_af_chain(binary_branching(7), weights / weights.sum(), [float(j) for j in range(1, 8)])
+
+
+# name -> a function of no arguments giving (build(levels), top level).
+TRUNCATED = {
+    "binary-ci": lambda: (partial(ci_system, binary_ci_chain()), 7),
+    "doubled": lambda: (partial(ci_system, doubled_chain(np.random.default_rng(6))[0]), 2),
+    "tensor-M8": lambda: (partial(ci_system, tensor_chain(3, np.random.default_rng(11))), 3),
+    "cantor": lambda: (partial(cantor_system, middle_thirds(8)), 8),
+}
+
+
+def system_bytes(system):
+    """The bytes of every triple's Dirac operator and representation and of
+    every link's isometry, level by level."""
+    out = []
+    for t in system.triples:
+        rep = t.rep.spectrum_map if t.rep.spectrum_map is not None else t.rep.matrix
+        out.append((t.dirac.dtype, t.dirac.tobytes(), rep.dtype, rep.tobytes()))
+    return out, [(link.iso.dtype, link.iso.tobytes()) for link in system.links]
+
+
+@pytest.mark.parametrize("name", TRUNCATED)
+def test_truncation_is_prefix_of_top_build(name):
+    # The top state is pulled back along every inclusion of the chain, so
+    # the system truncated at L is the first L+1 levels of the top build.
+    build, top = TRUNCATED[name]()
+    triples, links = system_bytes(build(top))
+    for levels in range(top):
+        got = system_bytes(build(levels))
+        assert got == (triples[: levels + 1], links[:levels]), levels
 
 
 class TestGnsLevels:
@@ -327,7 +382,7 @@ class TestGnsLevels:
     def test_representation_is_left_multiplication(self, built):
         chain, system = built
         for j, t in enumerate(system.triples):
-            space = gns(t.algebra, _restrict_state(chain, j))
+            space = gns(t.algebra, restricted_state(chain, j))
             for e in t.algebra.basis():
                 assert t.represent(e).tobytes() == space.left_mult_matrix(e).tobytes()
 
@@ -335,8 +390,8 @@ class TestGnsLevels:
         chain, system = built
         rng = np.random.default_rng(3)
         for j, link in enumerate(system.links):
-            lower = gns(chain.algebras[j], _restrict_state(chain, j)).chol
-            upper = gns(chain.algebras[j + 1], _restrict_state(chain, j + 1)).chol
+            lower = gns(chain.algebras[j], restricted_state(chain, j)).chol
+            upper = gns(chain.algebras[j + 1], restricted_state(chain, j + 1)).chol
             l = link.iso
             assert np.abs(dagger(l) @ l - np.eye(l.shape[1])).max() <= 1e-12
             x = rng.normal(size=(l.shape[1], 3)) + 1j * rng.normal(size=(l.shape[1], 3))
