@@ -254,17 +254,28 @@ def gap_series(
     j_range: Sequence[int] | None = None,
 ) -> GapSeries:
     """Series of gaps over j for one probe (resolvent lam or named function):
-    ``resolvent_gap`` or ``function_gap`` at each level."""
+    ``resolvent_gap`` or ``function_gap`` at each level.  The values are
+    checked bottom up first, so a probe or level fails at the lowest level
+    that fails; the rotations then come top down, one walk down the links."""
     if (lam is None) == (f_name is None):
         raise ValidationError("give exactly one of lam / f_name")
     levels = list(range(r.level + 1)) if j_range is None else sorted({r.system.check_level(j) for j in j_range})
     if lam is None:
         if f_name not in FUNCTION_PROBES:
             raise ValidationError(f"unknown probe function {f_name!r}; known: {sorted(FUNCTION_PROBES)}")
-        entries = tuple((j, function_gap(r, j, FUNCTION_PROBES[f_name])) for j in levels)
+        values, gap = (partial(h, f=FUNCTION_PROBES[f_name]) for h in (function_values, function_gap))
+    else:
+        lam = _check_nonreal(lam)
+        values, gap = partial(resolvent_values, lam=lam), partial(resolvent_gap, lam=lam)
+    for j in levels:
+        values(r.level_decomposition(j).eigenvalues)
+        if j == levels[0]:
+            values(r.ambient_decomposition().eigenvalues)
+    for j in reversed([j for j in levels if j < r.level]):
+        r.rotation(j)
+    entries = tuple((j, gap(r, j)) for j in levels)
+    if lam is None:
         return GapSeries("function", r.level, entries, f_name=f_name)
-    lam = _check_nonreal(lam)
-    entries = tuple((j, resolvent_gap(r, j, lam)) for j in levels)
     bounds = tuple(
         analytic_gap_bound(r.system, j, lam) if j < r.level else 0.0 for j in levels
     )

@@ -4,8 +4,8 @@ Only adjacent links are stored, so the cocycle identities of the composed
 embeddings I_{j,J} = L_{J-1} ... L_j are structural instead of something to
 verify.  The infinite inductive limit is represented solely by its level-J
 truncations: the ambient triple of a realization is the top triple of the
-chain, and a realization keeps spectra, never a composed embedding; where
-I_{j,J} is needed, the links are applied in turn.
+chain, and a realization keeps spectra, never a composed embedding; its
+rotations come from one walk down the links, J link products in all.
 """
 
 from __future__ import annotations
@@ -116,11 +116,11 @@ class Realization:
 
     Holds the ambient triple T_J but no composed embedding I_{j,J}.
     Diagnostics read, for every probe, one cached eigendecomposition per
-    level, one rotation W_j = U* I_{j,J} V_j per level into the ambient and
-    level-j eigenbases U and V_j, and one increment spectrum per level
-    above 0.  ``increment_peaks`` keeps, per (level k, probe lam), the peak
-    max |R_lam| on the level-k increment spectrum that the eigenprojection
-    route reads, 0.0 for an empty one.
+    level, one rotation W_j = U* I_{j,J} V_j per probed level into the
+    ambient and level-j eigenbases U and V_j, all from J link products when
+    asked for top down, and one increment spectrum per level above 0.
+    ``increment_peaks`` keeps the peak max |R_lam| on the level-k increment
+    spectrum per (k, lam) for the eigenprojection route, 0.0 if it is empty.
     """
 
     def __init__(self, system: InductiveSystem):
@@ -129,6 +129,7 @@ class Realization:
         self.ambient = system.triples[-1]
         self._decompositions: dict[int, SpectralDecomposition] = {}
         self._rotations: dict[int, np.ndarray] = {}
+        self._walk: tuple[int, np.ndarray] | None = None
         self._increments: dict[int, np.ndarray] = {}
         self.increment_peaks: dict[tuple[int, complex], float] = {}
 
@@ -146,18 +147,22 @@ class Realization:
 
         I_{j,J} g(D_j) I_{j,J}* = U W_j g(Lambda_j) W_j* U* for every function
         g.  W_j takes the dtype of the eigenvectors and links it is made
-        from; W_J is the identity exactly, in the dtype of U.  I_{j,J} V_j
-        is formed by applying the links L_j, ..., L_{J-1} to V_j in turn.
+        from; W_J is the identity exactly, in the dtype of U.  W_j = X_j V_j
+        on the walk X_J = U*, X_k = X_{k+1} L_k, which goes on from its last
+        X_k if k >= j, else from the top, so any order gives the same W_j.
         """
         j = self.system.check_level(j)
         if j not in self._rotations:
             if j == self.level:
                 w = np.eye(self.ambient.hilbert_dim, dtype=self.ambient_decomposition().vectors.dtype)
             else:
-                w = self.level_decomposition(j).vectors
-                for link in self.system.links[j : self.level]:
-                    w = link.iso @ w
-                w = dagger(self.ambient_decomposition().vectors) @ w
+                v = self.level_decomposition(j).vectors
+                restart = self._walk is None or self._walk[0] < j
+                k, x = (self.level, dagger(self.ambient_decomposition().vectors)) if restart else self._walk
+                for link in reversed(self.system.links[j:k]):
+                    x = x @ link.iso
+                self._walk = (j, x)
+                w = x @ v
             self._rotations[j] = w
         return self._rotations[j]
 

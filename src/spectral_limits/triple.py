@@ -41,6 +41,7 @@ from .linalg import (
     as_matrix,
     commutator,
     dagger,
+    exactly_hermitian,
     exactly_real,
     frobenius,
     operator_norm,
@@ -263,8 +264,8 @@ def _cut_norms(dirac: np.ndarray, partitions) -> list[np.ndarray]:
     two cut blocks are those of S.  D[T, :] with its columns in T zeroed has
     the Gram matrix of D[T, T^c] on its short side, and the same rows of the
     view D^T, so that no N x N copy is made, that of D[T^c, T]^T; the larger
-    top eigenvalue is kept.  When D equals D* exactly (one ``np.array_equal``
-    per call), D[T^c, T] = D[T, T^c]* and only the first block is read.  A
+    top eigenvalue is kept.  When D equals D* exactly (``exactly_hermitian``),
+    D[T^c, T] = D[T, T^c]* and only the first block is read.  A
     fibre that is empty or covers every coordinate gives 0.0 exactly.  The
     other sides are grouped by size (``bincount``) and stacked in chunks of
     at most CHUNK_ENTRIES row and Gram entries, one batched ``eigvalsh`` per
@@ -276,7 +277,7 @@ def _cut_norms(dirac: np.ndarray, partitions) -> list[np.ndarray]:
     largest = np.abs(dirac).max() if np.iscomplexobj(dirac) else max(dirac.max(), -dirac.min())
     e = scale_exponent(float(largest))
     d = times_pow2(dirac, -e)
-    blocks = (d,) if np.array_equal(dirac, dagger(dirac)) else (d, d.T)
+    blocks = (d,) if exactly_hermitian(dirac) else (d, d.T)
     out = []
     for labels, count in partitions:
         sizes = np.bincount(labels, minlength=count)[:count]

@@ -49,6 +49,38 @@ def write_json(path, obj):
 
 
 @pytest.fixture()
+def link_products(monkeypatch):
+    """(count, realizations): every realization the CLI makes, with each
+    link isometry of its system counting the matrix products it is a factor
+    of."""
+    products, realizations = [0], []
+
+    class CountedIso(np.ndarray):
+        def __array_wrap__(self, arr, context=None, return_scalar=False):
+            # What numpy functions make of the link, such as its QR, is uncounted.
+            return arr
+
+        def __matmul__(self, other):
+            products[0] += 1
+            return self.view(np.ndarray) @ other
+
+        def __rmatmul__(self, other):
+            products[0] += 1
+            return other @ self.view(np.ndarray)
+
+    realize = cli.realize
+
+    def counting(system):
+        for link in system.links:
+            link.iso = link.iso.view(CountedIso)
+        realizations.append(realize(system))
+        return realizations[-1]
+
+    monkeypatch.setattr(cli, "realize", counting)
+    return products, realizations
+
+
+@pytest.fixture()
 def cantor_file(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", {"type": "cantor", "gaps": "middle-thirds", "levels": 6})
     out = tmp_path / "cantor.json"
@@ -986,6 +1018,26 @@ class TestSt1Ceilings:
         cfg = write_json(tmp_path / "cantor.json", {"type": "cantor", "gaps": "middle-thirds", "levels": 18})
         assert main(["st1", "--config", cfg, "--function", "gaussian", "--out", str(tmp_path / "st1")]) == 0
         assert calls == {"eigh": 19, "qr": 18, "lanczos_operator_norm": 72, "operator_norm": 0}
+
+    def test_cantor18_link_products(self, tmp_path, link_products):
+        # Every rotation from one walk down the links: J link products, where
+        # applying the links to each V_j in turn made J(J+1)/2 = 171.
+        products, realizations = link_products
+        cfg = write_json(tmp_path / "cantor.json", {"type": "cantor", "gaps": "middle-thirds", "levels": 18})
+        assert main(["st1", "--config", cfg, "--function", "gaussian", "--out", str(tmp_path / "st1")]) == 0
+        assert products[0] == 18
+        assert sorted(realizations[0]._rotations) == list(range(18))
+
+    @pytest.mark.parametrize("levels, low, high", [("5..9", 5, 9), ("12..18", 12, 17)])
+    def test_levels_form_only_probed_rotations(self, tmp_path, link_products, levels, low, high):
+        # W_j for the probed j below J only, from one walk down to the lowest
+        # (55 and 21 link products when each W_j applied its own links).
+        products, realizations = link_products
+        cfg = write_json(tmp_path / "cantor.json", {"type": "cantor", "gaps": "middle-thirds", "levels": 18})
+        argv = ["st1", "--config", cfg, "--levels", levels, "--function", "gaussian", "--out", str(tmp_path / "st1")]
+        assert main(argv) == 0
+        assert products[0] == 18 - low
+        assert sorted(realizations[0]._rotations) == list(range(low, high + 1))
 
     def test_blas_workers_idle(self, tmp_path):
         # Below PARALLEL_DIM st1 runs OpenBLAS on one thread, so its workers

@@ -314,6 +314,24 @@ class TestGapSeries:
         assert resolvent.entries[-1] == (6, 0.0) and function.entries[-1] == (6, 0.0)
         assert sorted(r._rotations) == list(range(6))
 
+    def test_lowest_failing_level_fails_first(self):
+        # The rotations are formed top down, one walk down the links, but a
+        # failing probe or level still fails at the lowest level that fails:
+        # D_2 and D_4 are not Hermitian, and D_2's drift is reported; a probe
+        # too large for every spectrum fails at level 0, before either.
+        diracs = [t.dirac.copy() for t in CANTOR6.triples]
+        diracs[2][0, 1] += 1e-3
+        diracs[4][0, 1] += 2e-3
+        triples = tuple(FiniteSpectralTriple(t.rep, d, t.grading) for t, d in zip(CANTOR6.triples, diracs))
+        links = tuple(TripleMorphism(triples[k], triples[k + 1], m.phi, m.iso) for k, m in enumerate(CANTOR6.links))
+        system = InductiveSystem(triples, links)
+        with pytest.raises(ValidationError) as level2:
+            linalg.check_hermitian(diracs[2])
+        with pytest.raises(ValidationError, match=re.escape(str(level2.value))):
+            gap_series(realize(system), f_name="gaussian")
+        with pytest.raises(ValidationError, match="too large"):
+            gap_series(realize(system), lam=1e308 + 1e308j)
+
     @pytest.mark.parametrize("lam", [-1 + 1j, -0.5 + 2j, 1 + 1j, -3 + 0.5j, 2 - 1j])
     def test_bound_for_real_part_probe_uses_truncated_sup(self, lam):
         # The level-n increment has spectrum +-1/l_n, so for Re lam < 0 the

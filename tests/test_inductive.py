@@ -227,6 +227,24 @@ class TestRotation:
             assert operator_norm(dagger(w) @ w - np.eye(w.shape[1])) <= 1e-13
         assert np.array_equal(r.rotation(r.level), np.eye(r.ambient.hilbert_dim))
 
+    @pytest.mark.parametrize("system", SYSTEMS, ids=SYSTEM_IDS)
+    def test_any_order_matches_chain(self, system):
+        # The walk down the links goes on from the level it holds or starts
+        # again from the top, so ascending, descending and shuffled requests
+        # all give the same bytes, and each W_j matches U* I_{j,J} V_j.
+        top = system.top_level
+        orders = [range(top), range(top - 1, -1, -1), np.random.default_rng(7).permutation(top)]
+        rotations = []
+        for order in orders:
+            r = realize(system)
+            rotations.append({int(j): r.rotation(j) for j in order})
+        u = r.ambient_decomposition().vectors
+        for j in range(top):
+            want = dagger(u) @ chain(system, j, top).iso @ r.level_decomposition(j).vectors
+            for got in rotations:
+                assert np.array_equal(got[j], rotations[0][j])
+                assert operator_norm(got[j] - want) <= 1e-15 * operator_norm(want)
+
 
 class TestIncrementSpectra:
     @pytest.mark.parametrize("system", SYSTEMS, ids=SYSTEM_IDS)

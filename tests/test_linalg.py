@@ -24,6 +24,7 @@ from spectral_limits.linalg import (
     as_matrix,
     check_hermitian,
     dagger,
+    exactly_hermitian,
     exactly_real,
     frobenius,
     function_from_decomposition,
@@ -429,6 +430,32 @@ class TestValidationHelpers:
         assert out is h
         assert peak <= (h.nbytes if dtype is complex else 0) + 2 * h.size
 
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_exactly_hermitian_is_array_equal(self, n, kind):
+        # The tiled check answers as np.array_equal(a, a*) does: with +-0.0
+        # mirror entries, and one ulp off in a corner tile, an inner tile and
+        # (complex only) on the diagonal.
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n))
+        if kind == "complex":
+            a = a + 1j * rng.normal(size=(n, n))
+        h = a + dagger(a)
+        signed = h.copy()
+        signed[0, n - 1], signed[n - 1, 0] = complex(0.0, -0.0) if kind == "complex" else 0.0, -0.0
+        cases = [(h, True), (signed, True)]
+        for i, k in {(0, n - 1), (n - 1, 0), (n // 2, n // 3)} - {(0, 0)}:
+            off = h.copy()
+            off[i, k] = np.nextafter(off[i, k].real, np.inf) + (1j * off[i, k].imag if kind == "complex" else 0)
+            cases.append((off, False))
+        if kind == "complex":
+            diagonal = h.copy()
+            diagonal[n - 1, n - 1] += 1j * np.nextafter(0.0, 1.0)
+            cases.append((diagonal, False))
+        for m, want in cases:
+            assert np.array_equal(m, dagger(m)) is want
+            assert exactly_hermitian(m) is want
+
 
 class TestDtypeRule:
     def test_as_matrix_keeps_float64_and_widens_the_rest(self):
@@ -452,7 +479,7 @@ class TestDtypeRule:
         assert eigh(np.array([[2.0, 1.0], [1.0, 2.0]])).vectors.dtype == np.float64
         assert eigh(np.array([[2.0, 1j], [-1j, 2.0]])).vectors.dtype == np.complex128
 
-    @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (7, 3), (3, 7)])
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (7, 3), (3, 7), (130, 70)])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_matvec_matches_dense(self, shape, kind):
         rng = np.random.default_rng(sum(shape))
